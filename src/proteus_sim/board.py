@@ -17,8 +17,15 @@ set and acknowledges with write-one-to-clear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from .bitstream import DESK_GEOMETRY, ConfigurationMemory, DeviceGeometry
+from .bitstream import (
+    DESK_GEOMETRY,
+    WRAPPER_BYTES,
+    ConfigurationMemory,
+    DeviceGeometry,
+    RegionOutOfBounds,
+)
 from .fixed_part import (
     ARBITRATION_ORDER,
     CTRL_START_DOWN,
@@ -47,7 +54,7 @@ from .fixed_part import (
 )
 from .kernels import KernelHost
 from .pci import BusTransaction, HostMemory, PciBus, PciConfig, TxnState
-from .selectmap import BootReport, SelectMapController
+from .selectmap import BootReport, Mode, NotIdle, SelectMapController
 from .sim import Simulator
 from .trace import TraceRecorder
 
@@ -66,6 +73,19 @@ class JobActive(BoardFault):
 
 class Deadlock(BoardFault):
     pass
+
+
+class CommandConflict(BoardFault):
+    pass
+
+
+# The interrupt a bus engine raises when its job is done; a reconfiguration
+# is done when the controller has applied the image, not when its bus job ends.
+JOB_DONE_CAUSE = {
+    TargetId.DOWNSTREAM: IrqCause.DOWNSTREAM_DONE,
+    TargetId.UPSTREAM: IrqCause.UPSTREAM_DONE,
+    TargetId.SELECTMAP_READ: IrqCause.READBACK_DONE,
+}
 
 
 @dataclass
@@ -228,28 +248,50 @@ class Device:
             self.regs.write(index, value)
 
     def _control(self, command: int) -> None:
+        """Start every job the ``control`` strobe names.  The whole word is
+        checked first (conflicting strobes, a busy engine or controller, an
+        empty job, a span outside host memory), so a rejected word changes
+        nothing."""
         regs = self.regs
+        port = command & (CTRL_START_RECONFIG | CTRL_START_READBACK)
+        if port == CTRL_START_RECONFIG | CTRL_START_READBACK:
+            raise CommandConflict("reconfiguration and readback share the configuration port")
+        if port and self.controller.mode is not Mode.IDLE:
+            raise NotIdle(f"controller is {self.controller.mode.value}")
+        jobs = []
         if command & CTRL_START_DOWN:
-            self.engines[TargetId.DOWNSTREAM].start(
-                regs.read(REG_DOWN_BASE), regs.read(REG_DOWN_LEN),
-                on_job_done=lambda: self._raise(IrqCause.DOWNSTREAM_DONE))
+            jobs.append((TargetId.DOWNSTREAM, regs.read(REG_DOWN_BASE), regs.read(REG_DOWN_LEN)))
         if command & CTRL_START_UP:
-            self.engines[TargetId.UPSTREAM].start(
-                regs.read(REG_UP_BASE), regs.read(REG_UP_LEN),
-                on_job_done=lambda: self._raise(IrqCause.UPSTREAM_DONE))
+            jobs.append((TargetId.UPSTREAM, regs.read(REG_UP_BASE), regs.read(REG_UP_LEN)))
+        cfg_base, cfg_len = regs.read(REG_CFG_BASE), regs.read(REG_CFG_LEN)
         if command & CTRL_START_RECONFIG:
-            total = regs.read(REG_CFG_LEN)
-            self.controller.start_configure(total, allow_fixed=False,
-                                            on_done=self._reconfig_done)
-            self.engines[TargetId.SELECTMAP_WRITE].start(regs.read(REG_CFG_BASE), total)
+            if cfg_len <= WRAPPER_BYTES:
+                raise ValueError("image shorter than header and checksum")
+            jobs.append((TargetId.SELECTMAP_WRITE, cfg_base, cfg_len))
+        first, count = cfg_len & 0xFFFF, cfg_len >> 16   # readback region
         if command & CTRL_START_READBACK:
-            packed = regs.read(REG_CFG_LEN)
-            first, count = packed & 0xFFFF, packed >> 16
-            total = self.controller.start_readback(first, count,
-                                                   on_done=self._readback_done)
-            self.engines[TargetId.SELECTMAP_READ].start(
-                regs.read(REG_CFG_BASE), total,
-                on_job_done=lambda: self._raise(IrqCause.READBACK_DONE))
+            geometry = self.config_mem.geometry
+            if not geometry.contains_region(first, count):
+                raise RegionOutOfBounds(f"readback of columns {first}+{count} outside "
+                                        f"0..{geometry.columns - 1}")
+            jobs.append((TargetId.SELECTMAP_READ, cfg_base,
+                         WRAPPER_BYTES + count * geometry.column_bytes))
+        for target, base, total in jobs:
+            if self.engines[target].busy:
+                raise JobActive(f"{target.value} job already active")
+            if total <= 0:
+                raise ValueError(f"{target.value} job length must be > 0")
+            self.world.host.locate(base, total)
+
+        for target, base, total in jobs:
+            if target is TargetId.SELECTMAP_WRITE:
+                self.controller.start_configure(total, allow_fixed=False,
+                                                on_done=self._reconfig_done)
+            elif target is TargetId.SELECTMAP_READ:
+                self.controller.start_readback(first, count, on_done=self._readback_done)
+            cause = JOB_DONE_CAUSE.get(target)
+            self.engines[target].start(
+                base, total, on_job_done=None if cause is None else partial(self._raise, cause))
 
     def _reconfig_done(self, bs, result) -> None:
         self.last_config = result

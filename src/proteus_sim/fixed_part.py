@@ -21,6 +21,8 @@ class TargetId(Enum):
     SELECTMAP_READ = "selectmap_read"
     SELECTMAP_WRITE = "selectmap_write"
 
+    __hash__ = object.__hash__   # members are singletons; skips Enum's hash of the name
+
 
 ARBITRATION_ORDER = (TargetId.UPSTREAM, TargetId.DOWNSTREAM,
                      TargetId.SELECTMAP_READ, TargetId.SELECTMAP_WRITE)

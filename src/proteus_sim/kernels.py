@@ -172,8 +172,16 @@ class KernelRegistry:
 class KernelHost:
     """Steps the live kernel on user-clock edges while it can make progress.
 
-    The host sleeps after a no-progress cycle and is rewoken by downstream
-    enqueues or upstream dequeues, so idle stretches cost no events.
+    After a cycle that moves no word the host sleeps; a downstream enqueue or
+    an upstream dequeue wakes it at the next user-clock edge (one period
+    later if that edge has just been stepped).  Edges are not queued one by
+    one: the edge event steps the kernel on consecutive edges and, while
+    asleep, settles the bus's lazy word stream until a word wakes it, within
+    one event.  It gives control back to the event loop before the next
+    queued event or past the loop's horizon, with its next edge queued in
+    the slot the per-edge event would have had, and right after the kernel
+    raises an interrupt, so a host waiting for one sees it at the same ps.
+    The user clock's gate is not consulted.
     """
 
     def __init__(self, sim, domain, down: StreamBuffer, up: StreamBuffer,
@@ -185,8 +193,13 @@ class KernelHost:
         self.regs = regs
         self.registry = KernelRegistry()
         self.trace = trace
-        self._io = PortIO(down, up, regs, raise_irq)
+        self._raise_irq = raise_irq
+        self._io = PortIO(down, up, regs, self._request_irq)
         self._awake = False
+        self._running = False
+        self._raised = False
+        self._edge = (0, 0)        # (time, insertion number) of the next edge while awake
+        self._last_edge = -1
         down.on_enqueue(self._maybe_wake)
         up.on_dequeue(self._maybe_wake)
 
@@ -201,16 +214,50 @@ class KernelHost:
         self._maybe_wake()
         return report
 
+    def _request_irq(self) -> None:
+        self._raised = True
+        self._raise_irq()
+
     def _maybe_wake(self) -> None:
         if self._awake or self.registry.active is None or self.down.occupancy == 0:
             return
         self._awake = True
-        self.domain.subscribe(self._step)
+        sim = self.sim
+        t = self.domain.next_edge_at(sim.now)
+        if t == self._last_edge:
+            t += self.domain.period
+        if self._running:
+            self._edge = (t, sim.alloc())
+        else:
+            self._edge = (t, sim.schedule_at(t, self._run))
 
-    def _step(self, _t: int) -> None:
+    def _run(self) -> None:
+        """Step consecutive edges from the queued one until control must return."""
+        sim = self.sim
         io = self._io
-        io.begin_cycle()
-        self.registry.active.step(io)
-        if not (io.consumed or io.produced):
-            self._awake = False
-            self.domain.unsubscribe(self._step)
+        period = self.domain.period
+        self._running = True
+        try:
+            while True:
+                t = self._edge[0]
+                sim.now = self._last_edge = t
+                nxt = (t + period, sim.alloc())   # a clock edge numbers the next before stepping
+                self._raised = False
+                io.consumed = io.produced = 0
+                self.registry.active.step(io)
+                if io.consumed or io.produced:
+                    self._edge = nxt
+                else:
+                    self._awake = False
+                if self._raised:
+                    break
+                while not self._awake:
+                    if not sim.settle_next(sim.horizon):
+                        return
+                t, seq = self._edge
+                if t > sim.horizon or not sim.settle(t, seq):
+                    break
+        finally:
+            self._running = False
+        if self._awake:
+            sim.schedule_reserved(*self._edge, self._run)

@@ -4,11 +4,21 @@ One bus master (the board) moves 4 bytes per bus cycle between page-locked
 host regions and on-chip buffers.  Host CPU contention appears only as
 stall windows, during which no data cycles occur and active bursts are
 preempted; a preempted job is resumed by its owner from the next address.
+
+A granted burst is one transaction.  ``begin_burst`` computes its word
+lattice ``first + k * clock_period`` in closed form and cuts it at the
+first word that falls in a stall window, or at the burst limit; the words
+of a device-bound burst are read from host memory then, in one call.  The
+words then reach the master's ``word_sink``/``word_source`` one per bus
+cycle as items of a lazy stream (see ``sim``): each runs at its cycle's
+picosecond and in the same-time order that a queued per-word event would
+have had, but only the burst's end (DONE or PREEMPTED) is a queued event.
 """
 
 from __future__ import annotations
 
 import bisect
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -130,13 +140,18 @@ class PciBus:
         self._master_fetch = None
         self._wake_pending = False
         self._burst_start = 0
+        self._burst: _Burst | None = None   # the burst whose words are still moving
 
     # -- stalls --------------------------------------------------------------
 
     def inject_stall(self, start: int, duration: int) -> None:
+        """Add a stall window; the words a granted burst has not moved yet are
+        cut again against it."""
         if duration <= 0:
             raise ValueError("stall duration must be > 0")
         bisect.insort(self._stalls, (start, start + duration))
+        if self._burst is not None:
+            self._burst.cut()
 
     def stalled_at(self, t: int) -> bool:
         i = bisect.bisect_right(self._stalls, (t, ADDRESS_SPACE << 32))
@@ -194,42 +209,34 @@ class PciBus:
         if self.trace:
             self.trace.record("pci", "grant", txn.master_id)
         first = self.sim.now + self.config.grant_latency_cycles * self.config.clock_period
-        self._schedule_word(txn, buf, off, first)
+        _Burst(self, txn, buf, off, first)
         return txn
 
-    def _schedule_word(self, txn, buf, off, t):
-        self.sim.schedule_at(t, lambda: self._word_event(txn, buf, off, t))
+    def _first_stalled(self, first: int, count: int) -> int:
+        """Index of the first of ``count`` lattice words from ``first`` at which
+        ``stalled_at`` holds, or ``count`` if none does.
 
-    def _word_event(self, txn, buf, off, t):
-        if txn.state is not TxnState.BURSTING:
-            return
-        if self.stalled_at(t):
-            self._finish(txn, TxnState.PREEMPTED, t)
-            return
-        done = txn.transferred_bytes
-        n = txn.total_bytes - done
-        if n > 4:
-            n = 4
-        pos = off + done
-        if txn.direction is Direction.TO_DEVICE:
-            txn.word_sink(int.from_bytes(buf[pos:pos + n], "little"), n)
-        else:
-            word = txn.word_source(n)
-            buf[pos:pos + n] = (word & ((1 << (8 * n)) - 1)).to_bytes(n, "little")
-        txn.transferred_bytes = done + n
-        txn.cycles_used += 1
-        self.total_data_cycles += 1
-        self.total_data_bytes += n
-        if self.record_cycles:
-            self.cycle_log.append((t, n, txn.master_id))
+        ``stalled_at(t)`` consults the last window opening at or before t, so
+        window i governs [start_i, next start) and stalls [start_i, min(end_i,
+        next start)).
+        """
+        stalls = self._stalls
         period = self.config.clock_period
-        if txn.transferred_bytes >= txn.total_bytes:
-            self.sim.schedule_at(t + period, lambda: self._finish(txn, TxnState.DONE, t + period))
-        elif txn.cycles_used >= self.config.max_burst_cycles:
-            self.sim.schedule_at(t + period,
-                                 lambda: self._finish(txn, TxnState.PREEMPTED, t + period))
-        else:
-            self._schedule_word(txn, buf, off, t + period)
+        last = first + (count - 1) * period
+        i = max(bisect.bisect_right(stalls, (first, ADDRESS_SPACE << 32)) - 1, 0)
+        while i < len(stalls):
+            start, stop = stalls[i]
+            if start > last:
+                break
+            i += 1
+            if i < len(stalls) and stalls[i][0] < stop:
+                stop = stalls[i][0]
+            lo = max(start, first)
+            if lo < stop:
+                k = -(-(lo - first) // period)
+                if first + k * period < stop:
+                    return min(k, count)
+        return count
 
     def _finish(self, txn, state, t):
         txn.state = state
@@ -241,6 +248,97 @@ class PciBus:
         if txn.on_finish is not None:
             txn.on_finish(txn)
         self.poke()
+
+
+class _Burst:
+    """The word lattice of one granted transaction, as a lazy stream.
+
+    ``key`` is the (time, insertion number) of the next word; ``advance``
+    moves that word.  The first word's number is taken at the grant, and
+    each later one right after the word before it, where the per-word
+    event would have been scheduled.  After the last word the burst queues
+    its end in the next lattice point's slot: DONE, PREEMPTED at the burst
+    limit, or PREEMPTED because that point is stalled.  Stall windows
+    added later cut only words not moved yet; they do not undo a stalled
+    end that is already queued.
+    """
+
+    __slots__ = ("bus", "sim", "txn", "buf", "off", "key", "period", "words", "index", "end",
+                 "limit", "to_device")
+
+    def __init__(self, bus: PciBus, txn: BusTransaction, buf, off: int, first: int) -> None:
+        self.bus = bus
+        self.sim = bus.sim
+        self.txn = txn
+        self.buf = buf
+        self.off = off
+        self.period = bus.config.clock_period
+        self.to_device = txn.direction is Direction.TO_DEVICE
+        self.key = (first, self.sim.alloc())
+        self.index = 0
+        self.limit = min(-(-txn.total_bytes // 4), bus.config.max_burst_cycles)
+        bus._burst = self.sim.stream = self
+        self.cut()
+
+    def cut(self) -> None:
+        """(Re)compute where the words not moved yet stop, from the stalls."""
+        self.end = self.index + self.bus._first_stalled(self.key[0], self.limit - self.index)
+        if self.end == self.index:
+            self._queue_end()
+        elif self.to_device:
+            self.words = iter(self._read_words(self.index, self.end))
+
+    def _read_words(self, lo: int, hi: int) -> list[int]:
+        """Words lo..hi-1 of the transaction; its last word may be short."""
+        total = self.txn.total_bytes
+        full = max(min(hi, total // 4) - lo, 0)
+        words = list(struct.unpack_from(f"<{full}I", self.buf, self.off + 4 * lo))
+        if lo + full < hi:
+            words.append(int.from_bytes(self.buf[self.off + 4 * (lo + full):self.off + total],
+                                        "little"))
+        return words
+
+    def advance(self) -> None:
+        txn = self.txn
+        t = self.key[0]
+        self.sim.now = t
+        done = txn.transferred_bytes
+        n = txn.total_bytes - done
+        if n > 4:
+            n = 4
+        if self.to_device:
+            txn.word_sink(next(self.words), n)
+        else:
+            word = txn.word_source(n)
+            pos = self.off + done
+            if n == 4:
+                struct.pack_into("<I", self.buf, pos, word & 0xFFFFFFFF)
+            else:
+                self.buf[pos:pos + n] = (word & ((1 << (8 * n)) - 1)).to_bytes(n, "little")
+        txn.transferred_bytes = done + n
+        txn.cycles_used += 1
+        bus = self.bus
+        bus.total_data_cycles += 1
+        bus.total_data_bytes += n
+        if bus.record_cycles:
+            bus.cycle_log.append((t, n, txn.master_id))
+        self.index += 1
+        self.key = (t + self.period, self.sim.alloc())
+        if self.index == self.end:
+            self._queue_end()
+
+    def _queue_end(self) -> None:
+        """Queue the burst's end in the slot of the next lattice point."""
+        bus, txn, sim = self.bus, self.txn, self.sim
+        sim.stream = bus._burst = None
+        t, seq = self.key
+        if self.end < self.limit:
+            state = TxnState.PREEMPTED     # the lattice point t is stalled
+        elif txn.transferred_bytes >= txn.total_bytes:
+            state = TxnState.DONE
+        else:
+            state = TxnState.PREEMPTED     # burst limit
+        sim.schedule_reserved(t, seq, lambda: bus._finish(txn, state, t))
 
 
 def measure_throughput(cycles, window: tuple[int, int], period: int) -> float:

@@ -159,15 +159,13 @@ class SelectMapController:
             self._schedule_fetch(t + n * period)
 
     def _account_bytes(self, job, t, n, period):
-        payload_from = bits.HEADER_BYTES
-        payload_to = payload_from + job.payload_len
-        for k in range(n):
-            idx = job.done + k
-            if payload_from <= idx < payload_to:
-                when = t + k * period
-                if job.first_payload_time is None:
-                    job.first_payload_time = when
-                job.last_payload_end = when + period
+        """Payload timing of bytes done..done+n-1, moved one per cycle from t."""
+        lo = max(job.done, bits.HEADER_BYTES)
+        hi = min(job.done + n, bits.HEADER_BYTES + job.payload_len)
+        if lo < hi:
+            if job.first_payload_time is None:
+                job.first_payload_time = t + (lo - job.done) * period
+            job.last_payload_end = t + (hi - job.done) * period
         if self.record_byte_times:
             self.byte_times.extend(t + k * period for k in range(n))
 

@@ -1,15 +1,26 @@
 """Deterministic discrete-event kernel with gateable clock domains.
 
-Simulated time is an integer tick count (1 tick = 1 picosecond).  All
-model activity is expressed as events on a single heap; events with the
-same fire time execute in insertion order, which makes every run fully
-deterministic.
+Simulated time is an integer tick count (1 tick = 1 picosecond).  Model
+activity is expressed as events on a single heap; events with the same fire
+time execute in insertion order, which makes every run fully deterministic.
+
+Dense periodic activity need not be queued one event at a time.  A *lazy
+stream* (at most one, ``Simulator.stream``) is a run of virtual events whose
+keys are known in advance: it exposes ``key``, the (time, insertion number)
+of its next item, and ``advance()``, which runs that item.  The loop settles
+the stream before any queued event with a later key, so its items run in
+exactly the order they would have had as queued events, without being
+queued or counted in ``executed``.  Insertion numbers for such items are
+taken with ``alloc()`` at the moment the item would have been scheduled.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
+
+FOREVER = float("inf")
 
 
 class SimError(Exception):
@@ -30,23 +41,70 @@ class Simulator:
     def __init__(self) -> None:
         self.now = 0
         self._heap: list[tuple[int, int, object]] = []
-        self._seq = 0
+        # alloc() takes the next insertion number: the same-time order of an
+        # event is the order in which its number was taken.
+        self.alloc = itertools.count(1).__next__
         self.executed = 0
         self._domains: dict[str, ClockDomain] = {}
+        self.stream = None          # the lazy stream, if one is in flight
+        self.horizon = FOREVER      # the latest time the running loop may reach
 
     def schedule_at(self, time: int, action) -> int:
         """Enqueue ``action`` to run at absolute ``time``; returns the event id."""
         if time < self.now:
             raise SchedulingInPast(f"cannot schedule at {time} ps, now is {self.now} ps")
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, action))
-        return self._seq
+        seq = self.alloc()
+        heapq.heappush(self._heap, (time, seq, action))
+        return seq
 
     def schedule_after(self, delay: int, action) -> int:
         return self.schedule_at(self.now + delay, action)
 
+    def schedule_reserved(self, time: int, seq: int, action) -> int:
+        """Queue ``action`` at ``time`` in the same-time slot ``seq`` taken
+        earlier with ``alloc``: it runs after events numbered before that
+        moment and before events numbered since."""
+        alloc, self.alloc = self.alloc, iter((seq,)).__next__
+        try:
+            return self.schedule_at(time, action)
+        finally:
+            self.alloc = alloc
+
+    def settle(self, time, seq) -> bool:
+        """Run the lazy stream's items keyed before (time, seq) and before the
+        first queued event; True if (time, seq) also precedes that event."""
+        heap = self._heap
+        limit = (time, seq)
+        stream = self.stream
+        while stream is not None:
+            key = stream.key
+            if key >= limit:
+                break
+            if heap and key > heap[0]:
+                return False
+            stream.advance()
+            stream = self.stream
+        return not heap or limit < heap[0]
+
+    def settle_next(self, time_limit) -> bool:
+        """Run the lazy stream's next item if it is due by ``time_limit`` and
+        precedes every queued event; True if it ran."""
+        stream = self.stream
+        if stream is None:
+            return False
+        key = stream.key
+        if key[0] > time_limit or (self._heap and key > self._heap[0]):
+            return False
+        stream.advance()
+        return True
+
     def step(self) -> bool:
-        """Execute the next event, advancing time to it.  False if queue empty."""
+        """Execute the next event, advancing time to it.  False if queue empty.
+
+        Lazy-stream items due before it run first; they are not counted.
+        """
+        self.horizon = FOREVER
+        self.settle(FOREVER, FOREVER)
         if not self._heap:
             return False
         time, _seq, action = heapq.heappop(self._heap)
@@ -55,9 +113,6 @@ class Simulator:
         action()
         return True
 
-    def peek_next_time(self) -> int | None:
-        return self._heap[0][0] if self._heap else None
-
     def run_until(self, t_end: int) -> tuple[int, int]:
         """Run all events with fire time <= t_end; returns (now, executed count).
 
@@ -65,31 +120,33 @@ class Simulator:
         """
         if t_end < self.now:
             raise SchedulingInPast(f"cannot run to {t_end} ps, now is {self.now} ps")
-        heap = self._heap
-        pop = heapq.heappop
-        executed = 0
-        while heap and heap[0][0] <= t_end:
-            time, _seq, action = pop(heap)
-            self.now = time
-            executed += 1
-            action()
+        executed = self._run(t_end)
         self.now = t_end
-        self.executed += executed
         return t_end, executed
 
     def run_until_idle(self, t_limit: int | None = None) -> tuple[int, int]:
         """Run until the queue drains (or past ``t_limit``); now stays at the
-        last executed event."""
+        last executed event or lazy-stream item."""
+        executed = self._run(FOREVER if t_limit is None else t_limit)
+        return self.now, executed
+
+    def _run(self, t_end) -> int:
         heap = self._heap
         pop = heapq.heappop
+        settle = self.settle
+        self.horizon = t_end
         executed = 0
-        while heap and (t_limit is None or heap[0][0] <= t_limit):
+        while True:
+            if self.stream is not None:
+                settle(t_end, FOREVER)
+            if not heap or heap[0][0] > t_end:
+                break
             time, _seq, action = pop(heap)
             self.now = time
             executed += 1
             action()
         self.executed += executed
-        return self.now, executed
+        return executed
 
     # -- clock domains -----------------------------------------------------
 

@@ -3,7 +3,7 @@
 import pytest
 
 from proteus_sim import bitstream as bits
-from proteus_sim.board import BoardInert, Deadlock, World
+from proteus_sim.board import BoardInert, CommandConflict, Deadlock, World
 from proteus_sim.fixed_part import (
     CTRL_START_DOWN,
     CTRL_START_READBACK,
@@ -19,7 +19,10 @@ from proteus_sim.fixed_part import (
     REG_UP_BASE,
     REG_UP_LEN,
     IrqCause,
+    TargetId,
 )
+from proteus_sim.pci import UnmappedAddress
+from proteus_sim.selectmap import Mode
 
 G = bits.DESK_GEOMETRY
 
@@ -204,3 +207,38 @@ def test_kernel_interrupt_reaches_host():
     dev.host_reg_write(REG_CONTROL, CTRL_START_DOWN | CTRL_START_UP)
     world.run_until_cause(IrqCause.KERNEL_REQUEST, "kernel irq")
     assert dev.irq.pending & IrqCause.KERNEL_REQUEST
+
+
+def assert_idle(world, executed_before):
+    dev = world.device
+    assert dev.controller.mode is Mode.IDLE
+    assert not any(engine.busy for engine in dev.engines.values())
+    world.sim.run_until_idle()
+    assert world.sim.executed == executed_before   # nothing was scheduled
+
+
+def test_control_rejects_cfg_span_past_staged_region():
+    world = booted_world()
+    dev = world.device
+    image = partial_image(kernel_id=0x77)
+    dev.host_reg_write(REG_CFG_BASE, stage(world, image))
+    dev.host_reg_write(REG_CFG_LEN, len(image) + 4096)
+    executed = world.sim.executed
+    with pytest.raises(UnmappedAddress):
+        dev.host_reg_write(REG_CONTROL, CTRL_START_RECONFIG)
+    assert_idle(world, executed)
+    assert reconfigure(world, image).pauses == 0   # a valid job still runs
+
+
+def test_control_rejects_reconfig_and_readback_together():
+    world = booted_world()
+    dev = world.device
+    image = partial_image(kernel_id=0x77)
+    dev.host_reg_write(REG_CFG_BASE, stage(world, image))
+    dev.host_reg_write(REG_CFG_LEN, len(image))
+    executed = world.sim.executed
+    with pytest.raises(CommandConflict):
+        dev.host_reg_write(REG_CONTROL, CTRL_START_RECONFIG | CTRL_START_READBACK)
+    assert_idle(world, executed)
+    assert dev.engines[TargetId.SELECTMAP_WRITE].started_at is None
+    assert reconfigure(world, image).pauses == 0

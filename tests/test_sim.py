@@ -175,3 +175,62 @@ def test_nested_scheduling_from_subscriber():
     dom.subscribe(handler)
     sim.run_until(500)
     assert seen == [0, 10, 20]
+
+
+def test_reserved_slot_runs_between_earlier_and_later_events():
+    sim = Simulator()
+    order = []
+    sim.schedule_at(10, lambda: order.append("before"))
+    slot = sim.alloc()
+    sim.schedule_at(10, lambda: order.append("after"))
+    sim.schedule_reserved(10, slot, lambda: order.append("reserved"))
+    sim.run_until(10)
+    assert order == ["before", "reserved", "after"]
+
+
+class LazyTicker:
+    """Items at 0, 3, 6, ...: each takes the next item's number when it runs,
+    as an event that re-schedules itself would."""
+
+    def __init__(self, sim, log, count):
+        self.sim, self.log, self.left = sim, log, count
+        self.key = (0, sim.alloc())
+        sim.stream = self
+
+    def advance(self):
+        t = self.key[0]
+        self.sim.now = t
+        self.log.append(("tick", t))
+        self.left -= 1
+        if self.left:
+            self.key = (t + 3, self.sim.alloc())
+        else:
+            self.sim.stream = None
+
+
+def queued_ticker(sim, log, count):
+    def tick(t, left):
+        log.append(("tick", t))
+        if left > 1:
+            sim.schedule_at(t + 3, lambda: tick(t + 3, left - 1))
+    sim.schedule_at(0, lambda: tick(0, count))
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 9)), max_size=20))
+@settings(max_examples=100)
+def test_lazy_stream_runs_in_queued_event_order(entries):
+    def run(lazy):
+        sim = Simulator()
+        log = []
+        (LazyTicker if lazy else queued_ticker)(sim, log, 12)
+
+        def other(t, tag):
+            log.append((tag, sim.now))
+            if tag % 3 == 0:   # some events schedule more work at a tick time
+                sim.schedule_at(sim.now + 3, lambda: log.append(("child", sim.now)))
+        for t, tag in entries:
+            sim.schedule_at(t, lambda t=t, tag=tag: other(t, tag))
+        sim.run_until(100)
+        return log
+
+    assert run(lazy=True) == run(lazy=False)

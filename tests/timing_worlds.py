@@ -1,0 +1,374 @@
+"""Seeded grid of small boards whose exact timing is pinned by golden data.
+
+Each ``registers-*`` world builds a board from a random but reproducible
+configuration (clock periods, grant latency, burst limit, buffer capacity
+and fill marks, geometry), boots it, and runs a mix of reconfiguration,
+stream and readback jobs through the register window, some of them
+concurrent.  Stall windows are placed relative to the bus-word lattice of
+each job: on a word boundary, one picosecond before or after it, in
+adjacent, overlapping and nested chains, and in combs over the first
+cycles.  Some jobs stop the event loop part-way (``run_until``) and add
+stalls while bursts are in flight.  A third of the worlds use commensurate
+clocks, so that bus words land on the same picosecond as kernel and
+configuration-port edges.  The ``poker-*`` worlds stream through a kernel
+that raises an interrupt for every word, with user-clock periods that are
+multiples of the bus period, and wait for those interrupts one by one.  The
+``scenario-*`` worlds run generated scripts through the scenario runner.
+
+``run_register_world`` and ``run_scenario_world`` return everything the
+timing contract covers: the time of every done interrupt, the interrupt
+log, engine start and finish times, configuration and readback results,
+pause windows, SHA-256 of the trace CSV, of the bus cycle log, of the
+configuration byte times and of every host output, plus a metrics
+dictionary.
+
+    PYTHONPATH=<src of the reference engine> python3 tests/timing_worlds.py
+
+rewrites ``tests/golden/timing_golden.json`` with that engine's results.
+The committed file was written by the per-word bus engine (one queued event
+per bus cycle and per user-clock edge), that is, by the source tree of the
+parent of the commit that added this file; ``test_timing_golden.py``
+checks that the current engine reproduces it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+GOLDEN_PATH = HERE / "golden" / "timing_golden.json"
+if __name__ == "__main__" and "proteus_sim" not in sys.modules:
+    sys.path.append(str(HERE.parent / "src"))
+
+from proteus_sim import bitstream as bits  # noqa: E402
+from proteus_sim.board import BoardConfig, World  # noqa: E402
+from proteus_sim.fixed_part import (  # noqa: E402
+    CTRL_START_DOWN,
+    CTRL_START_READBACK,
+    CTRL_START_RECONFIG,
+    CTRL_START_UP,
+    REG_CFG_BASE,
+    REG_CFG_LEN,
+    REG_CONTROL,
+    REG_DOWN_BASE,
+    REG_DOWN_LEN,
+    REG_UP_BASE,
+    REG_UP_LEN,
+    IrqCause,
+)
+from proteus_sim.pci import PciConfig  # noqa: E402
+from proteus_sim.runner import emit_metrics, run_scenario  # noqa: E402
+from proteus_sim.scenario import parse_scenario  # noqa: E402
+from proteus_sim.selectmap import Mode  # noqa: E402
+from proteus_sim.trace import emit_trace  # noqa: E402
+
+REGISTER_WORLDS = 120
+POKER_WORLDS = 120
+SCENARIO_WORLDS = 12
+
+# (pci, user, cfg) clock periods in ps
+PERIODS = [
+    (30303, 20000, 20000),   # the board's defaults
+    (30303, 30303, 30303),   # commensurate: words land on user and cfg edges
+    (20000, 20000, 20000),
+    (30303, 10101, 30303),
+    (30303, 60606, 15000),
+    (10000, 30000, 20000),
+]
+BURSTS = [1, 2, 3, 4, 5, 7, 16, 64, 256, 4096]
+CAPACITIES = [2, 4, 5, 8, 16, 64, 256]
+KERNELS = {0x21: "identity", 0x22: "negate", 0x23: "add_const", 0x24: "fir4", 0x25: "poker"}
+
+
+class PokerKernel:
+    """Identity that raises a kernel interrupt for every word it moves."""
+
+    name = "poker"
+
+    def step(self, io):
+        if io.in_available and io.out_space:
+            io.write(io.read())
+            io.request_interrupt()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _spec(index: int) -> dict:
+    rng = random.Random(f"timing-world-{index}")
+    pci, user, cfg = PERIODS[index % len(PERIODS)] if index % 3 else rng.choice(PERIODS)
+    cap = rng.choice(CAPACITIES)
+    low = rng.randint(1, cap)
+    high = low if rng.random() < 0.3 else rng.randint(low, cap)
+    frames = rng.randint(1, 4)
+    fbytes = rng.choice([3, 5, 8, 16, 17])
+    spec = {
+        "periods": [pci, user, cfg],
+        "grant": rng.randint(0, 8),
+        "burst": rng.choice(BURSTS),
+        "capacity": cap, "fill_low": low, "fill_high": high,
+        "geometry": [6, frames, fbytes, 4],
+        "boot_byte_period": rng.choice([cfg, 20000, 7]),
+        "jobs": [],
+    }
+    active = None
+    for _ in range(rng.randint(2, 5)):
+        kinds = ["reconfig", "readback"] + (["stream", "stream", "stream+readback",
+                                             "stream+reconfig"] if active else [])
+        kind = rng.choice(kinds)
+        job = {"kind": kind, "stalls": _stalls(rng, pci, spec["grant"])}
+        if rng.random() < 0.4:
+            # Stop the loop mid-job, then add stalls while bursts are moving.
+            job["midrun"] = [rng.randint(0, 200 * pci) + rng.choice([0, 1, -1]),
+                             _stalls(rng, pci, 0)]
+        if "reconfig" in kind:
+            # A concurrent reconfiguration swaps in another bound kernel mid-stream.
+            kid = rng.choice(list(KERNELS) + [0x25, 0x25] + ([0x77] if kind == "reconfig" else []))
+            job.update(kernel_id=kid, first=rng.randint(0, 2), columns=rng.randint(1, 2),
+                       seed=rng.randint(0, 999))
+            active = KERNELS.get(kid)
+        if "readback" in kind:
+            job.update(rb_first=rng.randint(0, 3), rb_count=rng.randint(1, 3))
+        if "stream" in kind:
+            job.update(words=rng.choice([1, 2, 3, rng.randint(4, 40), rng.randint(40, 300)]),
+                       seed=rng.randint(0, 999))
+            if kind == "stream" and active == "poker" and "midrun" not in job:
+                # Wait for the per-word kernel interrupts before the done ones.
+                job["irq_waits"] = min(job["words"], rng.randint(1, 4))
+        if rng.random() < 0.3:
+            # A comb of stalls over the first cycles: many bursts lose their
+            # first words, and a grant often lands on a stall.
+            job["stalls"] += [[k * pci + rng.choice([0, -1, 1]), rng.choice([1, pci, 2 * pci])]
+                              for k in range(rng.randint(0, 2), 80, rng.randint(2, 5))]
+        spec["jobs"].append(job)
+    return spec
+
+
+def _poker_spec(index: int) -> dict:
+    """Per-word kernel interrupts under commensurate clocks and combs of
+    stalls: the kernel host hands control back after every word, often just
+    after its push caused a grant whose first word, one user period later,
+    falls on a stall."""
+    rng = random.Random(f"poker-world-{index}")
+    pci = 30303
+    user = rng.choice([pci, 2 * pci, 3 * pci, pci // 3])
+    cap = rng.choice([2, 3, 4, 8])
+    low = rng.randint(1, cap)
+    jobs = [{"kind": "reconfig", "stalls": [], "kernel_id": 0x25, "first": 0, "columns": 1,
+             "seed": index}]
+    for _ in range(4):
+        step, offset = rng.randint(1, 4), rng.choice([0, 0, 1, -1])
+        duration = rng.choice([pci, 2 * pci, 3 * pci])
+        jobs.append({"kind": "stream", "words": rng.randint(8, 30), "seed": index,
+                     "irq_waits": 3,
+                     "stalls": [[max(k * pci + offset, 0), duration]
+                                for k in range(rng.randint(0, 3), 160, step)]})
+    return {"periods": [pci, user, rng.choice([pci, 20000])],
+            "grant": user // pci if user >= pci else rng.randint(0, 3),
+            "burst": rng.choice([1, 2, 3, 4096]), "capacity": cap, "fill_low": low,
+            "fill_high": rng.randint(low, cap), "geometry": [6, 2, 8, 4],
+            "boot_byte_period": pci, "jobs": jobs}
+
+
+def _stalls(rng: random.Random, pci: int, grant: int) -> list[list[int]]:
+    """Stall windows as (offset from job start, duration) pairs."""
+    out = []
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):
+        k = grant + rng.randint(0, 60)
+        start = k * pci + rng.choice([0, 0, -1, 1, rng.randint(-pci, pci)])
+        duration = rng.choice([1, pci - 1, pci, pci + 1, rng.randint(2, 40 * pci)])
+        out.append([max(start, 0), duration])
+        shape = rng.random()
+        if shape < 0.2:      # adjacent: opens where the last one closes
+            out.append([max(start, 0) + duration, rng.randint(1, 10 * pci)])
+        elif shape < 0.35:   # overlapping
+            out.append([max(start, 0) + duration // 2, rng.randint(1, 10 * pci)])
+        elif shape < 0.45:   # nested inside the last one
+            out.append([max(start, 0) + duration // 3, max(1, duration // 4)])
+    return out
+
+
+def _world(spec: dict) -> World:
+    pci, user, cfg = spec["periods"]
+    config = BoardConfig(
+        geometry=bits.DeviceGeometry(*spec["geometry"]),
+        pci=PciConfig(clock_period=pci, grant_latency_cycles=spec["grant"],
+                      max_burst_cycles=spec["burst"]),
+        cfg_clock_period=cfg, user_clock_period=user,
+        buffer_capacity=spec["capacity"], fill_low=spec["fill_low"],
+        fill_high=spec["fill_high"], boot_byte_period=spec["boot_byte_period"])
+    return World(config, tracing=True, record_bus_cycles=True)
+
+
+def run_register_world(spec: dict) -> dict:
+    world = _world(spec)
+    dev, sim, host = world.device, world.sim, world.host
+    dev.controller.record_byte_times = True
+    for kid, name in KERNELS.items():
+        dev.registry.bind(kid, PokerKernel if name == "poker" else name)
+    g = world.config.geometry
+    flash = bits.encode(g, bits.BitstreamKind.FULL, 0, 0,
+                        random.Random(len(spec["jobs"])).randbytes(g.total_bytes))
+    report = dev.power_up(flash)
+    sim.run_until(report.duration)
+    dev.regs.write(8, 0x01020304)   # add_const operand
+    out = {"boot_now": sim.now, "jobs": []}
+    for job in spec["jobs"]:
+        rec = {}
+        for offset, duration in job["stalls"]:
+            world.bus.inject_stall(sim.now + offset, duration)
+        control, waits, reads = 0, [], []
+        if "stream" in job["kind"]:
+            data = random.Random(job["seed"]).randbytes(4 * job["words"])
+            _rid, in_base = host.map_shared_region(len(data))
+            host.write(in_base, data)
+            _rid, out_base = host.map_shared_region(len(data))
+            for reg, value in ((REG_DOWN_BASE, in_base), (REG_DOWN_LEN, len(data)),
+                               (REG_UP_BASE, out_base), (REG_UP_LEN, len(data))):
+                dev.host_reg_write(reg, value)
+            control |= CTRL_START_DOWN | CTRL_START_UP
+            waits += [IrqCause.DOWNSTREAM_DONE, IrqCause.UPSTREAM_DONE]
+            reads.append(("stream", out_base, len(data)))
+        if "reconfig" in job["kind"]:
+            cb = g.column_bytes
+            payload = random.Random(job["seed"]).randbytes(job["columns"] * cb)
+            image = bits.encode(g, bits.BitstreamKind.PARTIAL, job["kernel_id"],
+                                job["first"], payload)
+            _rid, base = host.map_shared_region(len(image))
+            host.write(base, image)
+            dev.host_reg_write(REG_CFG_BASE, base)
+            dev.host_reg_write(REG_CFG_LEN, len(image))
+            control |= CTRL_START_RECONFIG
+            waits.append(IrqCause.RECONFIG_DONE)
+        if "readback" in job["kind"]:
+            count = job["rb_count"]
+            total = bits.WRAPPER_BYTES + count * g.column_bytes
+            _rid, base = host.map_shared_region(total)
+            dev.host_reg_write(REG_CFG_BASE, base)
+            dev.host_reg_write(REG_CFG_LEN, (count << 16) | job["rb_first"])
+            control |= CTRL_START_READBACK
+            waits.append(IrqCause.READBACK_DONE)
+            reads.append(("readback", base, total))
+        rec["start"] = sim.now
+        dev.host_reg_write(REG_CONTROL, control)
+        waits[:0] = [IrqCause.KERNEL_REQUEST] * job.get("irq_waits", 0)
+        if "midrun" in job:
+            delay, stalls = job["midrun"]
+            sim.run_until(sim.now + max(delay, 0))
+            rec["midrun_irqs"] = len(dev.irq.log)
+            for offset, duration in stalls:
+                world.bus.inject_stall(sim.now + offset, duration)
+        done = []
+        for cause in waits:
+            world.run_until_cause(cause, cause.name)
+            done.append([cause.name, sim.now])
+            world.acknowledge(cause)
+        if dev.irq.pending:
+            world.acknowledge(dev.irq.pending)
+        rec["done"] = done
+        rec["engines"] = {t.value: [e.started_at, e.finished_at]
+                          for t, e in dev.engines.items() if e.started_at is not None}
+        rec["outputs"] = {kind: _sha(host.read(base, n)) for kind, base, n in reads}
+        if "reconfig" in job["kind"]:
+            c = dev.last_config
+            rec["config"] = [c.duration, c.pauses, c.bytes]
+            rec["status"] = dev.regs.read(7)
+        if "readback" in job["kind"]:
+            # READBACK_DONE can come before the controller's own completion
+            # event, so the result may still be the previous job's (or none).
+            r = dev.last_readback
+            rec["readback"] = [r.duration, r.bytes] if r else None
+        # Done interrupts can also come before the bus engine's last burst
+        # ends; the next job starts once the device is idle.
+        while dev.controller.mode is not Mode.IDLE or any(e.busy for e in dev.engines.values()):
+            sim.step()
+        rec["idle_at"] = sim.now
+        rec["pauses"] = dev.controller.pauses
+        rec["pause_windows"] = [list(w) for w in dev.controller.pause_windows]
+        out["jobs"].append(rec)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        emit_trace(world.trace.records, path)
+        out["trace_sha256"] = _sha(path.read_bytes())
+    out["irq_log_sha256"] = _sha(repr(dev.irq.log).encode())
+    out["cycle_log_sha256"] = _sha(repr(world.bus.cycle_log).encode())
+    out["cycle_log_len"] = len(world.bus.cycle_log)
+    out["byte_times_sha256"] = _sha(repr(dev.controller.byte_times).encode())
+    out["metrics"] = {"now": sim.now, "bus_busy_ps": world.bus.busy_ticks,
+                      "bus_cycles": world.bus.total_data_cycles,
+                      "bus_bytes": world.bus.total_data_bytes,
+                      "interrupts": len(dev.irq.log),
+                      "trace_records": len(world.trace.records),
+                      "config_mem_sha256": _sha(dev.config_mem.snapshot())}
+    return out
+
+
+def _scenario_text(index: int) -> str:
+    rng = random.Random(f"timing-scenario-{index}")
+    lines = ["geometry cols=8 frames=4 fbytes=9 fixed=6..7",
+             f"bus grant={rng.randint(0, 8)} burst={rng.choice(BURSTS)}",
+             "makebit out=boot.pbit kind=full id=0 cols=0..7 fill=random:3",
+             "makebit out=k21.pbit kind=partial id=0x21 cols=0..1 fill=random:5",
+             "makebit out=k24.pbit kind=partial id=0x24 cols=1..3 fill=random:6"]
+    boot_end = 8 * 36 * 20000
+    for _ in range(rng.randint(0, 6)):
+        at = boot_end + rng.randint(0, 400) * 30303 + rng.choice([0, -1, 1, 15000])
+        lines.append(f"stall at={at // 1000}ns for={rng.randint(1, 2000)}ns")
+    lines += ["boot flash=boot.pbit", "bind id=0x21 kernel=identity",
+              "bind id=0x24 kernel=fir4"]
+    for r in range(rng.randint(1, 3)):
+        kid = rng.choice(["21", "24"])
+        lines += [f"reconfig file=k{kid}.pbit",
+                  f"stream in=input.bin out=s{r}.bin words={rng.randint(1, 200)}",
+                  f"readback cols={rng.randint(0, 2)}..3 out=r{r}.pbit"]
+    return "\n".join(lines) + "\n"
+
+
+def run_scenario_world(index: int) -> dict:
+    text = _scenario_text(index)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "input.bin").write_bytes(random.Random(index).randbytes(800))
+        result = run_scenario(parse_scenario(text, base_dir=work), work, seed=index,
+                              tracing=True)
+        emit_metrics(result.metrics, work / "metrics.txt")
+        emit_trace(result.trace_records, work / "trace.csv")
+        outputs = {p.name: _sha(p.read_bytes()) for p in sorted(work.glob("[rs]*.*"))}
+        return {"fault": result.fault, "exit_status": result.exit_status,
+                "metrics": (work / "metrics.txt").read_text(),
+                "trace_sha256": _sha((work / "trace.csv").read_bytes()),
+                "irq_log": [list(e) for e in result.interrupt_log],
+                "outputs": outputs}
+
+
+def all_worlds():
+    """(name, thunk) for every world of the grid, in a fixed order."""
+    worlds = [(f"registers-{i}", lambda i=i: run_register_world(_spec(i)))
+              for i in range(REGISTER_WORLDS)]
+    worlds += [(f"poker-{i}", lambda i=i: run_register_world(_poker_spec(i)))
+               for i in range(POKER_WORLDS)]
+    worlds += [(f"scenario-{i}", lambda i=i: run_scenario_world(i))
+               for i in range(SCENARIO_WORLDS)]
+    return worlds
+
+
+def main() -> int:
+    golden = {name: run() for name, run in all_worlds()}
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    with open(GOLDEN_PATH, "w") as fh:
+        fh.write("{\n")
+        fh.write(",\n".join(f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
+                            for k, v in golden.items()))
+        fh.write("\n}\n")
+    print(f"wrote {len(golden)} worlds to {GOLDEN_PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
