@@ -13,54 +13,23 @@ import sys
 
 from proteus_sim import bitstream as bits
 from proteus_sim.board import BoardConfig, World
-from proteus_sim.fixed_part import (
-    CTRL_START_DOWN,
-    CTRL_START_RECONFIG,
-    REG_CFG_BASE,
-    REG_CFG_LEN,
-    REG_CONTROL,
-    REG_DOWN_BASE,
-    REG_DOWN_LEN,
-    IrqCause,
-)
+from proteus_sim.fixed_part import IrqCause
+from proteus_sim.kernels import SinkKernel
 from proteus_sim.pci import PciConfig, measure_throughput
 
 G = bits.DESK_GEOMETRY
-
-
-class SinkKernel:
-    name = "sink"
-
-    def step(self, io):
-        if io.in_available:
-            io.read()
 
 
 def run_point(grant, burst, nbytes):
     config = BoardConfig(pci=PciConfig(grant_latency_cycles=grant,
                                        max_burst_cycles=burst))
     world = World(config, record_bus_cycles=True)
-    flash = bits.encode(G, bits.BitstreamKind.FULL, 0, 0, bytes(G.total_bytes))
-    world.sim.run_until(world.device.power_up(flash).duration)
+    world.boot(bits.encode(G, bits.BitstreamKind.FULL, 0, 0, bytes(G.total_bytes)))
     world.device.registry.bind(0x50, SinkKernel)
-
-    image = bits.encode(G, bits.BitstreamKind.PARTIAL, 0x50, 0,
-                        bytes(4 * G.column_bytes))
-    _rid, base = world.host.map_shared_region(len(image))
-    world.host.write(base, image)
-    dev = world.device
-    dev.host_reg_write(REG_CFG_BASE, base)
-    dev.host_reg_write(REG_CFG_LEN, len(image))
-    dev.host_reg_write(REG_CONTROL, CTRL_START_RECONFIG)
-    world.run_until_cause(IrqCause.RECONFIG_DONE, "reconfig")
-    world.acknowledge(IrqCause.RECONFIG_DONE)
-
-    _rid, data_base = world.host.map_shared_region(nbytes)
-    world.host.write(data_base, random.Random(0).randbytes(nbytes))
-    dev.host_reg_write(REG_DOWN_BASE, data_base)
-    dev.host_reg_write(REG_DOWN_LEN, nbytes)
-    dev.host_reg_write(REG_CONTROL, CTRL_START_DOWN)
-    world.run_until_cause(IrqCause.DOWNSTREAM_DONE, "downstream")
+    world.reconfigure(bits.encode(G, bits.BitstreamKind.PARTIAL, 0x50, 0,
+                                  bytes(4 * G.column_bytes)))
+    world.start_stream(random.Random(0).randbytes(nbytes), up=False)
+    world.wait(IrqCause.DOWNSTREAM_DONE, "downstream")
 
     log = [rec for rec in world.bus.cycle_log if rec[2] == "downstream"]
     window = (log[0][0], log[-1][0] + world.config.pci.clock_period)

@@ -13,13 +13,6 @@ import sys
 
 from proteus_sim import bitstream as bits
 from proteus_sim.board import World
-from proteus_sim.fixed_part import (
-    CTRL_START_RECONFIG,
-    REG_CFG_BASE,
-    REG_CFG_LEN,
-    REG_CONTROL,
-    IrqCause,
-)
 
 G = bits.DESK_GEOMETRY
 BOOT_PS = G.total_bytes * 20_000
@@ -27,22 +20,12 @@ BOOT_PS = G.total_bytes * 20_000
 
 def boot_world():
     world = World()
-    flash = bits.encode(G, bits.BitstreamKind.FULL, 0, 0, bytes(G.total_bytes))
-    report = world.device.power_up(flash)
-    world.sim.run_until(report.duration)
+    world.boot(bits.encode(G, bits.BitstreamKind.FULL, 0, 0, bytes(G.total_bytes)))
     return world
 
 
 def reconfigure(world, image):
-    dev = world.device
-    _rid, base = world.host.map_shared_region(len(image))
-    world.host.write(base, image)
-    dev.host_reg_write(REG_CFG_BASE, base)
-    dev.host_reg_write(REG_CFG_LEN, len(image))
-    dev.host_reg_write(REG_CONTROL, CTRL_START_RECONFIG)
-    world.run_until_cause(IrqCause.RECONFIG_DONE, "reconfig")
-    world.acknowledge(IrqCause.RECONFIG_DONE)
-    return dev.last_config, dev.config_mem.snapshot()
+    return world.reconfigure(image), world.device.config_mem.snapshot()
 
 
 def run_sweep(duties, period_us):

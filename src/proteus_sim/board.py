@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
+from . import bitstream as bits
 from .bitstream import (
     DESK_GEOMETRY,
     WRAPPER_BYTES,
@@ -54,8 +55,8 @@ from .fixed_part import (
 )
 from .kernels import KernelHost
 from .pci import BusTransaction, HostMemory, PciBus, PciConfig, TxnState
-from .selectmap import BootReport, Mode, NotIdle, SelectMapController
-from .sim import Simulator
+from .selectmap import BootReport, ConfigResult, Mode, NotIdle, SelectMapController
+from .sim import ClockDomain, Simulator
 from .trace import TraceRecorder
 
 
@@ -165,9 +166,8 @@ class Device:
         self.config = cfg
         self.trace = trace
 
-        self.pci_clk = self.sim.add_domain("pci", cfg.pci.clock_period)
-        self.cfg_clk = self.sim.add_domain("cfg", cfg.cfg_clock_period)
-        self.user_clk = self.sim.add_domain("user", cfg.user_clock_period)
+        self.cfg_clk = ClockDomain("cfg", cfg.cfg_clock_period)
+        self.user_clk = ClockDomain("user", cfg.user_clock_period)
 
         self.config_mem = ConfigurationMemory(cfg.geometry)
         self.regs = RegisterFile()
@@ -338,7 +338,12 @@ class Device:
 
 
 class World:
-    """A complete simulated system; one per scenario run."""
+    """A complete simulated system; one per scenario run.
+
+    Its host methods are the PC-side driver: each issues the register
+    writes and host-memory mappings of one supervisor operation and, for a
+    whole job, waits for and acknowledges its done interrupt.
+    """
 
     def __init__(self, config: BoardConfig | None = None, tracing: bool = False,
                  record_bus_cycles: bool = False) -> None:
@@ -360,3 +365,68 @@ class World:
 
     def acknowledge(self, cause: IrqCause) -> None:
         self.device.host_reg_write(REG_IRQ_CAUSE, int(cause))
+
+    # -- host driver ---------------------------------------------------------------
+
+    def boot(self, flash: bytes) -> BootReport:
+        """Power up from ``flash`` and, if the image is good, run to the end
+        of the boot load."""
+        report = self.device.power_up(flash)
+        if report.ok:
+            self.sim.run_until(self.sim.now + report.duration)
+        return report
+
+    def stage(self, data: bytes) -> int:
+        """Copy ``data`` into a new shared host region; returns its base."""
+        _rid, base = self.host.map_shared_region(len(data))
+        self.host.write(base, data)
+        return base
+
+    def wait(self, cause: IrqCause, what: str = "") -> None:
+        """Run until ``cause`` is pending, then acknowledge it."""
+        self.run_until_cause(cause, what)
+        self.acknowledge(cause)
+
+    def reconfigure(self, image: bytes) -> ConfigResult:
+        """Check a partial image on the host, then load it over the bus."""
+        if bits.parse(image).kind is not bits.BitstreamKind.PARTIAL:
+            raise bits.FixedRegionViolation(
+                "only partial bitstreams may reconfigure over the bus")
+        write = self.device.host_reg_write
+        write(REG_CFG_BASE, self.stage(image))
+        write(REG_CFG_LEN, len(image))
+        write(REG_CONTROL, CTRL_START_RECONFIG)
+        self.wait(IrqCause.RECONFIG_DONE, "reconfig")
+        return self.device.last_config
+
+    def readback(self, first: int, count: int) -> bytes:
+        """Read ``count`` columns from ``first`` back as a ``.pbit`` image."""
+        total = WRAPPER_BYTES + count * self.config.geometry.column_bytes
+        _rid, base = self.host.map_shared_region(total)
+        write = self.device.host_reg_write
+        write(REG_CFG_BASE, base)
+        write(REG_CFG_LEN, (count << 16) | first)
+        write(REG_CONTROL, CTRL_START_READBACK)
+        self.wait(IrqCause.READBACK_DONE, "readback")
+        return self.host.read(base, total)
+
+    def start_stream(self, data: bytes, up: bool = True) -> int:
+        """Start a downstream job over ``data`` and, if ``up``, an upstream
+        job of the same length; returns the upstream region's base."""
+        nbytes = len(data)
+        in_base = self.stage(data)
+        _rid, out_base = self.host.map_shared_region(nbytes)
+        write = self.device.host_reg_write
+        write(REG_DOWN_BASE, in_base)
+        write(REG_DOWN_LEN, nbytes)
+        write(REG_UP_BASE, out_base)
+        write(REG_UP_LEN, nbytes)
+        write(REG_CONTROL, CTRL_START_DOWN | (CTRL_START_UP if up else 0))
+        return out_base
+
+    def stream(self, data: bytes) -> bytes:
+        """Round-trip ``data`` through the active kernel; returns what came up."""
+        out_base = self.start_stream(data)
+        self.wait(IrqCause.DOWNSTREAM_DONE, "downstream job")
+        self.wait(IrqCause.UPSTREAM_DONE, "upstream job")
+        return self.host.read(out_base, len(data))

@@ -17,8 +17,9 @@ from pathlib import Path
 
 from . import bitstream as bits
 from .kernels import BUILTIN_KERNELS
-from .runner import ScenarioRunner, emit_metrics, emit_trace
+from .runner import ScenarioRunner, emit_metrics
 from .scenario import MakebitCmd, ParseError, _col_range, parse_scenario
+from .trace import emit_trace
 
 KERNEL_SUMMARIES = {
     "identity": "pass words through unchanged",

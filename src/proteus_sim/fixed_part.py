@@ -184,11 +184,6 @@ def busmaster_resume(addr: DmaAddressState, target: TargetId, txn: BusTransactio
     return TransferRequest(target, txn.direction, addr.next_address, n)
 
 
-class Side(Enum):
-    HOST = "host"
-    KERNEL = "kernel"
-
-
 class RegisterFile:
     """16 x 32-bit registers shared between the host and the kernel."""
 
@@ -204,14 +199,6 @@ class RegisterFile:
     def write(self, index: int, value: int) -> None:
         self._check(index)
         self._regs[index] = value & 0xFFFFFFFF
-
-    def access(self, side: Side, index: int, op: str, value: int = 0) -> int:
-        if op == "read":
-            return self.read(index)
-        if op == "write":
-            self.write(index, value)
-            return value & 0xFFFFFFFF
-        raise ValueError(f"unknown op {op!r}")
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self.SIZE:

@@ -34,10 +34,6 @@ class PortIO:
         self.consumed = 0
         self.produced = 0
 
-    def begin_cycle(self) -> None:
-        self.consumed = 0
-        self.produced = 0
-
     @property
     def in_available(self) -> int:
         return self._down.occupancy
@@ -71,13 +67,6 @@ class PortIO:
 
     def request_interrupt(self) -> None:
         self._raise_irq()
-
-
-def kernel_step(kernel, io: PortIO) -> tuple[int, int]:
-    """Run one user-clock cycle; returns (consumed, produced) word counts."""
-    io.begin_cycle()
-    kernel.step(io)
-    return io.consumed, io.produced
 
 
 class IdentityKernel:
@@ -126,6 +115,17 @@ BUILTIN_KERNELS = {
 }
 
 
+class SinkKernel:
+    """Consumes one word per cycle and produces nothing: a load that keeps
+    the downstream bus busy.  Bound from Python only, not a scenario built-in."""
+
+    name = "sink"
+
+    def step(self, io: PortIO) -> None:
+        if io.in_available:
+            io.read()
+
+
 @dataclass
 class ActivationReport:
     kernel_id: int
@@ -153,9 +153,6 @@ class KernelRegistry:
             name = getattr(behavior, "name", getattr(behavior, "__name__", "custom"))
         self._factories[kernel_id] = (name, factory)
 
-    def bound(self) -> dict[int, str]:
-        return {kid: name for kid, (name, _) in self._factories.items()}
-
     def activate(self, kernel_id: int) -> ActivationReport:
         """Replace the live kernel; unknown ids leave the region inert."""
         self.active = None
@@ -181,7 +178,6 @@ class KernelHost:
     queued event or past the loop's horizon, with its next edge queued in
     the slot the per-edge event would have had, and right after the kernel
     raises an interrupt, so a host waiting for one sees it at the same ps.
-    The user clock's gate is not consulted.
     """
 
     def __init__(self, sim, domain, down: StreamBuffer, up: StreamBuffer,

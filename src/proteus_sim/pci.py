@@ -64,9 +64,6 @@ class HostMemory:
     def region(self, region_id: int) -> bytearray:
         return self._regions[region_id][1]
 
-    def region_base(self, region_id: int) -> int:
-        return self._regions[region_id][0]
-
     def locate(self, address: int, nbytes: int) -> tuple[bytearray, int]:
         """Resolve an address span to (backing buffer, offset)."""
         for base, buf in self._regions.values():
@@ -86,13 +83,8 @@ class HostMemory:
 @dataclass
 class PciConfig:
     clock_period: int = PCI_CLOCK_PERIOD
-    bus_width: int = 4
     grant_latency_cycles: int = 8
     max_burst_cycles: int = 4096
-
-    @property
-    def peak_bytes_per_second(self) -> float:
-        return self.bus_width / (self.clock_period * 1e-12)
 
 
 class Direction(Enum):

@@ -14,21 +14,7 @@ from pathlib import Path
 
 from . import bitstream as bits
 from .board import BoardConfig, BoardFault, World
-from .fixed_part import (
-    CTRL_START_DOWN,
-    CTRL_START_READBACK,
-    CTRL_START_RECONFIG,
-    CTRL_START_UP,
-    REG_CFG_BASE,
-    REG_CFG_LEN,
-    REG_CONTROL,
-    REG_DOWN_BASE,
-    REG_DOWN_LEN,
-    REG_UP_BASE,
-    REG_UP_LEN,
-    IrqCause,
-    TargetId,
-)
+from .fixed_part import TargetId
 from .kernels import BUILTIN_KERNELS, DuplicateId
 from .pci import PciConfig, PciError
 from .scenario import (
@@ -45,7 +31,6 @@ from .scenario import (
     StreamCmd,
 )
 from .selectmap import SelectMapError
-from .trace import emit_trace  # noqa: F401  (re-exported alongside emit_metrics)
 
 
 class RuntimeFault(Exception):
@@ -170,11 +155,9 @@ class ScenarioRunner:
         for bind in self.pending_binds:
             world.device.registry.bind(bind.kernel_id, bind.kernel)
         self.world = world
-        report = world.device.power_up(flash)
+        report = world.boot(flash)
         self._counters["boot_ok"] = int(report.ok)
         self._counters["boot_duration_ps"] = report.duration
-        if report.ok:
-            world.sim.run_until(report.duration)
 
     def _cmd_bind(self, cmd: BindCmd) -> None:
         if cmd.kernel not in BUILTIN_KERNELS:
@@ -190,35 +173,15 @@ class ScenarioRunner:
 
     def _cmd_reconfig(self, cmd: ReconfigCmd) -> None:
         world = self._require_world()
-        dev = world.device
-        image = (self.base / cmd.file).read_bytes()
-        bs = bits.parse(image)  # host-side validation before staging
-        if bs.kind is not bits.BitstreamKind.PARTIAL:
-            raise bits.FixedRegionViolation(
-                "only partial bitstreams may reconfigure over the bus")
-        _rid, base = world.host.map_shared_region(len(image))
-        world.host.write(base, image)
-        dev.host_reg_write(REG_CFG_BASE, base)
-        dev.host_reg_write(REG_CFG_LEN, len(image))
-        dev.host_reg_write(REG_CONTROL, CTRL_START_RECONFIG)
-        world.run_until_cause(IrqCause.RECONFIG_DONE, "reconfig")
-        world.acknowledge(IrqCause.RECONFIG_DONE)
-        self._counters["reconfig_duration_ps"] = dev.last_config.duration
-        self._counters["reconfig_pauses"] = dev.last_config.pauses
+        result = world.reconfigure((self.base / cmd.file).read_bytes())
+        self._counters["reconfig_duration_ps"] = result.duration
+        self._counters["reconfig_pauses"] = result.pauses
 
     def _cmd_readback(self, cmd: ReadbackCmd) -> None:
         world = self._require_world()
-        dev = world.device
-        count = cmd.last - cmd.first + 1
-        total = bits.WRAPPER_BYTES + count * world.config.geometry.column_bytes
-        _rid, base = world.host.map_shared_region(total)
-        dev.host_reg_write(REG_CFG_BASE, base)
-        dev.host_reg_write(REG_CFG_LEN, (count << 16) | cmd.first)
-        dev.host_reg_write(REG_CONTROL, CTRL_START_READBACK)
-        world.run_until_cause(IrqCause.READBACK_DONE, "readback")
-        world.acknowledge(IrqCause.READBACK_DONE)
-        (self.base / cmd.out).write_bytes(world.host.read(base, total))
-        self._counters["readback_duration_ps"] = dev.last_readback.duration
+        image = world.readback(cmd.first, cmd.last - cmd.first + 1)
+        (self.base / cmd.out).write_bytes(image)
+        self._counters["readback_duration_ps"] = world.device.last_readback.duration
 
     def _cmd_stream(self, cmd: StreamCmd) -> None:
         world = self._require_world()
@@ -228,19 +191,7 @@ class ScenarioRunner:
         if len(data) < nbytes:
             raise ValueError(f"input {cmd.in_path} holds {len(data)} bytes, "
                              f"need {nbytes}")
-        _rid, in_base = world.host.map_shared_region(nbytes)
-        world.host.write(in_base, data[:nbytes])
-        _rid, out_base = world.host.map_shared_region(nbytes)
-        dev.host_reg_write(REG_DOWN_BASE, in_base)
-        dev.host_reg_write(REG_DOWN_LEN, nbytes)
-        dev.host_reg_write(REG_UP_BASE, out_base)
-        dev.host_reg_write(REG_UP_LEN, nbytes)
-        dev.host_reg_write(REG_CONTROL, CTRL_START_DOWN | CTRL_START_UP)
-        world.run_until_cause(IrqCause.DOWNSTREAM_DONE, "downstream job")
-        world.acknowledge(IrqCause.DOWNSTREAM_DONE)
-        world.run_until_cause(IrqCause.UPSTREAM_DONE, "upstream job")
-        world.acknowledge(IrqCause.UPSTREAM_DONE)
-        (self.base / cmd.out_path).write_bytes(world.host.read(out_base, nbytes))
+        (self.base / cmd.out_path).write_bytes(world.stream(data[:nbytes]))
         self._counters["downstream_bytes"] += nbytes
         self._counters["upstream_bytes"] += nbytes
         down = dev.engines[TargetId.DOWNSTREAM]

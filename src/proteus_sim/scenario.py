@@ -42,7 +42,6 @@ class GeometryCmd:
     frames: int
     fbytes: int
     fixed_first: int
-    fixed_last: int
 
 
 @dataclass(frozen=True)
@@ -123,14 +122,6 @@ class ExpectCmd:
 @dataclass
 class Scenario:
     commands: list
-
-    @property
-    def geometry_override(self) -> GeometryCmd | None:
-        return next((c for c in self.commands if isinstance(c, GeometryCmd)), None)
-
-    @property
-    def bus_override(self) -> BusCmd | None:
-        return next((c for c in self.commands if isinstance(c, BusCmd)), None)
 
 
 _TIME_SCALE = {"ns": 1_000, "us": 1_000_000, "ms": 1_000_000_000}
@@ -237,7 +228,7 @@ def _build(name: str, line: int, args: dict):
             raise ValueError("fixed range must end at the right-most column")
         if lo < 1 or lo >= args["cols"]:
             raise ValueError("fixed range must leave a reconfigurable prefix")
-        return GeometryCmd(line, args["cols"], args["frames"], args["fbytes"], lo, hi)
+        return GeometryCmd(line, args["cols"], args["frames"], args["fbytes"], lo)
     if name == "bus":
         return BusCmd(line, args["grant"], args["burst"])
     if name == "boot":

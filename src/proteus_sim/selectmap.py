@@ -3,7 +3,8 @@ byte-wide configuration port.
 
 Writes consume one byte per configuration-clock cycle, a word leaving the
 buffer every four cycles; when the buffer runs dry the controller pauses
-by gating the configuration clock and resumes on the next enqueued word.
+(the configuration clock is gated: no byte moves) and resumes on the next
+enqueued word.
 Readback runs the same engine in reverse.  Flash boot bypasses the bus
 and loads a full image at a fixed byte rate.
 """
@@ -28,18 +29,6 @@ class NotIdle(SelectMapError):
 
 class ChecksumMismatch(SelectMapError):
     pass
-
-
-def split_word(word: int) -> list[int]:
-    """32-bit word to four bytes, least-significant byte first."""
-    return [(word >> (8 * k)) & 0xFF for k in range(4)]
-
-
-def join_bytes(parts) -> int:
-    word = 0
-    for k, b in enumerate(parts):
-        word |= (b & 0xFF) << (8 * k)
-    return word
 
 
 class Mode(Enum):
@@ -252,7 +241,6 @@ class SelectMapController:
         self.pauses += 1
         self._pause_start = t
         self._epoch += 1
-        self.clock.gate()
         if self.trace:
             reason = "buffer empty" if self._resume_mode is Mode.CONFIGURING else "buffer full"
             self.trace.record("selectmap", "pause", reason)
@@ -261,7 +249,6 @@ class SelectMapController:
         now = self.sim.now
         self.pause_windows.append((self._pause_start, now))
         self.mode = self._resume_mode
-        self.clock.ungate()
         if self.trace:
             self.trace.record("selectmap", "resume", "")
         t = self.clock.next_edge_at(now)

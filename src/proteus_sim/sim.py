@@ -1,4 +1,4 @@
-"""Deterministic discrete-event kernel with gateable clock domains.
+"""Deterministic discrete-event kernel and periodic clock domains.
 
 Simulated time is an integer tick count (1 tick = 1 picosecond).  Model
 activity is expressed as events on a single heap; events with the same fire
@@ -12,13 +12,16 @@ the stream before any queued event with a later key, so its items run in
 exactly the order they would have had as queued events, without being
 queued or counted in ``executed``.  Insertion numbers for such items are
 taken with ``alloc()`` at the moment the item would have been scheduled.
+
+A clock domain queues nothing itself: the component it clocks asks it for
+the next edge (``next_edge_at``) and schedules its own work there.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 FOREVER = float("inf")
 
@@ -28,10 +31,6 @@ class SimError(Exception):
 
 
 class SchedulingInPast(SimError):
-    pass
-
-
-class UnknownDomain(SimError):
     pass
 
 
@@ -45,7 +44,6 @@ class Simulator:
         # event is the order in which its number was taken.
         self.alloc = itertools.count(1).__next__
         self.executed = 0
-        self._domains: dict[str, ClockDomain] = {}
         self.stream = None          # the lazy stream, if one is in flight
         self.horizon = FOREVER      # the latest time the running loop may reach
 
@@ -56,9 +54,6 @@ class Simulator:
         seq = self.alloc()
         heapq.heappush(self._heap, (time, seq, action))
         return seq
-
-    def schedule_after(self, delay: int, action) -> int:
-        return self.schedule_at(self.now + delay, action)
 
     def schedule_reserved(self, time: int, seq: int, action) -> int:
         """Queue ``action`` at ``time`` in the same-time slot ``seq`` taken
@@ -148,115 +143,18 @@ class Simulator:
         self.executed += executed
         return executed
 
-    # -- clock domains -----------------------------------------------------
-
-    def add_domain(self, name: str, period: int, phase: int = 0) -> "ClockDomain":
-        if name in self._domains:
-            raise ValueError(f"domain {name!r} already registered")
-        dom = ClockDomain(name, period, phase, _sim=self)
-        self._domains[name] = dom
-        return dom
-
-    def domain(self, name: str) -> "ClockDomain":
-        try:
-            return self._domains[name]
-        except KeyError:
-            raise UnknownDomain(name) from None
-
-    def set_clock_gate(self, name: str, enabled: bool) -> None:
-        """Gate (enabled=False) or ungate (enabled=True) a domain's edges."""
-        dom = self.domain(name)
-        if enabled:
-            dom.ungate()
-        else:
-            dom.gate()
-
 
 @dataclass
 class ClockDomain:
-    """A periodic edge source.
-
-    Edges occur on the fixed lattice ``phase + k*period`` (k >= 0).  Gating
-    masks edges without shifting the lattice: after ungating, the next edge
-    is the first lattice point at or after the current time that has not
-    already fired.
-    """
+    """A periodic clock whose edges fall on every multiple of ``period``."""
 
     name: str
     period: int
-    phase: int = 0
-    gated: bool = False
-    _sim: Simulator | None = field(default=None, repr=False)
-    _subscribers: list = field(default_factory=list, repr=False)
-    _epoch: int = 0
-    _last_fired: int = -1
-    _pending: bool = False
 
     def __post_init__(self) -> None:
         if self.period <= 0:
             raise ValueError("period must be > 0")
-        if not 0 <= self.phase < self.period:
-            raise ValueError("phase must lie in [0, period)")
 
     def next_edge_at(self, t: int) -> int:
-        """First lattice point >= t."""
-        if t <= self.phase:
-            return self.phase
-        return self.phase + -(-(t - self.phase) // self.period) * self.period
-
-    def edges_between(self, t1: int, t2: int) -> int:
-        """Number of edges in [t1, t2), by closed formula."""
-        if t2 <= t1:
-            return 0
-        p, ph = self.period, self.phase
-        lo = max(t1, 0)
-        return (t2 - ph - 1) // p - (lo - ph - 1) // p
-
-    # -- edge delivery -----------------------------------------------------
-
-    def subscribe(self, fn) -> None:
-        """Call ``fn(edge_time)`` on every edge from now on (while ungated)."""
-        self._subscribers.append(fn)
-        self._arm()
-
-    def unsubscribe(self, fn) -> None:
-        self._subscribers.remove(fn)
-        if not self._subscribers:
-            self._epoch += 1
-            self._pending = False
-
-    def gate(self) -> None:
-        if self.gated:
-            return
-        self.gated = True
-        self._epoch += 1
-        self._pending = False
-
-    def ungate(self) -> None:
-        if not self.gated:
-            return
-        self.gated = False
-        self._arm()
-
-    def _arm(self) -> None:
-        if self.gated or self._pending or not self._subscribers:
-            return
-        assert self._sim is not None, "domain not attached to a simulator"
-        t = self.next_edge_at(self._sim.now)
-        if t == self._last_fired:
-            t += self.period
-        self._epoch += 1
-        self._pending = True
-        self._schedule_edge(t, self._epoch)
-
-    def _schedule_edge(self, t: int, epoch: int) -> None:
-        self._sim.schedule_at(t, lambda: self._fire(t, epoch))
-
-    def _fire(self, t: int, epoch: int) -> None:
-        if epoch != self._epoch or self.gated:
-            return
-        self._last_fired = t
-        nxt = t + self.period
-        self._schedule_edge(nxt, epoch)
-        for fn in tuple(self._subscribers):
-            fn(t)
+        """First edge at or after t."""
+        return -(-t // self.period) * self.period

@@ -18,17 +18,12 @@ from proteus_sim import bitstream as bits
 from proteus_sim.board import BoardConfig, BoardInert, World
 from proteus_sim.fixed_part import (
     ARBITRATION_ORDER,
-    CTRL_START_DOWN,
-    CTRL_START_UP,
     REG_CONTROL,
-    REG_DOWN_BASE,
-    REG_DOWN_LEN,
-    REG_UP_BASE,
-    REG_UP_LEN,
     ArbiterState,
     IrqCause,
     arbitrate,
 )
+from proteus_sim.kernels import SinkKernel
 from proteus_sim.pci import (
     PCI_CLOCK_PERIOD,
     BusTransaction,
@@ -51,16 +46,6 @@ G = bits.DESK_GEOMETRY
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-class SinkKernel:
-    """Consumes one word per cycle, produces nothing (bus saturation load)."""
-
-    name = "sink"
-
-    def step(self, io):
-        if io.in_available:
-            io.read()
-
-
 def full_flash(geometry=G):
     payload = bytes(geometry.total_bytes)
     return bits.encode(geometry, bits.BitstreamKind.FULL, 0, 0, payload)
@@ -73,41 +58,8 @@ def partial_image(geometry=G, kernel_id=0x21, first=0, columns=4, seed=5):
 
 def booted_world(config=None, **world_kwargs):
     world = World(config, **world_kwargs)
-    report = world.device.power_up(full_flash(world.config.geometry))
-    assert report.ok
-    world.sim.run_until(report.duration)
+    assert world.boot(full_flash(world.config.geometry)).ok
     return world
-
-
-def stage(world, data):
-    _rid, base = world.host.map_shared_region(len(data))
-    world.host.write(base, data)
-    return base
-
-
-def reconfigure(world, image):
-    from proteus_sim.fixed_part import CTRL_START_RECONFIG, REG_CFG_BASE, REG_CFG_LEN
-
-    dev = world.device
-    dev.host_reg_write(REG_CFG_BASE, stage(world, image))
-    dev.host_reg_write(REG_CFG_LEN, len(image))
-    dev.host_reg_write(REG_CONTROL, CTRL_START_RECONFIG)
-    world.run_until_cause(IrqCause.RECONFIG_DONE, "reconfig")
-    world.acknowledge(IrqCause.RECONFIG_DONE)
-    return dev.last_config
-
-
-def start_stream(world, data, down=True, up=True):
-    dev = world.device
-    in_base = stage(world, data)
-    _rid, out_base = world.host.map_shared_region(len(data))
-    dev.host_reg_write(REG_DOWN_BASE, in_base)
-    dev.host_reg_write(REG_DOWN_LEN, len(data))
-    dev.host_reg_write(REG_UP_BASE, out_base)
-    dev.host_reg_write(REG_UP_LEN, len(data))
-    bits_ = (CTRL_START_DOWN if down else 0) | (CTRL_START_UP if up else 0)
-    dev.host_reg_write(REG_CONTROL, bits_)
-    return out_base
 
 
 def assert_min_gap(times, gap):
@@ -120,7 +72,7 @@ def test_selectmap_rate_cap():
     world = booted_world()
     world.device.registry.bind(0x21, "identity")
     world.device.controller.record_byte_times = True
-    result = reconfigure(world, partial_image())
+    result = world.reconfigure(partial_image())
     assert result.duration == 163_840_000  # 8192 cycles, +-0
     assert result.pauses == 0
     # Ceiling: byte cycles never closer than one configuration-clock period,
@@ -141,9 +93,9 @@ def test_pci_throughput_envelope():
     config = BoardConfig(pci=PciConfig(grant_latency_cycles=8, max_burst_cycles=4096))
     world = booted_world(config, record_bus_cycles=True)
     world.device.registry.bind(0x50, SinkKernel)
-    reconfigure(world, partial_image(kernel_id=0x50))
+    world.reconfigure(partial_image(kernel_id=0x50))
     nbytes = 256 * 1024
-    start_stream(world, random.Random(1).randbytes(nbytes), up=False)
+    world.start_stream(random.Random(1).randbytes(nbytes), up=False)
     world.run_until_cause(IrqCause.DOWNSTREAM_DONE, "downstream")
     log = [rec for rec in world.bus.cycle_log if rec[2] == "downstream"]
     assert sum(n for _, n, _ in log) == nbytes
@@ -177,7 +129,7 @@ def test_configuration_never_pauses_with_default_bus():
     ]
     for geometry, columns in cases:
         world = booted_world(BoardConfig(geometry=geometry))
-        result = reconfigure(world, partial_image(geometry, columns=columns, seed=3))
+        result = world.reconfigure(partial_image(geometry, columns=columns, seed=3))
         assert result.bytes == columns * geometry.column_bytes
         assert result.pauses == 0, f"paused for {result.bytes}-byte payload"
 
@@ -186,7 +138,7 @@ def test_configuration_never_pauses_with_default_bus():
 def test_pause_resume_equivalence():
     image = partial_image(seed=11)
     clean_world = booted_world()
-    clean = reconfigure(clean_world, image)
+    clean = clean_world.reconfigure(image)
     clean_mem = clean_world.device.config_mem.snapshot()
     assert clean.pauses == 0
 
@@ -203,7 +155,7 @@ def test_pause_resume_equivalence():
             # >=25 us stall inside the active transfer must underflow it.
             if duration >= 25_000_000 and start <= BOOT_PS + 100_000_000:
                 forced = True
-        result = reconfigure(world, image)
+        result = world.reconfigure(image)
         assert world.device.config_mem.snapshot() == clean_mem
         if forced:
             assert result.pauses >= 1
@@ -295,18 +247,9 @@ def test_readback_fidelity():
         assert back.payload == bytes(reference[first * cb:(first + count) * cb])
 
     # And through the timed device path, registers to host RAM.
-    from proteus_sim.fixed_part import CTRL_START_READBACK, REG_CFG_BASE, REG_CFG_LEN
-
     world = booted_world()
-    reconfigure(world, partial_image(seed=13))
-    dev = world.device
-    total = bits.WRAPPER_BYTES + 4 * G.column_bytes
-    _rid, base = world.host.map_shared_region(total)
-    dev.host_reg_write(REG_CFG_BASE, base)
-    dev.host_reg_write(REG_CFG_LEN, (4 << 16) | 0)
-    dev.host_reg_write(REG_CONTROL, CTRL_START_READBACK)
-    world.run_until_cause(IrqCause.READBACK_DONE, "readback")
-    assert world.host.read(base, total) == dev.config_mem.readback(0, 4)
+    world.reconfigure(partial_image(seed=13))
+    assert world.readback(0, 4) == world.device.config_mem.readback(0, 4)
 
 
 @criterion("8. Boot gate: nothing works before boot; corrupt flash stays inert")
@@ -337,24 +280,19 @@ def test_boot_gate():
 def test_end_to_end_integrity():
     world = booted_world()
     world.device.registry.bind(0x21, "identity")
-    reconfigure(world, partial_image())
+    world.reconfigure(partial_image())
     rng = random.Random(4242)
     payload = rng.randbytes(1 << 20)
     for _ in range(12):
         world.bus.inject_stall(world.sim.now + rng.randint(0, 30) * 10**9,
                                rng.randint(1, 400) * 10**6)
-    out_base = start_stream(world, payload)
-    world.run_until_cause(IrqCause.UPSTREAM_DONE, "upstream")
-    assert world.host.read(out_base, len(payload)) == payload
+    assert world.stream(payload) == payload
 
     world2 = booted_world()
     world2.device.registry.bind(0x33, "fir4")
-    reconfigure(world2, partial_image(kernel_id=0x33))
+    world2.reconfigure(partial_image(kernel_id=0x33))
     words = [rng.getrandbits(32) for _ in range(4096)]
-    data = b"".join(w.to_bytes(4, "little") for w in words)
-    out_base = start_stream(world2, data)
-    world2.run_until_cause(IrqCause.UPSTREAM_DONE, "upstream")
-    got = world2.host.read(out_base, len(data))
+    got = world2.stream(b"".join(w.to_bytes(4, "little") for w in words))
     out_words = [int.from_bytes(got[i:i + 4], "little") for i in range(0, len(got), 4)]
     oracle = [sum(words[max(0, i - 3):i + 1]) & 0xFFFFFFFF for i in range(len(words))]
     assert out_words == oracle

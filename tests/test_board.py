@@ -5,19 +5,13 @@ import pytest
 from proteus_sim import bitstream as bits
 from proteus_sim.board import BoardInert, CommandConflict, Deadlock, World
 from proteus_sim.fixed_part import (
-    CTRL_START_DOWN,
     CTRL_START_READBACK,
     CTRL_START_RECONFIG,
-    CTRL_START_UP,
     REG_CFG_BASE,
     REG_CFG_LEN,
     REG_CONTROL,
-    REG_DOWN_BASE,
-    REG_DOWN_LEN,
     REG_IRQ_MASK,
     REG_STATUS,
-    REG_UP_BASE,
-    REG_UP_LEN,
     IrqCause,
     TargetId,
 )
@@ -37,29 +31,11 @@ def partial_image(kernel_id=0x21, first=0, columns=4, seed=5):
     return bits.encode(G, bits.BitstreamKind.PARTIAL, kernel_id, first, payload)
 
 
-def booted_world(**kwargs):
-    world = World(**kwargs)
-    report = world.device.power_up(full_flash())
-    assert report.ok
-    world.sim.run_until(report.duration)
+def booted_world():
+    world = World()
+    assert world.boot(full_flash()).ok
     assert world.device.booted
     return world
-
-
-def stage(world, data):
-    rid, base = world.host.map_shared_region(len(data))
-    world.host.write(base, data)
-    return base
-
-
-def reconfigure(world, image):
-    dev = world.device
-    dev.host_reg_write(REG_CFG_BASE, stage(world, image))
-    dev.host_reg_write(REG_CFG_LEN, len(image))
-    dev.host_reg_write(REG_CONTROL, CTRL_START_RECONFIG)
-    world.run_until_cause(IrqCause.RECONFIG_DONE, "reconfig")
-    world.acknowledge(IrqCause.RECONFIG_DONE)
-    return dev.last_config
 
 
 def test_registers_inaccessible_before_boot():
@@ -91,7 +67,7 @@ def test_reconfigure_applies_and_activates_kernel():
     world = booted_world()
     world.device.registry.bind(0x21, "identity")
     image = partial_image(kernel_id=0x21)
-    result = reconfigure(world, image)
+    result = world.reconfigure(image)
     assert result.duration == 163_840_000  # 8192 payload bytes at 50 MB/s
     assert result.pauses == 0
     assert world.device.config_mem.readback(0, 4, kernel_id=0x21) == image
@@ -101,7 +77,7 @@ def test_reconfigure_applies_and_activates_kernel():
 
 def test_reconfigure_unknown_kernel_is_inert():
     world = booted_world()
-    reconfigure(world, partial_image(kernel_id=0x77))
+    world.reconfigure(partial_image(kernel_id=0x77))
     assert world.device.host_reg_read(REG_STATUS) == 0
     assert world.device.registry.active is None
 
@@ -112,7 +88,7 @@ def test_stalled_reconfigure_matches_clean_memory():
         world.device.registry.bind(0x21, "negate")
         for at, dur in stalls:
             world.bus.inject_stall(at, dur)
-        result = reconfigure(world, partial_image(kernel_id=0x21, seed=8))
+        result = world.reconfigure(partial_image(kernel_id=0x21, seed=8))
         return result, world.device.config_mem.snapshot()
 
     boot_ps = 655_360_000
@@ -126,52 +102,24 @@ def test_stalled_reconfigure_matches_clean_memory():
 
 def test_readback_via_registers():
     world = booted_world()
-    image = partial_image(kernel_id=0, seed=3)
-    reconfigure(world, image)
+    world.reconfigure(partial_image(kernel_id=0, seed=3))
     dev = world.device
-    total = len(image)
-    rid, base = world.host.map_shared_region(total)
-    dev.host_reg_write(REG_CFG_BASE, base)
-    dev.host_reg_write(REG_CFG_LEN, (4 << 16) | 0)  # 4 columns from column 0
-    dev.host_reg_write(REG_CONTROL, CTRL_START_READBACK)
-    world.run_until_cause(IrqCause.READBACK_DONE, "readback")
-    world.acknowledge(IrqCause.READBACK_DONE)
-    assert world.host.read(base, total) == dev.config_mem.readback(0, 4)
+    assert world.readback(0, 4) == dev.config_mem.readback(0, 4)
     assert dev.last_readback.duration == 163_840_000
 
 
 def test_stream_identity_roundtrip():
     world = booted_world()
     world.device.registry.bind(0x21, "identity")
-    reconfigure(world, partial_image(kernel_id=0x21))
-    dev = world.device
-    nbytes = 2048 * 4
-    payload = bytes((i * 29) % 256 for i in range(nbytes))
-    in_base = stage(world, payload)
-    _rid, out_base = world.host.map_shared_region(nbytes)
-    dev.host_reg_write(REG_DOWN_BASE, in_base)
-    dev.host_reg_write(REG_DOWN_LEN, nbytes)
-    dev.host_reg_write(REG_UP_BASE, out_base)
-    dev.host_reg_write(REG_UP_LEN, nbytes)
-    dev.host_reg_write(REG_CONTROL, CTRL_START_DOWN | CTRL_START_UP)
-    world.run_until_cause(IrqCause.DOWNSTREAM_DONE, "downstream")
-    world.run_until_cause(IrqCause.UPSTREAM_DONE, "upstream")
-    assert world.host.read(out_base, nbytes) == payload
+    world.reconfigure(partial_image(kernel_id=0x21))
+    payload = bytes((i * 29) % 256 for i in range(2048 * 4))
+    assert world.stream(payload) == payload
 
 
 def test_stream_into_inert_region_deadlocks():
     world = booted_world()
-    dev = world.device
-    nbytes = 4096
-    in_base = stage(world, bytes(nbytes))
-    _rid, out_base = world.host.map_shared_region(nbytes)
-    dev.host_reg_write(REG_DOWN_BASE, in_base)
-    dev.host_reg_write(REG_DOWN_LEN, nbytes)
-    dev.host_reg_write(REG_UP_BASE, out_base)
-    dev.host_reg_write(REG_UP_LEN, nbytes)
-    dev.host_reg_write(REG_CONTROL, CTRL_START_DOWN | CTRL_START_UP)
     with pytest.raises(Deadlock):
-        world.run_until_cause(IrqCause.UPSTREAM_DONE, "upstream")
+        world.stream(bytes(4096))
 
 
 def test_interrupt_mask_register():
@@ -195,18 +143,10 @@ def test_kernel_interrupt_reaches_host():
 
     world = booted_world()
     world.device.registry.bind(0x31, Poker)
-    reconfigure(world, partial_image(kernel_id=0x31))
-    dev = world.device
-    nbytes = 16
-    in_base = stage(world, bytes(range(nbytes)))
-    _rid, out_base = world.host.map_shared_region(nbytes)
-    dev.host_reg_write(REG_DOWN_BASE, in_base)
-    dev.host_reg_write(REG_DOWN_LEN, nbytes)
-    dev.host_reg_write(REG_UP_BASE, out_base)
-    dev.host_reg_write(REG_UP_LEN, nbytes)
-    dev.host_reg_write(REG_CONTROL, CTRL_START_DOWN | CTRL_START_UP)
+    world.reconfigure(partial_image(kernel_id=0x31))
+    world.start_stream(bytes(range(16)))
     world.run_until_cause(IrqCause.KERNEL_REQUEST, "kernel irq")
-    assert dev.irq.pending & IrqCause.KERNEL_REQUEST
+    assert world.device.irq.pending & IrqCause.KERNEL_REQUEST
 
 
 def assert_idle(world, executed_before):
@@ -221,24 +161,24 @@ def test_control_rejects_cfg_span_past_staged_region():
     world = booted_world()
     dev = world.device
     image = partial_image(kernel_id=0x77)
-    dev.host_reg_write(REG_CFG_BASE, stage(world, image))
+    dev.host_reg_write(REG_CFG_BASE, world.stage(image))
     dev.host_reg_write(REG_CFG_LEN, len(image) + 4096)
     executed = world.sim.executed
     with pytest.raises(UnmappedAddress):
         dev.host_reg_write(REG_CONTROL, CTRL_START_RECONFIG)
     assert_idle(world, executed)
-    assert reconfigure(world, image).pauses == 0   # a valid job still runs
+    assert world.reconfigure(image).pauses == 0   # a valid job still runs
 
 
 def test_control_rejects_reconfig_and_readback_together():
     world = booted_world()
     dev = world.device
     image = partial_image(kernel_id=0x77)
-    dev.host_reg_write(REG_CFG_BASE, stage(world, image))
+    dev.host_reg_write(REG_CFG_BASE, world.stage(image))
     dev.host_reg_write(REG_CFG_LEN, len(image))
     executed = world.sim.executed
     with pytest.raises(CommandConflict):
         dev.host_reg_write(REG_CONTROL, CTRL_START_RECONFIG | CTRL_START_READBACK)
     assert_idle(world, executed)
     assert dev.engines[TargetId.SELECTMAP_WRITE].started_at is None
-    assert reconfigure(world, image).pauses == 0
+    assert world.reconfigure(image).pauses == 0

@@ -16,7 +16,6 @@ from proteus_sim.fixed_part import (
     InterruptLine,
     IrqCause,
     RegisterFile,
-    Side,
     StreamBuffer,
     TargetId,
     TransferRequest,
@@ -24,6 +23,7 @@ from proteus_sim.fixed_part import (
     busmaster_resume,
     on_fill_status,
 )
+from proteus_sim.kernels import PortIO
 from proteus_sim.pci import BusTransaction, Direction
 from proteus_sim.sim import Simulator
 
@@ -173,10 +173,11 @@ def test_buffer_occupancy_bounds(ops):
 
 def test_register_store_load_both_sides():
     regs = RegisterFile()
-    regs.access(Side.HOST, 3, "write", 0x1234)
-    assert regs.access(Side.KERNEL, 3, "read") == 0x1234
-    regs.access(Side.KERNEL, 7, "write", 0xDEAD_BEEF)
-    assert regs.access(Side.HOST, 7, "read") == 0xDEAD_BEEF
+    kernel = PortIO(StreamBuffer(), StreamBuffer(), regs, lambda: None)
+    regs.write(3, 0x1234)
+    assert kernel.reg_read(3) == 0x1234
+    kernel.reg_write(8, 0xDEAD_BEEF)
+    assert regs.read(8) == 0xDEAD_BEEF
 
 
 def test_register_unwritten_reads_zero():
@@ -195,10 +196,10 @@ def test_register_coherence_by_simulation_time():
     sim = Simulator()
     regs = RegisterFile()
     seen = {}
-    sim.schedule_at(10, lambda: regs.access(Side.HOST, 5, "write", 111))
-    sim.schedule_at(20, lambda: regs.access(Side.KERNEL, 5, "write", 222))
-    sim.schedule_at(15, lambda: seen.setdefault(15, regs.access(Side.KERNEL, 5, "read")))
-    sim.schedule_at(25, lambda: seen.setdefault(25, regs.access(Side.HOST, 5, "read")))
+    sim.schedule_at(10, lambda: regs.write(5, 111))
+    sim.schedule_at(20, lambda: regs.write(5, 222))
+    sim.schedule_at(15, lambda: seen.setdefault(15, regs.read(5)))
+    sim.schedule_at(25, lambda: seen.setdefault(25, regs.read(5)))
     sim.run_until(100)
     assert seen == {15: 111, 25: 222}
 

@@ -13,7 +13,7 @@ from proteus_sim.kernels import (
     KernelAccessViolation,
     KernelRegistry,
     PortIO,
-    kernel_step,
+    SinkKernel,
 )
 
 WORD = 0xFFFFFFFF
@@ -26,6 +26,13 @@ def make_io(words=(), regs=None, irq=None):
         down.push(w)
     io = PortIO(down, up, regs or RegisterFile(), irq or (lambda: None))
     return io, down, up
+
+
+def kernel_step(kernel, io):
+    """One user-clock cycle, as the kernel host runs it."""
+    io.consumed = io.produced = 0
+    kernel.step(io)
+    return io.consumed, io.produced
 
 
 def run_words(kernel, words, regs=None):
@@ -137,15 +144,8 @@ def test_reactivation_resets_kernel_state():
 
 
 def test_custom_factory_binding():
-    class Sink:
-        name = "sink"
-
-        def step(self, io):
-            if io.in_available:
-                io.read()
-
     reg = KernelRegistry()
-    reg.bind(0x50, Sink)
+    reg.bind(0x50, SinkKernel)
     report = reg.activate(0x50)
     assert not report.inert and report.name == "sink"
     assert run_words(reg.active, [1, 2, 3]) == []

@@ -42,7 +42,7 @@ expect reconfig_pauses == 0
 def test_golden_script_parses_in_source_order(tmp_path):
     scenario = parse_scenario(GOLDEN, base_dir=tmp_path)
     assert scenario.commands == [
-        GeometryCmd(2, 8, 4, 16, 6, 7),
+        GeometryCmd(2, 8, 4, 16, 6),
         BusCmd(3, 4, 256),
         MakebitCmd(5, "boot.pbit", "full", 0, 0, 7, Fill(byte=0)),
         BootCmd(6, "boot.pbit"),
@@ -54,8 +54,6 @@ def test_golden_script_parses_in_source_order(tmp_path):
         StallCmd(12, 100_000_000, 2_000_000_000),
         ExpectCmd(13, "reconfig_pauses", "==", 0.0),
     ]
-    assert scenario.geometry_override == scenario.commands[0]
-    assert scenario.bus_override == scenario.commands[1]
 
 
 def test_unknown_command_reports_position():

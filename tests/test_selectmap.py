@@ -1,9 +1,7 @@
-"""Configuration controller tests: word segmentation, timed configure,
-readback, pause-by-clock-gating, and flash boot."""
+"""Configuration controller tests: timed configure, readback, pauses on
+an empty or full buffer, and flash boot."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from proteus_sim import bitstream as bits
 from proteus_sim.fixed_part import StreamBuffer
@@ -12,23 +10,11 @@ from proteus_sim.selectmap import (
     Mode,
     NotIdle,
     SelectMapController,
-    join_bytes,
-    split_word,
 )
-from proteus_sim.sim import Simulator
+from proteus_sim.sim import ClockDomain, Simulator
 
 CFG_PERIOD = 20_000
 G = bits.DESK_GEOMETRY
-
-
-def test_split_word_lsb_first():
-    assert split_word(0x0A0B0C0D) == [0x0D, 0x0C, 0x0B, 0x0A]
-    assert split_word(0) == [0, 0, 0, 0]
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_join_inverts_split(word):
-    assert join_bytes(split_word(word)) == word
 
 
 def image_words(image):
@@ -38,7 +24,7 @@ def image_words(image):
 
 def make_controller(record_byte_times=False):
     sim = Simulator()
-    clock = sim.add_domain("cfg", CFG_PERIOD)
+    clock = ClockDomain("cfg", CFG_PERIOD)
     buffer = StreamBuffer()
     mem = bits.ConfigurationMemory(G)
     ctl = SelectMapController(sim, clock, buffer, mem, record_byte_times=record_byte_times)

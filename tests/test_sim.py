@@ -1,20 +1,10 @@
-"""Event kernel and clock domain tests."""
+"""Event kernel tests."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proteus_sim.sim import SchedulingInPast, Simulator, UnknownDomain
-
-
-def enumerate_edges(period, phase, hi, gaps=()):
-    """Brute-force oracle: lattice points in [0, hi) minus gated windows."""
-    out = []
-    for t in range(phase, hi, period):
-        if any(a <= t < b for a, b in gaps):
-            continue
-        out.append(t)
-    return out
+from proteus_sim.sim import SchedulingInPast, Simulator
 
 
 def test_zero_delay_fires_before_later_events():
@@ -73,76 +63,6 @@ def test_event_ids_unique():
     assert len(ids) == 50
 
 
-@given(
-    period=st.integers(1, 7),
-    phase_frac=st.integers(0, 6),
-    t1=st.integers(0, 50),
-    span=st.integers(0, 50),
-)
-def test_edge_count_formula_matches_enumeration(period, phase_frac, t1, span):
-    phase = phase_frac % period
-    sim = Simulator()
-    dom = sim.add_domain("d", period, phase)
-    t2 = t1 + span
-    expected = len([t for t in enumerate_edges(period, phase, t2) if t >= t1])
-    assert dom.edges_between(t1, t2) == expected
-
-
-def test_subscribed_edges_match_enumeration():
-    sim = Simulator()
-    dom = sim.add_domain("clk", 3, 1)
-    seen = []
-    dom.subscribe(seen.append)
-    sim.run_until(20)
-    assert seen == [t for t in enumerate_edges(3, 1, 21)]
-
-
-def test_gate_masks_edges_and_resumes_on_lattice():
-    # 50 MHz domain (20 ns period); gate during [100 ns, 140 ns).
-    sim = Simulator()
-    dom = sim.add_domain("cfg", 20_000)
-    seen = []
-    dom.subscribe(seen.append)
-    sim.schedule_at(100_000, lambda: dom.gate())
-    sim.schedule_at(140_000, lambda: dom.ungate())
-    sim.run_until(200_000)
-    assert seen == enumerate_edges(20_000, 0, 200_001, gaps=[(100_000, 140_000)])
-    assert 140_000 in seen  # first lattice point at/after ungating
-
-
-def test_gate_then_ungate_same_instant_is_identity():
-    def run(with_blip):
-        sim = Simulator()
-        dom = sim.add_domain("clk", 7, 2)
-        seen = []
-        dom.subscribe(seen.append)
-        if with_blip:
-            sim.schedule_at(16, lambda: (dom.gate(), dom.ungate()))
-        sim.run_until(60)
-        return seen
-
-    assert run(True) == run(False)
-
-
-def test_gate_unknown_domain():
-    sim = Simulator()
-    with pytest.raises(UnknownDomain):
-        sim.set_clock_gate("nope", False)
-
-
-def test_set_clock_gate_by_name():
-    sim = Simulator()
-    dom = sim.add_domain("clk", 10)
-    seen = []
-    dom.subscribe(seen.append)
-    sim.set_clock_gate("clk", False)
-    sim.run_until(100)
-    assert seen == []
-    sim.set_clock_gate("clk", True)
-    sim.run_until(200)
-    assert seen == enumerate_edges(10, 0, 201, gaps=[(0, 100)])
-
-
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 9)), max_size=30))
 @settings(max_examples=200)
 def test_causality_and_determinism(entries):
@@ -159,22 +79,6 @@ def test_causality_and_determinism(entries):
     times = [rec[0] for rec in log1]
     assert times == sorted(times)
     assert all(now == t for now, t, _ in log1)
-
-
-def test_nested_scheduling_from_subscriber():
-    # An edge handler gating its own domain stops subsequent edges.
-    sim = Simulator()
-    dom = sim.add_domain("clk", 10)
-    seen = []
-
-    def handler(t):
-        seen.append(t)
-        if len(seen) == 3:
-            dom.gate()
-
-    dom.subscribe(handler)
-    sim.run_until(500)
-    assert seen == [0, 10, 20]
 
 
 def test_reserved_slot_runs_between_earlier_and_later_events():
