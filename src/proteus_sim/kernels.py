@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fixed_part import KERNEL_REGS, RegisterFile, StreamBuffer
+from .sim import RunAhead
 
 
 class DuplicateId(Exception):
@@ -166,18 +167,17 @@ class KernelRegistry:
         return ActivationReport(kernel_id, inert=False, name=name)
 
 
-class KernelHost:
+class KernelHost(RunAhead):
     """Steps the live kernel on user-clock edges while it can make progress.
 
     After a cycle that moves no word the host sleeps; a downstream enqueue or
     an upstream dequeue wakes it at the next user-clock edge (one period
     later if that edge has just been stepped).  Edges are not queued one by
-    one: the edge event steps the kernel on consecutive edges and, while
-    asleep, settles the bus's lazy word stream until a word wakes it, within
-    one event.  It gives control back to the event loop before the next
-    queued event or past the loop's horizon, with its next edge queued in
-    the slot the per-edge event would have had, and right after the kernel
-    raises an interrupt, so a host waiting for one sees it at the same ps.
+    one: as a ``RunAhead`` process, one event steps the kernel on consecutive
+    edges and, while asleep, settles the bus's lazy word stream until a word
+    wakes it.  Besides before the next queued event and past the loop's
+    horizon, it also hands control back right after the kernel raises an
+    interrupt, so a host waiting for one sees it at the same ps.
     """
 
     def __init__(self, sim, domain, down: StreamBuffer, up: StreamBuffer,
@@ -191,10 +191,7 @@ class KernelHost:
         self.trace = trace
         self._raise_irq = raise_irq
         self._io = PortIO(down, up, regs, self._request_irq)
-        self._awake = False
-        self._running = False
         self._raised = False
-        self._edge = (0, 0)        # (time, insertion number) of the next edge while awake
         self._last_edge = -1
         down.on_enqueue(self._maybe_wake)
         up.on_dequeue(self._maybe_wake)
@@ -215,45 +212,25 @@ class KernelHost:
         self._raise_irq()
 
     def _maybe_wake(self) -> None:
-        if self._awake or self.registry.active is None or self.down.occupancy == 0:
+        if self.key is not None or self.registry.active is None or self.down.occupancy == 0:
             return
-        self._awake = True
-        sim = self.sim
-        t = self.domain.next_edge_at(sim.now)
+        t = self.domain.next_edge_at(self.sim.now)
         if t == self._last_edge:
             t += self.domain.period
-        if self._running:
-            self._edge = (t, sim.alloc())
-        else:
-            self._edge = (t, sim.schedule_at(t, self._run))
+        self.wake(t)
 
     def _run(self) -> None:
-        """Step consecutive edges from the queued one until control must return."""
+        self.run_ahead()
+
+    def point(self) -> bool:
+        """Step the kernel on the edge at ``key``."""
         sim = self.sim
         io = self._io
-        period = self.domain.period
-        self._running = True
-        try:
-            while True:
-                t = self._edge[0]
-                sim.now = self._last_edge = t
-                nxt = (t + period, sim.alloc())   # a clock edge numbers the next before stepping
-                self._raised = False
-                io.consumed = io.produced = 0
-                self.registry.active.step(io)
-                if io.consumed or io.produced:
-                    self._edge = nxt
-                else:
-                    self._awake = False
-                if self._raised:
-                    break
-                while not self._awake:
-                    if not sim.settle_next(sim.horizon):
-                        return
-                t, seq = self._edge
-                if t > sim.horizon or not sim.settle(t, seq):
-                    break
-        finally:
-            self._running = False
-        if self._awake:
-            sim.schedule_reserved(*self._edge, self._run)
+        t = self.key[0]
+        sim.now = self._last_edge = t
+        nxt = (t + self.domain.period, sim.alloc())   # a clock edge numbers the next before stepping
+        self._raised = False
+        io.consumed = io.produced = 0
+        self.registry.active.step(io)
+        self.key = nxt if io.consumed or io.produced else None
+        return not self._raised

@@ -7,6 +7,12 @@ buffer every four cycles; when the buffer runs dry the controller pauses
 enqueued word.
 Readback runs the same engine in reverse.  Flash boot bypasses the bus
 and loads a full image at a fixed byte rate.
+
+Port words are not queued one by one: the controller is a ``RunAhead``
+process (see ``sim``), so one event moves consecutive words, settles the
+bus's words in between, and, while paused, the bus word that resumes it.
+Only the points where the bus timeline interleaves with it (a queued burst
+end, the loop's horizon) cost an event.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from enum import Enum
 
 from . import bitstream as bits
 from .fixed_part import StreamBuffer
-from .sim import ClockDomain, Simulator
+from .sim import ClockDomain, RunAhead, Simulator
 
 
 class SelectMapError(Exception):
@@ -58,7 +64,7 @@ class BootReport:
 
 
 class _Job:
-    __slots__ = ("total", "done", "image", "payload_len", "first_payload_time",
+    __slots__ = ("total", "done", "image", "payload_len", "payload_end", "first_payload_time",
                  "last_payload_end", "allow_fixed", "on_done")
 
     def __init__(self, total, image, allow_fixed=False, on_done=None):
@@ -66,15 +72,23 @@ class _Job:
         self.done = 0
         self.image = image
         self.payload_len = total - bits.WRAPPER_BYTES
+        self.payload_end = bits.HEADER_BYTES + self.payload_len
         self.first_payload_time = None
         self.last_payload_end = None
         self.allow_fixed = allow_fixed
         self.on_done = on_done
 
 
-class SelectMapController:
+class SelectMapController(RunAhead):
     """Streams bitstream images between the shared data buffer and the
-    configuration memory at one byte per configuration-clock cycle."""
+    configuration memory at one byte per configuration-clock cycle.
+
+    Each point of its run-ahead timeline moves one word (at most four
+    bytes, one per cycle) or, after the last, completes the job; a point
+    that finds the buffer empty (configure) or full (readback) pauses the
+    controller instead, and the enqueue or dequeue that ends the pause makes
+    the next configuration-clock edge the next point.
+    """
 
     def __init__(self, sim: Simulator, clock: ClockDomain, buffer: StreamBuffer,
                  config_mem: bits.ConfigurationMemory, trace=None,
@@ -91,8 +105,6 @@ class SelectMapController:
         self.pauses = 0
         self._resume_mode = Mode.IDLE
         self._pause_start = 0
-        self._epoch = 0
-        self._awaiting_data = False
         self._job: _Job | None = None
         self.last_config: ConfigResult | None = None
         self.last_readback: ReadbackResult | None = None
@@ -115,48 +127,55 @@ class SelectMapController:
         self.mode = Mode.CONFIGURING
         if self.trace:
             self.trace.record("selectmap", "configure_start", f"{total_bytes}B")
+        # With the buffer empty the controller waits for the first word
+        # (``_feed_arrived``); that wait is not a pause, underflow pauses
+        # count only mid-stream.
         if self.buffer.occupancy:
-            self._schedule_fetch(self.clock.next_edge_at(self.sim.now))
-        else:
-            # The transfer has not begun yet, so waiting for the first word
-            # is not a pause; underflow pauses count only mid-stream.
-            self._awaiting_data = True
+            self.wake(self.clock.next_edge_at(self.sim.now))
 
-    def _schedule_fetch(self, t: int) -> None:
-        epoch = self._epoch
-        self.sim.schedule_at(t, lambda: self._fetch(t, epoch))
+    def _run(self) -> None:
+        self.run_ahead()
 
-    def _fetch(self, t: int, epoch: int) -> None:
-        if epoch != self._epoch or self.mode is not Mode.CONFIGURING:
-            return
+    def point(self) -> bool:
+        """Move the word at ``key``, or complete the job; False once idle."""
+        t = self.key[0]
+        sim = self.sim
+        sim.now = t
         job = self._job
-        if self.buffer.occupancy == 0:
-            self._pause(t)
-            return
-        word = self.buffer.pop()
-        period = self.clock.period
-        n = job.total - job.done
+        done = job.done
+        n = job.total - done
+        if n <= 0:
+            self.key = None
+            if self.mode is Mode.CONFIGURING:
+                self._complete_configure()
+            else:
+                self._complete_readback()
+            return False
         if n > 4:
             n = 4
-        for k in range(n):
-            job.image[job.done + k] = (word >> (8 * k)) & 0xFF
-        self._account_bytes(job, t, n, period)
-        job.done += n
-        if job.done >= job.total:
-            self.sim.schedule_at(t + n * period, self._complete_configure)
+        end = done + n
+        buffer = self.buffer
+        if self.mode is Mode.CONFIGURING:
+            if not buffer.occupancy:
+                self._pause(t)
+                return True
+            job.image[done:end] = buffer.pop().to_bytes(4, "little")[:n]
+        elif buffer.occupancy == buffer.capacity:
+            self._pause(t)
+            return True
         else:
-            self._schedule_fetch(t + n * period)
-
-    def _account_bytes(self, job, t, n, period):
-        """Payload timing of bytes done..done+n-1, moved one per cycle from t."""
-        lo = max(job.done, bits.HEADER_BYTES)
-        hi = min(job.done + n, bits.HEADER_BYTES + job.payload_len)
-        if lo < hi:
-            if job.first_payload_time is None:
-                job.first_payload_time = t + (lo - job.done) * period
-            job.last_payload_end = t + (hi - job.done) * period
+            buffer.push(int.from_bytes(job.image[done:end], "little"))
+        job.done = end
+        # Payload timing: bytes done..end-1 move one per cycle from t.
+        period = self.clock.period
+        if done <= bits.HEADER_BYTES < end:
+            job.first_payload_time = t + (bits.HEADER_BYTES - done) * period
+        if done < job.payload_end <= end:
+            job.last_payload_end = t + (job.payload_end - done) * period
         if self.record_byte_times:
-            self.byte_times.extend(t + k * period for k in range(n))
+            self.byte_times.extend(range(t, t + n * period, period))
+        self.key = (t + n * period, sim.alloc())
+        return True
 
     def _complete_configure(self) -> None:
         job = self._job
@@ -194,32 +213,8 @@ class SelectMapController:
         if self.trace:
             self.trace.record("selectmap", "readback_start",
                               f"cols {first_column}+{column_count} {len(image)}B")
-        self._schedule_emit(self.clock.next_edge_at(self.sim.now))
+        self.wake(self.clock.next_edge_at(self.sim.now))
         return len(image)
-
-    def _schedule_emit(self, t: int) -> None:
-        epoch = self._epoch
-        self.sim.schedule_at(t, lambda: self._emit(t, epoch))
-
-    def _emit(self, t: int, epoch: int) -> None:
-        if epoch != self._epoch or self.mode is not Mode.READBACK:
-            return
-        job = self._job
-        if self.buffer.free_words == 0:
-            self._pause(t)
-            return
-        period = self.clock.period
-        n = job.total - job.done
-        if n > 4:
-            n = 4
-        word = int.from_bytes(job.image[job.done:job.done + n], "little")
-        self._account_bytes(job, t, n, period)
-        job.done += n
-        self.buffer.push(word)
-        if job.done >= job.total:
-            self.sim.schedule_at(t + n * period, self._complete_readback)
-        else:
-            self._schedule_emit(t + n * period)
 
     def _complete_readback(self) -> None:
         job = self._job
@@ -240,7 +235,7 @@ class SelectMapController:
         self.mode = Mode.PAUSED
         self.pauses += 1
         self._pause_start = t
-        self._epoch += 1
+        self.key = None
         if self.trace:
             reason = "buffer empty" if self._resume_mode is Mode.CONFIGURING else "buffer full"
             self.trace.record("selectmap", "pause", reason)
@@ -251,16 +246,11 @@ class SelectMapController:
         self.mode = self._resume_mode
         if self.trace:
             self.trace.record("selectmap", "resume", "")
-        t = self.clock.next_edge_at(now)
-        if self.mode is Mode.CONFIGURING:
-            self._schedule_fetch(t)
-        else:
-            self._schedule_emit(t)
+        self.wake(self.clock.next_edge_at(now))
 
     def _feed_arrived(self) -> None:
-        if self._awaiting_data and self.mode is Mode.CONFIGURING:
-            self._awaiting_data = False
-            self._schedule_fetch(self.clock.next_edge_at(self.sim.now))
+        if self.key is None and self.mode is Mode.CONFIGURING:   # the first word
+            self.wake(self.clock.next_edge_at(self.sim.now))
         elif self.mode is Mode.PAUSED and self._resume_mode is Mode.CONFIGURING:
             self._resume()
 

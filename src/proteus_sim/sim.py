@@ -144,6 +144,49 @@ class Simulator:
         return executed
 
 
+class RunAhead:
+    """A process that runs consecutive points of its timeline in one event.
+
+    A subclass defines ``point()``, which runs the point at ``key`` (its
+    time and insertion number), sets the next key, numbered with ``alloc()``
+    where a per-point event would have been scheduled, or None to sleep, and
+    returns False to hand control back at once.  It also defines the queued
+    event ``_run`` as a call to ``run_ahead``, so that event counts taken by
+    the module that defines an action charge it to the component.  Between
+    points the event settles the lazy stream; asleep, it settles it item by
+    item, so an item that ``wake``s the process continues the same event.
+    Control goes back before the next queued event or past the loop's
+    horizon, with the next point queued in the slot it already holds.
+    """
+
+    sim: Simulator
+    key = None
+    _running = False
+
+    def wake(self, t: int) -> None:
+        """Make ``t`` the next point, numbered now."""
+        sim = self.sim
+        self.key = (t, sim.alloc() if self._running else sim.schedule_at(t, self._run))
+
+    def run_ahead(self) -> None:
+        """Run points from ``key`` until control must go back to the loop."""
+        sim = self.sim
+        point = self.point
+        self._running = True
+        try:
+            while point():
+                while self.key is None:
+                    if not sim.settle_next(sim.horizon):
+                        return
+                t, seq = self.key
+                if t > sim.horizon or not sim.settle(t, seq):
+                    break
+        finally:
+            self._running = False
+        if self.key is not None:
+            sim.schedule_reserved(*self.key, self._run)
+
+
 @dataclass
 class ClockDomain:
     """A periodic clock whose edges fall on every multiple of ``period``."""

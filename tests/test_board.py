@@ -3,7 +3,7 @@
 import pytest
 
 from proteus_sim import bitstream as bits
-from proteus_sim.board import BoardInert, CommandConflict, Deadlock, World
+from proteus_sim.board import BoardConfig, BoardInert, CommandConflict, Deadlock, World
 from proteus_sim.fixed_part import (
     CTRL_START_READBACK,
     CTRL_START_RECONFIG,
@@ -182,3 +182,24 @@ def test_control_rejects_reconfig_and_readback_together():
     assert_idle(world, executed)
     assert dev.engines[TargetId.SELECTMAP_WRITE].started_at is None
     assert world.reconfigure(image).pauses == 0
+
+
+def test_configuration_port_jobs_cost_events_per_burst_not_per_word():
+    """The controller moves consecutive port words inside one event, so a
+    64 KiB reconfiguration and its readback each run a few events per bus
+    burst (a per-word controller runs more than one per image word)."""
+    g = bits.DeviceGeometry(18, 64, 64, 16)
+    world = World(BoardConfig(geometry=g))
+    assert world.boot(bits.encode(g, bits.BitstreamKind.FULL, 0, 0, bytes(g.total_bytes))).ok
+    payload = bytes((i * 7 + i // 251) % 256 for i in range(16 * g.column_bytes))
+    image = bits.encode(g, bits.BitstreamKind.PARTIAL, 0x77, 0, payload)
+    words = len(image) // 4
+    sim = world.sim
+    before = sim.executed
+    world.reconfigure(image)
+    configure = sim.executed - before
+    before = sim.executed
+    assert bits.parse(world.readback(0, 16)).payload == payload
+    readback = sim.executed - before
+    assert configure * 64 < words
+    assert readback * 64 < words

@@ -22,10 +22,10 @@ def image_words(image):
             for i in range(0, len(image), 4)]
 
 
-def make_controller(record_byte_times=False):
+def make_controller(record_byte_times=False, capacity=256):
     sim = Simulator()
     clock = ClockDomain("cfg", CFG_PERIOD)
-    buffer = StreamBuffer()
+    buffer = StreamBuffer(capacity, 1, 1)
     mem = bits.ConfigurationMemory(G)
     ctl = SelectMapController(sim, clock, buffer, mem, record_byte_times=record_byte_times)
     return sim, buffer, mem, ctl
@@ -118,6 +118,62 @@ def test_no_bytes_consumed_inside_pause_windows():
         assert not any(start <= bt < end for bt in ctl.byte_times)
     gaps = [b - a for a, b in zip(ctl.byte_times, ctl.byte_times[1:])]
     assert min(gaps) >= CFG_PERIOD  # never above 1 byte per cycle
+
+
+class Lattice:
+    """A lazy stream of ``count`` items every ``period`` ps from ``first``,
+    each running ``action``, as the bus moves the words of a burst."""
+
+    def __init__(self, sim, first, period, count, action):
+        self.sim, self.period, self.left, self.action = sim, period, count, action
+        self.key = (first, sim.alloc())
+        sim.stream = self
+
+    def advance(self):
+        t = self.key[0]
+        self.sim.now = t
+        self.action()
+        self.left -= 1
+        self.key = (t + self.period, self.sim.alloc())
+        if not self.left:
+            self.sim.stream = None
+
+
+@pytest.mark.parametrize("readback", [False, True])
+def test_bus_words_resume_a_paused_controller_inside_its_event(readback):
+    """A bus slower than the port pauses the controller at every word; the
+    bus words that end the pauses run inside the controller's one event, at
+    the times that per-word queued events give."""
+    image = partial_image(columns=1)
+    count = len(image_words(image))
+    runs = []
+    for lazy in (True, False):
+        sim, buffer, mem, ctl = make_controller(record_byte_times=True, capacity=4)
+        words = iter(image_words(image))
+        moved = []
+
+        def action():
+            if readback:
+                moved.append(buffer.pop())
+            else:
+                buffer.push(next(words))
+
+        if readback:
+            ctl.start_readback(0, 1)
+        else:
+            ctl.start_configure(len(image))
+        if lazy:
+            Lattice(sim, 5_000, 100_000, count, action)
+        else:
+            for k in range(count):
+                sim.schedule_at(5_000 + 100_000 * k, action)
+        sim.run_until_idle()
+        if lazy:
+            assert sim.executed == 1
+        runs.append((ctl.last_readback if readback else ctl.last_config, ctl.pause_windows,
+                     ctl.byte_times, moved if readback else mem.snapshot()))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) > count // 2
 
 
 def test_configure_rejects_when_busy():

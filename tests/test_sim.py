@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proteus_sim.sim import SchedulingInPast, Simulator
+from proteus_sim.sim import RunAhead, SchedulingInPast, Simulator
 
 
 def test_zero_delay_fires_before_later_events():
@@ -138,3 +138,84 @@ def test_lazy_stream_runs_in_queued_event_order(entries):
         return log
 
     assert run(lazy=True) == run(lazy=False)
+
+
+class Ticker(RunAhead):
+    """Points every 10 ps up to 100; each numbers the next, then calls
+    ``action(t)``."""
+
+    def __init__(self, sim, log, action=lambda t: None):
+        self.sim, self.log, self.action = sim, log, action
+
+    def _run(self):
+        self.run_ahead()
+
+    def point(self):
+        t = self.key[0]
+        self.sim.now = t
+        self.key = (t + 10, self.sim.alloc()) if t < 100 else None
+        self.log.append(("tick", t))
+        self.action(t)
+        return True
+
+
+def test_run_ahead_yields_to_earlier_keys_only_and_stops_at_the_horizon():
+    sim = Simulator()
+    log = []
+
+    def action(t):
+        if t == 10:   # numbered after the tick at 20: a later key at 20
+            sim.schedule_at(20, lambda: log.append(("late", sim.now)))
+        if t == 20:   # numbered after the tick at 30, before it is queued
+            sim.schedule_at(30, lambda: log.append(("mid", sim.now)))
+
+    Ticker(sim, log, action).wake(0)
+    sim.schedule_at(30, lambda: log.append(("early", sim.now)))   # before the tick at 30
+    sim.run_until(45)
+    assert log == [("tick", 0), ("tick", 10), ("tick", 20), ("late", 20),
+                   ("early", 30), ("tick", 30), ("mid", 30), ("tick", 40)]
+    # Ticks 0-20 run in one event; the tick at 50 lies past the horizon and
+    # waits in its slot.
+    assert sim.executed == 6
+    sim.schedule_at(50, lambda: log.append(("after", sim.now)))
+    sim.run_until(50)
+    assert log[-2:] == [("tick", 50), ("after", 50)]
+
+
+def test_run_ahead_sleeps_through_stream_items_until_one_wakes_it():
+    sim = Simulator()
+    log = []
+
+    def sleep_after(t):
+        if t in (0, 18):
+            ticker.key = None
+
+    ticker = Ticker(sim, log, sleep_after)
+
+    class Items:
+        """Lazy stream items at 3, 6, ..., 24; the one at 6 wakes the ticker at 8."""
+
+        def __init__(self):
+            self.key = (3, sim.alloc())
+            sim.stream = self
+
+        def advance(self):
+            t = self.key[0]
+            sim.now = t
+            log.append(("item", t))
+            if t == 6:
+                ticker.wake(8)
+            self.key = (t + 3, sim.alloc())
+            if t == 24:
+                sim.stream = None
+
+    ticker.wake(0)
+    Items()
+    sim.run_until(20)
+    # The tick at 18 was numbered before the item at 18, so it runs first;
+    # asleep again, the event settles items up to the horizon only.
+    assert log == [("tick", 0), ("item", 3), ("item", 6), ("tick", 8), ("item", 9),
+                   ("item", 12), ("item", 15), ("tick", 18), ("item", 18)]
+    assert sim.executed == 1
+    sim.run_until(30)
+    assert log[-2:] == [("item", 21), ("item", 24)]

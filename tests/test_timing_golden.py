@@ -2,8 +2,8 @@
 
 ``timing_worlds.py`` defines a seeded grid of small boards and records,
 for each, every timing-visible result.  The golden file holds what the
-per-word engine (one event per bus cycle and per user-clock edge)
-recorded for the same grid; the current engine must reproduce every entry
+per-word engine (one event per bus cycle and per user-clock edge, and per
+configuration-port word) recorded for the same grid; the current engine must reproduce every entry
 exactly, including same-picosecond order in the trace and interrupt log.
 """
 

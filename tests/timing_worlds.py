@@ -26,9 +26,13 @@ dictionary.
 
 rewrites ``tests/golden/timing_golden.json`` with that engine's results.
 The committed file was written by the per-word bus engine (one queued event
-per bus cycle and per user-clock edge), that is, by the source tree of the
-parent of the commit that added this file; ``test_timing_golden.py``
-checks that the current engine reproduces it.
+per bus cycle and per user-clock edge, and per configuration-port word),
+that is, by the source tree of the parent of the commit that added this
+file; the ``SLOT_WORLDS`` entries were added later, written by the tree
+whose bus and kernel host already ran ahead but whose configuration
+controller still queued one event per word (the fully per-word tree
+gives the same entries).  ``test_timing_golden.py`` checks that the
+current engine reproduces every entry.
 """
 
 from __future__ import annotations
@@ -70,6 +74,11 @@ from proteus_sim.trace import emit_trace  # noqa: E402
 REGISTER_WORLDS = 120
 POKER_WORLDS = 120
 SCENARIO_WORLDS = 12
+# Register worlds from beyond the grid in which configuration-port words fall
+# on the picosecond of a kernel edge or a burst end while a stream job runs
+# beside a reconfiguration or readback: they pin the same-ps slot of the
+# controller's next word.
+SLOT_WORLDS = (661, 1189, 1331)
 
 # (pci, user, cfg) clock periods in ps
 PERIODS = [
@@ -355,6 +364,8 @@ def all_worlds():
                for i in range(POKER_WORLDS)]
     worlds += [(f"scenario-{i}", lambda i=i: run_scenario_world(i))
                for i in range(SCENARIO_WORLDS)]
+    worlds += [(f"registers-{i}", lambda i=i: run_register_world(_spec(i)))
+               for i in SLOT_WORLDS]
     return worlds
 
 
