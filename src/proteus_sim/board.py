@@ -52,6 +52,7 @@ from .fixed_part import (
     arbitrate,
     busmaster_resume,
     on_fill_status,
+    quiet_band,
 )
 from .kernels import KernelHost
 from .pci import BusTransaction, HostMemory, PciBus, PciConfig, TxnState
@@ -155,6 +156,42 @@ class DmaEngine:
                 done()
 
 
+class PortFeed:
+    """The bus side of the SelectMap buffer, as the controller's stretches
+    see it: the words a burst will move between the controller's points,
+    and the occupancies at which the idle engine's fill status stays quiet."""
+
+    def __init__(self, device: "Device") -> None:
+        self.sim = device.sim
+        self.bus = device.world.bus
+        self.engines = {True: device.engines[TargetId.SELECTMAP_WRITE],
+                        False: device.engines[TargetId.SELECTMAP_READ]}
+
+    def window(self, configuring: bool):
+        """None while the other SelectMap engine is busy or another target's
+        words are moving; else (lo, hi, bus): the stretch keeps the occupancy
+        within lo..hi after each port word, and ``bus`` is ``_Burst.lattice``
+        of the engine's burst in flight, or None."""
+        engine = self.engines[configuring]
+        if self.engines[not configuring].busy:
+            return None
+        burst = self.bus.in_flight(engine.txn)
+        if self.sim.stream is not burst:
+            return None
+        buffer = engine.buffer
+        if engine.txn is None and engine.request is None:
+            lo, hi = quiet_band(engine.target, buffer, engine.addr)
+        else:
+            lo, hi = 0, buffer.capacity
+        return lo, hi, None if burst is None else burst.lattice()
+
+    def move(self, configuring: bool, count: int, words=None):
+        """Move the burst's next ``count`` words (see ``_Burst.advance_many``)."""
+        engine = self.engines[configuring]
+        engine.addr.advance(4 * count)
+        return self.bus.in_flight(engine.txn).advance_many(count, words)
+
+
 class Device:
     """The FPGA side: fixed part plus reconfigurable region."""
 
@@ -189,7 +226,8 @@ class Device:
         self.arbiter = ArbiterState()
 
         self.controller = SelectMapController(self.sim, self.cfg_clk, self.smap_buf,
-                                              self.config_mem, trace=trace)
+                                              self.config_mem, trace=trace,
+                                              feed=PortFeed(self))
         self.kernel_host = KernelHost(self.sim, self.user_clk, self.down_buf, self.up_buf,
                                       self.regs,
                                       lambda: self._raise(IrqCause.KERNEL_REQUEST),

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntFlag
+from itertools import islice
 
 from .pci import BusTransaction, Direction
 
@@ -116,6 +117,19 @@ class StreamBuffer:
             fn()
         return word
 
+    def exchange(self, words, count: int) -> list[int]:
+        """Enqueue ``words`` (32-bit values) and dequeue ``count`` words, as
+        interleaved pushes and pops that never find the buffer empty or full
+        would; no listener is notified."""
+        q = self._words
+        if count > len(q) + len(words):
+            raise BufferUnderflow(f"{self.name or 'buffer'} empty")
+        if len(q) + len(words) - count > self.capacity:
+            raise BufferOverflow(f"{self.name or 'buffer'} full at {self.capacity} words")
+        q.extend(words)
+        self._words = deque(islice(q, count, None))
+        return list(islice(q, count))
+
     def clear(self) -> None:
         self._words.clear()
 
@@ -169,6 +183,23 @@ def on_fill_status(target: TargetId, buffer: StreamBuffer, addr: DmaAddressState
             if n > 0:
                 return TransferRequest(target, Direction.TO_DEVICE, addr.next_address, n)
     return None
+
+
+def quiet_band(target: TargetId, buffer: StreamBuffer, addr: DmaAddressState) -> tuple[int, int]:
+    """The occupancies (lo, hi), both included, at which ``on_fill_status``
+    returns None for this job state.
+
+    A device-bound target is quiet above the low mark and when the buffer
+    is full; a host-bound one below the high mark and below the words that
+    would hold the whole remainder.  Leaving the band by one word, downwards
+    for a device-bound target and upwards for a host-bound one, gives a
+    request.
+    """
+    if not addr.active:
+        return 0, buffer.capacity
+    if target in HOST_BOUND:
+        return 0, min(buffer.fill_high, -(-addr.bytes_remaining // 4)) - 1
+    return min(buffer.fill_low + 1, buffer.capacity), buffer.capacity
 
 
 def busmaster_resume(addr: DmaAddressState, target: TargetId, txn: BusTransaction,

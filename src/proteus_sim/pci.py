@@ -18,6 +18,7 @@ have had, but only the burst's end (DONE or PREEMPTED) is a queued event.
 from __future__ import annotations
 
 import bisect
+import itertools
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -204,6 +205,11 @@ class PciBus:
         _Burst(self, txn, buf, off, first)
         return txn
 
+    def in_flight(self, txn: BusTransaction | None) -> _Burst | None:
+        """The burst of ``txn`` whose words are still moving, if any."""
+        burst = self._burst
+        return burst if burst is not None and burst.txn is txn else None
+
     def _first_stalled(self, first: int, count: int) -> int:
         """Index of the first of ``count`` lattice words from ``first`` at which
         ``stalled_at`` holds, or ``count`` if none does.
@@ -288,6 +294,34 @@ class _Burst:
         if lo + full < hi:
             words.append(int.from_bytes(self.buf[self.off + 4 * (lo + full):self.off + total],
                                         "little"))
+        return words
+
+    def lattice(self) -> tuple[int, int, int]:
+        """(time of the next word, period, words before the burst's last):
+        those words may move in one ``advance_many``."""
+        return self.key[0], self.period, self.end - self.index - 1
+
+    def advance_many(self, count: int, words=None):
+        """Move the next ``count`` words, none of them the burst's last, in one
+        call: a device-bound burst returns them, a host-bound one writes
+        ``words``.  Counters and records are those of ``count`` calls of
+        ``advance``; the next word's insertion number is taken once, now."""
+        assert 0 < count < self.end - self.index
+        txn, bus, period = self.txn, self.bus, self.period
+        t = self.key[0]
+        done = txn.transferred_bytes
+        if self.to_device:
+            words = list(itertools.islice(self.words, count))
+        else:
+            struct.pack_into(f"<{count}I", self.buf, self.off + done, *words)
+        txn.transferred_bytes = done + 4 * count
+        txn.cycles_used += count
+        bus.total_data_cycles += count
+        bus.total_data_bytes += 4 * count
+        if bus.record_cycles:
+            bus.cycle_log.extend((t + i * period, 4, txn.master_id) for i in range(count))
+        self.index += count
+        self.key = (t + count * period, self.sim.alloc())
         return words
 
     def advance(self) -> None:

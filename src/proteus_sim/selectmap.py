@@ -13,16 +13,23 @@ process (see ``sim``), so one event moves consecutive words, settles the
 bus's words in between, and, while paused, the bus word that resumes it.
 Only the points where the bus timeline interleaves with it (a queued burst
 end, the loop's horizon) cost an event.
+
+Nor are they moved one by one: with a ``feed`` (the bus side of the
+buffer, wired by the board) a point moves a whole *stretch* of words in
+closed form (see ``_stretch``).  Boundaries, and a controller without a
+feed, go word by word.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
 from . import bitstream as bits
 from .fixed_part import StreamBuffer
-from .sim import ClockDomain, RunAhead, Simulator
+from .sim import FOREVER, ClockDomain, RunAhead, Simulator
 
 
 class SelectMapError(Exception):
@@ -79,6 +86,29 @@ class _Job:
         self.on_done = on_done
 
 
+def _first_tie(t: int, q: int, first: int, period: int):
+    """The first k >= 1 with t + k*q on the lattice first + i*period, i >= 0."""
+    g = math.gcd(q, period)
+    d = (first - t) % period
+    if d % g:
+        return FOREVER
+    step = period // g
+    k = (d // g) * pow(q // g, -1, step) % step    # t + k*q = first (mod period)
+    low = max(1, -(-(first - t) // q))
+    return low + (k - low) % step
+
+
+def _first_over(t: int, q: int, first: int, period: int, room: int):
+    """The first k >= 0 at which k minus the number of lattice points
+    first + i*period (i >= 0) before t + k*q exceeds ``room``."""
+    before = (first - t) // q       # points 0..before have no lattice point before them
+    if room < before:
+        return room + 1
+    if q >= period:                  # from then on, at least one per point
+        return FOREVER
+    return max(before + 1, -(-(t - first + (room + 1) * period) // (period - q)))
+
+
 class SelectMapController(RunAhead):
     """Streams bitstream images between the shared data buffer and the
     configuration memory at one byte per configuration-clock cycle.
@@ -92,8 +122,9 @@ class SelectMapController(RunAhead):
 
     def __init__(self, sim: Simulator, clock: ClockDomain, buffer: StreamBuffer,
                  config_mem: bits.ConfigurationMemory, trace=None,
-                 record_byte_times: bool = False) -> None:
+                 record_byte_times: bool = False, feed=None) -> None:
         self.sim = sim
+        self.feed = feed
         self.clock = clock
         self.buffer = buffer
         self.config_mem = config_mem
@@ -137,7 +168,8 @@ class SelectMapController(RunAhead):
         self.run_ahead()
 
     def point(self) -> bool:
-        """Move the word at ``key``, or complete the job; False once idle."""
+        """Move the word (or the stretch) at ``key``, or complete the job;
+        False once idle."""
         t = self.key[0]
         sim = self.sim
         sim.now = t
@@ -151,20 +183,25 @@ class SelectMapController(RunAhead):
             else:
                 self._complete_readback()
             return False
-        if n > 4:
-            n = 4
-        end = done + n
-        buffer = self.buffer
-        if self.mode is Mode.CONFIGURING:
-            if not buffer.occupancy:
+        configuring = self.mode is Mode.CONFIGURING
+        stretch = 0 if self.feed is None else self._stretch(t, job, configuring)
+        if stretch:
+            n = 4 * stretch
+        else:
+            if n > 4:
+                n = 4
+            buffer = self.buffer
+            if configuring:
+                if not buffer.occupancy:
+                    self._pause(t)
+                    return True
+                job.image[done:done + n] = buffer.pop().to_bytes(4, "little")[:n]
+            elif buffer.occupancy == buffer.capacity:
                 self._pause(t)
                 return True
-            job.image[done:end] = buffer.pop().to_bytes(4, "little")[:n]
-        elif buffer.occupancy == buffer.capacity:
-            self._pause(t)
-            return True
-        else:
-            buffer.push(int.from_bytes(job.image[done:end], "little"))
+            else:
+                buffer.push(int.from_bytes(job.image[done:done + n], "little"))
+        end = done + n
         job.done = end
         # Payload timing: bytes done..end-1 move one per cycle from t.
         period = self.clock.period
@@ -176,6 +213,54 @@ class SelectMapController(RunAhead):
             self.byte_times.extend(range(t, t + n * period, period))
         self.key = (t + n * period, sim.alloc())
         return True
+
+    def _stretch(self, t: int, job: _Job, configuring: bool) -> int:
+        """Move the stretch of full words whose first point is at ``t``, with
+        the burst's words that fall before its last point, as slices; returns
+        its word count, or 0 (nothing moved) if it would hold fewer than two
+        points.
+
+        Point k of the stretch is at t + k*q.  The stretch ends before the
+        first point that would come after a queued event or past the
+        horizon, tie a bus word, move the job's last word, find the buffer
+        empty (configure) or full (readback), or take the occupancy out of
+        the band in which the idle bus engine stays quiet; the burst's last
+        word, which queues the burst's end, stays out of it.  Inside it
+        nothing but the two lattices observes the buffer, so each lattice
+        numbers its next item once, at the end: the burst first, as its last
+        moved word precedes the last point.
+        """
+        window = self.feed.window(configuring)
+        if window is None:
+            return 0
+        lo, hi, bus = window
+        q = 4 * self.clock.period
+        occupancy = self.buffer.occupancy
+        # k - (bus words before point k) may not exceed ``room``.
+        room = occupancy - 1 - lo if configuring else hi - occupancy - 1
+        m = (job.total - job.done - 1) // 4       # the job's last word stays a point
+        reach = self.sim.reach()
+        if reach != FOREVER:
+            m = min(m, (reach - t) // q + 1)
+        if bus is None:
+            m = min(m, room + 1)
+            moved = 0
+        else:
+            first, period, count = bus
+            m = min(m, (first + count * period - t) // q + 1,
+                    _first_tie(t, q, first, period), _first_over(t, q, first, period, room))
+            moved = max(0, -(-(t + (m - 1) * q - first) // period))
+        if m < 2:
+            return 0
+        done = job.done
+        if configuring:
+            words = self.feed.move(True, moved) if moved else ()
+            struct.pack_into(f"<{m}I", job.image, done, *self.buffer.exchange(words, m))
+        else:
+            out = self.buffer.exchange(struct.unpack_from(f"<{m}I", job.image, done), moved)
+            if moved:
+                self.feed.move(False, moved, out)
+        return m
 
     def _complete_configure(self) -> None:
         job = self._job

@@ -93,6 +93,14 @@ class Simulator:
         stream.advance()
         return True
 
+    def reach(self):
+        """The latest time a point numbered now may take and still run inside
+        the running event: before the first queued event (which was numbered
+        earlier) and within the horizon."""
+        if self._heap and self._heap[0][0] <= self.horizon:
+            return self._heap[0][0] - 1
+        return self.horizon
+
     def step(self) -> bool:
         """Execute the next event, advancing time to it.  False if queue empty.
 

@@ -185,9 +185,11 @@ def test_control_rejects_reconfig_and_readback_together():
 
 
 def test_configuration_port_jobs_cost_events_per_burst_not_per_word():
-    """The controller moves consecutive port words inside one event, so a
-    64 KiB reconfiguration and its readback each run a few events per bus
-    burst (a per-word controller runs more than one per image word)."""
+    """The controller moves consecutive port words inside one event, and
+    runs of them in closed form, so a 64 KiB reconfiguration and its
+    readback each run a few events, and a few single-word pushes and pops
+    of the SelectMap buffer, per bus burst (a per-word controller runs more
+    than one event per image word, and two buffer calls)."""
     g = bits.DeviceGeometry(18, 64, 64, 16)
     world = World(BoardConfig(geometry=g))
     assert world.boot(bits.encode(g, bits.BitstreamKind.FULL, 0, 0, bytes(g.total_bytes))).ok
@@ -195,11 +197,23 @@ def test_configuration_port_jobs_cost_events_per_burst_not_per_word():
     image = bits.encode(g, bits.BitstreamKind.PARTIAL, 0x77, 0, payload)
     words = len(image) // 4
     sim = world.sim
-    before = sim.executed
-    world.reconfigure(image)
-    configure = sim.executed - before
-    before = sim.executed
-    assert bits.parse(world.readback(0, 16)).payload == payload
-    readback = sim.executed - before
+    buf = world.device.smap_buf
+    calls = []
+    for name in ("push", "pop"):
+        def counted(*args, method=getattr(buf, name)):
+            calls.append(1)
+            return method(*args)
+        setattr(buf, name, counted)
+
+    def cost(job):
+        before, calls[:] = sim.executed, []
+        result = job()
+        return result, sim.executed - before, len(calls)
+
+    _config, configure, configure_calls = cost(lambda: world.reconfigure(image))
+    rb_image, readback, readback_calls = cost(lambda: world.readback(0, 16))
+    assert bits.parse(rb_image).payload == payload
     assert configure * 64 < words
     assert readback * 64 < words
+    assert configure_calls * 8 < words
+    assert readback_calls * 8 < words

@@ -22,6 +22,7 @@ from proteus_sim.fixed_part import (
     arbitrate,
     busmaster_resume,
     on_fill_status,
+    quiet_band,
 )
 from proteus_sim.kernels import PortIO
 from proteus_sim.pci import BusTransaction, Direction
@@ -119,6 +120,52 @@ def test_fill_status_host_bound_flushes_job_tail():
         buf.push(w)
     req = on_fill_status(U, buf, make_addr(0x2000, 10), 16384)
     assert req == TransferRequest(U, Direction.TO_HOST, 0x2000, 10)
+
+
+def filled(capacity, low, high, occupancy):
+    buf = StreamBuffer(capacity, low, high)
+    for w in range(occupancy):
+        buf.push(w)
+    return buf
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_fill_status_is_quiet_exactly_inside_the_quiet_band(data):
+    capacity = data.draw(st.integers(1, 300))
+    low = data.draw(st.integers(1, capacity))
+    marks = (capacity, low, data.draw(st.integers(low, capacity)))
+    target = data.draw(st.sampled_from(ARBITRATION_ORDER))
+    addr = make_addr(0x1000, data.draw(st.one_of(st.just(0), st.integers(1, 5000))))
+    occupancy = data.draw(st.integers(0, capacity))
+
+    def quiet(occ):
+        return on_fill_status(target, filled(*marks, occ), addr, max_burst_bytes=64) is None
+
+    lo, hi = quiet_band(target, filled(*marks, occupancy), addr)
+    assert 0 <= lo <= hi <= capacity
+    assert quiet(occupancy) == (lo <= occupancy <= hi)
+    assert all(quiet(occ) for occ in range(lo, hi + 1))
+    # The first occupancy the target's own traffic reaches outside the band:
+    # one word above it (host-bound) or below it (device-bound).
+    edge = hi + 1 if target in (U, SR) else lo - 1
+    if 0 <= edge <= capacity:
+        assert not quiet(edge)
+    else:
+        assert not addr.active
+
+
+def test_exchange_matches_interleaved_pushes_and_pops():
+    buf = StreamBuffer(capacity=4, fill_low=1, fill_high=3)
+    for w in (1, 2, 3):
+        buf.push(w)
+    assert buf.exchange([4, 5, 6], 5) == [1, 2, 3, 4, 5]
+    assert [buf.pop()] == [6]
+    with pytest.raises(BufferUnderflow):
+        buf.exchange([7], 2)
+    with pytest.raises(BufferOverflow):
+        buf.exchange([7, 8, 9, 10, 11], 0)
+    assert buf.occupancy == 0
 
 
 def test_busmaster_resume_restarts_at_next_address():

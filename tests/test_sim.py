@@ -182,6 +182,18 @@ def test_run_ahead_yields_to_earlier_keys_only_and_stops_at_the_horizon():
     assert log[-2:] == [("tick", 50), ("after", 50)]
 
 
+def test_reach_stops_before_the_first_queued_event_and_at_the_horizon():
+    sim = Simulator()
+    seen = []
+    sim.schedule_at(10, lambda: seen.append(sim.reach()))
+    sim.schedule_at(70, lambda: seen.append(sim.reach()))
+    sim.schedule_at(100, lambda: None)
+    sim.run_until(80)     # at 10 the event at 70 comes first, at 70 the horizon
+    assert seen == [69, 80]
+    sim.step()            # runs the event at 100 with no horizon
+    assert sim.reach() == float("inf")
+
+
 def test_run_ahead_sleeps_through_stream_items_until_one_wakes_it():
     sim = Simulator()
     log = []

@@ -14,6 +14,9 @@ configuration-port edges.  The ``poker-*`` worlds stream through a kernel
 that raises an interrupt for every word, with user-clock periods that are
 multiples of the bus period, and wait for those interrupts one by one.  The
 ``scenario-*`` worlds run generated scripts through the scenario runner.
+The ``stretch-*`` worlds move images of several KiB through buffers of 64
+or 256 words, so that the configuration controller's closed-form stretches
+are long and every bound that ends one is reached.
 
 ``run_register_world`` and ``run_scenario_world`` return everything the
 timing contract covers: the time of every done interrupt, the interrupt
@@ -31,15 +34,26 @@ that is, by the source tree of the parent of the commit that added this
 file; the ``SLOT_WORLDS`` entries were added later, written by the tree
 whose bus and kernel host already ran ahead but whose configuration
 controller still queued one event per word (the fully per-word tree
-gives the same entries).  ``test_timing_golden.py`` checks that the
-current engine reproduces every entry.
+gives the same entries); the ``stretch-*`` entries were written by the
+tree whose controller moved one word per point inside its run-ahead
+event.  ``test_timing_golden.py`` checks that the current engine
+reproduces every entry.
+
+    python3 tests/timing_worlds.py --diff <src of another tree>
+
+runs the register and poker worlds beyond the grid (indices up to
+``DIFF_WORLDS``) on this tree and, in a subprocess, on the other one, and
+prints the names of the worlds whose results differ (exit status 1 if any).
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -79,6 +93,9 @@ SCENARIO_WORLDS = 12
 # beside a reconfiguration or readback: they pin the same-ps slot of the
 # controller's next word.
 SLOT_WORLDS = (661, 1189, 1331)
+STRETCH_WORLDS = 40
+# ``--diff`` compares register and poker worlds from the grid's end up to here.
+DIFF_WORLDS = 1500
 
 # (pci, user, cfg) clock periods in ps
 PERIODS = [
@@ -89,6 +106,11 @@ PERIODS = [
     (30303, 60606, 15000),
     (10000, 30000, 20000),
 ]
+# Stretch worlds add bus periods of one and two port words (a port word
+# takes four configuration cycles): there a port word can tie a bus word
+# that was numbered before it, so the bus word goes first.
+STRETCH_PERIODS = PERIODS + [(80000, 20000, 20000), (80000, 30000, 10000),
+                             (121212, 30303, 30303)]
 BURSTS = [1, 2, 3, 4, 5, 7, 16, 64, 256, 4096]
 CAPACITIES = [2, 4, 5, 8, 16, 64, 256]
 KERNELS = {0x21: "identity", 0x22: "negate", 0x23: "add_const", 0x24: "fir4", 0x25: "poker"}
@@ -183,6 +205,49 @@ def _poker_spec(index: int) -> dict:
             "burst": rng.choice([1, 2, 3, 4096]), "capacity": cap, "fill_low": low,
             "fill_high": rng.randint(low, cap), "geometry": [6, 2, 8, 4],
             "boot_byte_period": pci, "jobs": jobs}
+
+
+def _stretch_spec(index: int) -> dict:
+    """Images of several KiB through buffers of 64 or 256 words, so that the
+    configuration controller moves long stretches of words between the
+    points where anything else can observe the buffer.  Stall windows and
+    mid-run stops fall anywhere in a job, streams run beside
+    reconfigurations and readbacks, fill marks are random (a readback's
+    tail often flushes before the high mark), and commensurate clocks make
+    port words tie bus words."""
+    rng = random.Random(f"stretch-world-{index}")
+    pci, user, cfg = STRETCH_PERIODS[index % len(STRETCH_PERIODS)]
+    cap = rng.choice([64, 256])
+    low = rng.randint(1, cap)
+    high = low if rng.random() < 0.2 else rng.randint(low, cap)
+    spec = {"periods": [pci, user, cfg], "grant": rng.randint(0, 8),
+            "burst": rng.choice([3, 16, 64, 256, 4096]), "capacity": cap, "fill_low": low,
+            "fill_high": high, "geometry": [10, 16, 64, 8], "boot_byte_period": 7,
+            "jobs": [{"kind": "reconfig", "stalls": [], "kernel_id": rng.choice([0x21, 0x24]),
+                      "first": 0, "columns": rng.randint(1, 3), "seed": index}]}
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.choice(["reconfig", "readback", "stream+reconfig", "stream+readback"])
+        columns = rng.randint(1, 5)
+        span = columns * 1024 * cfg // pci     # bus cycles the port needs for the image
+        job = {"kind": kind,
+               "stalls": [[rng.randint(0, span) * pci + rng.choice([0, 0, 1, -1]),
+                           rng.choice([1, pci, rng.randint(2, 300 * pci)])]
+                          for _ in range(rng.choice([0, 1, 3, 6]))]}
+        if rng.random() < 0.5:
+            # Stalls just after the stop cut words that a stretch run past
+            # the stop would already have moved.
+            job["midrun"] = [rng.randint(0, span) * pci + rng.choice([0, 1, -1, pci // 2]),
+                             [[rng.randint(0, 40) * pci + rng.choice([0, 1, -1]),
+                               rng.randint(1, 100 * pci)] for _ in range(rng.randint(1, 3))]]
+        if "reconfig" in kind:
+            job.update(kernel_id=rng.choice([0x21, 0x22, 0x24]), first=rng.randint(0, 8 - columns),
+                       columns=columns, seed=rng.randint(0, 999))
+        else:
+            job.update(rb_first=rng.randint(0, 10 - columns), rb_count=columns)
+        if "stream" in kind:
+            job.update(words=rng.randint(50, 1500), seed=rng.randint(0, 999))
+        spec["jobs"].append(job)
+    return spec
 
 
 def _stalls(rng: random.Random, pci: int, grant: int) -> list[list[int]]:
@@ -366,10 +431,66 @@ def all_worlds():
                for i in range(SCENARIO_WORLDS)]
     worlds += [(f"registers-{i}", lambda i=i: run_register_world(_spec(i)))
                for i in SLOT_WORLDS]
+    worlds += [(f"stretch-{i}", lambda i=i: run_register_world(_stretch_spec(i)))
+               for i in range(STRETCH_WORLDS)]
     return worlds
 
 
-def main() -> int:
+def extra_worlds():
+    """(name, thunk) for the register and poker worlds from the end of the
+    grid up to ``DIFF_WORLDS``: not pinned by golden data, compared between
+    two source trees by ``--diff``."""
+    worlds = [(f"registers-{i}", lambda i=i: run_register_world(_spec(i)))
+              for i in range(REGISTER_WORLDS, DIFF_WORLDS)]
+    worlds += [(f"poker-{i}", lambda i=i: run_register_world(_poker_spec(i)))
+               for i in range(POKER_WORLDS, DIFF_WORLDS)]
+    return worlds
+
+
+def _result_hash(run) -> str:
+    try:
+        result = run()
+    except Exception as exc:   # a world that fails on one tree differs; the rest still run
+        result = f"{type(exc).__name__}: {exc}"
+    return _sha(json.dumps(result, sort_keys=True).encode())
+
+
+def world_hashes() -> dict:
+    """SHA-256 of every extra world's results (or of its exception), by name."""
+    return {name: _result_hash(run) for name, run in extra_worlds()}
+
+
+def diff(other_src: str) -> int:
+    """Compare the extra worlds on this tree with those on ``other_src``;
+    print the names that differ, 1 if any does."""
+    env = dict(os.environ, PYTHONPATH=other_src)
+    child = subprocess.Popen([sys.executable, __file__, "--hashes"], env=env,
+                             stdout=subprocess.PIPE, text=True)
+    mine = world_hashes()
+    out = child.communicate()[0]
+    if child.returncode:
+        print(f"the worlds could not run on {other_src}", file=sys.stderr)
+        return 1
+    theirs = json.loads(out)
+    differ = [name for name in mine if theirs.get(name) != mine[name]]
+    for name in differ:
+        print(name)
+    print(f"{len(differ)} of {len(mine)} worlds differ from {other_src}", file=sys.stderr)
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--diff", metavar="OTHER_SRC",
+                        help="compare the extra worlds with the tree whose src is OTHER_SRC")
+    parser.add_argument("--hashes", action="store_true",
+                        help="print the extra worlds' result hashes as JSON")
+    args = parser.parse_args(argv)
+    if args.diff:
+        return diff(args.diff)
+    if args.hashes:
+        print(json.dumps(world_hashes()))
+        return 0
     golden = {name: run() for name, run in all_worlds()}
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     with open(GOLDEN_PATH, "w") as fh:
