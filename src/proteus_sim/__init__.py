@@ -11,7 +11,7 @@ from .bitstream import (
 )
 from .board import BoardConfig, Device, World
 from .fixed_part import IrqCause, TargetId
-from .pci import HostMemory, PciBus, PciConfig, measure_throughput
+from .pci import HostMemory, PciBus, PciConfig
 from .runner import RunResult, ScenarioRunner, emit_metrics, run_scenario
 from .scenario import ParseError, Scenario, parse_scenario
 from .sim import ClockDomain, Simulator
@@ -43,7 +43,6 @@ __all__ = [
     "emit_metrics",
     "emit_trace",
     "encode",
-    "measure_throughput",
     "parse",
     "parse_scenario",
     "run_scenario",

@@ -181,7 +181,6 @@ class ConfigurationMemory:
     def __init__(self, geometry: DeviceGeometry) -> None:
         self.geometry = geometry
         self._data = bytearray(geometry.total_bytes)
-        self.configured_columns: set[int] = set()
 
     def snapshot(self) -> bytes:
         return bytes(self._data)
@@ -218,7 +217,6 @@ class ConfigurationMemory:
         cb = self.geometry.column_bytes
         start = bs.first_column * cb
         self._data[start:start + len(bs.payload)] = bs.payload
-        self.configured_columns.update(bs.columns)
 
     def readback(self, first_column: int, column_count: int, kernel_id: int = 0) -> bytes:
         """Snapshot a column range as a partial bitstream image."""

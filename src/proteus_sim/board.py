@@ -113,7 +113,6 @@ class DmaEngine:
         self.request = None
         self.txn = None
         self.on_job_done = None
-        self.job_bytes = 0
         self.started_at: int | None = None
         self.finished_at: int | None = None
 
@@ -128,7 +127,6 @@ class DmaEngine:
             raise ValueError("job length must be > 0")
         self.addr.load(base, total)
         self.on_job_done = on_job_done
-        self.job_bytes = total
         self.started_at = self.device.sim.now
         self.finished_at = None
         self.device.evaluate(self.target)
@@ -340,7 +338,7 @@ class Device:
         self.last_readback = result
 
     def _raise(self, cause: IrqCause) -> None:
-        self.irq.raise_(cause, self.sim.now)
+        self.irq.raise_(cause)
 
     def _irq_event(self, kind: str, cause: IrqCause) -> None:
         if self.trace:
@@ -380,17 +378,17 @@ class World:
 
     Its host methods are the PC-side driver: each issues the register
     writes and host-memory mappings of one supervisor operation and, for a
-    whole job, waits for and acknowledges its done interrupt.
+    whole job, waits for and acknowledges its done interrupt, then unmaps
+    the regions it mapped.  A wait that fails leaves them mapped, as the
+    job may still run.
     """
 
-    def __init__(self, config: BoardConfig | None = None, tracing: bool = False,
-                 record_bus_cycles: bool = False) -> None:
+    def __init__(self, config: BoardConfig | None = None, tracing: bool = False) -> None:
         self.config = config or BoardConfig()
         self.sim = Simulator()
         self.trace = TraceRecorder(self.sim) if tracing else None
         self.host = HostMemory()
-        self.bus = PciBus(self.sim, self.host, self.config.pci, trace=self.trace,
-                          record_cycles=record_bus_cycles)
+        self.bus = PciBus(self.sim, self.host, self.config.pci, trace=self.trace)
         self.device = Device(self)
 
     def run_until_cause(self, cause: IrqCause, what: str = "") -> None:
@@ -430,11 +428,13 @@ class World:
         if bits.parse(image).kind is not bits.BitstreamKind.PARTIAL:
             raise bits.FixedRegionViolation(
                 "only partial bitstreams may reconfigure over the bus")
+        base = self.stage(image)
         write = self.device.host_reg_write
-        write(REG_CFG_BASE, self.stage(image))
+        write(REG_CFG_BASE, base)
         write(REG_CFG_LEN, len(image))
         write(REG_CONTROL, CTRL_START_RECONFIG)
         self.wait(IrqCause.RECONFIG_DONE, "reconfig")
+        self.host.unmap(base)
         return self.device.last_config
 
     def readback(self, first: int, count: int) -> bytes:
@@ -446,11 +446,14 @@ class World:
         write(REG_CFG_LEN, (count << 16) | first)
         write(REG_CONTROL, CTRL_START_READBACK)
         self.wait(IrqCause.READBACK_DONE, "readback")
-        return self.host.read(base, total)
+        image = self.host.read(base, total)
+        self.host.unmap(base)
+        return image
 
-    def start_stream(self, data: bytes, up: bool = True) -> int:
+    def start_stream(self, data: bytes, up: bool = True) -> tuple[int, int]:
         """Start a downstream job over ``data`` and, if ``up``, an upstream
-        job of the same length; returns the upstream region's base."""
+        job of the same length; returns the bases of their regions, which
+        stay mapped."""
         nbytes = len(data)
         in_base = self.stage(data)
         _rid, out_base = self.host.map_shared_region(nbytes)
@@ -460,11 +463,14 @@ class World:
         write(REG_UP_BASE, out_base)
         write(REG_UP_LEN, nbytes)
         write(REG_CONTROL, CTRL_START_DOWN | (CTRL_START_UP if up else 0))
-        return out_base
+        return in_base, out_base
 
     def stream(self, data: bytes) -> bytes:
         """Round-trip ``data`` through the active kernel; returns what came up."""
-        out_base = self.start_stream(data)
+        in_base, out_base = self.start_stream(data)
         self.wait(IrqCause.DOWNSTREAM_DONE, "downstream job")
         self.wait(IrqCause.UPSTREAM_DONE, "upstream job")
-        return self.host.read(out_base, len(data))
+        out = self.host.read(out_base, len(data))
+        self.host.unmap(in_base)
+        self.host.unmap(out_base)
+        return out

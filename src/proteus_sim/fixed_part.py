@@ -269,16 +269,16 @@ class InterruptLine:
     def __init__(self, on_event=None) -> None:
         self.pending = IrqCause(0)
         self.masked = IrqCause(0)
-        self.log: list[tuple[int, str]] = []
+        self.raised = 0
         self._on_event = on_event
 
     @property
     def asserted(self) -> bool:
         return bool(self.pending & ~self.masked)
 
-    def raise_(self, cause: IrqCause, time: int = 0) -> None:
+    def raise_(self, cause: IrqCause) -> None:
         self.pending |= cause
-        self.log.append((time, cause.name or str(cause)))
+        self.raised += 1
         if self._on_event is not None:
             self._on_event("raise", cause)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .sim import Simulator
@@ -64,6 +64,15 @@ class HostMemory:
 
     def region(self, region_id: int) -> bytearray:
         return self._regions[region_id][1]
+
+    def unmap(self, base: int) -> None:
+        """Drop the region that starts at ``base``; its addresses are not
+        mapped again."""
+        for region_id, (start, _buf) in self._regions.items():
+            if start == base:
+                del self._regions[region_id]
+                return
+        raise UnmappedAddress(f"no region starts at {base:#x}")
 
     def locate(self, address: int, nbytes: int) -> tuple[bytearray, int]:
         """Resolve an address span to (backing buffer, offset)."""
@@ -111,24 +120,20 @@ class BusTransaction:
     on_finish: object = None    # fn(txn), called when DONE or PREEMPTED
     transferred_bytes: int = 0
     state: TxnState = TxnState.WAITING
-    cycles_used: int = field(default=0, repr=False)
 
 
 class PciBus:
     """Single-master burst engine with grant latency, burst limit, stalls."""
 
     def __init__(self, sim: Simulator, host_mem: HostMemory, config: PciConfig | None = None,
-                 trace=None, record_cycles: bool = False) -> None:
+                 trace=None) -> None:
         self.sim = sim
         self.host = host_mem
         self.config = config or PciConfig()
         self.trace = trace
-        self.record_cycles = record_cycles
-        self.cycle_log: list[tuple[int, int, str]] = []
         self.busy = False
         self.busy_ticks = 0
         self.total_data_cycles = 0
-        self.total_data_bytes = 0
         self._stalls: list[tuple[int, int]] = []  # sorted (start, end)
         self._master_fetch = None
         self._wake_pending = False
@@ -304,24 +309,19 @@ class _Burst:
     def advance_many(self, count: int, words=None):
         """Move the next ``count`` words, none of them the burst's last, in one
         call: a device-bound burst returns them, a host-bound one writes
-        ``words``.  Counters and records are those of ``count`` calls of
-        ``advance``; the next word's insertion number is taken once, now."""
+        ``words``.  Counters are those of ``count`` calls of ``advance``; the
+        next word's insertion number is taken once, now."""
         assert 0 < count < self.end - self.index
-        txn, bus, period = self.txn, self.bus, self.period
-        t = self.key[0]
+        txn = self.txn
         done = txn.transferred_bytes
         if self.to_device:
             words = list(itertools.islice(self.words, count))
         else:
             struct.pack_into(f"<{count}I", self.buf, self.off + done, *words)
         txn.transferred_bytes = done + 4 * count
-        txn.cycles_used += count
-        bus.total_data_cycles += count
-        bus.total_data_bytes += 4 * count
-        if bus.record_cycles:
-            bus.cycle_log.extend((t + i * period, 4, txn.master_id) for i in range(count))
+        self.bus.total_data_cycles += count
         self.index += count
-        self.key = (t + count * period, self.sim.alloc())
+        self.key = (self.key[0] + count * self.period, self.sim.alloc())
         return words
 
     def advance(self) -> None:
@@ -342,12 +342,7 @@ class _Burst:
             else:
                 self.buf[pos:pos + n] = (word & ((1 << (8 * n)) - 1)).to_bytes(n, "little")
         txn.transferred_bytes = done + n
-        txn.cycles_used += 1
-        bus = self.bus
-        bus.total_data_cycles += 1
-        bus.total_data_bytes += n
-        if bus.record_cycles:
-            bus.cycle_log.append((t, n, txn.master_id))
+        self.bus.total_data_cycles += 1
         self.index += 1
         self.key = (t + self.period, self.sim.alloc())
         if self.index == self.end:
@@ -366,23 +361,3 @@ class _Burst:
             state = TxnState.PREEMPTED     # burst limit
         sim.schedule_reserved(t, seq, lambda: bus._finish(txn, state, t))
 
-
-def measure_throughput(cycles, window: tuple[int, int], period: int) -> float:
-    """Bytes/second over ``window`` = (t0, t1) ps, from (time, nbytes, ...) records.
-
-    Each record's bytes are spread uniformly over its cycle [t, t+period),
-    so no window can measure above the wire rate.
-    """
-    t0, t1 = window
-    if t1 <= t0:
-        raise ValueError("window must be non-empty")
-    lo = bisect.bisect_left(cycles, (t0 - period, -1, ""))
-    moved = 0.0
-    for rec in cycles[lo:]:
-        t, n = rec[0], rec[1]
-        if t >= t1:
-            break
-        overlap = min(t + period, t1) - max(t, t0)
-        if overlap > 0:
-            moved += n * overlap / period
-    return moved / ((t1 - t0) * 1e-12)

@@ -47,7 +47,6 @@ class RunResult:
     exit_status: int
     expect_failures: list[str] = field(default_factory=list)
     fault: str | None = None
-    interrupt_log: list[tuple[int, str]] = field(default_factory=list)
 
 
 def emit_metrics(metrics: dict, path) -> None:
@@ -101,9 +100,8 @@ class ScenarioRunner:
                 break
         metrics = self._metrics_snapshot()
         records = self.world.trace.records if (self.world and self.world.trace) else []
-        irq_log = list(self.world.device.irq.log) if self.world else []
         status = 2 if fault else (1 if self.expect_failures else 0)
-        return RunResult(metrics, records, status, self.expect_failures, fault, irq_log)
+        return RunResult(metrics, records, status, self.expect_failures, fault)
 
     # -- command dispatch ---------------------------------------------------------
 
@@ -241,7 +239,7 @@ class ScenarioRunner:
         if self.world is not None:
             now = self.world.sim.now
             m["bus_utilization"] = self.world.bus.busy_ticks / now if now else 0.0
-            m["interrupts_raised"] = len(self.world.device.irq.log)
+            m["interrupts_raised"] = self.world.device.irq.raised
         else:
             m["bus_utilization"] = 0.0
             m["interrupts_raised"] = 0

@@ -66,9 +66,10 @@ class BindCmd:
 
 @dataclass(frozen=True)
 class Fill:
+    """A constant byte, or random bytes from ``seed`` (None: the run's seed)."""
+
     byte: int | None = None
     seed: int | None = None
-    seeded: bool = False
 
 
 @dataclass(frozen=True)
@@ -177,10 +178,10 @@ def _fill(text: str) -> Fill:
     if re.fullmatch(r"[0-9a-fA-F]{2}", text):
         return Fill(byte=int(text, 16))
     if text == "random":
-        return Fill(seeded=True)
+        return Fill()
     m = re.fullmatch(r"random:(\d+)", text)
     if m:
-        return Fill(seeded=True, seed=int(m.group(1)))
+        return Fill(seed=int(m.group(1)))
     raise ValueError(f"expected two hex digits or random[:seed], got {text!r}")
 
 

@@ -121,16 +121,13 @@ class SelectMapController(RunAhead):
     """
 
     def __init__(self, sim: Simulator, clock: ClockDomain, buffer: StreamBuffer,
-                 config_mem: bits.ConfigurationMemory, trace=None,
-                 record_byte_times: bool = False, feed=None) -> None:
+                 config_mem: bits.ConfigurationMemory, trace=None, feed=None) -> None:
         self.sim = sim
         self.feed = feed
         self.clock = clock
         self.buffer = buffer
         self.config_mem = config_mem
         self.trace = trace
-        self.record_byte_times = record_byte_times
-        self.byte_times: list[int] = []
         self.pause_windows: list[tuple[int, int]] = []
         self.mode = Mode.IDLE
         self.pauses = 0
@@ -209,8 +206,6 @@ class SelectMapController(RunAhead):
             job.first_payload_time = t + (bits.HEADER_BYTES - done) * period
         if done < job.payload_end <= end:
             job.last_payload_end = t + (job.payload_end - done) * period
-        if self.record_byte_times:
-            self.byte_times.extend(range(t, t + n * period, period))
         self.key = (t + n * period, sim.alloc())
         return True
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 from conftest import criterion
+from records import bus_cycles, measure_throughput, port_byte_times
 
 from proteus_sim import bitstream as bits
 from proteus_sim.board import BoardConfig, BoardInert, World
@@ -31,7 +32,6 @@ from proteus_sim.pci import (
     HostMemory,
     PciBus,
     PciConfig,
-    measure_throughput,
 )
 from proteus_sim.runner import emit_metrics, run_scenario
 from proteus_sim.scenario import parse_scenario
@@ -69,15 +69,14 @@ def assert_min_gap(times, gap):
 
 @criterion("1. SelectMap rate cap: 8 KB partial in exactly 163.84 us, <= 50 MB/s")
 def test_selectmap_rate_cap():
-    world = booted_world()
+    world = booted_world(tracing=True)
     world.device.registry.bind(0x21, "identity")
-    world.device.controller.record_byte_times = True
     result = world.reconfigure(partial_image())
     assert result.duration == 163_840_000  # 8192 cycles, +-0
     assert result.pauses == 0
     # Ceiling: byte cycles never closer than one configuration-clock period,
     # so no window can measure above 1 byte / 20000 ps = 50 MB/s exactly.
-    times = world.device.controller.byte_times
+    times = port_byte_times(world.trace.records, CFG)
     assert len(times) == len(partial_image())
     assert_min_gap(times, CFG)
     cycles = [(t, 1, "cfg") for t in times]
@@ -91,18 +90,19 @@ def test_selectmap_rate_cap():
 @criterion("2. PCI ceiling: <= 132.0 MB/s every window, >= 125 MB/s over 1 ms")
 def test_pci_throughput_envelope():
     config = BoardConfig(pci=PciConfig(grant_latency_cycles=8, max_burst_cycles=4096))
-    world = booted_world(config, record_bus_cycles=True)
+    world = booted_world(config, tracing=True)
     world.device.registry.bind(0x50, SinkKernel)
     world.reconfigure(partial_image(kernel_id=0x50))
     nbytes = 256 * 1024
     world.start_stream(random.Random(1).randbytes(nbytes), up=False)
     world.run_until_cause(IrqCause.DOWNSTREAM_DONE, "downstream")
-    log = [rec for rec in world.bus.cycle_log if rec[2] == "downstream"]
+    cycles = bus_cycles(world.trace.records, config.pci)
+    log = [rec for rec in cycles if rec[2] == "downstream"]
     assert sum(n for _, n, _ in log) == nbytes
     # Exact ceiling over EVERY window: all bus data cycles (any target) are
     # spaced at least one PCI clock period apart, so the fluid measure can
     # never exceed 4 bytes/cycle = 132.000132 MB/s (30303 ps tick grid).
-    assert_min_gap([t for t, _, _ in world.bus.cycle_log], P)
+    assert_min_gap([t for t, _, _ in cycles], P)
     peak = 4 / (P * 1e-12)
     t0 = log[0][0]
     window_measures = [

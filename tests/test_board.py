@@ -1,5 +1,7 @@
 """Register-driven integration tests for the composed board."""
 
+import tracemalloc
+
 import pytest
 
 from proteus_sim import bitstream as bits
@@ -126,7 +128,7 @@ def test_interrupt_mask_register():
     world = booted_world()
     dev = world.device
     dev.host_reg_write(REG_IRQ_MASK, int(IrqCause.KERNEL_REQUEST))
-    dev.irq.raise_(IrqCause.KERNEL_REQUEST, world.sim.now)
+    dev.irq.raise_(IrqCause.KERNEL_REQUEST)
     assert not dev.irq.asserted
     dev.host_reg_write(REG_IRQ_MASK, 0)
     assert dev.irq.asserted
@@ -217,3 +219,31 @@ def test_configuration_port_jobs_cost_events_per_burst_not_per_word():
     assert readback * 64 < words
     assert configure_calls * 8 < words
     assert readback_calls * 8 < words
+
+
+def test_driver_rounds_keep_memory_bounded():
+    """Driver rounds leave nothing behind: each round's host regions are
+    unmapped once its result is read, and the interrupt line keeps a count,
+    not a log."""
+    g = bits.DeviceGeometry(8, 4, 16, 6)
+    world = World(BoardConfig(geometry=g))
+    assert world.boot(bits.encode(g, bits.BitstreamKind.FULL, 0, 0, bytes(g.total_bytes))).ok
+    world.device.registry.bind(0x21, "identity")
+    image = bits.encode(g, bits.BitstreamKind.PARTIAL, 0x21, 0, bytes(range(2 * g.column_bytes)))
+    data = bytes(range(256))
+
+    def rounds(count):
+        for _ in range(count):
+            world.reconfigure(image)
+            assert world.stream(data) == data
+            world.readback(0, 2)
+
+    rounds(10)   # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rounds(450)
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth <= 16 * 1024

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from records import bus_cycles, measure_throughput
 
 from proteus_sim.pci import (
     PCI_CLOCK_PERIOD,
@@ -13,19 +14,23 @@ from proteus_sim.pci import (
     PciConfig,
     TxnState,
     UnmappedAddress,
-    measure_throughput,
 )
 from proteus_sim.sim import Simulator
+from proteus_sim.trace import TraceRecorder
 
 P = PCI_CLOCK_PERIOD
 
 
-def make_bus(grant=0, burst=4096, record=True):
+def make_bus(grant=0, burst=4096):
     sim = Simulator()
     host = HostMemory()
     bus = PciBus(sim, host, PciConfig(grant_latency_cycles=grant, max_burst_cycles=burst),
-                 record_cycles=record)
+                 trace=TraceRecorder(sim))
     return sim, host, bus
+
+
+def cycle_log(bus):
+    return bus_cycles(bus.trace.records, bus.config)
 
 
 def fill_region(host, nbytes, seed=0):
@@ -99,7 +104,7 @@ def test_grant_latency_delays_first_data_cycle():
     master = AutoMaster(bus, base, 64)
     bus.poke()
     sim.run_until_idle()
-    assert bus.cycle_log[0][0] == 8 * P
+    assert cycle_log(bus)[0][0] == 8 * P
 
 
 def test_max_burst_preempts_at_limit():
@@ -146,7 +151,7 @@ def test_adjacent_stalls_equivalent_to_merged():
         master = AutoMaster(bus, base, 2048)
         bus.poke()
         sim.run_until_idle()
-        return bus.cycle_log, master.done_at
+        return cycle_log(bus), master.done_at
 
     a = run([(100 * P, 40 * P), (140 * P, 60 * P)])
     b = run([(100 * P, 100 * P)])
@@ -162,7 +167,7 @@ def test_stall_over_idle_bus_is_invisible():
         master = AutoMaster(bus, base, 256)
         bus.poke()
         sim.run_until_idle()
-        return bus.cycle_log, master.done_at
+        return cycle_log(bus), master.done_at
 
     assert run(True) == run(False)
 
@@ -174,7 +179,7 @@ def test_throughput_saturated_window_is_wire_rate():
     bus.poke()
     sim.run_until_idle()
     peak = 4 / (P * 1e-12)  # 132.000132 MB/s with the 30303 ps tick quantization
-    measured = measure_throughput(bus.cycle_log, (0, 10**9), P)
+    measured = measure_throughput(cycle_log(bus), (0, 10**9), P)
     assert abs(measured - peak) / peak < 1e-9
 
 
@@ -192,7 +197,7 @@ def test_throughput_half_duty_stall_pattern():
     master = AutoMaster(bus, base, 10**6)
     bus.poke()
     sim.run_until_idle()
-    measured = measure_throughput(bus.cycle_log, (0, 10 * window), P)
+    measured = measure_throughput(cycle_log(bus), (0, 10 * window), P)
     assert abs(measured - 66e6) / 66e6 < 0.01
 
 
@@ -202,7 +207,7 @@ def test_data_cycles_never_closer_than_one_period():
     master = AutoMaster(bus, base, 4096)
     bus.poke()
     sim.run_until_idle()
-    times = [t for t, _, _ in bus.cycle_log]
+    times = [t for t, _, _ in cycle_log(bus)]
     assert master.done_at is not None
     assert min(b - a for a, b in zip(times, times[1:])) >= P
 

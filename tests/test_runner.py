@@ -1,5 +1,7 @@
 """Supervisor (scenario execution), metrics/trace emission, and CLI tests."""
 
+from records import irq_log
+
 from proteus_sim import bitstream as bits
 from proteus_sim.cli import main
 from proteus_sim.runner import emit_metrics, run_scenario
@@ -35,7 +37,7 @@ def write_input(tmp_path, nbytes=4096):
 
 def test_happy_path_scenario(tmp_path):
     data = write_input(tmp_path)
-    result = run_text(tmp_path, HAPPY)
+    result = run_text(tmp_path, HAPPY, tracing=True)
     assert result.fault is None
     assert result.expect_failures == []
     assert result.exit_status == 0
@@ -50,9 +52,10 @@ def test_happy_path_scenario(tmp_path):
     back = bits.parse((tmp_path / "rb.pbit").read_bytes())
     assert back.payload == applied.payload
     assert result.metrics["readback_duration_ps"] == 163_840_000
-    causes = [cause for _t, cause in result.interrupt_log]
+    log = irq_log(result.trace_records)
+    causes = [cause for _t, cause in log]
     assert causes == ["RECONFIG_DONE", "DOWNSTREAM_DONE", "UPSTREAM_DONE", "READBACK_DONE"]
-    times = [t for t, _c in result.interrupt_log]
+    times = [t for t, _c in log]
     assert times == sorted(times)
     assert result.metrics["interrupts_raised"] == 4
 

@@ -47,7 +47,7 @@ def test_golden_script_parses_in_source_order(tmp_path):
         MakebitCmd(5, "boot.pbit", "full", 0, 0, 7, Fill(byte=0)),
         BootCmd(6, "boot.pbit"),
         BindCmd(7, 0x21, "identity"),
-        MakebitCmd(8, "k.pbit", "partial", 0x21, 0, 3, Fill(seeded=True, seed=42)),
+        MakebitCmd(8, "k.pbit", "partial", 0x21, 0, 3, Fill(seed=42)),
         ReconfigCmd(9, "k.pbit"),
         ReadbackCmd(10, 0, 3, "rb.pbit"),
         StreamCmd(11, "k.pbit", "out.bin", 16),
@@ -139,7 +139,7 @@ def test_geometry_fixed_range_must_be_suffix():
 def test_fill_forms():
     base = "makebit out=a kind=partial id=1 cols=0..0 fill="
     assert parse_scenario(base + "a5\n").commands[0].fill == Fill(byte=0xA5)
-    assert parse_scenario(base + "random\n").commands[0].fill == Fill(seeded=True)
+    assert parse_scenario(base + "random\n").commands[0].fill == Fill()
     with pytest.raises(ParseError):
         parse_scenario(base + "xyz\n")
     with pytest.raises(ParseError):

@@ -2,6 +2,7 @@
 an empty or full buffer, and flash boot."""
 
 import pytest
+from records import port_byte_times
 
 from proteus_sim import bitstream as bits
 from proteus_sim.fixed_part import StreamBuffer
@@ -12,6 +13,7 @@ from proteus_sim.selectmap import (
     SelectMapController,
 )
 from proteus_sim.sim import ClockDomain, Simulator
+from proteus_sim.trace import TraceRecorder
 
 CFG_PERIOD = 20_000
 G = bits.DESK_GEOMETRY
@@ -22,13 +24,17 @@ def image_words(image):
             for i in range(0, len(image), 4)]
 
 
-def make_controller(record_byte_times=False, capacity=256):
+def make_controller(capacity=256):
     sim = Simulator()
     clock = ClockDomain("cfg", CFG_PERIOD)
     buffer = StreamBuffer(capacity, 1, 1)
     mem = bits.ConfigurationMemory(G)
-    ctl = SelectMapController(sim, clock, buffer, mem, record_byte_times=record_byte_times)
+    ctl = SelectMapController(sim, clock, buffer, mem, trace=TraceRecorder(sim))
     return sim, buffer, mem, ctl
+
+
+def byte_times(ctl):
+    return port_byte_times(ctl.trace.records, CFG_PERIOD)
 
 
 def partial_image(first_column=0, columns=4, kernel_id=0x11, seed=5):
@@ -102,7 +108,7 @@ def test_configure_starved_feed_pauses_and_matches_unstalled():
 def test_no_bytes_consumed_inside_pause_windows():
     image = partial_image(seed=2)
     words = image_words(image)
-    sim, buffer, mem, ctl = make_controller(record_byte_times=True)
+    sim, buffer, mem, ctl = make_controller()
     ctl.start_configure(len(image), on_done=lambda bs, res: None)
     arrivals = []
     t = 0
@@ -114,9 +120,11 @@ def test_no_bytes_consumed_inside_pause_windows():
     feed_scripted(sim, buffer, image, arrivals)
     sim.run_until_idle()
     assert ctl.pause_windows, "expected at least one pause"
+    times = byte_times(ctl)
+    assert len(times) == len(image)
     for start, end in ctl.pause_windows:
-        assert not any(start <= bt < end for bt in ctl.byte_times)
-    gaps = [b - a for a, b in zip(ctl.byte_times, ctl.byte_times[1:])]
+        assert not any(start <= bt < end for bt in times)
+    gaps = [b - a for a, b in zip(times, times[1:])]
     assert min(gaps) >= CFG_PERIOD  # never above 1 byte per cycle
 
 
@@ -148,7 +156,7 @@ def test_bus_words_resume_a_paused_controller_inside_its_event(readback):
     count = len(image_words(image))
     runs = []
     for lazy in (True, False):
-        sim, buffer, mem, ctl = make_controller(record_byte_times=True, capacity=4)
+        sim, buffer, mem, ctl = make_controller(capacity=4)
         words = iter(image_words(image))
         moved = []
 
@@ -171,7 +179,7 @@ def test_bus_words_resume_a_paused_controller_inside_its_event(readback):
         if lazy:
             assert sim.executed == 1
         runs.append((ctl.last_readback if readback else ctl.last_config, ctl.pause_windows,
-                     ctl.byte_times, moved if readback else mem.snapshot()))
+                     byte_times(ctl), moved if readback else mem.snapshot()))
     assert runs[0] == runs[1]
     assert len(runs[0][1]) > count // 2
 

@@ -23,7 +23,10 @@ timing contract covers: the time of every done interrupt, the interrupt
 log, engine start and finish times, configuration and readback results,
 pause windows, SHA-256 of the trace CSV, of the bus cycle log, of the
 configuration byte times and of every host output, plus a metrics
-dictionary.
+dictionary.  The interrupt log, the bus cycle log and the byte times, and
+the interrupt and bus byte counts, are views of the trace (``records``), so
+this file imports nothing from ``proteus_sim`` that the trees it compares
+lack.
 
     PYTHONPATH=<src of the reference engine> python3 tests/timing_worlds.py
 
@@ -84,6 +87,7 @@ from proteus_sim.runner import emit_metrics, run_scenario  # noqa: E402
 from proteus_sim.scenario import parse_scenario  # noqa: E402
 from proteus_sim.selectmap import Mode  # noqa: E402
 from proteus_sim.trace import emit_trace  # noqa: E402
+from records import bus_cycles, irq_log, port_byte_times  # noqa: E402
 
 REGISTER_WORLDS = 120
 POKER_WORLDS = 120
@@ -277,13 +281,12 @@ def _world(spec: dict) -> World:
         cfg_clock_period=cfg, user_clock_period=user,
         buffer_capacity=spec["capacity"], fill_low=spec["fill_low"],
         fill_high=spec["fill_high"], boot_byte_period=spec["boot_byte_period"])
-    return World(config, tracing=True, record_bus_cycles=True)
+    return World(config, tracing=True)
 
 
 def run_register_world(spec: dict) -> dict:
     world = _world(spec)
     dev, sim, host = world.device, world.sim, world.host
-    dev.controller.record_byte_times = True
     for kid, name in KERNELS.items():
         dev.registry.bind(kid, PokerKernel if name == "poker" else name)
     g = world.config.geometry
@@ -335,7 +338,7 @@ def run_register_world(spec: dict) -> dict:
         if "midrun" in job:
             delay, stalls = job["midrun"]
             sim.run_until(sim.now + max(delay, 0))
-            rec["midrun_irqs"] = len(dev.irq.log)
+            rec["midrun_irqs"] = len(irq_log(world.trace.records))
             for offset, duration in stalls:
                 world.bus.inject_stall(sim.now + offset, duration)
         done = []
@@ -370,15 +373,19 @@ def run_register_world(spec: dict) -> dict:
         path = Path(tmp) / "trace.csv"
         emit_trace(world.trace.records, path)
         out["trace_sha256"] = _sha(path.read_bytes())
-    out["irq_log_sha256"] = _sha(repr(dev.irq.log).encode())
-    out["cycle_log_sha256"] = _sha(repr(world.bus.cycle_log).encode())
-    out["cycle_log_len"] = len(world.bus.cycle_log)
-    out["byte_times_sha256"] = _sha(repr(dev.controller.byte_times).encode())
+    records = world.trace.records
+    irqs = irq_log(records)
+    cycles = bus_cycles(records, world.config.pci)
+    byte_times = port_byte_times(records, world.config.cfg_clock_period)
+    out["irq_log_sha256"] = _sha(repr(irqs).encode())
+    out["cycle_log_sha256"] = _sha(repr(cycles).encode())
+    out["cycle_log_len"] = len(cycles)
+    out["byte_times_sha256"] = _sha(repr(byte_times).encode())
     out["metrics"] = {"now": sim.now, "bus_busy_ps": world.bus.busy_ticks,
                       "bus_cycles": world.bus.total_data_cycles,
-                      "bus_bytes": world.bus.total_data_bytes,
-                      "interrupts": len(dev.irq.log),
-                      "trace_records": len(world.trace.records),
+                      "bus_bytes": sum(n for _t, n, _m in cycles),
+                      "interrupts": len(irqs),
+                      "trace_records": len(records),
                       "config_mem_sha256": _sha(dev.config_mem.snapshot())}
     return out
 
@@ -417,7 +424,7 @@ def run_scenario_world(index: int) -> dict:
         return {"fault": result.fault, "exit_status": result.exit_status,
                 "metrics": (work / "metrics.txt").read_text(),
                 "trace_sha256": _sha((work / "trace.csv").read_bytes()),
-                "irq_log": [list(e) for e in result.interrupt_log],
+                "irq_log": [list(e) for e in irq_log(result.trace_records)],
                 "outputs": outputs}
 
 
