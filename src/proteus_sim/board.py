@@ -103,7 +103,10 @@ class BoardConfig:
 
 
 class DmaEngine:
-    """Per-target busmaster control section: one job, one request at a time."""
+    """Per-target busmaster control section: one job, one transaction at a
+    time.  ``request`` is the waiting transaction and ``txn`` the granted
+    one; the address provider ``addr`` advances when a burst ends, by the
+    bytes it moved.  Nothing reads it while a transaction is granted."""
 
     def __init__(self, device: "Device", target: TargetId, buffer: StreamBuffer) -> None:
         self.device = device
@@ -131,17 +134,15 @@ class DmaEngine:
         self.finished_at = None
         self.device.evaluate(self.target)
 
-    def sink(self, word: int, nbytes: int) -> None:
+    def sink(self, word: int, _nbytes: int) -> None:
         self.buffer.push(word)
-        self.addr.advance(nbytes)
 
-    def source(self, nbytes: int) -> int:
-        word = self.buffer.pop()
-        self.addr.advance(nbytes)
-        return word
+    def source(self, _nbytes: int) -> int:
+        return self.buffer.pop()
 
     def finished(self, txn: BusTransaction) -> None:
         self.txn = None
+        self.addr.advance(txn.transferred_bytes)
         if txn.state is TxnState.PREEMPTED:
             self.request = busmaster_resume(self.addr, self.target, txn, self.buffer,
                                             self.device.max_burst_bytes)
@@ -156,8 +157,8 @@ class DmaEngine:
 
 class PortFeed:
     """The bus side of the SelectMap buffer, as the controller's stretches
-    see it: the words a burst will move between the controller's points,
-    and the occupancies at which the idle engine's fill status stays quiet."""
+    see it: the burst whose words move between the controller's points, and
+    the occupancies at which the idle engine's fill status stays quiet."""
 
     def __init__(self, device: "Device") -> None:
         self.sim = device.sim
@@ -166,13 +167,11 @@ class PortFeed:
                         False: device.engines[TargetId.SELECTMAP_READ]}
 
     def window(self, configuring: bool):
-        """None while the other SelectMap engine is busy or another target's
-        words are moving; else (lo, hi, bus): the stretch keeps the occupancy
-        within lo..hi after each port word, and ``bus`` is ``_Burst.lattice``
-        of the engine's burst in flight, or None."""
+        """None while another target's words are moving; else (lo, hi,
+        burst): the stretch keeps the occupancy within lo..hi after each port
+        word, and ``burst`` is the engine's ``_Burst`` in flight, or None.
+        The stretch moves its words with ``lattice()`` and ``advance_many``."""
         engine = self.engines[configuring]
-        if self.engines[not configuring].busy:
-            return None
         burst = self.bus.in_flight(engine.txn)
         if self.sim.stream is not burst:
             return None
@@ -181,13 +180,7 @@ class PortFeed:
             lo, hi = quiet_band(engine.target, buffer, engine.addr)
         else:
             lo, hi = 0, buffer.capacity
-        return lo, hi, None if burst is None else burst.lattice()
-
-    def move(self, configuring: bool, count: int, words=None):
-        """Move the burst's next ``count`` words (see ``_Burst.advance_many``)."""
-        engine = self.engines[configuring]
-        engine.addr.advance(4 * count)
-        return self.bus.in_flight(engine.txn).advance_many(count, words)
+        return lo, hi, burst
 
 
 class Device:
@@ -285,8 +278,9 @@ class Device:
 
     def _control(self, command: int) -> None:
         """Start every job the ``control`` strobe names.  The whole word is
-        checked first (conflicting strobes, a busy engine or controller, an
-        empty job, a span outside host memory), so a rejected word changes
+        checked first (conflicting strobes, a busy engine or controller,
+        words of a readback still in the shared SelectMap buffer, an empty
+        job, a span outside host memory), so a rejected word changes
         nothing."""
         regs = self.regs
         port = command & (CTRL_START_RECONFIG | CTRL_START_READBACK)
@@ -294,6 +288,8 @@ class Device:
             raise CommandConflict("reconfiguration and readback share the configuration port")
         if port and self.controller.mode is not Mode.IDLE:
             raise NotIdle(f"controller is {self.controller.mode.value}")
+        if port and self.smap_buf.occupancy:
+            raise JobActive(f"selectmap buffer still holds {self.smap_buf.occupancy} words")
         jobs = []
         if command & CTRL_START_DOWN:
             jobs.append((TargetId.DOWNSTREAM, regs.read(REG_DOWN_BASE), regs.read(REG_DOWN_LEN)))
@@ -321,8 +317,7 @@ class Device:
 
         for target, base, total in jobs:
             if target is TargetId.SELECTMAP_WRITE:
-                self.controller.start_configure(total, allow_fixed=False,
-                                                on_done=self._reconfig_done)
+                self.controller.start_configure(total, on_done=self._reconfig_done)
             elif target is TargetId.SELECTMAP_READ:
                 self.controller.start_readback(first, count, on_done=self._readback_done)
             cause = JOB_DONE_CAUSE.get(target)
@@ -365,10 +360,8 @@ class Device:
             return None
         target = arbitrate(self.arbiter, pending)
         engine = self.engines[target]
-        req, engine.request = engine.request, None
-        txn = BusTransaction(target.value, req.direction, req.address, req.nbytes,
-                             word_sink=engine.sink, word_source=engine.source,
-                             on_finish=engine.finished)
+        txn, engine.request = engine.request, None
+        txn.word_sink, txn.word_source, txn.on_finish = engine.sink, engine.source, engine.finished
         engine.txn = txn
         return txn
 
@@ -379,8 +372,9 @@ class World:
     Its host methods are the PC-side driver: each issues the register
     writes and host-memory mappings of one supervisor operation and, for a
     whole job, waits for and acknowledges its done interrupt, then unmaps
-    the regions it mapped.  A wait that fails leaves them mapped, as the
-    job may still run.
+    the regions it mapped.  A rejected register write starts nothing, so
+    the regions are unmapped before the error goes on; a wait that fails
+    leaves them mapped, as the job may still run.
     """
 
     def __init__(self, config: BoardConfig | None = None, tracing: bool = False) -> None:
@@ -414,9 +408,21 @@ class World:
 
     def stage(self, data: bytes) -> int:
         """Copy ``data`` into a new shared host region; returns its base."""
-        _rid, base = self.host.map_shared_region(len(data))
+        _buf, base = self.host.map_shared_region(len(data))
         self.host.write(base, data)
         return base
+
+    def _program(self, writes, *bases: int) -> None:
+        """Write each (register, value); if the device rejects one, unmap
+        ``bases`` and re-raise."""
+        write = self.device.host_reg_write
+        try:
+            for index, value in writes:
+                write(index, value)
+        except Exception:
+            for base in bases:
+                self.host.unmap(base)
+            raise
 
     def wait(self, cause: IrqCause, what: str = "") -> None:
         """Run until ``cause`` is pending, then acknowledge it."""
@@ -429,10 +435,8 @@ class World:
             raise bits.FixedRegionViolation(
                 "only partial bitstreams may reconfigure over the bus")
         base = self.stage(image)
-        write = self.device.host_reg_write
-        write(REG_CFG_BASE, base)
-        write(REG_CFG_LEN, len(image))
-        write(REG_CONTROL, CTRL_START_RECONFIG)
+        self._program(((REG_CFG_BASE, base), (REG_CFG_LEN, len(image)),
+                       (REG_CONTROL, CTRL_START_RECONFIG)), base)
         self.wait(IrqCause.RECONFIG_DONE, "reconfig")
         self.host.unmap(base)
         return self.device.last_config
@@ -440,11 +444,9 @@ class World:
     def readback(self, first: int, count: int) -> bytes:
         """Read ``count`` columns from ``first`` back as a ``.pbit`` image."""
         total = WRAPPER_BYTES + count * self.config.geometry.column_bytes
-        _rid, base = self.host.map_shared_region(total)
-        write = self.device.host_reg_write
-        write(REG_CFG_BASE, base)
-        write(REG_CFG_LEN, (count << 16) | first)
-        write(REG_CONTROL, CTRL_START_READBACK)
+        _buf, base = self.host.map_shared_region(total)
+        self._program(((REG_CFG_BASE, base), (REG_CFG_LEN, (count << 16) | first),
+                       (REG_CONTROL, CTRL_START_READBACK)), base)
         self.wait(IrqCause.READBACK_DONE, "readback")
         image = self.host.read(base, total)
         self.host.unmap(base)
@@ -456,13 +458,11 @@ class World:
         stay mapped."""
         nbytes = len(data)
         in_base = self.stage(data)
-        _rid, out_base = self.host.map_shared_region(nbytes)
-        write = self.device.host_reg_write
-        write(REG_DOWN_BASE, in_base)
-        write(REG_DOWN_LEN, nbytes)
-        write(REG_UP_BASE, out_base)
-        write(REG_UP_LEN, nbytes)
-        write(REG_CONTROL, CTRL_START_DOWN | (CTRL_START_UP if up else 0))
+        _buf, out_base = self.host.map_shared_region(nbytes)
+        self._program(((REG_DOWN_BASE, in_base), (REG_DOWN_LEN, nbytes),
+                       (REG_UP_BASE, out_base), (REG_UP_LEN, nbytes),
+                       (REG_CONTROL, CTRL_START_DOWN | (CTRL_START_UP if up else 0))),
+                      in_base, out_base)
         return in_base, out_base
 
     def stream(self, data: bytes) -> bytes:

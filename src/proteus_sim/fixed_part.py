@@ -130,21 +130,12 @@ class StreamBuffer:
         self._words = deque(islice(q, count, None))
         return list(islice(q, count))
 
-    def clear(self) -> None:
-        self._words.clear()
-
-
-@dataclass
-class TransferRequest:
-    target: TargetId
-    direction: Direction
-    address: int
-    nbytes: int
-
 
 @dataclass
 class DmaAddressState:
-    """Busmaster address provider state for one target's job."""
+    """Busmaster address provider state for one target's job: the next
+    address and the bytes left, advanced once per burst by the bytes it
+    moved."""
 
     next_address: int = 0
     bytes_remaining: int = 0
@@ -163,8 +154,9 @@ class DmaAddressState:
 
 
 def on_fill_status(target: TargetId, buffer: StreamBuffer, addr: DmaAddressState,
-                   max_burst_bytes: int) -> TransferRequest | None:
-    """Transfer-event trigger from a buffer's fill status.
+                   max_burst_bytes: int) -> BusTransaction | None:
+    """Transfer-event trigger from a buffer's fill status: the request, as a
+    waiting transaction, or None.
 
     Device-bound targets refill once the buffer drains to the low mark;
     host-bound targets drain once it reaches the high mark, or flush the
@@ -176,12 +168,12 @@ def on_fill_status(target: TargetId, buffer: StreamBuffer, addr: DmaAddressState
         occ = buffer.occupancy
         if occ >= buffer.fill_high or (occ > 0 and occ * 4 >= addr.bytes_remaining):
             n = min(occ * 4, addr.bytes_remaining, max_burst_bytes)
-            return TransferRequest(target, Direction.TO_HOST, addr.next_address, n)
+            return BusTransaction(target.value, Direction.TO_HOST, addr.next_address, n)
     else:
         if buffer.occupancy <= buffer.fill_low:
             n = min(buffer.free_words * 4, addr.bytes_remaining, max_burst_bytes)
             if n > 0:
-                return TransferRequest(target, Direction.TO_DEVICE, addr.next_address, n)
+                return BusTransaction(target.value, Direction.TO_DEVICE, addr.next_address, n)
     return None
 
 
@@ -203,8 +195,9 @@ def quiet_band(target: TargetId, buffer: StreamBuffer, addr: DmaAddressState) ->
 
 
 def busmaster_resume(addr: DmaAddressState, target: TargetId, txn: BusTransaction,
-                     buffer: StreamBuffer, max_burst_bytes: int) -> TransferRequest:
-    """Restart a preempted transfer at the next address."""
+                     buffer: StreamBuffer, max_burst_bytes: int) -> BusTransaction:
+    """Restart a preempted transfer at the next address (``addr`` has
+    advanced past it)."""
     remainder = txn.total_bytes - txn.transferred_bytes
     if target in HOST_BOUND:
         space = buffer.occupancy * 4
@@ -212,7 +205,7 @@ def busmaster_resume(addr: DmaAddressState, target: TargetId, txn: BusTransactio
         space = buffer.free_words * 4
     n = min(remainder, space, max_burst_bytes)
     assert n > 0, "resume with nothing left to move"
-    return TransferRequest(target, txn.direction, addr.next_address, n)
+    return BusTransaction(target.value, txn.direction, addr.next_address, n)
 
 
 class RegisterFile:

@@ -9,8 +9,6 @@ interrupt request line.  Nothing else of the device is reachable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fixed_part import KERNEL_REGS, RegisterFile, StreamBuffer
 from .sim import RunAhead
 
@@ -127,20 +125,12 @@ class SinkKernel:
             io.read()
 
 
-@dataclass
-class ActivationReport:
-    kernel_id: int
-    inert: bool
-    name: str | None = None
-
-
 class KernelRegistry:
     """kernel_id -> factory map with at most one live kernel instance."""
 
     def __init__(self) -> None:
         self._factories: dict[int, tuple[str, object]] = {}
         self.active = None
-        self.active_id = 0
 
     def bind(self, kernel_id: int, behavior) -> None:
         """Register a behavior (built-in name or zero-arg factory) for an id."""
@@ -154,17 +144,16 @@ class KernelRegistry:
             name = getattr(behavior, "name", getattr(behavior, "__name__", "custom"))
         self._factories[kernel_id] = (name, factory)
 
-    def activate(self, kernel_id: int) -> ActivationReport:
-        """Replace the live kernel; unknown ids leave the region inert."""
+    def activate(self, kernel_id: int) -> str | None:
+        """Replace the live kernel; returns its name, or None if the id is
+        unknown and the region is left inert."""
         self.active = None
-        self.active_id = 0
         entry = self._factories.get(kernel_id)
         if entry is None:
-            return ActivationReport(kernel_id, inert=True)
+            return None
         name, factory = entry
         self.active = factory()
-        self.active_id = kernel_id
-        return ActivationReport(kernel_id, inert=False, name=name)
+        return name
 
 
 class KernelHost(RunAhead):
@@ -196,16 +185,17 @@ class KernelHost(RunAhead):
         down.on_enqueue(self._maybe_wake)
         up.on_dequeue(self._maybe_wake)
 
-    def activate_from_config(self, bs) -> ActivationReport:
+    def activate_from_config(self, bs) -> None:
+        """Activate the image's kernel; ``REG_STATUS`` reads its id, or 0 if
+        the region is inert."""
         from .fixed_part import REG_STATUS
 
-        report = self.registry.activate(bs.kernel_id)
-        self.regs.write(REG_STATUS, 0 if report.inert else bs.kernel_id)
+        name = self.registry.activate(bs.kernel_id)
+        self.regs.write(REG_STATUS, 0 if name is None else bs.kernel_id)
         if self.trace:
             self.trace.record("kernel", "activate",
-                              "inert" if report.inert else f"{report.name} {bs.kernel_id:#x}")
+                              "inert" if name is None else f"{name} {bs.kernel_id:#x}")
         self._maybe_wake()
-        return report
 
     def _request_irq(self) -> None:
         self._raised = True

@@ -5,14 +5,18 @@ host regions and on-chip buffers.  Host CPU contention appears only as
 stall windows, during which no data cycles occur and active bursts are
 preempted; a preempted job is resumed by its owner from the next address.
 
-A granted burst is one transaction.  ``begin_burst`` computes its word
-lattice ``first + k * clock_period`` in closed form and cuts it at the
-first word that falls in a stall window, or at the burst limit; the words
-of a device-bound burst are read from host memory then, in one call.  The
-words then reach the master's ``word_sink``/``word_source`` one per bus
-cycle as items of a lazy stream (see ``sim``): each runs at its cycle's
-picosecond and in the same-time order that a queued per-word event would
-have had, but only the burst's end (DONE or PREEMPTED) is a queued event.
+A ``BusTransaction`` is the one record of a transfer: the master's request
+is a WAITING transaction, and a granted one is a burst.  ``begin_burst``
+computes its word lattice ``first + k * clock_period`` in closed form and
+cuts it at the first word that falls in a stall window, or at the burst
+limit; the words of a device-bound burst are read from host memory then,
+in one call.  The words then reach the master's ``word_sink``/
+``word_source`` one per bus cycle as items of a lazy stream (see ``sim``):
+each runs at its cycle's picosecond and in the same-time order that a
+queued per-word event would have had, but only the burst's end (DONE or
+PREEMPTED) is a queued event.  The burst counts its words; the
+transaction's ``transferred_bytes`` and the bus's ``total_data_cycles``
+are set from that count when the end is queued.
 """
 
 from __future__ import annotations
@@ -43,40 +47,32 @@ class UnmappedAddress(PciError):
 
 
 class HostMemory:
-    """Map of non-overlapping, page-aligned shared regions."""
+    """Map of non-overlapping, page-aligned shared regions, keyed by base."""
 
     def __init__(self, base: int = 0x0010_0000) -> None:
         self._next_base = base
-        self._regions: dict[int, tuple[int, bytearray]] = {}
-        self._next_id = 0
+        self._regions: dict[int, bytearray] = {}
 
-    def map_shared_region(self, nbytes: int) -> tuple[int, int]:
+    def map_shared_region(self, nbytes: int) -> tuple[bytearray, int]:
+        """Map a zeroed region of ``nbytes``; returns (its buffer, its base)."""
         if nbytes <= 0:
             raise ValueError("region size must be > 0")
         base = -(-self._next_base // PAGE_ALIGN) * PAGE_ALIGN
         if base + nbytes > ADDRESS_SPACE:
             raise OutOfAddressSpace(f"cannot fit {nbytes} bytes at {base:#x}")
-        region_id = self._next_id
-        self._next_id += 1
-        self._regions[region_id] = (base, bytearray(nbytes))
+        buf = self._regions[base] = bytearray(nbytes)
         self._next_base = base + nbytes
-        return region_id, base
-
-    def region(self, region_id: int) -> bytearray:
-        return self._regions[region_id][1]
+        return buf, base
 
     def unmap(self, base: int) -> None:
         """Drop the region that starts at ``base``; its addresses are not
         mapped again."""
-        for region_id, (start, _buf) in self._regions.items():
-            if start == base:
-                del self._regions[region_id]
-                return
-        raise UnmappedAddress(f"no region starts at {base:#x}")
+        if self._regions.pop(base, None) is None:
+            raise UnmappedAddress(f"no region starts at {base:#x}")
 
     def locate(self, address: int, nbytes: int) -> tuple[bytearray, int]:
         """Resolve an address span to (backing buffer, offset)."""
-        for base, buf in self._regions.values():
+        for base, buf in self._regions.items():
             if base <= address and address + nbytes <= base + len(buf):
                 return buf, address - base
         raise UnmappedAddress(f"{nbytes} bytes at {address:#x} not inside any region")
@@ -118,7 +114,7 @@ class BusTransaction:
     word_sink: object = None    # fn(word, nbytes), TO_DEVICE
     word_source: object = None  # fn(nbytes) -> word, TO_HOST
     on_finish: object = None    # fn(txn), called when DONE or PREEMPTED
-    transferred_bytes: int = 0
+    transferred_bytes: int = 0  # set when the burst's end is queued
     state: TxnState = TxnState.WAITING
 
 
@@ -256,12 +252,13 @@ class PciBus:
 class _Burst:
     """The word lattice of one granted transaction, as a lazy stream.
 
-    ``key`` is the (time, insertion number) of the next word; ``advance``
-    moves that word.  The first word's number is taken at the grant, and
-    each later one right after the word before it, where the per-word
-    event would have been scheduled.  After the last word the burst queues
-    its end in the next lattice point's slot: DONE, PREEMPTED at the burst
-    limit, or PREEMPTED because that point is stalled.  Stall windows
+    ``key`` is the (time, insertion number) of the next word and ``index``
+    the number of words moved; ``advance`` moves that word.  The first
+    word's number is taken at the grant, and each later one right after the
+    word before it, where the per-word event would have been scheduled.
+    After the last word the burst queues its end in the next lattice
+    point's slot: DONE, PREEMPTED at the burst limit, or PREEMPTED because
+    that point is stalled.  Stall windows
     added later cut only words not moved yet; they do not undo a stalled
     end that is already queued.
     """
@@ -309,17 +306,12 @@ class _Burst:
     def advance_many(self, count: int, words=None):
         """Move the next ``count`` words, none of them the burst's last, in one
         call: a device-bound burst returns them, a host-bound one writes
-        ``words``.  Counters are those of ``count`` calls of ``advance``; the
-        next word's insertion number is taken once, now."""
+        ``words``.  The next word's insertion number is taken once, now."""
         assert 0 < count < self.end - self.index
-        txn = self.txn
-        done = txn.transferred_bytes
         if self.to_device:
             words = list(itertools.islice(self.words, count))
         else:
-            struct.pack_into(f"<{count}I", self.buf, self.off + done, *words)
-        txn.transferred_bytes = done + 4 * count
-        self.bus.total_data_cycles += count
+            struct.pack_into(f"<{count}I", self.buf, self.off + 4 * self.index, *words)
         self.index += count
         self.key = (self.key[0] + count * self.period, self.sim.alloc())
         return words
@@ -328,7 +320,7 @@ class _Burst:
         txn = self.txn
         t = self.key[0]
         self.sim.now = t
-        done = txn.transferred_bytes
+        done = 4 * self.index
         n = txn.total_bytes - done
         if n > 4:
             n = 4
@@ -341,17 +333,18 @@ class _Burst:
                 struct.pack_into("<I", self.buf, pos, word & 0xFFFFFFFF)
             else:
                 self.buf[pos:pos + n] = (word & ((1 << (8 * n)) - 1)).to_bytes(n, "little")
-        txn.transferred_bytes = done + n
-        self.bus.total_data_cycles += 1
         self.index += 1
         self.key = (t + self.period, self.sim.alloc())
         if self.index == self.end:
             self._queue_end()
 
     def _queue_end(self) -> None:
-        """Queue the burst's end in the slot of the next lattice point."""
+        """Count the moved words into the transaction and the bus, and queue
+        the burst's end in the slot of the next lattice point."""
         bus, txn, sim = self.bus, self.txn, self.sim
         sim.stream = bus._burst = None
+        txn.transferred_bytes = min(4 * self.index, txn.total_bytes)
+        bus.total_data_cycles += self.index
         t, seq = self.key
         if self.end < self.limit:
             state = TxnState.PREEMPTED     # the lattice point t is stalled

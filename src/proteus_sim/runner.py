@@ -91,9 +91,6 @@ class ScenarioRunner:
         for index, cmd in enumerate(self.scenario.commands, 1):
             try:
                 self._dispatch(cmd)
-            except RuntimeFault as exc:
-                fault = str(exc)
-                break
             except (BoardFault, PciError, bits.BitstreamError, SelectMapError,
                     DuplicateId, OSError, ValueError) as exc:
                 fault = str(RuntimeFault(index, cmd.line, f"{type(exc).__name__}: {exc}"))

@@ -48,7 +48,6 @@ class Mode(Enum):
     IDLE = "idle"
     CONFIGURING = "configuring"
     READBACK = "readback"
-    PAUSED = "paused"
 
 
 @dataclass
@@ -72,9 +71,9 @@ class BootReport:
 
 class _Job:
     __slots__ = ("total", "done", "image", "payload_len", "payload_end", "first_payload_time",
-                 "last_payload_end", "allow_fixed", "on_done")
+                 "last_payload_end", "on_done")
 
-    def __init__(self, total, image, allow_fixed=False, on_done=None):
+    def __init__(self, total, image, on_done):
         self.total = total
         self.done = 0
         self.image = image
@@ -82,7 +81,6 @@ class _Job:
         self.payload_end = bits.HEADER_BYTES + self.payload_len
         self.first_payload_time = None
         self.last_payload_end = None
-        self.allow_fixed = allow_fixed
         self.on_done = on_done
 
 
@@ -114,10 +112,11 @@ class SelectMapController(RunAhead):
     configuration memory at one byte per configuration-clock cycle.
 
     Each point of its run-ahead timeline moves one word (at most four
-    bytes, one per cycle) or, after the last, completes the job; a point
-    that finds the buffer empty (configure) or full (readback) pauses the
-    controller instead, and the enqueue or dequeue that ends the pause makes
-    the next configuration-clock edge the next point.
+    bytes, one per cycle) or, after the last, completes the job and reports
+    its result to the job's ``on_done``; a point that finds the buffer empty
+    (configure) or full (readback) pauses the controller instead (``paused``;
+    ``mode`` stays the job's), and the enqueue or dequeue that ends the
+    pause makes the next configuration-clock edge the next point.
     """
 
     def __init__(self, sim: Simulator, clock: ClockDomain, buffer: StreamBuffer,
@@ -130,36 +129,29 @@ class SelectMapController(RunAhead):
         self.trace = trace
         self.pause_windows: list[tuple[int, int]] = []
         self.mode = Mode.IDLE
+        self.paused = False
         self.pauses = 0
-        self._resume_mode = Mode.IDLE
         self._pause_start = 0
         self._job: _Job | None = None
-        self.last_config: ConfigResult | None = None
-        self.last_readback: ReadbackResult | None = None
         buffer.on_enqueue(self._feed_arrived)
         buffer.on_dequeue(self._space_freed)
 
     # -- configuration writes ------------------------------------------------
 
-    def start_configure(self, total_bytes: int, allow_fixed: bool = False,
-                        on_done=None) -> None:
-        """Consume a staged image of ``total_bytes`` (wrapper included) from
-        the buffer, then validate and apply it atomically."""
+    def start_configure(self, total_bytes: int, on_done=None) -> None:
+        """Consume a partial image of ``total_bytes`` (wrapper included) from
+        the buffer, then validate and apply it atomically.  The buffer is
+        empty: the controller waits for the first word."""
         if self.mode is not Mode.IDLE:
             raise NotIdle(f"controller is {self.mode.value}")
         if total_bytes <= bits.WRAPPER_BYTES:
             raise ValueError("image shorter than header and checksum")
         self.pauses = 0
         self.pause_windows.clear()
-        self._job = _Job(total_bytes, bytearray(total_bytes), allow_fixed, on_done)
+        self._job = _Job(total_bytes, bytearray(total_bytes), on_done)
         self.mode = Mode.CONFIGURING
         if self.trace:
             self.trace.record("selectmap", "configure_start", f"{total_bytes}B")
-        # With the buffer empty the controller waits for the first word
-        # (``_feed_arrived``); that wait is not a pause, underflow pauses
-        # count only mid-stream.
-        if self.buffer.occupancy:
-            self.wake(self.clock.next_edge_at(self.sim.now))
 
     def _run(self) -> None:
         self.run_ahead()
@@ -228,7 +220,7 @@ class SelectMapController(RunAhead):
         window = self.feed.window(configuring)
         if window is None:
             return 0
-        lo, hi, bus = window
+        lo, hi, burst = window
         q = 4 * self.clock.period
         occupancy = self.buffer.occupancy
         # k - (bus words before point k) may not exceed ``room``.
@@ -237,11 +229,11 @@ class SelectMapController(RunAhead):
         reach = self.sim.reach()
         if reach != FOREVER:
             m = min(m, (reach - t) // q + 1)
-        if bus is None:
+        if burst is None:
             m = min(m, room + 1)
             moved = 0
         else:
-            first, period, count = bus
+            first, period, count = burst.lattice()
             m = min(m, (first + count * period - t) // q + 1,
                     _first_tie(t, q, first, period), _first_over(t, q, first, period, room))
             moved = max(0, -(-(t + (m - 1) * q - first) // period))
@@ -249,12 +241,12 @@ class SelectMapController(RunAhead):
             return 0
         done = job.done
         if configuring:
-            words = self.feed.move(True, moved) if moved else ()
+            words = burst.advance_many(moved) if moved else ()
             struct.pack_into(f"<{m}I", job.image, done, *self.buffer.exchange(words, m))
         else:
             out = self.buffer.exchange(struct.unpack_from(f"<{m}I", job.image, done), moved)
             if moved:
-                self.feed.move(False, moved, out)
+                burst.advance_many(moved, out)
         return m
 
     def _complete_configure(self) -> None:
@@ -265,12 +257,11 @@ class SelectMapController(RunAhead):
             bs = bits.parse(bytes(job.image))
         except bits.BadChecksum as exc:
             raise ChecksumMismatch(str(exc)) from exc
-        if bs.kind is not bits.BitstreamKind.PARTIAL and not job.allow_fixed:
+        if bs.kind is not bits.BitstreamKind.PARTIAL:
             raise bits.FixedRegionViolation("full bitstream over the bus is not allowed")
-        self.config_mem.apply(bs, allow_fixed=job.allow_fixed)
+        self.config_mem.apply(bs)
         result = ConfigResult(job.last_payload_end - job.first_payload_time,
                               self.pauses, job.payload_len)
-        self.last_config = result
         if self.trace:
             self.trace.record("selectmap", "configure_done",
                               f"{result.bytes}B in {result.duration}ps "
@@ -280,15 +271,14 @@ class SelectMapController(RunAhead):
 
     # -- readback ---------------------------------------------------------------
 
-    def start_readback(self, first_column: int, column_count: int,
-                       kernel_id: int = 0, on_done=None) -> int:
+    def start_readback(self, first_column: int, column_count: int, on_done=None) -> int:
         """Emit the region image into the buffer; returns total image bytes."""
         if self.mode is not Mode.IDLE:
             raise NotIdle(f"controller is {self.mode.value}")
-        image = self.config_mem.readback(first_column, column_count, kernel_id)
+        image = self.config_mem.readback(first_column, column_count)
         self.pauses = 0
         self.pause_windows.clear()
-        self._job = _Job(len(image), image, on_done=on_done)
+        self._job = _Job(len(image), image, on_done)
         self.mode = Mode.READBACK
         if self.trace:
             self.trace.record("selectmap", "readback_start",
@@ -301,7 +291,6 @@ class SelectMapController(RunAhead):
         self.mode = Mode.IDLE
         self._job = None
         result = ReadbackResult(job.last_payload_end - job.first_payload_time, job.payload_len)
-        self.last_readback = result
         if self.trace:
             self.trace.record("selectmap", "readback_done",
                               f"{result.bytes}B in {result.duration}ps")
@@ -311,31 +300,31 @@ class SelectMapController(RunAhead):
     # -- pause / resume ----------------------------------------------------------
 
     def _pause(self, t: int) -> None:
-        self._resume_mode = self.mode
-        self.mode = Mode.PAUSED
+        self.paused = True
         self.pauses += 1
         self._pause_start = t
         self.key = None
         if self.trace:
-            reason = "buffer empty" if self._resume_mode is Mode.CONFIGURING else "buffer full"
+            reason = "buffer empty" if self.mode is Mode.CONFIGURING else "buffer full"
             self.trace.record("selectmap", "pause", reason)
 
     def _resume(self) -> None:
         now = self.sim.now
         self.pause_windows.append((self._pause_start, now))
-        self.mode = self._resume_mode
+        self.paused = False
         if self.trace:
             self.trace.record("selectmap", "resume", "")
         self.wake(self.clock.next_edge_at(now))
 
     def _feed_arrived(self) -> None:
-        if self.key is None and self.mode is Mode.CONFIGURING:   # the first word
-            self.wake(self.clock.next_edge_at(self.sim.now))
-        elif self.mode is Mode.PAUSED and self._resume_mode is Mode.CONFIGURING:
-            self._resume()
+        if self.key is None and self.mode is Mode.CONFIGURING:
+            if self.paused:
+                self._resume()
+            else:   # the first word; that wait is not a pause
+                self.wake(self.clock.next_edge_at(self.sim.now))
 
     def _space_freed(self) -> None:
-        if self.mode is Mode.PAUSED and self._resume_mode is Mode.READBACK:
+        if self.paused and self.mode is Mode.READBACK:
             self._resume()
 
     # -- flash boot ----------------------------------------------------------------

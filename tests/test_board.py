@@ -3,9 +3,18 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proteus_sim import bitstream as bits
-from proteus_sim.board import BoardConfig, BoardInert, CommandConflict, Deadlock, World
+from proteus_sim.board import (
+    BoardConfig,
+    BoardInert,
+    CommandConflict,
+    Deadlock,
+    JobActive,
+    World,
+)
 from proteus_sim.fixed_part import (
     CTRL_START_READBACK,
     CTRL_START_RECONFIG,
@@ -14,10 +23,11 @@ from proteus_sim.fixed_part import (
     REG_CONTROL,
     REG_IRQ_MASK,
     REG_STATUS,
+    DmaAddressState,
     IrqCause,
     TargetId,
 )
-from proteus_sim.pci import UnmappedAddress
+from proteus_sim.pci import PCI_CLOCK_PERIOD, PciConfig, UnmappedAddress
 from proteus_sim.selectmap import Mode
 
 G = bits.DESK_GEOMETRY
@@ -186,6 +196,94 @@ def test_control_rejects_reconfig_and_readback_together():
     assert world.reconfigure(image).pauses == 0
 
 
+def test_port_strobe_rejected_while_the_buffer_holds_readback_words():
+    """The controller ends a readback once its last word is in the shared
+    SelectMap buffer; until the bus has drained it, a configuration-port
+    strobe is rejected and starts nothing, so no reconfiguration consumes a
+    readback's words."""
+    world = World(BoardConfig(pci=PciConfig(max_burst_cycles=4)))
+    assert world.boot(full_flash()).ok
+    dev = world.device
+    total = bits.WRAPPER_BYTES + G.column_bytes
+    _buf, rb_base = world.host.map_shared_region(total)
+    dev.host_reg_write(REG_CFG_BASE, rb_base)
+    dev.host_reg_write(REG_CFG_LEN, (1 << 16) | 0)
+    dev.host_reg_write(REG_CONTROL, CTRL_START_READBACK)
+    while dev.controller.mode is not Mode.IDLE:
+        world.sim.step()
+    assert dev.smap_buf.occupancy and dev.engines[TargetId.SELECTMAP_READ].busy
+    image = partial_image(kernel_id=0x77)
+    dev.host_reg_write(REG_CFG_BASE, world.stage(image))
+    dev.host_reg_write(REG_CFG_LEN, len(image))
+    with pytest.raises(JobActive):
+        dev.host_reg_write(REG_CONTROL, CTRL_START_RECONFIG)
+    assert dev.controller.mode is Mode.IDLE
+    assert dev.engines[TargetId.SELECTMAP_WRITE].started_at is None
+    world.wait(IrqCause.READBACK_DONE)
+    assert world.host.read(rb_base, total) == dev.config_mem.readback(0, 1)
+    assert world.reconfigure(image).bytes == 4 * G.column_bytes
+
+
+def test_readback_strobed_while_the_last_configuration_burst_ends():
+    """With a configuration clock fast enough that RECONFIG_DONE comes
+    before the write engine's last burst end, a readback strobed at the
+    interrupt starts while that engine is still busy.  Timing recorded with
+    a tree whose stretches also waited for the other engine to be idle."""
+    world = World(BoardConfig(cfg_clock_period=5000))
+    assert world.boot(full_flash()).ok
+    dev = world.device
+    payload = bytes((i * 41) % 256 for i in range(2 * G.column_bytes))
+    world.reconfigure(bits.encode(G, bits.BitstreamKind.PARTIAL, 0x21, 0, payload))
+    writer, reader = dev.engines[TargetId.SELECTMAP_WRITE], dev.engines[TargetId.SELECTMAP_READ]
+    assert writer.busy
+    assert bits.parse(world.readback(0, 2)).payload == payload
+    assert not writer.busy
+    assert (dev.last_readback.duration, dev.last_readback.bytes) == (28_115_000, 4096)
+    assert (reader.started_at, reader.finished_at) == (687_805_000, 724_079_513)
+    assert len(dev.controller.pause_windows) == 672
+    assert (world.bus.total_data_cycles, world.bus.busy_ticks) == (2062, 64_909_026)
+
+
+def test_rejected_driver_jobs_unmap_their_regions():
+    """A driver call whose register writes the device rejects started
+    nothing, so it leaves no region mapped."""
+    mapped = []   # (host, base) of every region a driver call maps
+
+    def recording(world):
+        map_region = world.host.map_shared_region
+
+        def map_shared_region(nbytes):
+            buf, base = map_region(nbytes)
+            mapped.append((world.host, base))
+            return buf, base
+        world.host.map_shared_region = map_shared_region
+        return world
+
+    inert = recording(World())
+    with pytest.raises(BoardInert):
+        inert.reconfigure(partial_image())
+    world = booted_world()
+    world.device.registry.bind(0x21, "identity")
+    world.reconfigure(partial_image(kernel_id=0x21))
+    recording(world)
+    for _ in range(3):
+        with pytest.raises(bits.RegionOutOfBounds):
+            world.readback(0, 0)
+    running = world.start_stream(bytes(4096))
+    del mapped[-2:]
+    with pytest.raises(JobActive):
+        world.start_stream(bytes(64))
+    with pytest.raises(JobActive):
+        world.stream(bytes(64))
+    assert len(mapped) == 1 + 3 + 2 + 2
+    for host, base in mapped:
+        with pytest.raises(UnmappedAddress):
+            host.locate(base, 1)
+    world.wait(IrqCause.DOWNSTREAM_DONE)
+    world.wait(IrqCause.UPSTREAM_DONE)
+    assert world.host.read(running[1], 4096) == bytes(4096)
+
+
 def test_configuration_port_jobs_cost_events_per_burst_not_per_word():
     """The controller moves consecutive port words inside one event, and
     runs of them in closed form, so a 64 KiB reconfiguration and its
@@ -247,3 +345,37 @@ def test_driver_rounds_keep_memory_bounded():
     finally:
         tracemalloc.stop()
     assert growth <= 16 * 1024
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_streams_of_any_length_under_cut_bursts_end_each_address_at_the_job_end(data):
+    """Streams of 1-4096 bytes (the last word may be short), burst limits of
+    1-64 words and stall windows on the bus's word lattice, which cut bursts
+    anywhere, at their first word too (a window that opens between a grant
+    and its first word): every byte comes back, and each engine's address
+    provider ends at (base + length, 0)."""
+    g = bits.DeviceGeometry(8, 4, 16, 6)
+    grant = data.draw(st.integers(0, 8), "grant")
+    pci = PciConfig(grant_latency_cycles=grant, max_burst_cycles=data.draw(st.integers(1, 64)))
+    world = World(BoardConfig(geometry=g, pci=pci))
+    assert world.boot(bits.encode(g, bits.BitstreamKind.FULL, 0, 0, bytes(g.total_bytes))).ok
+    world.device.registry.bind(0x21, "identity")
+    world.reconfigure(bits.encode(g, bits.BitstreamKind.PARTIAL, 0x21, 0, bytes(g.column_bytes)))
+    engines = world.device.engines
+    for _ in range(data.draw(st.integers(1, 3), "streams")):
+        nbytes = data.draw(st.integers(1, 4096), "bytes")
+        payload = data.draw(st.binary(min_size=nbytes, max_size=nbytes), "payload")
+        start = world.sim.now + grant * PCI_CLOCK_PERIOD    # the first burst's first word
+        stalls = st.tuples(st.integers(0, nbytes // 2 + 64), st.sampled_from((0, -1, 1, 15_000)),
+                           st.integers(1, 40 * PCI_CLOCK_PERIOD))
+        for word, phase, duration in data.draw(st.lists(stalls, max_size=6), "stalls"):
+            world.bus.inject_stall(start + word * PCI_CLOCK_PERIOD + phase, duration)
+        in_base, out_base = world.start_stream(payload)
+        world.wait(IrqCause.DOWNSTREAM_DONE)
+        world.wait(IrqCause.UPSTREAM_DONE)
+        assert world.host.read(out_base, nbytes) == payload
+        assert engines[TargetId.DOWNSTREAM].addr == DmaAddressState(in_base + nbytes, 0)
+        assert engines[TargetId.UPSTREAM].addr == DmaAddressState(out_base + nbytes, 0)
+        world.host.unmap(in_base)
+        world.host.unmap(out_base)

@@ -18,7 +18,6 @@ from proteus_sim.fixed_part import (
     RegisterFile,
     StreamBuffer,
     TargetId,
-    TransferRequest,
     arbitrate,
     busmaster_resume,
     on_fill_status,
@@ -89,7 +88,7 @@ def make_addr(base, total):
 def test_fill_status_downstream_refill_arithmetic():
     buf = StreamBuffer()
     req = on_fill_status(D, buf, make_addr(0x1000, 8192), max_burst_bytes=4096 * 4)
-    assert req == TransferRequest(D, Direction.TO_DEVICE, 0x1000, 1024)
+    assert req == BusTransaction(D.value, Direction.TO_DEVICE, 0x1000, 1024)
 
 
 def test_fill_status_upstream_drain_arithmetic():
@@ -97,7 +96,7 @@ def test_fill_status_upstream_drain_arithmetic():
     for w in range(255):
         buf.push(w)
     req = on_fill_status(U, buf, make_addr(0x2000, 100_000), max_burst_bytes=4096 * 4)
-    assert req == TransferRequest(U, Direction.TO_HOST, 0x2000, 1020)
+    assert req == BusTransaction(U.value, Direction.TO_HOST, 0x2000, 1020)
 
 
 def test_fill_status_no_request_when_job_done():
@@ -119,7 +118,7 @@ def test_fill_status_host_bound_flushes_job_tail():
     for w in range(3):
         buf.push(w)
     req = on_fill_status(U, buf, make_addr(0x2000, 10), 16384)
-    assert req == TransferRequest(U, Direction.TO_HOST, 0x2000, 10)
+    assert req == BusTransaction(U.value, Direction.TO_HOST, 0x2000, 10)
 
 
 def filled(capacity, low, high, occupancy):
@@ -174,7 +173,7 @@ def test_busmaster_resume_restarts_at_next_address():
     buf = StreamBuffer()
     txn = BusTransaction("downstream", Direction.TO_DEVICE, 0x4000, 1024, transferred_bytes=400)
     req = busmaster_resume(addr, D, txn, buf, max_burst_bytes=16384)
-    assert req == TransferRequest(D, Direction.TO_DEVICE, 0x4000 + 400, 624)
+    assert req == BusTransaction(D.value, Direction.TO_DEVICE, 0x4000 + 400, 624)
 
 
 def test_busmaster_resume_zero_progress():
@@ -182,7 +181,7 @@ def test_busmaster_resume_zero_progress():
     buf = StreamBuffer()
     txn = BusTransaction("downstream", Direction.TO_DEVICE, 0x4000, 1024)
     req = busmaster_resume(addr, D, txn, buf, max_burst_bytes=16384)
-    assert req == TransferRequest(D, Direction.TO_DEVICE, 0x4000, 1024)
+    assert req == BusTransaction(D.value, Direction.TO_DEVICE, 0x4000, 1024)
 
 
 def test_buffer_fifo_order_and_capacity():

@@ -117,8 +117,7 @@ def test_bind_duplicate_id_rejected():
 
 def test_activate_unknown_id_reports_inert():
     reg = KernelRegistry()
-    report = reg.activate(0x9999)
-    assert report.inert
+    assert reg.activate(0x9999) is None
     assert reg.active is None
 
 
@@ -126,11 +125,11 @@ def test_activate_replaces_previous_kernel():
     reg = KernelRegistry()
     reg.bind(1, "identity")
     reg.bind(2, "negate")
-    reg.activate(1)
+    assert reg.activate(1) == "identity"
     first = reg.active
-    reg.activate(2)
+    assert reg.activate(2) == "negate"
     assert reg.active is not first
-    assert reg.active_id == 2
+    assert reg.active.name == "negate"
 
 
 def test_reactivation_resets_kernel_state():
@@ -146,6 +145,5 @@ def test_reactivation_resets_kernel_state():
 def test_custom_factory_binding():
     reg = KernelRegistry()
     reg.bind(0x50, SinkKernel)
-    report = reg.activate(0x50)
-    assert not report.inert and report.name == "sink"
+    assert reg.activate(0x50) == "sink"
     assert run_words(reg.active, [1, 2, 3]) == []

@@ -34,8 +34,7 @@ def cycle_log(bus):
 
 
 def fill_region(host, nbytes, seed=0):
-    rid, base = host.map_shared_region(nbytes)
-    buf = host.region(rid)
+    buf, base = host.map_shared_region(nbytes)
     for i in range(nbytes):
         buf[i] = (seed + i * 13) % 256
     return base, bytes(buf)
@@ -73,10 +72,11 @@ def test_map_regions_page_aligned_and_disjoint():
     host = HostMemory()
     spans = []
     for nbytes in (32768, 100, 5000):
-        rid, base = host.map_shared_region(nbytes)
+        buf, base = host.map_shared_region(nbytes)
         assert base % 4096 == 0
         spans.append((base, base + nbytes))
-        assert host.region(rid) == bytearray(nbytes)
+        assert buf == bytearray(nbytes)
+        assert host.locate(base, nbytes) == (buf, 0)
     spans.sort()
     for (a0, a1), (b0, _b1) in zip(spans, spans[1:]):
         assert a1 <= b0

@@ -159,6 +159,7 @@ def test_bus_words_resume_a_paused_controller_inside_its_event(readback):
         sim, buffer, mem, ctl = make_controller(capacity=4)
         words = iter(image_words(image))
         moved = []
+        results = []
 
         def action():
             if readback:
@@ -167,9 +168,9 @@ def test_bus_words_resume_a_paused_controller_inside_its_event(readback):
                 buffer.push(next(words))
 
         if readback:
-            ctl.start_readback(0, 1)
+            ctl.start_readback(0, 1, on_done=results.append)
         else:
-            ctl.start_configure(len(image))
+            ctl.start_configure(len(image), on_done=lambda bs, res: results.append(res))
         if lazy:
             Lattice(sim, 5_000, 100_000, count, action)
         else:
@@ -178,7 +179,7 @@ def test_bus_words_resume_a_paused_controller_inside_its_event(readback):
         sim.run_until_idle()
         if lazy:
             assert sim.executed == 1
-        runs.append((ctl.last_readback if readback else ctl.last_config, ctl.pause_windows,
+        runs.append((results, ctl.pause_windows,
                      byte_times(ctl), moved if readback else mem.snapshot()))
     assert runs[0] == runs[1]
     assert len(runs[0][1]) > count // 2
@@ -225,7 +226,7 @@ def test_readback_stream_matches_memory_and_timing():
     collected = bytearray()
     buffer.on_enqueue(lambda: collected.extend(buffer.pop().to_bytes(4, "little")))
     results = []
-    total = ctl.start_readback(0, 4, kernel_id=0, on_done=results.append)
+    total = ctl.start_readback(0, 4, on_done=results.append)
     sim.run_until_idle()
     assert bytes(collected[:total]) == mem.readback(0, 4)
     assert bits.parse(bytes(collected[:total])).payload == payload
