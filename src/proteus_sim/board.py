@@ -12,6 +12,16 @@ start_up, bit2 start_reconfig, bit3 start_readback).  For readback,
 ``cfg_len`` packs the region as (column_count << 16) | first_column and
 ``cfg_base`` is the destination address.  ``irq cause`` reads the pending
 set and acknowledges with write-one-to-clear.
+
+Two *feeds* give the run-ahead processes the bus side of the buffers they
+share with it, without the device's engine table: ``PortFeed`` for the
+SelectMap controller and ``StreamFeed`` for the kernel host.  Each returns
+the burst in flight (moved by the stretch through its ``lattice()`` and
+``advance_many``) and the occupancies within which the idle engines'
+fill status stays quiet (``DmaEngine.band``), so that a stretch ends
+before a word that would make an engine request a burst.  A run that can
+go no further raises ``Deadlock``, naming the busy engines, the stream
+buffers' occupancies and the kernel host's state.
 """
 
 from __future__ import annotations
@@ -123,6 +133,15 @@ class DmaEngine:
     def busy(self) -> bool:
         return self.addr.active or self.request is not None or self.txn is not None
 
+    def band(self) -> tuple[int, int]:
+        """The buffer occupancies (lo, hi), both included, at which a word
+        moved by the other side of the buffer makes this engine request
+        nothing: ``quiet_band`` while it is idle, any while a transaction
+        waits or moves."""
+        if self.txn is None and self.request is None:
+            return quiet_band(self.target, self.buffer, self.addr)
+        return 0, self.buffer.capacity
+
     def start(self, base: int, total: int, on_job_done=None) -> None:
         if self.busy:
             raise JobActive(f"{self.target.value} job already active")
@@ -175,12 +194,29 @@ class PortFeed:
         burst = self.bus.in_flight(engine.txn)
         if self.sim.stream is not burst:
             return None
-        buffer = engine.buffer
-        if engine.txn is None and engine.request is None:
-            lo, hi = quiet_band(engine.target, buffer, engine.addr)
-        else:
-            lo, hi = 0, buffer.capacity
-        return lo, hi, burst
+        return (*engine.band(), burst)
+
+
+class StreamFeed:
+    """The bus side of the kernel's two buffers, as the kernel host's
+    stretches see it: the stream burst in flight, and the occupancies at
+    which the idle engines' fill status stays quiet."""
+
+    def __init__(self, device: "Device") -> None:
+        self.sim = device.sim
+        self.down = device.engines[TargetId.DOWNSTREAM]
+        self.up = device.engines[TargetId.UPSTREAM]
+
+    def window(self):
+        """None while another target's words are moving; else (lo, hi,
+        burst): the stretch keeps the downstream occupancy at or above lo and
+        the upstream one at or below hi after each kernel word, and ``burst``
+        is the downstream or upstream ``_Burst`` in flight, or None.  The
+        stretch moves its words with ``lattice()`` and ``advance_many``."""
+        burst = self.sim.stream
+        if burst is not None and burst.txn is not self.down.txn and burst.txn is not self.up.txn:
+            return None
+        return self.down.band()[0], self.up.band()[1], burst
 
 
 class Device:
@@ -222,7 +258,7 @@ class Device:
         self.kernel_host = KernelHost(self.sim, self.user_clk, self.down_buf, self.up_buf,
                                       self.regs,
                                       lambda: self._raise(IrqCause.KERNEL_REQUEST),
-                                      trace=trace)
+                                      StreamFeed(self), trace=trace)
         self.registry = self.kernel_host.registry
 
         self.down_buf.on_dequeue(lambda: self.evaluate(TargetId.DOWNSTREAM))
@@ -335,6 +371,15 @@ class Device:
     def _raise(self, cause: IrqCause) -> None:
         self.irq.raise_(cause)
 
+    def describe(self) -> str:
+        """The busy engines, the stream buffers' occupancies and the kernel
+        host's state, for messages."""
+        busy = ", ".join(t.value for t, e in self.engines.items() if e.busy) or "none"
+        cap = self.config.buffer_capacity
+        return (f"busy engines: {busy}; downstream buffer {self.down_buf.occupancy}/{cap} words, "
+                f"upstream buffer {self.up_buf.occupancy}/{cap} words; "
+                f"kernel {self.kernel_host.state()}")
+
     def _irq_event(self, kind: str, cause: IrqCause) -> None:
         if self.trace:
             self.trace.record("irq", kind, cause.name or str(int(cause)))
@@ -391,7 +436,8 @@ class World:
         step = self.sim.step
         while not (irq.pending & cause):
             if not step():
-                raise Deadlock(f"simulation idle while waiting for {what or cause}")
+                raise Deadlock(f"simulation idle while waiting for {what or cause}: "
+                               f"{self.device.describe()}")
 
     def acknowledge(self, cause: IrqCause) -> None:
         self.device.host_reg_write(REG_IRQ_CAUSE, int(cause))
@@ -452,18 +498,21 @@ class World:
         self.host.unmap(base)
         return image
 
-    def start_stream(self, data: bytes, up: bool = True) -> tuple[int, int]:
+    def start_stream(self, data: bytes, up: bool = True) -> tuple[int, int | None]:
         """Start a downstream job over ``data`` and, if ``up``, an upstream
-        job of the same length; returns the bases of their regions, which
-        stay mapped."""
+        job of the same length; returns the bases of their regions (None for
+        an upstream job not started), which stay mapped."""
         nbytes = len(data)
         in_base = self.stage(data)
-        _buf, out_base = self.host.map_shared_region(nbytes)
-        self._program(((REG_DOWN_BASE, in_base), (REG_DOWN_LEN, nbytes),
-                       (REG_UP_BASE, out_base), (REG_UP_LEN, nbytes),
-                       (REG_CONTROL, CTRL_START_DOWN | (CTRL_START_UP if up else 0))),
-                      in_base, out_base)
-        return in_base, out_base
+        writes = [(REG_DOWN_BASE, in_base), (REG_DOWN_LEN, nbytes)]
+        bases = [in_base]
+        if up:
+            _buf, out_base = self.host.map_shared_region(nbytes)
+            writes += [(REG_UP_BASE, out_base), (REG_UP_LEN, nbytes)]
+            bases.append(out_base)
+        self._program(writes + [(REG_CONTROL, CTRL_START_DOWN | (CTRL_START_UP if up else 0))],
+                      *bases)
+        return in_base, out_base if up else None
 
     def stream(self, data: bytes) -> bytes:
         """Round-trip ``data`` through the active kernel; returns what came up."""

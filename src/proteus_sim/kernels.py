@@ -5,12 +5,25 @@ bound kernel behind the bus-macro interface.  A kernel sees exactly one
 cycle-sized port view per user-clock edge: at most one word in, one word
 out, the shared registers (writable only at kernel indices), and an
 interrupt request line.  Nothing else of the device is reachable.
+
+A kernel may also declare the *map form*, a synchronous-dataflow rate of
+one word in and one word out per edge (Lee & Messerschmitt, 1987):
+``map_words(io, words) -> words`` promises that ``step`` is exactly
+``if io.in_available and io.out_space: io.write(f(io.read()))`` with
+private state only, no register write and no interrupt, and returns f of
+each word in order.  A *consume-only* kernel (``consume_only = True``, as
+``SinkKernel``) drops the ``out_space`` test and returns no words.  The
+built-ins and ``SinkKernel`` declare it; ``add_const`` reads register 8
+once per call, which the host writes only between events.  With it the
+kernel host moves whole stretches of words in closed form instead of
+stepping the kernel edge by edge; a kernel without it is stepped on
+every edge.
 """
 
 from __future__ import annotations
 
 from .fixed_part import KERNEL_REGS, RegisterFile, StreamBuffer
-from .sim import RunAhead
+from .sim import FOREVER, RunAhead, first_tie
 
 
 class DuplicateId(Exception):
@@ -75,6 +88,9 @@ class IdentityKernel:
         if io.in_available and io.out_space:
             io.write(io.read())
 
+    def map_words(self, io: PortIO, words: list[int]) -> list[int]:
+        return words
+
 
 class NegateKernel:
     name = "negate"
@@ -82,6 +98,9 @@ class NegateKernel:
     def step(self, io: PortIO) -> None:
         if io.in_available and io.out_space:
             io.write(~io.read() & 0xFFFFFFFF)
+
+    def map_words(self, io: PortIO, words: list[int]) -> list[int]:
+        return [~w & 0xFFFFFFFF for w in words]
 
 
 class AddConstKernel:
@@ -92,6 +111,10 @@ class AddConstKernel:
     def step(self, io: PortIO) -> None:
         if io.in_available and io.out_space:
             io.write((io.read() + io.reg_read(8)) & 0xFFFFFFFF)
+
+    def map_words(self, io: PortIO, words: list[int]) -> list[int]:
+        k = io.reg_read(8)   # only the host writes it, and never inside a stretch
+        return [(w + k) & 0xFFFFFFFF for w in words]
 
 
 class Fir4Kernel:
@@ -108,6 +131,15 @@ class Fir4Kernel:
             io.write((word + sum(self._taps)) & 0xFFFFFFFF)
             self._taps = [word] + self._taps[:2]
 
+    def map_words(self, io: PortIO, words: list[int]) -> list[int]:
+        a, b, c = self._taps
+        out = []
+        for w in words:
+            out.append((w + a + b + c) & 0xFFFFFFFF)
+            a, b, c = w, a, b
+        self._taps = [a, b, c]
+        return out
+
 
 BUILTIN_KERNELS = {
     k.name: k for k in (IdentityKernel, NegateKernel, AddConstKernel, Fir4Kernel)
@@ -119,10 +151,14 @@ class SinkKernel:
     the downstream bus busy.  Bound from Python only, not a scenario built-in."""
 
     name = "sink"
+    consume_only = True
 
     def step(self, io: PortIO) -> None:
         if io.in_available:
             io.read()
+
+    def map_words(self, io: PortIO, words: list[int]) -> list[int]:
+        return []
 
 
 class KernelRegistry:
@@ -167,15 +203,21 @@ class KernelHost(RunAhead):
     wakes it.  Besides before the next queued event and past the loop's
     horizon, it also hands control back right after the kernel raises an
     interrupt, so a host waiting for one sees it at the same ps.
+
+    A kernel in map form is not stepped edge by edge either: through the
+    ``feed`` (the bus side of the two buffers, wired by the board) a point
+    runs a whole *stretch* of edges and bus words in closed form (see
+    ``_stretch``).  Boundaries and other kernels go edge by edge.
     """
 
     def __init__(self, sim, domain, down: StreamBuffer, up: StreamBuffer,
-                 regs: RegisterFile, raise_irq, trace=None) -> None:
+                 regs: RegisterFile, raise_irq, feed, trace=None) -> None:
         self.sim = sim
         self.domain = domain
         self.down = down
         self.up = up
         self.regs = regs
+        self.feed = feed
         self.registry = KernelRegistry()
         self.trace = trace
         self._raise_irq = raise_irq
@@ -197,6 +239,18 @@ class KernelHost(RunAhead):
                               "inert" if name is None else f"{name} {bs.kernel_id:#x}")
         self._maybe_wake()
 
+    def state(self) -> str:
+        """Inert, awake, or asleep and why, for messages."""
+        if self.registry.active is None:
+            return "inert"
+        if self.key is not None:
+            return f"awake, next edge at {self.key[0]} ps"
+        if not self.down.occupancy:
+            return "asleep: downstream empty"
+        if not self.up.free_words:
+            return "asleep: upstream full"
+        return "asleep"
+
     def _request_irq(self) -> None:
         self._raised = True
         self._raise_irq()
@@ -213,14 +267,137 @@ class KernelHost(RunAhead):
         self.run_ahead()
 
     def point(self) -> bool:
-        """Step the kernel on the edge at ``key``."""
+        """Step the kernel on the edge at ``key``, or run the stretch from it."""
         sim = self.sim
         io = self._io
         t = self.key[0]
         sim.now = self._last_edge = t
+        kernel = self.registry.active
+        if hasattr(kernel, "map_words") and self._stretch(t, kernel):
+            return True
         nxt = (t + self.domain.period, sim.alloc())   # a clock edge numbers the next before stepping
         self._raised = False
         io.consumed = io.produced = 0
-        self.registry.active.step(io)
+        kernel.step(io)
         self.key = nxt if io.consumed or io.produced else None
         return not self._raised
+
+    def _stretch(self, t: int, kernel) -> bool:
+        """Run the map kernel's edges from ``t`` and the burst's words that
+        fall between them in closed form; False (nothing run) if that would
+        cover the edge at ``t`` alone.
+
+        The stretch covers every edge and bus word before ``end``: the first
+        queued event or the loop's horizon, the burst's last word (which
+        queues the burst's end), the first bus word on a user-clock edge
+        (whether it comes before the edge depends on when each was
+        numbered), and the edge whose word would take an idle engine's
+        buffer out of its quiet band.  Inside it only the two lattices touch the buffers,
+        and one burst moves words one way, so the kernel is a queue with a
+        periodic input: word j leaves at c(j) = max(t + j*q, the first edge
+        after the bus word that makes it movable), the downstream arrival or
+        the upstream room it waits for.  Edges that find the downstream
+        buffer empty or the upstream one full only put the kernel to sleep
+        until the next such bus word, so they need no count; the state at
+        ``end`` (awake on an edge, or asleep) follows from the last word
+        moved.  Each lattice numbers its next item once, at the end, in the
+        order of the moments it would have been numbered.
+        """
+        sim = self.sim
+        down, up = self.down, self.up
+        d0, u0 = down.occupancy, up.occupancy
+        room = FOREVER if getattr(kernel, "consume_only", False) else up.capacity - u0
+        q = self.domain.period
+        stream = sim.stream
+        if stream is None:
+            if not (d0 and room) or sim.reach() < t + q:
+                return False        # the edge at t alone
+        elif stream.key[0] == t:
+            return False            # a bus word on this very edge
+        window = self.feed.window()
+        if window is None:
+            return False
+        lo, hi, burst = window
+        edge = self.domain.next_edge_at
+        end = sim.reach() + 1
+        if burst is None:
+            to_device = False
+            tb = p = count = 0
+            jmax, j0 = min(d0, room), FOREVER
+            end = min(end, t + (jmax + 1) * q)       # past the edge that finds nothing
+        else:
+            to_device = burst.to_device
+            tb, p, count = burst.lattice()
+            end = min(end, tb + count * p, t + first_tie(t, q, tb, p) * q)
+            if to_device:     # word j >= d0 waits for bus word j - d0
+                jmax, j0 = min(room, d0 + count), d0
+            else:             # word j >= room waits for the room bus word j - room frees
+                jmax, j0 = min(d0, room + count), room
+        # Kernel words the idle engines' quiet bands allow: the downstream
+        # buffer only drains unless its burst moves, the upstream one only
+        # fills unless its burst moves or the kernel produces nothing.
+        cap = FOREVER
+        if not to_device:
+            cap = d0 - lo
+        if room != FOREVER and (burst is None or to_device):
+            cap = min(cap, hi - u0)
+
+        def leaves(j):
+            """The edge that moves word j (j < jmax)."""
+            c = t + j * q
+            if j >= j0:
+                c = max(c, edge(tb + (j - j0) * p) if q <= p else edge(tb) + (j - j0) * q)
+            return c
+
+        if cap < jmax:
+            end = min(end, leaves(max(cap, 0)))
+        nb = min(count, max(0, -(-(end - tb) // p))) if burst is not None else 0
+        if not nb and end <= t + q:
+            return False
+        nk = min(jmax, -(-(end - t) // q))
+        if nk > j0:         # words from j0 on also need their bus word's edge before end
+            if q <= p:
+                e_end = (end - 1) // q * q      # the last edge before end
+                nk = min(nk, j0 + ((e_end - tb) // p + 1 if e_end >= tb else 0))
+            else:
+                nk = min(nk, j0 + max(0, -(-(end - edge(tb)) // q)))
+
+        c_last = leaves(nk - 1) if nk else t - q
+        a_last = tb + (nb - 1) * p if nb else -1
+        key = c_last + q
+        early = False       # the kernel's next edge was numbered before the burst's next word
+        if key >= end:      # awake: numbered at the edge that moved the last word
+            last = c_last
+            early = c_last < a_last
+        else:               # the edge at ``key`` found nothing to move: asleep
+            last, key = key, None
+            if to_device and nk == room:
+                # Upstream full: each bus word wakes the kernel for one more such edge.
+                if a_last > last:
+                    e = edge(a_last)
+                    if e < end:
+                        last = e
+                    else:
+                        key, early = e, True
+            elif burst is not None and nk < (room if to_device else d0):
+                s = tb + (nk - j0) * p      # the bus word that lets word nk move
+                if s < end:
+                    key, early = edge(s), True
+
+        if key is not None and early:
+            self.key = (key, sim.alloc())
+        taken = down.exchange(burst.advance_many(nb) if to_device and nb else (), nk)
+        out = kernel.map_words(self._io, taken)
+        if burst is not None and not to_device:
+            out = up.exchange(out, nb)
+            if nb:
+                burst.advance_many(nb, out)
+        elif out:
+            up.exchange(out, 0)
+        if key is None:
+            self.key = None
+        elif not early:
+            self.key = (key, sim.alloc())
+        sim.now = max(last, a_last)
+        self._last_edge = last      # read only while asleep
+        return True

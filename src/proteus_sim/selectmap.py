@@ -22,14 +22,13 @@ feed, go word by word.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
 
 from . import bitstream as bits
 from .fixed_part import StreamBuffer
-from .sim import FOREVER, ClockDomain, RunAhead, Simulator
+from .sim import FOREVER, ClockDomain, RunAhead, Simulator, first_tie
 
 
 class SelectMapError(Exception):
@@ -82,18 +81,6 @@ class _Job:
         self.first_payload_time = None
         self.last_payload_end = None
         self.on_done = on_done
-
-
-def _first_tie(t: int, q: int, first: int, period: int):
-    """The first k >= 1 with t + k*q on the lattice first + i*period, i >= 0."""
-    g = math.gcd(q, period)
-    d = (first - t) % period
-    if d % g:
-        return FOREVER
-    step = period // g
-    k = (d // g) * pow(q // g, -1, step) % step    # t + k*q = first (mod period)
-    low = max(1, -(-(first - t) // q))
-    return low + (k - low) % step
 
 
 def _first_over(t: int, q: int, first: int, period: int, room: int):
@@ -217,15 +204,22 @@ class SelectMapController(RunAhead):
         numbers its next item once, at the end: the burst first, as its last
         moved word precedes the last point.
         """
+        q = 4 * self.clock.period
+        m = (job.total - job.done - 1) // 4       # the job's last word stays a point
+        occupancy = self.buffer.occupancy
+        spare = occupancy if configuring else self.buffer.capacity - occupancy
+        # Points 0 and 1 need two buffered words (configure) or free slots
+        # (readback), the second one possibly brought by a bus word before
+        # point 1; without them no window is worth building.
+        if m < 2 or (spare < 2 and (not spare or self.sim.stream is None
+                                    or self.sim.stream.key[0] >= t + q)):
+            return 0
         window = self.feed.window(configuring)
         if window is None:
             return 0
         lo, hi, burst = window
-        q = 4 * self.clock.period
-        occupancy = self.buffer.occupancy
         # k - (bus words before point k) may not exceed ``room``.
         room = occupancy - 1 - lo if configuring else hi - occupancy - 1
-        m = (job.total - job.done - 1) // 4       # the job's last word stays a point
         reach = self.sim.reach()
         if reach != FOREVER:
             m = min(m, (reach - t) // q + 1)
@@ -235,7 +229,7 @@ class SelectMapController(RunAhead):
         else:
             first, period, count = burst.lattice()
             m = min(m, (first + count * period - t) // q + 1,
-                    _first_tie(t, q, first, period), _first_over(t, q, first, period, room))
+                    first_tie(t, q, first, period), _first_over(t, q, first, period, room))
             moved = max(0, -(-(t + (m - 1) * q - first) // period))
         if m < 2:
             return 0

@@ -15,15 +15,39 @@ taken with ``alloc()`` at the moment the item would have been scheduled.
 
 A clock domain queues nothing itself: the component it clocks asks it for
 the next edge (``next_edge_at``) and schedules its own work there.
+
+A ``RunAhead`` process runs many points of its own timeline inside one
+event, settling the lazy stream in between.  Its points may in turn move
+whole *stretches* in closed form (temporal decoupling, as in SystemC
+TLM-2.0): the SelectMap controller over its port words and the kernel
+host over the kernel's edges, each together with the burst's words that
+fall between them, up to the next point where anything else could observe
+the buffer they share.  ``reach`` bounds a stretch by the queue head and
+the loop's horizon, and ``first_tie`` finds the first point of one lattice
+that lands on the picosecond of the other.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 FOREVER = float("inf")
+
+
+def first_tie(t: int, q: int, first: int, period: int):
+    """The first k >= 1 with t + k*q on the lattice first + i*period, i >= 0,
+    or FOREVER if none is."""
+    g = math.gcd(q, period)
+    d = (first - t) % period
+    if d % g:
+        return FOREVER
+    step = period // g
+    k = (d // g) * pow(q // g, -1, step) % step    # t + k*q = first (mod period)
+    low = max(1, -(-(first - t) // q))
+    return low + (k - low) % step
 
 
 class SimError(Exception):

@@ -130,8 +130,23 @@ def test_stream_identity_roundtrip():
 
 def test_stream_into_inert_region_deadlocks():
     world = booted_world()
-    with pytest.raises(Deadlock):
+    with pytest.raises(Deadlock, match="kernel inert"):
         world.stream(bytes(4096))
+
+
+def test_downstream_only_deadlock_says_why():
+    # Nothing drains the upstream buffer: the kernel fills it and sleeps,
+    # then the downstream buffer fills above its low mark and the job stops.
+    world = booted_world()
+    world.device.registry.bind(0x21, "identity")
+    world.reconfigure(partial_image(kernel_id=0x21))
+    assert world.start_stream(bytes(4 * 600), up=False)[1] is None
+    with pytest.raises(Deadlock) as err:
+        world.wait(IrqCause.DOWNSTREAM_DONE, "downstream job")
+    assert str(err.value) == (
+        "simulation idle while waiting for downstream job: busy engines: downstream; "
+        "downstream buffer 256/256 words, upstream buffer 256/256 words; "
+        "kernel asleep: upstream full")
 
 
 def test_interrupt_mask_register():

@@ -61,6 +61,25 @@ def test_fir4_hand_computed_sliding_sum():
     assert run_words(Fir4Kernel(), [1, 1, 1, 1, 1]) == [1, 2, 3, 4, 4]
 
 
+@pytest.mark.parametrize("factory", [*BUILTIN_KERNELS.values(), SinkKernel],
+                         ids=lambda k: k.name)
+@given(words=st.lists(st.integers(0, WORD), max_size=60),
+       cuts=st.lists(st.integers(0, 60), max_size=6), reg8=st.integers(0, WORD))
+def test_map_words_equals_repeated_step(factory, words, cuts, reg8):
+    # The map form over a word list, split into calls at random points,
+    # gives what stepping the kernel once per word gives.
+    regs = RegisterFile()
+    regs.write(8, reg8)
+    want = run_words(factory(), words, regs)
+    kernel = factory()
+    io, _, _ = make_io(regs=regs)
+    bounds = sorted({c % (len(words) + 1) for c in cuts})
+    got = []
+    for lo, hi in zip([0, *bounds], [*bounds, len(words)]):
+        got += kernel.map_words(io, words[lo:hi])
+    assert got == want
+
+
 @given(st.lists(st.integers(0, WORD), max_size=40))
 def test_fir4_matches_window_oracle(words):
     expected = [sum(words[max(0, i - 3):i + 1]) & WORD for i in range(len(words))]

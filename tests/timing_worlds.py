@@ -16,7 +16,10 @@ multiples of the bus period, and wait for those interrupts one by one.  The
 ``scenario-*`` worlds run generated scripts through the scenario runner.
 The ``stretch-*`` worlds move images of several KiB through buffers of 64
 or 256 words, so that the configuration controller's closed-form stretches
-are long and every bound that ends one is reached.
+are long and every bound that ends one is reached.  The ``stream-*``
+worlds do the same for the kernel host's stretches: long streams through
+every map kernel and the sink, buffers of 2 to 256 words, and concurrent
+reconfigurations that swap in a kernel stepped edge by edge.
 
 ``run_register_world`` and ``run_scenario_world`` return everything the
 timing contract covers: the time of every done interrupt, the interrupt
@@ -39,14 +42,18 @@ whose bus and kernel host already ran ahead but whose configuration
 controller still queued one event per word (the fully per-word tree
 gives the same entries); the ``stretch-*`` entries were written by the
 tree whose controller moved one word per point inside its run-ahead
-event.  ``test_timing_golden.py`` checks that the current engine
-reproduces every entry.
+event; the ``stream-*`` entries by the tree whose kernel host still stepped
+the kernel on every edge and moved one bus word at a time (the
+controller already moved stretches).  ``test_timing_golden.py`` checks
+that the current engine reproduces every entry.
 
     python3 tests/timing_worlds.py --diff <src of another tree>
 
 runs the register and poker worlds beyond the grid (indices up to
-``DIFF_WORLDS``) on this tree and, in a subprocess, on the other one, and
-prints the names of the worlds whose results differ (exit status 1 if any).
+``DIFF_WORLDS``) and the stream worlds beyond it (up to
+``DIFF_STREAM_WORLDS``) on this tree and, in a subprocess, on the other
+one, and prints the names of the worlds whose results differ (exit status
+1 if any).
 """
 
 from __future__ import annotations
@@ -82,6 +89,7 @@ from proteus_sim.fixed_part import (  # noqa: E402
     REG_UP_LEN,
     IrqCause,
 )
+from proteus_sim.kernels import SinkKernel  # noqa: E402
 from proteus_sim.pci import PciConfig  # noqa: E402
 from proteus_sim.runner import emit_metrics, run_scenario  # noqa: E402
 from proteus_sim.scenario import parse_scenario  # noqa: E402
@@ -98,8 +106,11 @@ SCENARIO_WORLDS = 12
 # controller's next word.
 SLOT_WORLDS = (661, 1189, 1331)
 STRETCH_WORLDS = 40
-# ``--diff`` compares register and poker worlds from the grid's end up to here.
+STREAM_WORLDS = 48
+# ``--diff`` compares register and poker worlds from the grid's end up to
+# here, and stream worlds up to ``DIFF_STREAM_WORLDS``.
 DIFF_WORLDS = 1500
+DIFF_STREAM_WORLDS = 400
 
 # (pci, user, cfg) clock periods in ps
 PERIODS = [
@@ -115,6 +126,11 @@ PERIODS = [
 # that was numbered before it, so the bus word goes first.
 STRETCH_PERIODS = PERIODS + [(80000, 20000, 20000), (80000, 30000, 10000),
                              (121212, 30303, 30303)]
+# Stream worlds: the board's defaults, commensurate clocks (a bus word on
+# every user-clock edge, or every third), and user clocks slower than the bus.
+STREAM_PERIODS = [(30303, 20000, 20000), (30303, 30303, 20000), (30303, 60606, 20000),
+                  (20000, 20000, 20000), (30303, 45000, 20000), (30303, 10101, 20000),
+                  (10000, 30000, 20000), (30303, 7000, 30303)]
 BURSTS = [1, 2, 3, 4, 5, 7, 16, 64, 256, 4096]
 CAPACITIES = [2, 4, 5, 8, 16, 64, 256]
 KERNELS = {0x21: "identity", 0x22: "negate", 0x23: "add_const", 0x24: "fir4", 0x25: "poker"}
@@ -129,6 +145,28 @@ class PokerKernel:
         if io.in_available and io.out_space:
             io.write(io.read())
             io.request_interrupt()
+
+
+class CounterKernel:
+    """Identity that writes the count of words it has moved to register 9:
+    a kernel without the map form (it writes a register), stepped edge by
+    edge."""
+
+    name = "counter"
+
+    def __init__(self):
+        self.count = 0
+
+    def step(self, io):
+        if io.in_available and io.out_space:
+            io.write(io.read())
+            self.count += 1
+            io.reg_write(9, self.count)
+
+
+# Bound in every register world; 0x26 and 0x27 are used only by the stream worlds.
+BINDINGS = {**{kid: PokerKernel if name == "poker" else name for kid, name in KERNELS.items()},
+            0x26: SinkKernel, 0x27: CounterKernel}
 
 
 def _sha(data: bytes) -> str:
@@ -254,6 +292,49 @@ def _stretch_spec(index: int) -> dict:
     return spec
 
 
+def _stream_spec(index: int) -> dict:
+    """Long streams through every map kernel and the sink, so that the
+    kernel host's closed-form stretches are long and every bound that ends
+    one is reached: buffers of 2 to 256 words with random fill marks, stall
+    windows and mid-run stops anywhere in a job, commensurate clocks and
+    user clocks slower than the bus, and concurrent reconfigurations that
+    swap in another map kernel or one stepped edge by edge (``poker``,
+    ``counter``).  Every fifth world streams downstream only, into the sink."""
+    rng = random.Random(f"stream-world-{index}")
+    pci, user, cfg = STREAM_PERIODS[index % len(STREAM_PERIODS)]
+    cap = rng.choice([2, 3, 4, 8, 16, 64, 128, 256])
+    low = rng.randint(1, cap)
+    high = low if rng.random() < 0.2 else rng.randint(low, cap)
+    sink = index % 5 == 4
+    spec = {"periods": [pci, user, cfg], "grant": rng.randint(0, 8),
+            "burst": rng.choice(BURSTS), "capacity": cap, "fill_low": low,
+            "fill_high": high, "geometry": [6, 2, 8, 4], "boot_byte_period": 7,
+            "jobs": [{"kind": "reconfig", "stalls": [], "first": 0, "columns": 1, "seed": index,
+                      "kernel_id": 0x26 if sink else rng.choice([0x21, 0x22, 0x23, 0x24])}]}
+    for _ in range(rng.randint(2, 4)):
+        kind = "stream" if sink or rng.random() < 0.5 else rng.choice(
+            ["stream+reconfig", "stream+readback"])
+        words = rng.choice([rng.randint(1, 40), rng.randint(40, 600), rng.randint(600, 2500)])
+        span = 2 * words + 40          # bus cycles the job needs, about
+        job = {"kind": kind, "words": words, "seed": rng.randint(0, 999),
+               "stalls": [[rng.randint(0, span) * pci + rng.choice([0, 0, 1, -1, pci // 2]),
+                           rng.choice([1, pci, rng.randint(2, 200 * pci)])]
+                          for _ in range(rng.choice([0, 0, 1, 3, 6]))]}
+        if sink:
+            job["down_only"] = True
+        if rng.random() < 0.5:
+            job["midrun"] = [rng.randint(0, span) * pci + rng.choice([0, 1, -1, pci // 2]),
+                             [[rng.randint(0, 40) * pci + rng.choice([0, 1, -1]),
+                               rng.randint(1, 100 * pci)] for _ in range(rng.randint(1, 3))]]
+        if "reconfig" in kind:
+            job.update(kernel_id=rng.choice([0x21, 0x22, 0x23, 0x24, 0x25, 0x27]), first=0,
+                       columns=rng.randint(1, 2), seed=rng.randint(0, 999))
+        if "readback" in kind:
+            job.update(rb_first=rng.randint(0, 3), rb_count=rng.randint(1, 3))
+        spec["jobs"].append(job)
+    return spec
+
+
 def _stalls(rng: random.Random, pci: int, grant: int) -> list[list[int]]:
     """Stall windows as (offset from job start, duration) pairs."""
     out = []
@@ -287,8 +368,8 @@ def _world(spec: dict) -> World:
 def run_register_world(spec: dict) -> dict:
     world = _world(spec)
     dev, sim, host = world.device, world.sim, world.host
-    for kid, name in KERNELS.items():
-        dev.registry.bind(kid, PokerKernel if name == "poker" else name)
+    for kid, behavior in BINDINGS.items():
+        dev.registry.bind(kid, behavior)
     g = world.config.geometry
     flash = bits.encode(g, bits.BitstreamKind.FULL, 0, 0,
                         random.Random(len(spec["jobs"])).randbytes(g.total_bytes))
@@ -309,9 +390,13 @@ def run_register_world(spec: dict) -> dict:
             for reg, value in ((REG_DOWN_BASE, in_base), (REG_DOWN_LEN, len(data)),
                                (REG_UP_BASE, out_base), (REG_UP_LEN, len(data))):
                 dev.host_reg_write(reg, value)
-            control |= CTRL_START_DOWN | CTRL_START_UP
-            waits += [IrqCause.DOWNSTREAM_DONE, IrqCause.UPSTREAM_DONE]
-            reads.append(("stream", out_base, len(data)))
+            if job.get("down_only"):
+                control |= CTRL_START_DOWN
+                waits.append(IrqCause.DOWNSTREAM_DONE)
+            else:
+                control |= CTRL_START_DOWN | CTRL_START_UP
+                waits += [IrqCause.DOWNSTREAM_DONE, IrqCause.UPSTREAM_DONE]
+                reads.append(("stream", out_base, len(data)))
         if "reconfig" in job["kind"]:
             cb = g.column_bytes
             payload = random.Random(job["seed"]).randbytes(job["columns"] * cb)
@@ -440,17 +525,22 @@ def all_worlds():
                for i in SLOT_WORLDS]
     worlds += [(f"stretch-{i}", lambda i=i: run_register_world(_stretch_spec(i)))
                for i in range(STRETCH_WORLDS)]
+    worlds += [(f"stream-{i}", lambda i=i: run_register_world(_stream_spec(i)))
+               for i in range(STREAM_WORLDS)]
     return worlds
 
 
 def extra_worlds():
     """(name, thunk) for the register and poker worlds from the end of the
-    grid up to ``DIFF_WORLDS``: not pinned by golden data, compared between
-    two source trees by ``--diff``."""
+    grid up to ``DIFF_WORLDS`` and the stream worlds up to
+    ``DIFF_STREAM_WORLDS``: not pinned by golden data, compared between two
+    source trees by ``--diff``."""
     worlds = [(f"registers-{i}", lambda i=i: run_register_world(_spec(i)))
               for i in range(REGISTER_WORLDS, DIFF_WORLDS)]
     worlds += [(f"poker-{i}", lambda i=i: run_register_world(_poker_spec(i)))
                for i in range(POKER_WORLDS, DIFF_WORLDS)]
+    worlds += [(f"stream-{i}", lambda i=i: run_register_world(_stream_spec(i)))
+               for i in range(STREAM_WORLDS, DIFF_STREAM_WORLDS)]
     return worlds
 
 
