@@ -13,15 +13,18 @@ start_up, bit2 start_reconfig, bit3 start_readback).  For readback,
 ``cfg_base`` is the destination address.  ``irq cause`` reads the pending
 set and acknowledges with write-one-to-clear.
 
-Two *feeds* give the run-ahead processes the bus side of the buffers they
-share with it, without the device's engine table: ``PortFeed`` for the
-SelectMap controller and ``StreamFeed`` for the kernel host.  Each returns
-the burst in flight (moved by the stretch through its ``lattice()`` and
-``advance_many``) and the occupancies within which the idle engines'
-fill status stays quiet (``DmaEngine.band``), so that a stretch ends
-before a word that would make an engine request a burst.  A run that can
-go no further raises ``Deadlock``, naming the busy engines, the stream
-buffers' occupancies and the kernel host's state.
+A *feed* (``BufferFeed``) gives a run-ahead process the bus side of the
+buffers it shares with the bus, without the device's engine table: the
+device-bound and host-bound engines behind them (SelectMap write and read
+for the controller, downstream and upstream for the kernel host), as the
+configuration port and the bus-macro interface sit behind the same kind of
+dual-port buffer.  Its ``window`` returns the burst in flight (moved by the
+stretch through its ``lattice()`` and ``advance_many``), the occupancies
+within which the idle engines' fill status stays quiet
+(``DmaEngine.band``), so that a stretch ends before a word that would make
+an engine request a burst, and the time before which every stretch ends.
+A run that can go no further raises ``Deadlock``, naming the busy engines,
+the stream buffers' occupancies and the kernel host's state.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from .fixed_part import (
 from .kernels import KernelHost
 from .pci import BusTransaction, HostMemory, PciBus, PciConfig, TxnState
 from .selectmap import BootReport, ConfigResult, Mode, NotIdle, SelectMapController
-from .sim import ClockDomain, Simulator
+from .sim import ClockDomain, Simulator, first_tie
 from .trace import TraceRecorder
 
 
@@ -174,49 +177,38 @@ class DmaEngine:
                 done()
 
 
-class PortFeed:
-    """The bus side of the SelectMap buffer, as the controller's stretches
-    see it: the burst whose words move between the controller's points, and
-    the occupancies at which the idle engine's fill status stays quiet."""
+class BufferFeed:
+    """The bus side of a run-ahead process's buffers, as its stretches see
+    it: the device-bound engine that fills one and the host-bound engine
+    that drains one (the same buffer for the SelectMap controller, the
+    downstream and upstream buffers for the kernel host)."""
 
-    def __init__(self, device: "Device") -> None:
+    def __init__(self, device: "Device", into: TargetId, out_of: TargetId) -> None:
         self.sim = device.sim
-        self.bus = device.world.bus
-        self.engines = {True: device.engines[TargetId.SELECTMAP_WRITE],
-                        False: device.engines[TargetId.SELECTMAP_READ]}
+        self.into = device.engines[into]
+        self.out_of = device.engines[out_of]
 
-    def window(self, configuring: bool):
-        """None while another target's words are moving; else (lo, hi,
-        burst): the stretch keeps the occupancy within lo..hi after each port
-        word, and ``burst`` is the engine's ``_Burst`` in flight, or None.
-        The stretch moves its words with ``lattice()`` and ``advance_many``."""
-        engine = self.engines[configuring]
-        burst = self.bus.in_flight(engine.txn)
-        if self.sim.stream is not burst:
-            return None
-        return (*engine.band(), burst)
-
-
-class StreamFeed:
-    """The bus side of the kernel's two buffers, as the kernel host's
-    stretches see it: the stream burst in flight, and the occupancies at
-    which the idle engines' fill status stays quiet."""
-
-    def __init__(self, device: "Device") -> None:
-        self.sim = device.sim
-        self.down = device.engines[TargetId.DOWNSTREAM]
-        self.up = device.engines[TargetId.UPSTREAM]
-
-    def window(self):
-        """None while another target's words are moving; else (lo, hi,
-        burst): the stretch keeps the downstream occupancy at or above lo and
-        the upstream one at or below hi after each kernel word, and ``burst``
-        is the downstream or upstream ``_Burst`` in flight, or None.  The
-        stretch moves its words with ``lattice()`` and ``advance_many``."""
-        burst = self.sim.stream
-        if burst is not None and burst.txn is not self.down.txn and burst.txn is not self.up.txn:
-            return None
-        return self.down.band()[0], self.up.band()[1], burst
+    def window(self, t: int, q: int):
+        """None while another target's burst is moving; else (lo, hi, burst,
+        end) for a stretch whose points fall at t + k*q.  The stretch keeps
+        the filled buffer's occupancy at or above lo and the drained one's
+        at or below hi after each of its points, so the idle engines'
+        fill status stays quiet (``DmaEngine.band``).  ``burst`` is the
+        engines' ``_Burst`` in flight, or None; the stretch moves its words
+        with ``lattice()`` and ``advance_many``.  ``end`` is the exclusive
+        time bound every stretch keeps: the queue head or the horizon, the
+        burst's last word (which queues its end), and the first point on
+        the picosecond of a bus word (which one goes first depends on when
+        each was numbered)."""
+        sim = self.sim
+        burst = sim.stream
+        end = sim.reach() + 1
+        if burst is not None:
+            if burst.txn is not self.into.txn and burst.txn is not self.out_of.txn:
+                return None
+            tb, p, count = burst.lattice()
+            end = min(end, tb + count * p, t + first_tie(t, q, tb, p) * q)
+        return self.into.band()[0], self.out_of.band()[1], burst, end
 
 
 class Device:
@@ -254,11 +246,13 @@ class Device:
 
         self.controller = SelectMapController(self.sim, self.cfg_clk, self.smap_buf,
                                               self.config_mem, trace=trace,
-                                              feed=PortFeed(self))
+                                              feed=BufferFeed(self, TargetId.SELECTMAP_WRITE,
+                                                              TargetId.SELECTMAP_READ))
         self.kernel_host = KernelHost(self.sim, self.user_clk, self.down_buf, self.up_buf,
                                       self.regs,
                                       lambda: self._raise(IrqCause.KERNEL_REQUEST),
-                                      StreamFeed(self), trace=trace)
+                                      BufferFeed(self, TargetId.DOWNSTREAM, TargetId.UPSTREAM),
+                                      trace=trace)
         self.registry = self.kernel_host.registry
 
         self.down_buf.on_dequeue(lambda: self.evaluate(TargetId.DOWNSTREAM))

@@ -12,18 +12,25 @@ one word in and one word out per edge (Lee & Messerschmitt, 1987):
 ``if io.in_available and io.out_space: io.write(f(io.read()))`` with
 private state only, no register write and no interrupt, and returns f of
 each word in order.  A *consume-only* kernel (``consume_only = True``, as
-``SinkKernel``) drops the ``out_space`` test and returns no words.  The
-built-ins and ``SinkKernel`` declare it; ``add_const`` reads register 8
-once per call, which the host writes only between events.  With it the
-kernel host moves whole stretches of words in closed form instead of
-stepping the kernel edge by edge; a kernel without it is stepped on
-every edge.
+``SinkKernel``) drops the ``out_space`` test and returns no words.  A
+one-word firing is the map applied to one word, so the built-ins and
+``SinkKernel`` define ``map_words`` only and inherit that ``step`` from
+``MapKernel``; ``add_const`` reads register 8 once per call, which the
+host writes only between events.  With the map form the kernel host moves
+whole stretches of words in closed form instead of stepping the kernel
+edge by edge; a kernel without it is stepped on every edge.
+
+Every kernel sleeps after an edge on which it moves no word, and only a
+downstream enqueue or an upstream dequeue wakes it, at the next edge.  A
+kernel that idles for an edge while it still holds work (a rate divider,
+a pipeline that drains) is therefore never stepped again, and the board
+deadlocks: a kernel must move a word on every edge on which it can.
 """
 
 from __future__ import annotations
 
 from .fixed_part import KERNEL_REGS, RegisterFile, StreamBuffer
-from .sim import FOREVER, RunAhead, first_tie
+from .sim import FOREVER, RunAhead
 
 
 class DuplicateId(Exception):
@@ -81,55 +88,49 @@ class PortIO:
         self._raise_irq()
 
 
-class IdentityKernel:
-    name = "identity"
+class MapKernel:
+    """Base of the kernels in map form: ``step`` is ``map_words`` applied to
+    the one word an edge can move."""
+
+    consume_only = False
 
     def step(self, io: PortIO) -> None:
-        if io.in_available and io.out_space:
-            io.write(io.read())
+        if io.in_available and (self.consume_only or io.out_space):
+            for word in self.map_words(io, [io.read()]):
+                io.write(word)
+
+
+class IdentityKernel(MapKernel):
+    name = "identity"
 
     def map_words(self, io: PortIO, words: list[int]) -> list[int]:
         return words
 
 
-class NegateKernel:
+class NegateKernel(MapKernel):
     name = "negate"
-
-    def step(self, io: PortIO) -> None:
-        if io.in_available and io.out_space:
-            io.write(~io.read() & 0xFFFFFFFF)
 
     def map_words(self, io: PortIO, words: list[int]) -> list[int]:
         return [~w & 0xFFFFFFFF for w in words]
 
 
-class AddConstKernel:
+class AddConstKernel(MapKernel):
     """Adds register 8 (wrapping 32-bit) to every word."""
 
     name = "add_const"
-
-    def step(self, io: PortIO) -> None:
-        if io.in_available and io.out_space:
-            io.write((io.read() + io.reg_read(8)) & 0xFFFFFFFF)
 
     def map_words(self, io: PortIO, words: list[int]) -> list[int]:
         k = io.reg_read(8)   # only the host writes it, and never inside a stretch
         return [(w + k) & 0xFFFFFFFF for w in words]
 
 
-class Fir4Kernel:
+class Fir4Kernel(MapKernel):
     """Sliding sum of the current and previous three inputs, wrapping."""
 
     name = "fir4"
 
     def __init__(self) -> None:
         self._taps = [0, 0, 0]
-
-    def step(self, io: PortIO) -> None:
-        if io.in_available and io.out_space:
-            word = io.read()
-            io.write((word + sum(self._taps)) & 0xFFFFFFFF)
-            self._taps = [word] + self._taps[:2]
 
     def map_words(self, io: PortIO, words: list[int]) -> list[int]:
         a, b, c = self._taps
@@ -146,16 +147,12 @@ BUILTIN_KERNELS = {
 }
 
 
-class SinkKernel:
+class SinkKernel(MapKernel):
     """Consumes one word per cycle and produces nothing: a load that keeps
     the downstream bus busy.  Bound from Python only, not a scenario built-in."""
 
     name = "sink"
     consume_only = True
-
-    def step(self, io: PortIO) -> None:
-        if io.in_available:
-            io.read()
 
     def map_words(self, io: PortIO, words: list[int]) -> list[int]:
         return []
@@ -287,13 +284,13 @@ class KernelHost(RunAhead):
         fall between them in closed form; False (nothing run) if that would
         cover the edge at ``t`` alone.
 
-        The stretch covers every edge and bus word before ``end``: the first
-        queued event or the loop's horizon, the burst's last word (which
-        queues the burst's end), the first bus word on a user-clock edge
-        (whether it comes before the edge depends on when each was
-        numbered), and the edge whose word would take an idle engine's
-        buffer out of its quiet band.  Inside it only the two lattices touch the buffers,
-        and one burst moves words one way, so the kernel is a queue with a
+        The stretch covers every edge and bus word before ``end``: the
+        feed's (the first queued event or the loop's horizon, the burst's
+        last word, the first bus word on a user-clock edge), the edge after
+        the last word it can move with no burst in flight, and the edge
+        whose word would take an idle engine's buffer out of its quiet band.
+        Inside it only the two lattices touch the buffers, and one burst
+        moves words one way, so the kernel is a queue with a
         periodic input: word j leaves at c(j) = max(t + j*q, the first edge
         after the bus word that makes it movable), the downstream arrival or
         the upstream room it waits for.  Edges that find the downstream
@@ -314,12 +311,11 @@ class KernelHost(RunAhead):
                 return False        # the edge at t alone
         elif stream.key[0] == t:
             return False            # a bus word on this very edge
-        window = self.feed.window()
+        window = self.feed.window(t, q)
         if window is None:
             return False
-        lo, hi, burst = window
+        lo, hi, burst, end = window
         edge = self.domain.next_edge_at
-        end = sim.reach() + 1
         if burst is None:
             to_device = False
             tb = p = count = 0
@@ -328,7 +324,6 @@ class KernelHost(RunAhead):
         else:
             to_device = burst.to_device
             tb, p, count = burst.lattice()
-            end = min(end, tb + count * p, t + first_tie(t, q, tb, p) * q)
             if to_device:     # word j >= d0 waits for bus word j - d0
                 jmax, j0 = min(room, d0 + count), d0
             else:             # word j >= room waits for the room bus word j - room frees

@@ -10,11 +10,15 @@ is a WAITING transaction, and a granted one is a burst.  ``begin_burst``
 computes its word lattice ``first + k * clock_period`` in closed form and
 cuts it at the first word that falls in a stall window, or at the burst
 limit; the words of a device-bound burst are read from host memory then,
-in one call.  The words then reach the master's ``word_sink``/
-``word_source`` one per bus cycle as items of a lazy stream (see ``sim``):
-each runs at its cycle's picosecond and in the same-time order that a
-queued per-word event would have had, but only the burst's end (DONE or
-PREEMPTED) is a queued event.  The burst counts its words; the
+in one call.  The board's fill-status logic never requests more than the
+limit (``max_burst_cycles`` words), but a master that asks for a whole
+transfer at once, as the restart test of acceptance criterion 5 does,
+relies on the bus to cut it there and resumes from the next address.
+The words then reach the master's ``word_sink``/``word_source`` one per
+bus cycle as items of a lazy stream (see ``sim``): each runs at its
+cycle's picosecond and in the same-time order that a queued per-word
+event would have had, but only the burst's end (DONE or PREEMPTED) is a
+queued event.  The burst counts its words; the
 transaction's ``transferred_bytes`` and the bus's ``total_data_cycles``
 are set from that count when the end is queued.
 """
@@ -134,7 +138,6 @@ class PciBus:
         self._master_fetch = None
         self._wake_pending = False
         self._burst_start = 0
-        self._burst: _Burst | None = None   # the burst whose words are still moving
 
     # -- stalls --------------------------------------------------------------
 
@@ -144,8 +147,8 @@ class PciBus:
         if duration <= 0:
             raise ValueError("stall duration must be > 0")
         bisect.insort(self._stalls, (start, start + duration))
-        if self._burst is not None:
-            self._burst.cut()
+        if self.sim.stream is not None:     # the burst whose words are still moving
+            self.sim.stream.cut()
 
     def stalled_at(self, t: int) -> bool:
         i = bisect.bisect_right(self._stalls, (t, ADDRESS_SPACE << 32))
@@ -205,11 +208,6 @@ class PciBus:
         first = self.sim.now + self.config.grant_latency_cycles * self.config.clock_period
         _Burst(self, txn, buf, off, first)
         return txn
-
-    def in_flight(self, txn: BusTransaction | None) -> _Burst | None:
-        """The burst of ``txn`` whose words are still moving, if any."""
-        burst = self._burst
-        return burst if burst is not None and burst.txn is txn else None
 
     def _first_stalled(self, first: int, count: int) -> int:
         """Index of the first of ``count`` lattice words from ``first`` at which
@@ -277,7 +275,7 @@ class _Burst:
         self.key = (first, self.sim.alloc())
         self.index = 0
         self.limit = min(-(-txn.total_bytes // 4), bus.config.max_burst_cycles)
-        bus._burst = self.sim.stream = self
+        self.sim.stream = self
         self.cut()
 
     def cut(self) -> None:
@@ -342,7 +340,7 @@ class _Burst:
         """Count the moved words into the transaction and the bus, and queue
         the burst's end in the slot of the next lattice point."""
         bus, txn, sim = self.bus, self.txn, self.sim
-        sim.stream = bus._burst = None
+        sim.stream = None
         txn.transferred_bytes = min(4 * self.index, txn.total_bytes)
         bus.total_data_cycles += self.index
         t, seq = self.key

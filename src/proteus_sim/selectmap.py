@@ -15,9 +15,10 @@ Only the points where the bus timeline interleaves with it (a queued burst
 end, the loop's horizon) cost an event.
 
 Nor are they moved one by one: with a ``feed`` (the bus side of the
-buffer, wired by the board) a point moves a whole *stretch* of words in
-closed form (see ``_stretch``).  Boundaries, and a controller without a
-feed, go word by word.
+buffer, wired by the board, which also says where any stretch must end)
+a point moves a whole *stretch* of words in closed form (see
+``_stretch``).  Boundaries, and a controller without a feed, go word by
+word.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from enum import Enum
 
 from . import bitstream as bits
 from .fixed_part import StreamBuffer
-from .sim import FOREVER, ClockDomain, RunAhead, Simulator, first_tie
+from .sim import FOREVER, ClockDomain, RunAhead, Simulator
 
 
 class SelectMapError(Exception):
@@ -194,12 +195,12 @@ class SelectMapController(RunAhead):
         its word count, or 0 (nothing moved) if it would hold fewer than two
         points.
 
-        Point k of the stretch is at t + k*q.  The stretch ends before the
-        first point that would come after a queued event or past the
-        horizon, tie a bus word, move the job's last word, find the buffer
-        empty (configure) or full (readback), or take the occupancy out of
-        the band in which the idle bus engine stays quiet; the burst's last
-        word, which queues the burst's end, stays out of it.  Inside it
+        Point k of the stretch is at t + k*q.  The stretch holds the points
+        before the feed's ``end`` (the queue head or the horizon, the
+        burst's last word, a tie with a bus word), and ends before the first
+        point that would move the job's last word, find the buffer empty
+        (configure) or full (readback), or take the occupancy out of the
+        band in which the idle bus engine stays quiet.  Inside it
         nothing but the two lattices observes the buffer, so each lattice
         numbers its next item once, at the end: the burst first, as its last
         moved word precedes the last point.
@@ -214,22 +215,20 @@ class SelectMapController(RunAhead):
         if m < 2 or (spare < 2 and (not spare or self.sim.stream is None
                                     or self.sim.stream.key[0] >= t + q)):
             return 0
-        window = self.feed.window(configuring)
+        window = self.feed.window(t, q)
         if window is None:
             return 0
-        lo, hi, burst = window
+        lo, hi, burst, end = window
         # k - (bus words before point k) may not exceed ``room``.
         room = occupancy - 1 - lo if configuring else hi - occupancy - 1
-        reach = self.sim.reach()
-        if reach != FOREVER:
-            m = min(m, (reach - t) // q + 1)
+        if end != FOREVER:          # inf // q is nan
+            m = min(m, -(-(end - t) // q))
         if burst is None:
             m = min(m, room + 1)
             moved = 0
         else:
-            first, period, count = burst.lattice()
-            m = min(m, (first + count * period - t) // q + 1,
-                    first_tie(t, q, first, period), _first_over(t, q, first, period, room))
+            first, period, _count = burst.lattice()
+            m = min(m, _first_over(t, q, first, period, room))
             moved = max(0, -(-(t + (m - 1) * q - first) // period))
         if m < 2:
             return 0

@@ -22,9 +22,10 @@ whole *stretches* in closed form (temporal decoupling, as in SystemC
 TLM-2.0): the SelectMap controller over its port words and the kernel
 host over the kernel's edges, each together with the burst's words that
 fall between them, up to the next point where anything else could observe
-the buffer they share.  ``reach`` bounds a stretch by the queue head and
-the loop's horizon, and ``first_tie`` finds the first point of one lattice
-that lands on the picosecond of the other.
+the buffer they share.  Both take the time their stretch ends before from
+one place, the board's feed: ``reach`` bounds it by the queue head and the
+loop's horizon, and ``first_tie`` finds the first point of the process's
+lattice that lands on the picosecond of the burst's.
 """
 
 from __future__ import annotations

@@ -61,16 +61,27 @@ def test_fir4_hand_computed_sliding_sum():
     assert run_words(Fir4Kernel(), [1, 1, 1, 1, 1]) == [1, 2, 3, 4, 4]
 
 
+# Each kernel's output for a word list, computed word by word without it.
+ORACLES = {
+    "identity": lambda words, _k: list(words),
+    "negate": lambda words, _k: [w ^ WORD for w in words],
+    "add_const": lambda words, k: [(w + k) % 2**32 for w in words],
+    "fir4": lambda words, _k: [sum(words[max(0, i - 3):i + 1]) & WORD
+                               for i in range(len(words))],
+    "sink": lambda _words, _k: [],
+}
+
+
 @pytest.mark.parametrize("factory", [*BUILTIN_KERNELS.values(), SinkKernel],
                          ids=lambda k: k.name)
 @given(words=st.lists(st.integers(0, WORD), max_size=60),
        cuts=st.lists(st.integers(0, 60), max_size=6), reg8=st.integers(0, WORD))
 def test_map_words_equals_repeated_step(factory, words, cuts, reg8):
-    # The map form over a word list, split into calls at random points,
-    # gives what stepping the kernel once per word gives.
+    # The map form over a word list, split into calls at random points, and
+    # stepping the kernel once per word both give the per-word oracle.
+    want = ORACLES[factory.name](words, reg8)
     regs = RegisterFile()
     regs.write(8, reg8)
-    want = run_words(factory(), words, regs)
     kernel = factory()
     io, _, _ = make_io(regs=regs)
     bounds = sorted({c % (len(words) + 1) for c in cuts})
@@ -78,6 +89,7 @@ def test_map_words_equals_repeated_step(factory, words, cuts, reg8):
     for lo, hi in zip([0, *bounds], [*bounds, len(words)]):
         got += kernel.map_words(io, words[lo:hi])
     assert got == want
+    assert run_words(factory(), words, regs) == want
 
 
 @given(st.lists(st.integers(0, WORD), max_size=40))

@@ -2,6 +2,8 @@
 an empty or full buffer, and flash boot."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from records import port_byte_times
 
 from proteus_sim import bitstream as bits
@@ -11,8 +13,9 @@ from proteus_sim.selectmap import (
     Mode,
     NotIdle,
     SelectMapController,
+    _first_over,
 )
-from proteus_sim.sim import ClockDomain, Simulator
+from proteus_sim.sim import FOREVER, ClockDomain, Simulator
 from proteus_sim.trace import TraceRecorder
 
 CFG_PERIOD = 20_000
@@ -289,3 +292,23 @@ def test_boot_rejects_partial_image():
     sim, buffer, mem, ctl = make_controller()
     report = ctl.power_up_boot(partial_image())
     assert not report.ok
+
+
+@given(t=st.integers(0, 2000), first=st.integers(0, 2000), g=st.integers(1, 6),
+       a=st.integers(1, 10), b=st.integers(1, 10), room=st.integers(0, 40))
+@example(t=0, first=300, g=1, a=3, b=7, room=5)     # room < before: runs out first
+@example(t=0, first=0, g=1, a=2, b=5, room=3)       # q < period: the bound's closed form
+@example(t=500, first=20, g=2, a=3, b=4, room=0)    # first before t
+@example(t=0, first=50, g=3, a=4, b=2, room=10)     # q >= period: never
+def test_first_over_matches_brute_force(t, first, g, a, b, room):
+    q, period = g * a, g * b
+
+    def over(k):    # k minus the lattice points before point k
+        x = t + k * q
+        return k - max(0, -(-(x - first) // period))
+
+    # A finite answer lies below this: past ``first``, ``over`` grows by
+    # (period - q) / period >= 1/period per point on average.
+    limit = abs(first - t) + (room + 2) * period + 2
+    want = next((k for k in range(limit) if over(k) > room), FOREVER)
+    assert _first_over(t, q, first, period, room) == want
