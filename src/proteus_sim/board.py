@@ -19,12 +19,20 @@ device-bound and host-bound engines behind them (SelectMap write and read
 for the controller, downstream and upstream for the kernel host), as the
 configuration port and the bus-macro interface sit behind the same kind of
 dual-port buffer.  Its ``window`` returns the burst in flight (moved by the
-stretch through its ``lattice()`` and ``advance_many``), the occupancies
-within which the idle engines' fill status stays quiet
-(``DmaEngine.band``), so that a stretch ends before a word that would make
-an engine request a burst, and the time before which every stretch ends.
-A run that can go no further raises ``Deadlock``, naming the busy engines,
-the stream buffers' occupancies and the kernel host's state.
+stretch through ``advance_many``) with its lattice, and the time before
+which every stretch ends; ``lo`` and ``hi`` give the occupancies within
+which the idle engines' fill status stays quiet (``DmaEngine.band``), so
+that a stretch ends before a word that would make an engine request a
+burst.
+
+The other way round, an engine takes or gives the *quiet runs* of its
+burst (``DmaEngine.run_sink``/``run_source``): the words before the first
+one that would wake the process on the buffer's other side or take the
+buffer out of the other engine's band on the shared SelectMap buffer.
+Their listeners would do nothing, so they move as one slice.
+
+A simulation that can go no further raises ``Deadlock``, naming the busy
+engines, the stream buffers' occupancies and the kernel host's state.
 """
 
 from __future__ import annotations
@@ -131,6 +139,11 @@ class DmaEngine:
         self.on_job_done = None
         self.started_at: int | None = None
         self.finished_at: int | None = None
+        # Set by the device: the other engine on the same buffer, if any, and
+        # fn() -> True if a word this engine moves now wakes the process on
+        # the buffer's other side.
+        self.partner: DmaEngine | None = None
+        self.wakes = None
 
     @property
     def busy(self) -> bool:
@@ -162,6 +175,34 @@ class DmaEngine:
     def source(self, _nbytes: int) -> int:
         return self.buffer.pop()
 
+    def run_sink(self, data) -> int:
+        """Push the leading words of ``data`` (4 bytes each) that no buffer
+        listener would act on, as one slice; returns how many.  It takes
+        none if the first would wake the process on the other side; else
+        they stop where the buffer fills, or where the partner engine would
+        request."""
+        if self.wakes():
+            return 0
+        buffer = self.buffer
+        hi = buffer.capacity if self.partner is None else self.partner.band()[1]
+        n = min(hi - buffer.occupancy, len(data) >> 2)
+        if n <= 0:
+            return 0
+        buffer.exchange(data[:4 * n], 0)
+        return n
+
+    def run_source(self, count: int) -> bytes:
+        """Pop at most ``count`` words that no buffer listener would act on,
+        as one slice: none if the first would wake the process on the other
+        side; else up to the buffer's last word, or to where the partner
+        engine would request."""
+        if self.wakes():
+            return b""
+        buffer = self.buffer
+        lo = 0 if self.partner is None else self.partner.band()[0]
+        n = min(buffer.occupancy - lo, count)
+        return buffer.exchange(b"", n) if n > 0 else b""
+
     def finished(self, txn: BusTransaction) -> None:
         self.txn = None
         self.addr.advance(txn.transferred_bytes)
@@ -189,26 +230,35 @@ class BufferFeed:
         self.out_of = device.engines[out_of]
 
     def window(self, t: int, q: int):
-        """None while another target's burst is moving; else (lo, hi, burst,
-        end) for a stretch whose points fall at t + k*q.  The stretch keeps
-        the filled buffer's occupancy at or above lo and the drained one's
-        at or below hi after each of its points, so the idle engines'
-        fill status stays quiet (``DmaEngine.band``).  ``burst`` is the
-        engines' ``_Burst`` in flight, or None; the stretch moves its words
-        with ``lattice()`` and ``advance_many``.  ``end`` is the exclusive
-        time bound every stretch keeps: the queue head or the horizon, the
-        burst's last word (which queues its end), and the first point on
-        the picosecond of a bus word (which one goes first depends on when
-        each was numbered)."""
+        """None while another target's burst is moving; else (burst, first,
+        period, count, end) for a stretch whose points fall at t + k*q.
+        ``burst`` is the engines' ``_Burst`` in flight, or None (and its
+        lattice 0, 0, 0); the stretch moves its words with ``advance_many``.
+        Its next word is at ``first`` and the ``count`` after it before its
+        last are ``period`` apart (``_Burst.lattice``).  ``end`` is the
+        exclusive time bound every stretch keeps: the queue head or the
+        horizon, the burst's last word (which queues its end), and the first
+        point on the picosecond of a bus word (which one goes first depends
+        on when each was numbered)."""
         sim = self.sim
         burst = sim.stream
         end = sim.reach() + 1
-        if burst is not None:
-            if burst.txn is not self.into.txn and burst.txn is not self.out_of.txn:
-                return None
-            tb, p, count = burst.lattice()
-            end = min(end, tb + count * p, t + first_tie(t, q, tb, p) * q)
-        return self.into.band()[0], self.out_of.band()[1], burst, end
+        if burst is None:
+            return None, 0, 0, 0, end
+        if burst.txn is not self.into.txn and burst.txn is not self.out_of.txn:
+            return None
+        tb, p, count = burst.lattice()
+        return burst, tb, p, count, min(end, tb + count * p, t + first_tie(t, q, tb, p) * q)
+
+    def lo(self) -> int:
+        """The least occupancy of the filled buffer that keeps its engine's
+        fill status quiet after a point (``DmaEngine.band``)."""
+        return self.into.band()[0]
+
+    def hi(self) -> int:
+        """The greatest occupancy of the drained buffer that keeps its
+        engine's fill status quiet after a point."""
+        return self.out_of.band()[1]
 
 
 class Device:
@@ -254,6 +304,14 @@ class Device:
                                       BufferFeed(self, TargetId.DOWNSTREAM, TargetId.UPSTREAM),
                                       trace=trace)
         self.registry = self.kernel_host.registry
+        host, ctl = self.kernel_host, self.controller
+        for target, wakes in ((TargetId.DOWNSTREAM, host.wakes_on_input),
+                              (TargetId.UPSTREAM, host.wakes_on_room),
+                              (TargetId.SELECTMAP_WRITE, ctl.wakes_on_input),
+                              (TargetId.SELECTMAP_READ, ctl.wakes_on_room)):
+            self.engines[target].wakes = wakes
+        write, read = self.engines[TargetId.SELECTMAP_WRITE], self.engines[TargetId.SELECTMAP_READ]
+        write.partner, read.partner = read, write
 
         self.down_buf.on_dequeue(lambda: self.evaluate(TargetId.DOWNSTREAM))
         self.up_buf.on_enqueue(lambda: self.evaluate(TargetId.UPSTREAM))
@@ -401,6 +459,7 @@ class Device:
         engine = self.engines[target]
         txn, engine.request = engine.request, None
         txn.word_sink, txn.word_source, txn.on_finish = engine.sink, engine.source, engine.finished
+        txn.run_sink, txn.run_source = engine.run_sink, engine.run_source
         engine.txn = txn
         return txn
 
@@ -428,7 +487,8 @@ class World:
         """Advance the event loop until the cause is pending."""
         irq = self.device.irq
         step = self.sim.step
-        while not (irq.pending & cause):
+        mask = int(cause)
+        while not irq.pending & mask:
             if not step():
                 raise Deadlock(f"simulation idle while waiting for {what or cause}: "
                                f"{self.device.describe()}")

@@ -4,14 +4,19 @@ busmaster address bookkeeping, the register file, and interrupt logic.
 These are the pieces of on-chip logic loaded at boot.  They are kept as
 plain state machines and decision functions; the timed wiring to the bus
 and clocks lives in the board module.
+
+A stream buffer holds its words as bytes, four little-endian bytes per
+word in one ``bytearray``, the format in which they come from and go to
+host memory and the configuration image.  ``push`` and ``pop`` move one
+word as an int and notify the listeners; ``exchange`` moves runs of words
+as ``bytes`` slices and notifies nobody.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import struct
 from dataclasses import dataclass
 from enum import Enum, IntFlag
-from itertools import islice
 
 from .pci import BusTransaction, Direction
 
@@ -29,6 +34,8 @@ ARBITRATION_ORDER = (TargetId.UPSTREAM, TargetId.DOWNSTREAM,
                      TargetId.SELECTMAP_READ, TargetId.SELECTMAP_WRITE)
 
 HOST_BOUND = frozenset({TargetId.UPSTREAM, TargetId.SELECTMAP_READ})
+
+_WORD = struct.Struct("<I")
 
 
 class BufferOverflow(Exception):
@@ -84,17 +91,17 @@ class StreamBuffer:
         self.fill_low = fill_low
         self.fill_high = fill_high
         self.name = name
-        self._words: deque[int] = deque()
+        self._data = bytearray()    # 4 little-endian bytes per word, oldest first
         self._enqueue_listeners: list = []
         self._dequeue_listeners: list = []
 
     @property
     def occupancy(self) -> int:
-        return len(self._words)
+        return len(self._data) >> 2
 
     @property
     def free_words(self) -> int:
-        return self.capacity - len(self._words)
+        return self.capacity - (len(self._data) >> 2)
 
     def on_enqueue(self, fn) -> None:
         self._enqueue_listeners.append(fn)
@@ -103,32 +110,38 @@ class StreamBuffer:
         self._dequeue_listeners.append(fn)
 
     def push(self, word: int) -> None:
-        if len(self._words) >= self.capacity:
+        data = self._data
+        if len(data) >= 4 * self.capacity:
             raise BufferOverflow(f"{self.name or 'buffer'} full at {self.capacity} words")
-        self._words.append(word & 0xFFFFFFFF)
+        data += _WORD.pack(word & 0xFFFFFFFF)
         for fn in self._enqueue_listeners:
             fn()
 
     def pop(self) -> int:
-        if not self._words:
+        data = self._data
+        if not data:
             raise BufferUnderflow(f"{self.name or 'buffer'} empty")
-        word = self._words.popleft()
+        word = _WORD.unpack_from(data)[0]
+        del data[:4]
         for fn in self._dequeue_listeners:
             fn()
         return word
 
-    def exchange(self, words, count: int) -> list[int]:
-        """Enqueue ``words`` (32-bit values) and dequeue ``count`` words, as
-        interleaved pushes and pops that never find the buffer empty or full
-        would; no listener is notified."""
-        q = self._words
-        if count > len(q) + len(words):
+    def exchange(self, data, count: int) -> bytes:
+        """Enqueue the words of ``data`` (bytes-like, 4 bytes per word) and
+        dequeue ``count`` words, returned as bytes, as interleaved pushes
+        and pops that never find the buffer empty or full would; no listener
+        is notified."""
+        buf = self._data
+        n = 4 * count
+        if n > len(buf) + len(data):
             raise BufferUnderflow(f"{self.name or 'buffer'} empty")
-        if len(q) + len(words) - count > self.capacity:
+        if len(buf) + len(data) - n > 4 * self.capacity:
             raise BufferOverflow(f"{self.name or 'buffer'} full at {self.capacity} words")
-        q.extend(words)
-        self._words = deque(islice(q, count, None))
-        return list(islice(q, count))
+        buf += data
+        out = bytes(buf[:n])
+        del buf[:n]
+        return out
 
 
 @dataclass
@@ -257,25 +270,28 @@ class IrqCause(IntFlag):
 
 
 class InterruptLine:
-    """Cause set with mask; asserted while any unmasked cause is pending."""
+    """Cause set with mask; asserted while any unmasked cause is pending.
+    ``pending`` is a plain int, which the host driver's wait loop tests on
+    every step; the register window reads and acknowledges it as
+    ``IrqCause`` bits."""
 
     def __init__(self, on_event=None) -> None:
-        self.pending = IrqCause(0)
+        self.pending = 0
         self.masked = IrqCause(0)
         self.raised = 0
         self._on_event = on_event
 
     @property
     def asserted(self) -> bool:
-        return bool(self.pending & ~self.masked)
+        return bool(self.pending & ~int(self.masked))
 
     def raise_(self, cause: IrqCause) -> None:
-        self.pending |= cause
+        self.pending |= int(cause)
         self.raised += 1
         if self._on_event is not None:
             self._on_event("raise", cause)
 
     def acknowledge(self, cause: IrqCause) -> None:
-        self.pending &= ~cause
+        self.pending &= ~int(cause)
         if self._on_event is not None:
             self._on_event("ack", cause)

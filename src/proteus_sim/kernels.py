@@ -8,17 +8,21 @@ interrupt request line.  Nothing else of the device is reachable.
 
 A kernel may also declare the *map form*, a synchronous-dataflow rate of
 one word in and one word out per edge (Lee & Messerschmitt, 1987):
-``map_words(io, words) -> words`` promises that ``step`` is exactly
+``map_words(io, data) -> data`` promises that ``step`` is exactly
 ``if io.in_available and io.out_space: io.write(f(io.read()))`` with
 private state only, no register write and no interrupt, and returns f of
-each word in order.  A *consume-only* kernel (``consume_only = True``, as
-``SinkKernel``) drops the ``out_space`` test and returns no words.  A
-one-word firing is the map applied to one word, so the built-ins and
-``SinkKernel`` define ``map_words`` only and inherit that ``step`` from
-``MapKernel``; ``add_const`` reads register 8 once per call, which the
-host writes only between events.  With the map form the kernel host moves
-whole stretches of words in closed form instead of stepping the kernel
-edge by edge; a kernel without it is stepped on every edge.
+each word in order.  Words go in and come out as ``bytes``, four
+little-endian bytes per word, the format of the stream buffers: identity
+returns its input, negate is one big-int XOR, and add_const and fir4
+unpack and pack once per call.  A *consume-only* kernel
+(``consume_only = True``, as ``SinkKernel``) drops the ``out_space`` test
+and returns no words.  A one-word firing is the map applied to one word,
+so the built-ins and ``SinkKernel`` define ``map_words`` only and inherit
+that ``step`` from ``MapKernel``; ``add_const`` reads register 8 once per
+call, which the host writes only between events.  With the map form the
+kernel host moves whole stretches of words in closed form instead of
+stepping the kernel edge by edge; a kernel without it is stepped on every
+edge.
 
 Every kernel sleeps after an edge on which it moves no word, and only a
 downstream enqueue or an upstream dequeue wakes it, at the next edge.  A
@@ -28,6 +32,8 @@ deadlocks: a kernel must move a word on every edge on which it can.
 """
 
 from __future__ import annotations
+
+import struct
 
 from .fixed_part import KERNEL_REGS, RegisterFile, StreamBuffer
 from .sim import FOREVER, RunAhead
@@ -88,6 +94,17 @@ class PortIO:
         self._raise_irq()
 
 
+_WORD = struct.Struct("<I")
+
+
+def _words(data: bytes) -> tuple[int, ...]:
+    return struct.unpack(f"<{len(data) >> 2}I", data)
+
+
+def _pack(words: list[int]) -> bytes:
+    return struct.pack(f"<{len(words)}I", *words)
+
+
 class MapKernel:
     """Base of the kernels in map form: ``step`` is ``map_words`` applied to
     the one word an edge can move."""
@@ -96,22 +113,23 @@ class MapKernel:
 
     def step(self, io: PortIO) -> None:
         if io.in_available and (self.consume_only or io.out_space):
-            for word in self.map_words(io, [io.read()]):
+            for (word,) in _WORD.iter_unpack(self.map_words(io, _WORD.pack(io.read()))):
                 io.write(word)
 
 
 class IdentityKernel(MapKernel):
     name = "identity"
 
-    def map_words(self, io: PortIO, words: list[int]) -> list[int]:
-        return words
+    def map_words(self, io: PortIO, data: bytes) -> bytes:
+        return data
 
 
 class NegateKernel(MapKernel):
     name = "negate"
 
-    def map_words(self, io: PortIO, words: list[int]) -> list[int]:
-        return [~w & 0xFFFFFFFF for w in words]
+    def map_words(self, io: PortIO, data: bytes) -> bytes:
+        n = len(data)
+        return (int.from_bytes(data, "little") ^ ((1 << 8 * n) - 1)).to_bytes(n, "little")
 
 
 class AddConstKernel(MapKernel):
@@ -119,9 +137,9 @@ class AddConstKernel(MapKernel):
 
     name = "add_const"
 
-    def map_words(self, io: PortIO, words: list[int]) -> list[int]:
+    def map_words(self, io: PortIO, data: bytes) -> bytes:
         k = io.reg_read(8)   # only the host writes it, and never inside a stretch
-        return [(w + k) & 0xFFFFFFFF for w in words]
+        return _pack([(w + k) & 0xFFFFFFFF for w in _words(data)])
 
 
 class Fir4Kernel(MapKernel):
@@ -132,14 +150,14 @@ class Fir4Kernel(MapKernel):
     def __init__(self) -> None:
         self._taps = [0, 0, 0]
 
-    def map_words(self, io: PortIO, words: list[int]) -> list[int]:
+    def map_words(self, io: PortIO, data: bytes) -> bytes:
         a, b, c = self._taps
         out = []
-        for w in words:
+        for w in _words(data):
             out.append((w + a + b + c) & 0xFFFFFFFF)
             a, b, c = w, a, b
         self._taps = [a, b, c]
-        return out
+        return _pack(out)
 
 
 BUILTIN_KERNELS = {
@@ -154,8 +172,8 @@ class SinkKernel(MapKernel):
     name = "sink"
     consume_only = True
 
-    def map_words(self, io: PortIO, words: list[int]) -> list[int]:
-        return []
+    def map_words(self, io: PortIO, data: bytes) -> bytes:
+        return b""
 
 
 class KernelRegistry:
@@ -252,8 +270,18 @@ class KernelHost(RunAhead):
         self._raised = True
         self._raise_irq()
 
+    def wakes_on_input(self) -> bool:
+        """True if a downstream word enqueued now wakes the host: it is
+        asleep with a live kernel."""
+        return self.key is None and self.registry.active is not None
+
+    def wakes_on_room(self) -> bool:
+        """True if an upstream word dequeued now wakes the host: it is
+        asleep with a live kernel and downstream words."""
+        return self.key is None and self.registry.active is not None and self.down.occupancy > 0
+
     def _maybe_wake(self) -> None:
-        if self.key is not None or self.registry.active is None or self.down.occupancy == 0:
+        if not self.wakes_on_room():
             return
         t = self.domain.next_edge_at(self.sim.now)
         if t == self._last_edge:
@@ -314,28 +342,24 @@ class KernelHost(RunAhead):
         window = self.feed.window(t, q)
         if window is None:
             return False
-        lo, hi, burst, end = window
+        burst, tb, p, count, end = window
         edge = self.domain.next_edge_at
+        to_device = burst is not None and burst.to_device
         if burst is None:
-            to_device = False
-            tb = p = count = 0
             jmax, j0 = min(d0, room), FOREVER
             end = min(end, t + (jmax + 1) * q)       # past the edge that finds nothing
-        else:
-            to_device = burst.to_device
-            tb, p, count = burst.lattice()
-            if to_device:     # word j >= d0 waits for bus word j - d0
-                jmax, j0 = min(room, d0 + count), d0
-            else:             # word j >= room waits for the room bus word j - room frees
-                jmax, j0 = min(d0, room + count), room
+        elif to_device:     # word j >= d0 waits for bus word j - d0
+            jmax, j0 = min(room, d0 + count), d0
+        else:               # word j >= room waits for the room bus word j - room frees
+            jmax, j0 = min(d0, room + count), room
         # Kernel words the idle engines' quiet bands allow: the downstream
         # buffer only drains unless its burst moves, the upstream one only
         # fills unless its burst moves or the kernel produces nothing.
         cap = FOREVER
         if not to_device:
-            cap = d0 - lo
+            cap = d0 - self.feed.lo()
         if room != FOREVER and (burst is None or to_device):
-            cap = min(cap, hi - u0)
+            cap = min(cap, self.feed.hi() - u0)
 
         def leaves(j):
             """The edge that moves word j (j < jmax)."""
@@ -381,7 +405,7 @@ class KernelHost(RunAhead):
 
         if key is not None and early:
             self.key = (key, sim.alloc())
-        taken = down.exchange(burst.advance_many(nb) if to_device and nb else (), nk)
+        taken = down.exchange(burst.advance_many(nb) if to_device and nb else b"", nk)
         out = kernel.map_words(self._io, taken)
         if burst is not None and not to_device:
             out = up.exchange(out, nb)

@@ -10,32 +10,41 @@ is a WAITING transaction, and a granted one is a burst.  ``begin_burst``
 computes its word lattice ``first + k * clock_period`` in closed form and
 cuts it at the first word that falls in a stall window, or at the burst
 limit; the words of a device-bound burst are read from host memory then,
-in one call.  The board's fill-status logic never requests more than the
-limit (``max_burst_cycles`` words), but a master that asks for a whole
-transfer at once, as the restart test of acceptance criterion 5 does,
-relies on the bus to cut it there and resumes from the next address.
-The words then reach the master's ``word_sink``/``word_source`` one per
-bus cycle as items of a lazy stream (see ``sim``): each runs at its
-cycle's picosecond and in the same-time order that a queued per-word
-event would have had, but only the burst's end (DONE or PREEMPTED) is a
-queued event.  The burst counts its words; the
-transaction's ``transferred_bytes`` and the bus's ``total_data_cycles``
-are set from that count when the end is queued.
+as one ``bytes`` snapshot.  The board's fill-status logic never requests
+more than the limit (``max_burst_cycles`` words), but a master that asks
+for a whole transfer at once, as the restart test of acceptance criterion
+5 does, relies on the bus to cut it there and resumes from the next
+address.
+
+The words then reach the master one per bus cycle as items of a lazy
+stream (see ``sim``): each runs at its cycle's picosecond and in the
+same-time order that a queued per-word event would have had, but only the
+burst's end (DONE or PREEMPTED) is a queued event.  One word goes to the
+master's ``word_sink`` or comes from its ``word_source`` as an int.  A
+master that also sets ``run_sink``/``run_source`` takes or gives a *quiet
+run*, the next words that nothing on its side observes one at a time, as
+one slice of bytes: the loop moves such a run in one item.  The burst
+counts its words; the transaction's ``transferred_bytes`` and the bus's
+``total_data_cycles`` are set from that count when the end is queued.
+
+Stall windows are kept sorted by start, with the running maximum of their
+ends, so that ``stall_clear_time`` finds the end of a chain by bisection.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import struct
 from dataclasses import dataclass
 from enum import Enum
 
-from .sim import Simulator
+from .sim import FOREVER, Simulator
 
 PCI_CLOCK_PERIOD = 30303  # ps; 4 bytes per cycle reproduces the 132 MB/s peak
 PAGE_ALIGN = 4096
 ADDRESS_SPACE = 2**32
+
+_WORD = struct.Struct("<I")
 
 
 class PciError(Exception):
@@ -117,6 +126,8 @@ class BusTransaction:
     total_bytes: int
     word_sink: object = None    # fn(word, nbytes), TO_DEVICE
     word_source: object = None  # fn(nbytes) -> word, TO_HOST
+    run_sink: object = None     # fn(data) -> words of it taken, TO_DEVICE, optional
+    run_source: object = None   # fn(count) -> bytes of at most count words, TO_HOST, optional
     on_finish: object = None    # fn(txn), called when DONE or PREEMPTED
     transferred_bytes: int = 0  # set when the burst's end is queued
     state: TxnState = TxnState.WAITING
@@ -135,6 +146,7 @@ class PciBus:
         self.busy_ticks = 0
         self.total_data_cycles = 0
         self._stalls: list[tuple[int, int]] = []  # sorted (start, end)
+        self._stall_reach: list[int] = []         # _stall_reach[i]: max end of _stalls[:i + 1]
         self._master_fetch = None
         self._wake_pending = False
         self._burst_start = 0
@@ -146,7 +158,15 @@ class PciBus:
         cut again against it."""
         if duration <= 0:
             raise ValueError("stall duration must be > 0")
-        bisect.insort(self._stalls, (start, start + duration))
+        window = (start, start + duration)
+        i = bisect.bisect_right(self._stalls, window)
+        self._stalls.insert(i, window)
+        reach = self._stall_reach
+        del reach[i:]
+        high = reach[-1] if reach else start
+        for _start, stop in self._stalls[i:]:
+            high = max(high, stop)
+            reach.append(high)
         if self.sim.stream is not None:     # the burst whose words are still moving
             self.sim.stream.cut()
 
@@ -155,14 +175,15 @@ class PciBus:
         return i > 0 and self._stalls[i - 1][1] > t
 
     def stall_clear_time(self, t: int) -> int:
-        """End of the merged chain of stall windows covering time t."""
+        """End of the merged chain of stall windows covering time t: the
+        least end >= t past which every window that opens at or before it
+        has closed."""
         end = t
-        for start, stop in self._stalls:
-            if start > end:
-                break
-            if stop > end:
-                end = stop
-        return end
+        while True:
+            i = bisect.bisect_right(self._stalls, (end, ADDRESS_SPACE << 32))
+            if not i or self._stall_reach[i - 1] <= end:
+                return end
+            end = self._stall_reach[i - 1]
 
     # -- master hookup ---------------------------------------------------------
 
@@ -251,18 +272,19 @@ class _Burst:
     """The word lattice of one granted transaction, as a lazy stream.
 
     ``key`` is the (time, insertion number) of the next word and ``index``
-    the number of words moved; ``advance`` moves that word.  The first
-    word's number is taken at the grant, and each later one right after the
-    word before it, where the per-word event would have been scheduled.
-    After the last word the burst queues its end in the next lattice
-    point's slot: DONE, PREEMPTED at the burst limit, or PREEMPTED because
-    that point is stalled.  Stall windows
-    added later cut only words not moved yet; they do not undo a stalled
-    end that is already queued.
+    the number of words moved; ``advance`` moves that word, or the quiet
+    run that starts with it.  The first word's number is taken at the
+    grant, and each later one right after the word before it, where the
+    per-word event would have been scheduled.  After the last word the
+    burst queues its end in the next lattice point's slot: DONE, PREEMPTED
+    at the burst limit, or PREEMPTED because that point is stalled.  Stall
+    windows added later cut only words not moved yet; they do not undo a
+    stalled end that is already queued.  A device-bound burst holds the
+    words it has still to move, from word ``base`` on, in ``data``.
     """
 
-    __slots__ = ("bus", "sim", "txn", "buf", "off", "key", "period", "words", "index", "end",
-                 "limit", "to_device")
+    __slots__ = ("bus", "sim", "txn", "buf", "off", "key", "period", "data", "base", "index",
+                 "end", "limit", "to_device")
 
     def __init__(self, bus: PciBus, txn: BusTransaction, buf, off: int, first: int) -> None:
         self.bus = bus
@@ -279,62 +301,95 @@ class _Burst:
         self.cut()
 
     def cut(self) -> None:
-        """(Re)compute where the words not moved yet stop, from the stalls."""
+        """(Re)compute where the words not moved yet stop, from the stalls;
+        a device-bound burst reads them from host memory now."""
         self.end = self.index + self.bus._first_stalled(self.key[0], self.limit - self.index)
         if self.end == self.index:
             self._queue_end()
         elif self.to_device:
-            self.words = iter(self._read_words(self.index, self.end))
-
-    def _read_words(self, lo: int, hi: int) -> list[int]:
-        """Words lo..hi-1 of the transaction; its last word may be short."""
-        total = self.txn.total_bytes
-        full = max(min(hi, total // 4) - lo, 0)
-        words = list(struct.unpack_from(f"<{full}I", self.buf, self.off + 4 * lo))
-        if lo + full < hi:
-            words.append(int.from_bytes(self.buf[self.off + 4 * (lo + full):self.off + total],
-                                        "little"))
-        return words
+            # The transaction's last word may be short: its missing bytes read as 0.
+            lo = self.off + 4 * self.index
+            hi = min(self.off + 4 * self.end, self.off + self.txn.total_bytes)
+            self.data = memoryview(bytes(self.buf[lo:hi]).ljust(4 * (self.end - self.index),
+                                                                   b"\0"))
+            self.base = self.index
 
     def lattice(self) -> tuple[int, int, int]:
         """(time of the next word, period, words before the burst's last):
         those words may move in one ``advance_many``."""
         return self.key[0], self.period, self.end - self.index - 1
 
-    def advance_many(self, count: int, words=None):
+    def advance_many(self, count: int, data=None):
         """Move the next ``count`` words, none of them the burst's last, in one
-        call: a device-bound burst returns them, a host-bound one writes
-        ``words``.  The next word's insertion number is taken once, now."""
+        call: a device-bound burst returns them, a slice of its snapshot; a
+        host-bound one writes ``data`` (4 bytes per word).  The next word's
+        insertion number is taken once, now."""
         assert 0 < count < self.end - self.index
+        pos = 4 * self.index
         if self.to_device:
-            words = list(itertools.islice(self.words, count))
+            pos -= 4 * self.base
+            data = self.data[pos:pos + 4 * count]
         else:
-            struct.pack_into(f"<{count}I", self.buf, self.off + 4 * self.index, *words)
+            assert len(data) == 4 * count
+            pos += self.off
+            self.buf[pos:pos + 4 * count] = data
         self.index += count
         self.key = (self.key[0] + count * self.period, self.sim.alloc())
-        return words
+        return data
 
-    def advance(self) -> None:
-        txn = self.txn
+    def advance(self, until) -> None:
+        """Move the next word, or the quiet run that starts with it: the
+        words, before the burst's last and keyed before ``until``, that the
+        master takes as one slice."""
         t = self.key[0]
+        count = self.end - self.index - 1
+        if count > 0 and until != FOREVER:
+            count = min(count, -(-(until - t) // self.period))
+        if count > 0 and self._quiet_run(count):
+            return
+        txn = self.txn
         self.sim.now = t
         done = 4 * self.index
         n = txn.total_bytes - done
         if n > 4:
             n = 4
         if self.to_device:
-            txn.word_sink(next(self.words), n)
+            txn.word_sink(_WORD.unpack_from(self.data, done - 4 * self.base)[0], n)
         else:
             word = txn.word_source(n)
             pos = self.off + done
             if n == 4:
-                struct.pack_into("<I", self.buf, pos, word & 0xFFFFFFFF)
+                _WORD.pack_into(self.buf, pos, word & 0xFFFFFFFF)
             else:
                 self.buf[pos:pos + n] = (word & ((1 << (8 * n)) - 1)).to_bytes(n, "little")
         self.index += 1
         self.key = (t + self.period, self.sim.alloc())
         if self.index == self.end:
             self._queue_end()
+
+    def _quiet_run(self, count: int) -> bool:
+        """Move the next words, at most ``count``, that the master takes as
+        one quiet run; False if it takes none (or takes no runs)."""
+        txn = self.txn
+        if self.to_device:
+            if txn.run_sink is None:
+                return False
+            pos = 4 * (self.index - self.base)
+            n = txn.run_sink(self.data[pos:pos + 4 * count])
+        else:
+            if txn.run_source is None:
+                return False
+            data = txn.run_source(count)
+            n = len(data) >> 2
+            pos = self.off + 4 * self.index
+            self.buf[pos:pos + 4 * n] = data
+        if not n:
+            return False
+        t = self.key[0]
+        self.sim.now = t + (n - 1) * self.period
+        self.index += n
+        self.key = (t + n * self.period, self.sim.alloc())
+        return True
 
     def _queue_end(self) -> None:
         """Count the moved words into the transaction and the bus, and queue
@@ -351,4 +406,3 @@ class _Burst:
         else:
             state = TxnState.PREEMPTED     # burst limit
         sim.schedule_reserved(t, seq, lambda: bus._finish(txn, state, t))
-

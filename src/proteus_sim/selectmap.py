@@ -23,7 +23,6 @@ word.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -218,26 +217,25 @@ class SelectMapController(RunAhead):
         window = self.feed.window(t, q)
         if window is None:
             return 0
-        lo, hi, burst, end = window
+        burst, first, period, _count, end = window
         # k - (bus words before point k) may not exceed ``room``.
-        room = occupancy - 1 - lo if configuring else hi - occupancy - 1
+        room = occupancy - 1 - self.feed.lo() if configuring else self.feed.hi() - occupancy - 1
         if end != FOREVER:          # inf // q is nan
             m = min(m, -(-(end - t) // q))
         if burst is None:
             m = min(m, room + 1)
             moved = 0
         else:
-            first, period, _count = burst.lattice()
             m = min(m, _first_over(t, q, first, period, room))
             moved = max(0, -(-(t + (m - 1) * q - first) // period))
         if m < 2:
             return 0
         done = job.done
         if configuring:
-            words = burst.advance_many(moved) if moved else ()
-            struct.pack_into(f"<{m}I", job.image, done, *self.buffer.exchange(words, m))
+            data = burst.advance_many(moved) if moved else b""
+            job.image[done:done + 4 * m] = self.buffer.exchange(data, m)
         else:
-            out = self.buffer.exchange(struct.unpack_from(f"<{m}I", job.image, done), moved)
+            out = self.buffer.exchange(job.image[done:done + 4 * m], moved)
             if moved:
                 burst.advance_many(moved, out)
         return m
@@ -309,15 +307,24 @@ class SelectMapController(RunAhead):
             self.trace.record("selectmap", "resume", "")
         self.wake(self.clock.next_edge_at(now))
 
+    def wakes_on_input(self) -> bool:
+        """True if a word enqueued now ends a wait: the controller is
+        configuring and has no next point."""
+        return self.key is None and self.mode is Mode.CONFIGURING
+
+    def wakes_on_room(self) -> bool:
+        """True if a word dequeued now ends a pause in readback."""
+        return self.paused and self.mode is Mode.READBACK
+
     def _feed_arrived(self) -> None:
-        if self.key is None and self.mode is Mode.CONFIGURING:
+        if self.wakes_on_input():
             if self.paused:
                 self._resume()
             else:   # the first word; that wait is not a pause
                 self.wake(self.clock.next_edge_at(self.sim.now))
 
     def _space_freed(self) -> None:
-        if self.paused and self.mode is Mode.READBACK:
+        if self.wakes_on_room():
             self._resume()
 
     # -- flash boot ----------------------------------------------------------------

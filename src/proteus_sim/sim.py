@@ -7,11 +7,21 @@ time execute in insertion order, which makes every run fully deterministic.
 Dense periodic activity need not be queued one event at a time.  A *lazy
 stream* (at most one, ``Simulator.stream``) is a run of virtual events whose
 keys are known in advance: it exposes ``key``, the (time, insertion number)
-of its next item, and ``advance()``, which runs that item.  The loop settles
-the stream before any queued event with a later key, so its items run in
-exactly the order they would have had as queued events, without being
-queued or counted in ``executed``.  Insertion numbers for such items are
-taken with ``alloc()`` at the moment the item would have been scheduled.
+of its next item, and ``advance(until)``, which runs that item.  The loop
+settles the stream before any queued event with a later key, so its items
+run in exactly the order they would have had as queued events, without
+being queued or counted in ``executed``.  Insertion numbers for such items
+are taken with ``alloc()`` at the moment the item would have been
+scheduled.
+
+The items after the next one would each be numbered when the item before
+it runs, after every queued event and after the key the loop settles up
+to, so only their times decide whether they run first.  ``until`` is that
+bound: the time of the first queued event, or of the limit (one past it
+when the limit is numbered ``FOREVER``).  A stream may run the next item
+together with items after it keyed before ``until``, as one *quiet run*,
+when nothing observes them one at a time (temporal decoupling, as in
+SystemC TLM-2.0); the PCI bus moves its burst's words so.
 
 A clock domain queues nothing itself: the component it clocks asks it for
 the next edge (``next_edge_at``) and schedules its own work there.
@@ -95,27 +105,32 @@ class Simulator:
         first queued event; True if (time, seq) also precedes that event."""
         heap = self._heap
         limit = (time, seq)
+        until = time + 1 if seq == FOREVER else time
         stream = self.stream
         while stream is not None:
             key = stream.key
             if key >= limit:
                 break
-            if heap and key > heap[0]:
-                return False
-            stream.advance()
+            if heap:
+                if key > heap[0]:
+                    return False
+                stream.advance(min(until, heap[0][0]))
+            else:
+                stream.advance(until)
             stream = self.stream
         return not heap or limit < heap[0]
 
     def settle_next(self, time_limit) -> bool:
-        """Run the lazy stream's next item if it is due by ``time_limit`` and
-        precedes every queued event; True if it ran."""
+        """Run the lazy stream's next item (or quiet run) if it is due by
+        ``time_limit`` and precedes every queued event; True if it ran."""
         stream = self.stream
         if stream is None:
             return False
+        heap = self._heap
         key = stream.key
-        if key[0] > time_limit or (self._heap and key > self._heap[0]):
+        if key[0] > time_limit or (heap and key > heap[0]):
             return False
-        stream.advance()
+        stream.advance(min(time_limit + 1, heap[0][0]) if heap else time_limit + 1)
         return True
 
     def reach(self):
@@ -187,7 +202,8 @@ class RunAhead:
     event ``_run`` as a call to ``run_ahead``, so that event counts taken by
     the module that defines an action charge it to the component.  Between
     points the event settles the lazy stream; asleep, it settles it item by
-    item, so an item that ``wake``s the process continues the same event.
+    item (or quiet run by quiet run), so an item that ``wake``s the process
+    continues the same event.
     Control goes back before the next queued event or past the loop's
     horizon, with the next point queued in the slot it already holds.
     """

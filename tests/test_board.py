@@ -259,6 +259,54 @@ def test_readback_strobed_while_the_last_configuration_burst_ends():
     assert (world.bus.total_data_cycles, world.bus.busy_ticks) == (2062, 64_909_026)
 
 
+def test_quiet_runs_end_before_the_word_a_listener_acts_on():
+    """An engine moves the bus words no buffer listener would act on as one
+    slice: none while its word would wake the process on the other side,
+    and on the shared SelectMap buffer only those that keep the other, idle
+    engine's fill status quiet; the next word, moved alone, makes it
+    request."""
+    world = World(BoardConfig(buffer_capacity=8, fill_low=2, fill_high=6))
+    assert world.boot(full_flash()).ok
+    dev = world.device
+    engines = dev.engines
+    write, read = engines[TargetId.SELECTMAP_WRITE], engines[TargetId.SELECTMAP_READ]
+    data = bytes(range(32))                         # 8 words
+    _buf, base = world.host.map_shared_region(64)
+
+    read.addr.load(base, 4 * 5)                     # requests at 5 buffered words
+    assert write.run_sink(data) == 4
+    assert read.request is read.txn is None
+    dev.smap_buf.push(0)
+    assert read.txn is not None                     # requested and granted at once
+
+    world = World(BoardConfig(buffer_capacity=8, fill_low=2, fill_high=6))
+    assert world.boot(full_flash()).ok
+    dev = world.device
+    engines = dev.engines
+    write, read = engines[TargetId.SELECTMAP_WRITE], engines[TargetId.SELECTMAP_READ]
+    _buf, base = world.host.map_shared_region(64)
+    dev.smap_buf.exchange(data[:24], 0)
+    write.addr.load(base, 64)                       # requests at 2 buffered words
+    assert read.run_source(8) == data[:12]
+    assert write.request is write.txn is None
+    dev.smap_buf.pop()
+    assert write.txn is not None
+
+    dev.smap_buf.exchange(b"", dev.smap_buf.occupancy)
+    dev.controller.start_configure(100)             # waits for its first word
+    assert write.run_sink(data) == 0 and dev.smap_buf.occupancy == 0
+
+    dev.registry.bind(0x21, "identity")
+    dev.kernel_host.activate_from_config(bits.parse(partial_image()))   # asleep: nothing to do
+    down, up = engines[TargetId.DOWNSTREAM], engines[TargetId.UPSTREAM]
+    assert down.run_sink(data) == 0
+    dev.up_buf.exchange(data[:8], 0)
+    assert up.run_source(8) == data[:8]             # the downstream buffer is empty
+    dev.up_buf.exchange(data[:8], 0)
+    dev.down_buf.exchange(data[:4], 0)
+    assert up.run_source(8) == b""
+
+
 def test_rejected_driver_jobs_unmap_their_regions():
     """A driver call whose register writes the device rejects started
     nothing, so it leaves no region mapped."""

@@ -1,5 +1,6 @@
 """Arbitration, buffers, registers, and interrupt logic tests."""
 
+import struct
 from collections import Counter
 
 import pytest
@@ -154,17 +155,48 @@ def test_fill_status_is_quiet_exactly_inside_the_quiet_band(data):
         assert not addr.active
 
 
+def words_bytes(words) -> bytes:
+    return struct.pack(f"<{len(words)}I", *words)
+
+
 def test_exchange_matches_interleaved_pushes_and_pops():
     buf = StreamBuffer(capacity=4, fill_low=1, fill_high=3)
     for w in (1, 2, 3):
         buf.push(w)
-    assert buf.exchange([4, 5, 6], 5) == [1, 2, 3, 4, 5]
+    assert buf.exchange(words_bytes([4, 5, 6]), 5) == words_bytes([1, 2, 3, 4, 5])
     assert [buf.pop()] == [6]
     with pytest.raises(BufferUnderflow):
-        buf.exchange([7], 2)
+        buf.exchange(words_bytes([7]), 2)
     with pytest.raises(BufferOverflow):
-        buf.exchange([7, 8, 9, 10, 11], 0)
+        buf.exchange(words_bytes([7, 8, 9, 10, 11]), 0)
     assert buf.occupancy == 0
+
+
+@given(st.lists(st.tuples(st.lists(st.integers(0, 0xFFFFFFFF), max_size=6), st.integers(0, 6)),
+                max_size=20))
+def test_exchange_runs_match_a_per_word_fifo(steps):
+    # Each exchange, and each push and pop, against a list of words: a run
+    # the buffer refuses changes nothing.
+    buf = StreamBuffer(capacity=8, fill_low=2, fill_high=6)
+    model = []
+    for words, count in steps:
+        if count > len(model) + len(words):
+            with pytest.raises(BufferUnderflow):
+                buf.exchange(words_bytes(words), count)
+        elif len(model) + len(words) - count > 8:
+            with pytest.raises(BufferOverflow):
+                buf.exchange(words_bytes(words), count)
+        else:
+            model += words
+            assert buf.exchange(words_bytes(words), count) == words_bytes(model[:count])
+            del model[:count]
+        assert buf.occupancy == len(model)
+        if model:
+            assert buf.pop() == model.pop(0)
+        if words and len(model) < 8:
+            buf.push(words[0])
+            model.append(words[0])
+    assert buf.exchange(b"", len(model)) == words_bytes(model)
 
 
 def test_busmaster_resume_restarts_at_next_address():

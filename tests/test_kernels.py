@@ -1,5 +1,7 @@
 """Behavioral kernel and registry tests."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -77,18 +79,19 @@ ORACLES = {
 @given(words=st.lists(st.integers(0, WORD), max_size=60),
        cuts=st.lists(st.integers(0, 60), max_size=6), reg8=st.integers(0, WORD))
 def test_map_words_equals_repeated_step(factory, words, cuts, reg8):
-    # The map form over a word list, split into calls at random points, and
-    # stepping the kernel once per word both give the per-word oracle.
+    # The map form over a word list packed as bytes, split into calls at
+    # random points, and stepping the kernel once per word both give the
+    # per-word oracle.
     want = ORACLES[factory.name](words, reg8)
     regs = RegisterFile()
     regs.write(8, reg8)
     kernel = factory()
     io, _, _ = make_io(regs=regs)
     bounds = sorted({c % (len(words) + 1) for c in cuts})
-    got = []
+    got = b""
     for lo, hi in zip([0, *bounds], [*bounds, len(words)]):
-        got += kernel.map_words(io, words[lo:hi])
-    assert got == want
+        got += kernel.map_words(io, struct.pack(f"<{hi - lo}I", *words[lo:hi]))
+    assert got == struct.pack(f"<{len(want)}I", *want)
     assert run_words(factory(), words, regs) == want
 
 

@@ -19,7 +19,12 @@ or 256 words, so that the configuration controller's closed-form stretches
 are long and every bound that ends one is reached.  The ``stream-*``
 worlds do the same for the kernel host's stretches: long streams through
 every map kernel and the sink, buffers of 2 to 256 words, and concurrent
-reconfigurations that swap in a kernel stepped edge by edge.
+reconfigurations that swap in a kernel stepped edge by edge.  The
+``quiet-*`` worlds, compared by ``--diff`` only, run streams beside
+reconfigurations and readbacks with a kernel faster than the bus and a
+configuration port between one and two bus words per port word, so that
+one process often sleeps inside its own event while the bus moves words
+into the other's buffer as quiet runs, up to that process's queued point.
 
 ``run_register_world`` and ``run_scenario_world`` return everything the
 timing contract covers: the time of every done interrupt, the interrupt
@@ -50,10 +55,10 @@ that the current engine reproduces every entry.
     python3 tests/timing_worlds.py --diff <src of another tree>
 
 runs the register and poker worlds beyond the grid (indices up to
-``DIFF_WORLDS``) and the stream worlds beyond it (up to
-``DIFF_STREAM_WORLDS``) on this tree and, in a subprocess, on the other
-one, and prints the names of the worlds whose results differ (exit status
-1 if any).
+``DIFF_WORLDS``), the stream worlds beyond it (up to
+``DIFF_STREAM_WORLDS``) and the quiet worlds (up to ``DIFF_QUIET_WORLDS``)
+on this tree and, in a subprocess, on the other one, and prints the names
+of the worlds whose results differ (exit status 1 if any).
 """
 
 from __future__ import annotations
@@ -108,7 +113,8 @@ SLOT_WORLDS = (661, 1189, 1331)
 STRETCH_WORLDS = 40
 STREAM_WORLDS = 48
 # ``--diff`` compares register and poker worlds from the grid's end up to
-# here, and stream worlds up to ``DIFF_STREAM_WORLDS``.
+# here, stream worlds up to ``DIFF_STREAM_WORLDS`` and quiet worlds up to
+# ``DIFF_QUIET_WORLDS``.
 DIFF_WORLDS = 1500
 DIFF_STREAM_WORLDS = 400
 
@@ -131,6 +137,11 @@ STRETCH_PERIODS = PERIODS + [(80000, 20000, 20000), (80000, 30000, 10000),
 STREAM_PERIODS = [(30303, 20000, 20000), (30303, 30303, 20000), (30303, 60606, 20000),
                   (20000, 20000, 20000), (30303, 45000, 20000), (30303, 10101, 20000),
                   (10000, 30000, 20000), (30303, 7000, 30303)]
+# Quiet worlds: user clocks faster than the bus, configuration-port words
+# slower than bus words but faster than every second one, some commensurate.
+QUIET_PERIODS = [(30303, 24000, 11250), (30303, 27000, 9000), (30300, 20200, 10100),
+                 (20000, 16000, 7000), (30303, 10101, 12000)]
+DIFF_QUIET_WORLDS = 300
 BURSTS = [1, 2, 3, 4, 5, 7, 16, 64, 256, 4096]
 CAPACITIES = [2, 4, 5, 8, 16, 64, 256]
 KERNELS = {0x21: "identity", 0x22: "negate", 0x23: "add_const", 0x24: "fir4", 0x25: "poker"}
@@ -335,6 +346,36 @@ def _stream_spec(index: int) -> dict:
     return spec
 
 
+def _quiet_spec(index: int) -> dict:
+    """Long streams through map kernels beside reconfigurations and
+    readbacks, with a configuration port and a kernel faster than the bus
+    and buffers of 2 to 16 words: the buffers keep running dry, so one
+    process often sleeps inside its own event while the bus moves the other
+    process's words up to that one's queued point."""
+    rng = random.Random(f"quiet-world-{index}")
+    pci, user, cfg = QUIET_PERIODS[index % len(QUIET_PERIODS)]
+    cap = rng.choice([2, 3, 4, 8, 16])
+    low = rng.randint(1, cap)
+    high = low if rng.random() < 0.2 else rng.randint(low, cap)
+    spec = {"periods": [pci, user, cfg], "grant": rng.randint(0, 8),
+            "burst": rng.choice([3, 16, 64, 4096]), "capacity": cap, "fill_low": low,
+            "fill_high": high, "geometry": [10, 16, 64, 8], "boot_byte_period": 7,
+            "jobs": [{"kind": "reconfig", "stalls": [], "first": 0, "columns": 1, "seed": index,
+                      "kernel_id": rng.choice([0x21, 0x22, 0x24, 0x25])}]}
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.choice(["stream+reconfig", "stream+readback"])
+        columns = rng.randint(1, 3)
+        job = {"kind": kind, "words": rng.randint(100, 1500), "seed": rng.randint(0, 999),
+               "stalls": _stalls(rng, pci, spec["grant"])}
+        if "reconfig" in kind:
+            job.update(kernel_id=rng.choice([0x21, 0x22, 0x23, 0x24, 0x25]),
+                       first=rng.randint(0, 8 - columns), columns=columns)
+        else:
+            job.update(rb_first=rng.randint(0, 10 - columns), rb_count=columns)
+        spec["jobs"].append(job)
+    return spec
+
+
 def _stalls(rng: random.Random, pci: int, grant: int) -> list[list[int]]:
     """Stall windows as (offset from job start, duration) pairs."""
     out = []
@@ -532,15 +573,18 @@ def all_worlds():
 
 def extra_worlds():
     """(name, thunk) for the register and poker worlds from the end of the
-    grid up to ``DIFF_WORLDS`` and the stream worlds up to
-    ``DIFF_STREAM_WORLDS``: not pinned by golden data, compared between two
-    source trees by ``--diff``."""
+    grid up to ``DIFF_WORLDS``, the stream worlds up to
+    ``DIFF_STREAM_WORLDS`` and the quiet worlds up to ``DIFF_QUIET_WORLDS``:
+    not pinned by golden data, compared between two source trees by
+    ``--diff``."""
     worlds = [(f"registers-{i}", lambda i=i: run_register_world(_spec(i)))
               for i in range(REGISTER_WORLDS, DIFF_WORLDS)]
     worlds += [(f"poker-{i}", lambda i=i: run_register_world(_poker_spec(i)))
                for i in range(POKER_WORLDS, DIFF_WORLDS)]
     worlds += [(f"stream-{i}", lambda i=i: run_register_world(_stream_spec(i)))
                for i in range(STREAM_WORLDS, DIFF_STREAM_WORLDS)]
+    worlds += [(f"quiet-{i}", lambda i=i: run_register_world(_quiet_spec(i)))
+               for i in range(DIFF_QUIET_WORLDS)]
     return worlds
 
 
