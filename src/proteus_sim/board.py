@@ -20,16 +20,17 @@ for the controller, downstream and upstream for the kernel host), as the
 configuration port and the bus-macro interface sit behind the same kind of
 dual-port buffer.  Its ``window`` returns the burst in flight (moved by the
 stretch through ``advance_many``) with its lattice, and the time before
-which every stretch ends; ``lo`` and ``hi`` give the occupancies within
-which the idle engines' fill status stays quiet (``DmaEngine.band``), so
-that a stretch ends before a word that would make an engine request a
-burst.
+which every stretch ends (the queue head or the horizon, and the burst's
+last word); ``lo`` and ``hi`` give the occupancies within which the idle
+engines' fill status stays quiet (``DmaEngine.band``), so that a stretch
+ends before a word that would make an engine request a burst.
 
 The other way round, an engine takes or gives the *quiet runs* of its
 burst (``DmaEngine.run_sink``/``run_source``): the words before the first
-one that would wake the process on the buffer's other side or take the
-buffer out of the other engine's band on the shared SelectMap buffer.
-Their listeners would do nothing, so they move as one slice.
+one that would wake the process on the buffer's other side.  Their
+listeners would do nothing, so they move as one slice.  On the shared
+SelectMap buffer the other engine is idle all the while: a port job starts
+only with the controller idle and the buffer empty.
 
 A simulation that can go no further raises ``Deadlock``, naming the busy
 engines, the stream buffers' occupancies and the kernel host's state.
@@ -78,7 +79,7 @@ from .fixed_part import (
 from .kernels import KernelHost
 from .pci import BusTransaction, HostMemory, PciBus, PciConfig, TxnState
 from .selectmap import BootReport, ConfigResult, Mode, NotIdle, SelectMapController
-from .sim import ClockDomain, Simulator, first_tie
+from .sim import ClockDomain, Simulator
 from .trace import TraceRecorder
 
 
@@ -139,10 +140,8 @@ class DmaEngine:
         self.on_job_done = None
         self.started_at: int | None = None
         self.finished_at: int | None = None
-        # Set by the device: the other engine on the same buffer, if any, and
-        # fn() -> True if a word this engine moves now wakes the process on
-        # the buffer's other side.
-        self.partner: DmaEngine | None = None
+        # Set by the device: fn() -> True if a word this engine moves now
+        # wakes the process on the buffer's other side.
         self.wakes = None
 
     @property
@@ -179,13 +178,11 @@ class DmaEngine:
         """Push the leading words of ``data`` (4 bytes each) that no buffer
         listener would act on, as one slice; returns how many.  It takes
         none if the first would wake the process on the other side; else
-        they stop where the buffer fills, or where the partner engine would
-        request."""
+        they stop where the buffer fills."""
         if self.wakes():
             return 0
         buffer = self.buffer
-        hi = buffer.capacity if self.partner is None else self.partner.band()[1]
-        n = min(hi - buffer.occupancy, len(data) >> 2)
+        n = min(buffer.capacity - buffer.occupancy, len(data) >> 2)
         if n <= 0:
             return 0
         buffer.exchange(data[:4 * n], 0)
@@ -194,13 +191,11 @@ class DmaEngine:
     def run_source(self, count: int) -> bytes:
         """Pop at most ``count`` words that no buffer listener would act on,
         as one slice: none if the first would wake the process on the other
-        side; else up to the buffer's last word, or to where the partner
-        engine would request."""
+        side; else up to the buffer's last word."""
         if self.wakes():
             return b""
         buffer = self.buffer
-        lo = 0 if self.partner is None else self.partner.band()[0]
-        n = min(buffer.occupancy - lo, count)
+        n = min(buffer.occupancy, count)
         return buffer.exchange(b"", n) if n > 0 else b""
 
     def finished(self, txn: BusTransaction) -> None:
@@ -229,17 +224,15 @@ class BufferFeed:
         self.into = device.engines[into]
         self.out_of = device.engines[out_of]
 
-    def window(self, t: int, q: int):
+    def window(self):
         """None while another target's burst is moving; else (burst, first,
-        period, count, end) for a stretch whose points fall at t + k*q.
-        ``burst`` is the engines' ``_Burst`` in flight, or None (and its
-        lattice 0, 0, 0); the stretch moves its words with ``advance_many``.
-        Its next word is at ``first`` and the ``count`` after it before its
-        last are ``period`` apart (``_Burst.lattice``).  ``end`` is the
-        exclusive time bound every stretch keeps: the queue head or the
-        horizon, the burst's last word (which queues its end), and the first
-        point on the picosecond of a bus word (which one goes first depends
-        on when each was numbered)."""
+        period, count, end).  ``burst`` is the engines' ``_Burst`` in flight,
+        or None (and its lattice 0, 0, 0); the stretch moves its words with
+        ``advance_many``.  Its next word is at ``first`` and the ``count``
+        after it before its last are ``period`` apart (``_Burst.lattice``).
+        ``end`` is the exclusive time bound every stretch keeps: the queue
+        head or the horizon, and the burst's last word (which queues its
+        end)."""
         sim = self.sim
         burst = sim.stream
         end = sim.reach() + 1
@@ -248,7 +241,7 @@ class BufferFeed:
         if burst.txn is not self.into.txn and burst.txn is not self.out_of.txn:
             return None
         tb, p, count = burst.lattice()
-        return burst, tb, p, count, min(end, tb + count * p, t + first_tie(t, q, tb, p) * q)
+        return burst, tb, p, count, min(end, tb + count * p)
 
     def lo(self) -> int:
         """The least occupancy of the filled buffer that keeps its engine's
@@ -310,8 +303,6 @@ class Device:
                               (TargetId.SELECTMAP_WRITE, ctl.wakes_on_input),
                               (TargetId.SELECTMAP_READ, ctl.wakes_on_room)):
             self.engines[target].wakes = wakes
-        write, read = self.engines[TargetId.SELECTMAP_WRITE], self.engines[TargetId.SELECTMAP_READ]
-        write.partner, read.partner = read, write
 
         self.down_buf.on_dequeue(lambda: self.evaluate(TargetId.DOWNSTREAM))
         self.up_buf.on_enqueue(lambda: self.evaluate(TargetId.UPSTREAM))

@@ -314,9 +314,9 @@ class KernelHost(RunAhead):
 
         The stretch covers every edge and bus word before ``end``: the
         feed's (the first queued event or the loop's horizon, the burst's
-        last word, the first bus word on a user-clock edge), the edge after
-        the last word it can move with no burst in flight, and the edge
-        whose word would take an idle engine's buffer out of its quiet band.
+        last word), the edge after the last word it can move with no burst
+        in flight, and the edge whose word would take an idle engine's
+        buffer out of its quiet band.
         Inside it only the two lattices touch the buffers, and one burst
         moves words one way, so the kernel is a queue with a
         periodic input: word j leaves at c(j) = max(t + j*q, the first edge
@@ -326,7 +326,10 @@ class KernelHost(RunAhead):
         until the next such bus word, so they need no count; the state at
         ``end`` (awake on an edge, or asleep) follows from the last word
         moved.  Each lattice numbers its next item once, at the end, in the
-        order of the moments it would have been numbered.
+        order of the moments it would have been numbered.  At a tie the bus
+        word goes first (``edge(s)`` includes s), except in the upstream-full
+        pattern with q longer than the bus period: there the word before has
+        already woken the kernel for that edge, so this one wakes it again.
         """
         sim = self.sim
         down, up = self.down, self.up
@@ -339,7 +342,7 @@ class KernelHost(RunAhead):
                 return False        # the edge at t alone
         elif stream.key[0] == t:
             return False            # a bus word on this very edge
-        window = self.feed.window(t, q)
+        window = self.feed.window()
         if window is None:
             return False
         burst, tb, p, count, end = window
@@ -391,9 +394,12 @@ class KernelHost(RunAhead):
         else:               # the edge at ``key`` found nothing to move: asleep
             last, key = key, None
             if to_device and nk == room:
-                # Upstream full: each bus word wakes the kernel for one more such edge.
-                if a_last > last:
+                # Upstream full: each bus word wakes the kernel for one more such
+                # edge; with q > p, one on an edge comes after it (see above).
+                if a_last >= last:
                     e = edge(a_last)
+                    if e == a_last and q > p:
+                        e += q
                     if e < end:
                         last = e
                     else:

@@ -60,33 +60,45 @@ class UnmappedAddress(PciError):
 
 
 class HostMemory:
-    """Map of non-overlapping, page-aligned shared regions, keyed by base."""
+    """Map of non-overlapping, page-aligned shared regions at or above
+    ``base``, keyed by base; the bases are also kept sorted, so that a new
+    region takes the lowest gap that fits and ``locate`` bisects."""
 
     def __init__(self, base: int = 0x0010_0000) -> None:
-        self._next_base = base
+        self._floor = base
+        self._bases: list[int] = []
         self._regions: dict[int, bytearray] = {}
 
     def map_shared_region(self, nbytes: int) -> tuple[bytearray, int]:
-        """Map a zeroed region of ``nbytes``; returns (its buffer, its base)."""
+        """Map a zeroed region of ``nbytes`` at the lowest page-aligned
+        address where it fits; returns (its buffer, its base)."""
         if nbytes <= 0:
             raise ValueError("region size must be > 0")
-        base = -(-self._next_base // PAGE_ALIGN) * PAGE_ALIGN
+        base = -(-self._floor // PAGE_ALIGN) * PAGE_ALIGN
+        for start in self._bases:
+            if base + nbytes <= start:
+                break
+            base = max(base, -(-(start + len(self._regions[start])) // PAGE_ALIGN) * PAGE_ALIGN)
         if base + nbytes > ADDRESS_SPACE:
             raise OutOfAddressSpace(f"cannot fit {nbytes} bytes at {base:#x}")
+        bisect.insort(self._bases, base)
         buf = self._regions[base] = bytearray(nbytes)
-        self._next_base = base + nbytes
         return buf, base
 
     def unmap(self, base: int) -> None:
-        """Drop the region that starts at ``base``; its addresses are not
+        """Drop the region that starts at ``base``; its addresses may be
         mapped again."""
         if self._regions.pop(base, None) is None:
             raise UnmappedAddress(f"no region starts at {base:#x}")
+        del self._bases[bisect.bisect_left(self._bases, base)]
 
     def locate(self, address: int, nbytes: int) -> tuple[bytearray, int]:
         """Resolve an address span to (backing buffer, offset)."""
-        for base, buf in self._regions.items():
-            if base <= address and address + nbytes <= base + len(buf):
+        i = bisect.bisect_right(self._bases, address)
+        if i:
+            base = self._bases[i - 1]
+            buf = self._regions[base]
+            if address + nbytes <= base + len(buf):
                 return buf, address - base
         raise UnmappedAddress(f"{nbytes} bytes at {address:#x} not inside any region")
 

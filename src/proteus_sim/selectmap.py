@@ -195,14 +195,15 @@ class SelectMapController(RunAhead):
         points.
 
         Point k of the stretch is at t + k*q.  The stretch holds the points
-        before the feed's ``end`` (the queue head or the horizon, the
-        burst's last word, a tie with a bus word), and ends before the first
-        point that would move the job's last word, find the buffer empty
-        (configure) or full (readback), or take the occupancy out of the
-        band in which the idle bus engine stays quiet.  Inside it
-        nothing but the two lattices observes the buffer, so each lattice
-        numbers its next item once, at the end: the burst first, as its last
-        moved word precedes the last point.
+        before the feed's ``end``, and ends before the first point that would
+        move the job's last word, find the buffer empty (configure) or full
+        (readback), or take the occupancy out of the band in which the idle
+        bus engine stays quiet.  Inside it nothing but the two lattices
+        observes the buffer, so only the order at the last point shows; each
+        lattice numbers its next item once, at the end, the burst first.  A
+        bus word on the last point goes first unless the stretch's first bus
+        word falls on point 0: with q equal to the bus period every tie goes
+        the way the first did, and with other periods the order cannot show.
         """
         q = 4 * self.clock.period
         m = (job.total - job.done - 1) // 4       # the job's last word stays a point
@@ -214,7 +215,7 @@ class SelectMapController(RunAhead):
         if m < 2 or (spare < 2 and (not spare or self.sim.stream is None
                                     or self.sim.stream.key[0] >= t + q)):
             return 0
-        window = self.feed.window(t, q)
+        window = self.feed.window()
         if window is None:
             return 0
         burst, first, period, _count, end = window
@@ -227,7 +228,10 @@ class SelectMapController(RunAhead):
             moved = 0
         else:
             m = min(m, _first_over(t, q, first, period, room))
-            moved = max(0, -(-(t + (m - 1) * q - first) // period))
+            last = t + (m - 1) * q
+            moved = max(0, -(-(last - first) // period))
+            if t < first <= last and (last - first) % period == 0:
+                moved += 1      # the bus word on the last point goes first
         if m < 2:
             return 0
         done = job.done

@@ -34,31 +34,18 @@ host over the kernel's edges, each together with the burst's words that
 fall between them, up to the next point where anything else could observe
 the buffer they share.  Both take the time their stretch ends before from
 one place, the board's feed: ``reach`` bounds it by the queue head and the
-loop's horizon, and ``first_tie`` finds the first point of the process's
-lattice that lands on the picosecond of the burst's.
+loop's horizon.  A stretch runs through points that land on the picosecond
+of a bus word; which of the two goes first follows from when each was
+numbered, and only the order at the stretch's end can show.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 
 FOREVER = float("inf")
-
-
-def first_tie(t: int, q: int, first: int, period: int):
-    """The first k >= 1 with t + k*q on the lattice first + i*period, i >= 0,
-    or FOREVER if none is."""
-    g = math.gcd(q, period)
-    d = (first - t) % period
-    if d % g:
-        return FOREVER
-    step = period // g
-    k = (d // g) * pow(q // g, -1, step) % step    # t + k*q = first (mod period)
-    low = max(1, -(-(first - t) // q))
-    return low + (k - low) % step
 
 
 class SimError(Exception):

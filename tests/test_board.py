@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import timing_worlds
 
 from proteus_sim import bitstream as bits
 from proteus_sim.board import (
@@ -12,6 +13,7 @@ from proteus_sim.board import (
     BoardInert,
     CommandConflict,
     Deadlock,
+    DmaEngine,
     JobActive,
     World,
 )
@@ -261,38 +263,14 @@ def test_readback_strobed_while_the_last_configuration_burst_ends():
 
 def test_quiet_runs_end_before_the_word_a_listener_acts_on():
     """An engine moves the bus words no buffer listener would act on as one
-    slice: none while its word would wake the process on the other side,
-    and on the shared SelectMap buffer only those that keep the other, idle
-    engine's fill status quiet; the next word, moved alone, makes it
-    request."""
+    slice: none while its word would wake the process on the other side."""
     world = World(BoardConfig(buffer_capacity=8, fill_low=2, fill_high=6))
     assert world.boot(full_flash()).ok
     dev = world.device
     engines = dev.engines
-    write, read = engines[TargetId.SELECTMAP_WRITE], engines[TargetId.SELECTMAP_READ]
+    write = engines[TargetId.SELECTMAP_WRITE]
     data = bytes(range(32))                         # 8 words
-    _buf, base = world.host.map_shared_region(64)
 
-    read.addr.load(base, 4 * 5)                     # requests at 5 buffered words
-    assert write.run_sink(data) == 4
-    assert read.request is read.txn is None
-    dev.smap_buf.push(0)
-    assert read.txn is not None                     # requested and granted at once
-
-    world = World(BoardConfig(buffer_capacity=8, fill_low=2, fill_high=6))
-    assert world.boot(full_flash()).ok
-    dev = world.device
-    engines = dev.engines
-    write, read = engines[TargetId.SELECTMAP_WRITE], engines[TargetId.SELECTMAP_READ]
-    _buf, base = world.host.map_shared_region(64)
-    dev.smap_buf.exchange(data[:24], 0)
-    write.addr.load(base, 64)                       # requests at 2 buffered words
-    assert read.run_source(8) == data[:12]
-    assert write.request is write.txn is None
-    dev.smap_buf.pop()
-    assert write.txn is not None
-
-    dev.smap_buf.exchange(b"", dev.smap_buf.occupancy)
     dev.controller.start_configure(100)             # waits for its first word
     assert write.run_sink(data) == 0 and dev.smap_buf.occupancy == 0
 
@@ -307,19 +285,49 @@ def test_quiet_runs_end_before_the_word_a_listener_acts_on():
     assert up.run_source(8) == b""
 
 
+def test_selectmap_quiet_runs_never_meet_the_other_engine_busy(monkeypatch):
+    """A port strobe needs an idle controller and an empty SelectMap buffer,
+    so while one SelectMap engine moves a quiet run the other has no active
+    job, request or transaction, and its fill status cannot end the run."""
+    other = {TargetId.SELECTMAP_WRITE: TargetId.SELECTMAP_READ,
+             TargetId.SELECTMAP_READ: TargetId.SELECTMAP_WRITE}
+    runs = []
+    for name in ("run_sink", "run_source"):
+        def checked(self, arg, run=getattr(DmaEngine, name)):
+            if self.target in other:
+                engine = self.device.engines[other[self.target]]
+                assert not engine.addr.active and engine.request is engine.txn is None
+                runs.append(self.target)
+            return run(self, arg)
+        monkeypatch.setattr(DmaEngine, name, checked)
+    for i in range(0, timing_worlds.STRETCH_WORLDS, 4):
+        timing_worlds.run_register_world(timing_worlds._stretch_spec(i))
+    for i in range(0, timing_worlds.DIFF_QUIET_WORLDS, 30):
+        timing_worlds.run_register_world(timing_worlds._quiet_spec(i))
+    assert runs.count(TargetId.SELECTMAP_WRITE) > 100
+    assert runs.count(TargetId.SELECTMAP_READ) > 100
+
+
 def test_rejected_driver_jobs_unmap_their_regions():
     """A driver call whose register writes the device rejects started
     nothing, so it leaves no region mapped."""
     mapped = []   # (host, base) of every region a driver call maps
+    live = []     # those not unmapped since (addresses are mapped again)
 
     def recording(world):
-        map_region = world.host.map_shared_region
+        host = world.host
+        map_region, unmap = host.map_shared_region, host.unmap
 
         def map_shared_region(nbytes):
             buf, base = map_region(nbytes)
-            mapped.append((world.host, base))
+            mapped.append((host, base))
+            live.append((host, base))
             return buf, base
-        world.host.map_shared_region = map_shared_region
+
+        def unmap_region(base):
+            unmap(base)
+            live.remove((host, base))
+        host.map_shared_region, host.unmap = map_shared_region, unmap_region
         return world
 
     inert = recording(World())
@@ -339,9 +347,7 @@ def test_rejected_driver_jobs_unmap_their_regions():
     with pytest.raises(JobActive):
         world.stream(bytes(64))
     assert len(mapped) == 1 + 3 + 2 + 2
-    for host, base in mapped:
-        with pytest.raises(UnmappedAddress):
-            host.locate(base, 1)
+    assert live == [(world.host, base) for base in running]
     world.wait(IrqCause.DOWNSTREAM_DONE)
     world.wait(IrqCause.UPSTREAM_DONE)
     assert world.host.read(running[1], 4096) == bytes(4096)

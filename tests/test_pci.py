@@ -10,6 +10,7 @@ from proteus_sim.pci import (
     BusTransaction,
     Direction,
     HostMemory,
+    OutOfAddressSpace,
     PciBus,
     PciConfig,
     TxnState,
@@ -81,6 +82,52 @@ def test_map_regions_page_aligned_and_disjoint():
     spans.sort()
     for (a0, a1), (b0, _b1) in zip(spans, spans[1:]):
         assert a1 <= b0
+
+
+def test_unmapped_addresses_are_mapped_again():
+    """Four 4 KiB map and unmap pairs fit in a space of three pages."""
+    host = HostMemory(base=2**32 - 3 * 4096)
+    for _ in range(4):
+        _buf, base = host.map_shared_region(4096)
+        assert base == 2**32 - 3 * 4096
+        host.unmap(base)
+    with pytest.raises(OutOfAddressSpace):
+        host.map_shared_region(3 * 4096 + 1)
+
+
+@given(st.lists(st.one_of(st.integers(1, 3 * 4096), st.integers(-8, -1)), max_size=40))
+@settings(max_examples=150)
+def test_mapped_regions_stay_aligned_disjoint_and_locatable(ops):
+    """Any sequence of maps (a size) and unmaps (of a live region, counted
+    from the newest): every region is page-aligned, none overlap, a new one
+    takes the lowest gap that fits, and ``locate`` resolves exactly the
+    mapped spans."""
+    floor = 0x1000
+    host = HostMemory(base=floor)
+    live = []           # (start, end, buffer) in mapping order
+    for op in ops:
+        if op > 0:
+            buf, base = host.map_shared_region(op)
+            assert base % 4096 == 0 and len(buf) == op
+            fits = [a for a in range(floor, base + 1, 4096)
+                    if all(a + op <= s or e <= a for s, e, _buf in live)]
+            assert fits[0] == base
+            live.append((base, base + op, buf))
+        elif live:
+            host.unmap(live.pop(op % len(live))[0])
+    spans = sorted(live, key=lambda span: span[0])
+    assert all(a1 <= b0 for (_a0, a1, _), (b0, _b1, _) in zip(spans, spans[1:]))
+    for start, end, buf in spans:
+        assert host.locate(start, end - start) == (buf, 0)
+        with pytest.raises(UnmappedAddress):
+            host.locate(start, end - start + 1)
+        for address in (start - 1, end - 1, end):
+            inside = [(s, b) for s, e, b in spans if s <= address < e]
+            if inside:
+                assert host.locate(address, 1) == (inside[0][1], address - inside[0][0])
+            else:
+                with pytest.raises(UnmappedAddress):
+                    host.locate(address, 1)
 
 
 def test_map_zero_bytes_rejected():

@@ -1,10 +1,10 @@
 """Event kernel tests."""
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proteus_sim.sim import FOREVER, RunAhead, SchedulingInPast, Simulator, first_tie
+from proteus_sim.sim import FOREVER, RunAhead, SchedulingInPast, Simulator
 
 
 def test_zero_delay_fires_before_later_events():
@@ -260,20 +260,3 @@ def test_run_ahead_sleeps_through_stream_items_until_one_wakes_it():
     assert sim.executed == 1
     sim.run_until(30)
     assert log[-2:] == [("item", 21), ("item", 24)]
-
-
-@given(t=st.integers(0, 3000), first=st.integers(0, 3000), g=st.integers(1, 12),
-       a=st.integers(1, 40), b=st.integers(1, 40))
-@example(t=100, first=40, g=1, a=7, b=5)      # first before t, coprime
-@example(t=100, first=100, g=4, a=3, b=5)     # a tie at k = 0 does not count
-@example(t=0, first=90, g=6, a=2, b=3)        # first after t, shared factor
-@example(t=0, first=5, g=3, a=2, b=4)         # residue not a multiple of the gcd
-@example(t=10, first=12, g=1, a=9, b=3)       # q >= period, no tie
-def test_first_tie_matches_brute_force(t, first, g, a, b):
-    q, period = g * a, g * b
-    # Past the first point at or after ``first``, the residues repeat within
-    # ``period`` points.
-    limit = abs(first - t) // q + period + 2
-    want = next((k for k in range(1, limit)
-                 if t + k * q >= first and (t + k * q - first) % period == 0), FOREVER)
-    assert first_tie(t, q, first, period) == want

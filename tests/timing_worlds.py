@@ -25,6 +25,12 @@ reconfigurations and readbacks with a kernel faster than the bus and a
 configuration port between one and two bus words per port word, so that
 one process often sleeps inside its own event while the bus moves words
 into the other's buffer as quiet runs, up to that process's queued point.
+The ``tie-*`` worlds, also compared by ``--diff`` only, run long images and
+streams with port words and kernel edges on the bus lattice (clocks of one,
+two, three, a half and a third of the bus period), so that both kinds of
+stretch run through same-picosecond bus words; a mid-run stop may also
+write a new add_const operand (a third ``midrun`` entry), so that the output
+shows which words the kernel had moved by then.
 
 ``run_register_world`` and ``run_scenario_world`` return everything the
 timing contract covers: the time of every done interrupt, the interrupt
@@ -34,7 +40,8 @@ configuration byte times and of every host output, plus a metrics
 dictionary.  The interrupt log, the bus cycle log and the byte times, and
 the interrupt and bus byte counts, are views of the trace (``records``), so
 this file imports nothing from ``proteus_sim`` that the trees it compares
-lack.
+lack, except ``SinkKernel``: a tree without it (the per-word engine of the
+first commit) gets a step-only sink defined here.
 
     PYTHONPATH=<src of the reference engine> python3 tests/timing_worlds.py
 
@@ -56,9 +63,17 @@ that the current engine reproduces every entry.
 
 runs the register and poker worlds beyond the grid (indices up to
 ``DIFF_WORLDS``), the stream worlds beyond it (up to
-``DIFF_STREAM_WORLDS``) and the quiet worlds (up to ``DIFF_QUIET_WORLDS``)
-on this tree and, in a subprocess, on the other one, and prints the names
-of the worlds whose results differ (exit status 1 if any).
+``DIFF_STREAM_WORLDS``), the quiet worlds and the tie worlds on this tree
+and, in a subprocess, on the other one, and prints the names of the worlds
+whose results differ (exit status 1 if any).  The other tree may be the
+per-word engine of the first commit, a standing oracle::
+
+    git archive a5bf018 src | tar -x -C <dir>
+    python3 tests/timing_worlds.py --diff <dir>/src
+
+The subprocess puts the other ``src`` on ``PYTHONPATH``; under pytest,
+whose ``pythonpath`` setting puts this checkout's ``src`` first, that would
+not take, so the oracle runs through this script only.
 """
 
 from __future__ import annotations
@@ -94,7 +109,6 @@ from proteus_sim.fixed_part import (  # noqa: E402
     REG_UP_LEN,
     IrqCause,
 )
-from proteus_sim.kernels import SinkKernel  # noqa: E402
 from proteus_sim.pci import PciConfig  # noqa: E402
 from proteus_sim.runner import emit_metrics, run_scenario  # noqa: E402
 from proteus_sim.scenario import parse_scenario  # noqa: E402
@@ -113,8 +127,8 @@ SLOT_WORLDS = (661, 1189, 1331)
 STRETCH_WORLDS = 40
 STREAM_WORLDS = 48
 # ``--diff`` compares register and poker worlds from the grid's end up to
-# here, stream worlds up to ``DIFF_STREAM_WORLDS`` and quiet worlds up to
-# ``DIFF_QUIET_WORLDS``.
+# here, stream worlds up to ``DIFF_STREAM_WORLDS``, quiet worlds up to
+# ``DIFF_QUIET_WORLDS`` and tie worlds up to ``DIFF_TIE_WORLDS``.
 DIFF_WORLDS = 1500
 DIFF_STREAM_WORLDS = 400
 
@@ -142,9 +156,47 @@ STREAM_PERIODS = [(30303, 20000, 20000), (30303, 30303, 20000), (30303, 60606, 2
 QUIET_PERIODS = [(30303, 24000, 11250), (30303, 27000, 9000), (30300, 20200, 10100),
                  (20000, 16000, 7000), (30303, 10101, 12000)]
 DIFF_QUIET_WORLDS = 300
+# Tie worlds: port words (four configuration cycles) of one, two, a half and a
+# third bus period, user clocks of one, two, three and half a bus period.
+TIE_PORT = [(1, 4), (1, 2), (1, 8), (1, 12)]      # cfg = p * a // b
+TIE_USER = [(1, 1), (2, 1), (3, 1), (1, 2)]       # user = p * a // b
+DIFF_TIE_WORLDS = 160
+# Two ``--diff`` worlds built for the kernel's futile edges while the upstream
+# buffer is full: a stretch ends on a bus word that lands on such an edge,
+# with a kernel three times slower than the bus (a stop on that word, then a
+# window over the next one that ends where the upstream's first word lands
+# on the kernel's next edge), or as fast as the bus (a stop two words later).
+TIE_UPFULL_WORLDS = [
+    {"periods": [24000, 72000, 20000], "grant": 0, "burst": 5, "capacity": 6, "fill_low": 1,
+     "fill_high": 3, "geometry": [6, 2, 8, 4], "boot_byte_period": 7,
+     "jobs": [{"kind": "reconfig", "stalls": [], "first": 0, "columns": 1, "seed": 159,
+               "kernel_id": 0x23},
+              {"kind": "stream", "words": 70, "seed": 105,
+               "stalls": [[0, 108000], [2676000, 1248000]],
+               "midrun": [3996000, [[1, 71999]], 0x20000]}]},
+    {"periods": [30000, 30000, 20000], "grant": 0, "burst": 4096, "capacity": 5, "fill_low": 1,
+     "fill_high": 3, "geometry": [6, 2, 8, 4], "boot_byte_period": 7,
+     "jobs": [{"kind": "reconfig", "stalls": [], "first": 0, "columns": 1, "seed": 1,
+               "kernel_id": 0x23},
+              {"kind": "stream", "words": 116, "seed": 211, "stalls": [],
+               "midrun": [420000, [], 0x10002]}]},
+]
 BURSTS = [1, 2, 3, 4, 5, 7, 16, 64, 256, 4096]
 CAPACITIES = [2, 4, 5, 8, 16, 64, 256]
 KERNELS = {0x21: "identity", 0x22: "negate", 0x23: "add_const", 0x24: "fir4", 0x25: "poker"}
+
+
+try:
+    from proteus_sim.kernels import SinkKernel
+except ImportError:     # the per-word engine of the first commit has none
+    class SinkKernel:
+        """Consumes one word per cycle and produces nothing."""
+
+        name = "sink"
+
+        def step(self, io):
+            if io.in_available:
+                io.read()
 
 
 class PokerKernel:
@@ -376,6 +428,56 @@ def _quiet_spec(index: int) -> dict:
     return spec
 
 
+def _tie_spec(index: int) -> dict:
+    """Commensurate clocks on both stretch paths: long images and streams
+    through buffers of 2 to 64 words, so that port words and kernel edges
+    tie bus words all through a stretch, with stall windows and mid-run
+    stops on the bus lattice or one picosecond off it.  Streams run mostly
+    through add_const, and a stop writes a new operand, so the output shows
+    which words the kernel had moved by then.  Even worlds add their windows
+    at job start, odd ones one short window at each stop, at least seven bus
+    words into the job: no window added at a stop opens inside an earlier
+    one."""
+    rng = random.Random(f"tie-world-{index}")
+    p = (24000, 30000)[index // 16 % 2]
+    a, b = TIE_PORT[index % 4]
+    c, d = TIE_USER[index // 4 % 4]
+    user, cfg = p * c // d, p * a // b
+    cap = rng.choice([2, 3, 4, 5, 8, 16, 32, 64])
+    low = rng.randint(1, cap)
+    high = low if rng.random() < 0.2 else rng.randint(low, cap)
+    kernels = [0x23, 0x23, 0x21, 0x22, 0x24]
+    spec = {"periods": [p, user, cfg], "grant": rng.choice([0, 0, 1, 2, rng.randint(3, 8)]),
+            "burst": rng.choice([3, 5, 16, 64, 4096]), "capacity": cap, "fill_low": low,
+            "fill_high": high, "geometry": [10, 16, 64, 8], "boot_byte_period": 7,
+            "jobs": [{"kind": "reconfig", "stalls": [], "first": 0, "columns": 1, "seed": index,
+                      "kernel_id": rng.choice(kernels)}]}
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.choice(["stream", "stream", "reconfig", "readback", "stream+reconfig",
+                           "stream+readback"])
+        columns = rng.randint(1, 3)
+        words = rng.randint(100, 1200) if "stream" in kind else 0
+        span = max(2 * words * c // d, columns * 1024 * a // b)   # bus cycles, about
+        job = {"kind": kind, "stalls": []}
+        if index % 2 == 0:
+            job["stalls"] = [[rng.randint(0, span) * p + rng.choice([0, 0, 1, -1]),
+                              rng.choice([1, p - 1, p, p + 1, 2 * p, rng.randint(2, 40 * p)])]
+                             for _ in range(rng.choice([0, 1, 2, 4]))]
+        if rng.random() < 0.7:
+            window = [[rng.randint(0, 3) * p + rng.choice([0, 1]), rng.choice([1, p - 1, p, 3 * p])]]
+            job["midrun"] = [rng.randint(7, max(span, 8)) * p + rng.choice([0, 0, 1, -1]),
+                             window if index % 2 else [], rng.randrange(2**32)]
+        if "reconfig" in kind:
+            job.update(kernel_id=rng.choice(kernels), first=rng.randint(0, 8 - columns),
+                       columns=columns, seed=rng.randint(0, 999))
+        if "readback" in kind:
+            job.update(rb_first=rng.randint(0, 10 - columns), rb_count=columns)
+        if "stream" in kind:
+            job.update(words=words, seed=rng.randint(0, 999))
+        spec["jobs"].append(job)
+    return spec
+
+
 def _stalls(rng: random.Random, pci: int, grant: int) -> list[list[int]]:
     """Stall windows as (offset from job start, duration) pairs."""
     out = []
@@ -462,11 +564,15 @@ def run_register_world(spec: dict) -> dict:
         dev.host_reg_write(REG_CONTROL, control)
         waits[:0] = [IrqCause.KERNEL_REQUEST] * job.get("irq_waits", 0)
         if "midrun" in job:
-            delay, stalls = job["midrun"]
+            delay, stalls, *operand = job["midrun"]
             sim.run_until(sim.now + max(delay, 0))
             rec["midrun_irqs"] = len(irq_log(world.trace.records))
             for offset, duration in stalls:
                 world.bus.inject_stall(sim.now + offset, duration)
+            if operand:
+                # A new add_const operand: the output shows which words the
+                # kernel moved by the stop.
+                dev.host_reg_write(8, operand[0])
         done = []
         for cause in waits:
             world.run_until_cause(cause, cause.name)
@@ -574,7 +680,8 @@ def all_worlds():
 def extra_worlds():
     """(name, thunk) for the register and poker worlds from the end of the
     grid up to ``DIFF_WORLDS``, the stream worlds up to
-    ``DIFF_STREAM_WORLDS`` and the quiet worlds up to ``DIFF_QUIET_WORLDS``:
+    ``DIFF_STREAM_WORLDS``, the quiet worlds up to ``DIFF_QUIET_WORLDS`` and
+    the tie worlds up to ``DIFF_TIE_WORLDS``, with ``TIE_UPFULL_WORLDS``:
     not pinned by golden data, compared between two source trees by
     ``--diff``."""
     worlds = [(f"registers-{i}", lambda i=i: run_register_world(_spec(i)))
@@ -585,6 +692,10 @@ def extra_worlds():
                for i in range(STREAM_WORLDS, DIFF_STREAM_WORLDS)]
     worlds += [(f"quiet-{i}", lambda i=i: run_register_world(_quiet_spec(i)))
                for i in range(DIFF_QUIET_WORLDS)]
+    worlds += [(f"tie-{i}", lambda i=i: run_register_world(_tie_spec(i)))
+               for i in range(DIFF_TIE_WORLDS)]
+    worlds += [(f"tie-upfull-{i}", lambda spec=spec: run_register_world(spec))
+               for i, spec in enumerate(TIE_UPFULL_WORLDS)]
     return worlds
 
 
