@@ -32,6 +32,13 @@ listeners would do nothing, so they move as one slice.  On the shared
 SelectMap buffer the other engine is idle all the while: a port job starts
 only with the controller idle and the buffer empty.
 
+At every burst end the board looks for a *steady state* (``SteadyState``):
+a signature of all its timing-visible state relative to ``now`` that
+recurs.  The whole periods that the bounds allow then move at once: the
+engines' addresses and the processes' keys shift, the counters scale, the
+period's trace records and pause windows repeat, and the periods' bytes go
+through the buffers, the map kernel and the configuration image as slices.
+
 A simulation that can go no further raises ``Deadlock``, naming the busy
 engines, the stream buffers' occupancies and the kernel host's state.
 """
@@ -79,8 +86,8 @@ from .fixed_part import (
 from .kernels import KernelHost
 from .pci import BusTransaction, HostMemory, PciBus, PciConfig, TxnState
 from .selectmap import BootReport, ConfigResult, Mode, NotIdle, SelectMapController
-from .sim import ClockDomain, Simulator
-from .trace import TraceRecorder
+from .sim import FOREVER, ClockDomain, Simulator
+from .trace import TraceRecord, TraceRecorder
 
 
 class BoardFault(Exception):
@@ -162,6 +169,7 @@ class DmaEngine:
             raise JobActive(f"{self.target.value} job already active")
         if total <= 0:
             raise ValueError("job length must be > 0")
+        self.device.world.bus.periods.clear()
         self.addr.load(base, total)
         self.on_job_done = on_job_done
         self.started_at = self.device.sim.now
@@ -197,6 +205,26 @@ class DmaEngine:
         buffer = self.buffer
         n = min(buffer.occupancy, count)
         return buffer.exchange(b"", n) if n > 0 else b""
+
+    def take(self, nbytes: int) -> bytes:
+        """The job's next ``nbytes`` of host memory, moved past: a device-bound
+        job's share of a jump over whole periods."""
+        return self.device.world.host.read(self._advance(nbytes), nbytes) if nbytes else b""
+
+    def give(self, data) -> None:
+        """Write ``data`` as the job's next bytes and move past them: a
+        host-bound job's share of a jump over whole periods."""
+        if data:
+            self.device.world.host.write(self._advance(len(data)), data)
+
+    def _advance(self, nbytes: int) -> int:
+        """Move the job ``nbytes`` on; returns the host address they start at
+        (``addr`` counts a granted transaction's bytes only when it ends)."""
+        pos = self.addr.next_address + (self.txn.transferred_bytes if self.txn else 0)
+        self.addr.advance(nbytes)
+        if self.request is not None:
+            self.request.start_address = self.addr.next_address
+        return pos
 
     def finished(self, txn: BusTransaction) -> None:
         self.txn = None
@@ -252,6 +280,145 @@ class BufferFeed:
         """The greatest occupancy of the drained buffer that keeps its
         engine's fill status quiet after a point."""
         return self.out_of.band()[1]
+
+
+class SteadyState:
+    """Finds a steady state at burst ends and jumps whole periods of it, as
+    in the cyclicity of max-plus linear systems and the periodic phase of
+    self-timed dataflow.
+
+    At the top of every burst end (``PciBus._finish``) no burst is in flight
+    and no run-ahead process runs.  There ``at_burst_end`` takes the
+    signature of everything that decides the board's timing, relative to
+    ``now``: the clocks' phases, the buffers' occupancies, each engine's
+    waiting request and remaining bytes (at most ``cap``, above which the
+    fill status, flushes, short words and job ends cannot show), the
+    arbiter, the ending transaction (only its engine has one granted), each
+    process's next point and the order of their slots, the kernel host's
+    last edge while it can still matter, the controller's mode, pause,
+    remaining bytes and whether its payload has begun (the time of its first
+    byte is taken once), the pending stall wake and the pending interrupts.
+    The bus's table (``PciBus.periods``) maps each signature to a snapshot
+    of what a period adds up: time, bus counters, the engines' addresses,
+    the controller's bytes and pauses, and trace records; and, while stall
+    windows lie ahead, each pair of clock phases to the last burst end
+    that had it.
+
+    When a signature recurs, the period between the two repeats exactly for
+    as long as nothing from outside meets it.  So ``_jump`` moves the
+    largest number ``n`` of whole periods for which one more period would
+    still keep every engine's job ``cap`` bytes from its end (the
+    controller's job moves with its engine), meet no stall window (from the
+    period's start on) and end by the loop's horizon.  It refuses if the
+    kernel is neither inert nor in map form, or if anything but the
+    processes' slots is queued (a pending stall wake never passes the stall
+    bound).  No period raises an interrupt: a job's end changes its
+    engine's remaining bytes or the controller's mode, and only kernels
+    without the map form request one.  The table is cleared on every
+    register write and job start, whenever a stall window is added, and
+    after a jump, so that no one-time action falls inside a period.
+    """
+
+    TABLE_LIMIT = 4096      # entries kept before the table starts afresh
+
+    def __init__(self, device: "Device") -> None:
+        self.device = device
+        self.sim = device.sim
+        self.bus = device.world.bus
+        cfg = device.config
+        self.cap = 4 * cfg.buffer_capacity + 8
+        self.cfg_period = cfg.cfg_clock_period
+        self.user_period = cfg.user_clock_period
+        self.engines = tuple(device.engines.values())
+        self.last_end = 0
+
+    def at_burst_end(self, txn: BusTransaction, state: TxnState) -> None:
+        """Record this burst end's signature, or jump from its recurrence.
+
+        A jump needs two more periods before the next stall window, and a
+        period is at least the gap since the last burst end and, the clock
+        phases being part of the signature, since the last burst end with
+        the same phases (which the table keeps too); no signature is taken
+        where that leaves no room.  So with stall windows ahead a signature
+        is taken only once its phases recur, one period later than without."""
+        bus, now = self.bus, self.sim.now
+        gap, self.last_end = now - self.last_end, now
+        room = bus.next_stalled(now) - now
+        if room <= 2 * gap:
+            return
+        table = bus.periods
+        if len(table) >= self.TABLE_LIMIT:
+            table.clear()
+        phase = (now % self.cfg_period, now % self.user_period)
+        if room != FOREVER:
+            seen, table[phase] = table.get(phase), now
+            if seen is None or 2 * (now - seen) >= room:
+                return
+        dev, cap = self.device, self.cap
+        ctl, host = dev.controller, dev.kernel_host
+        job = ctl._job
+        ck, hk = ctl.key, host.key
+        up, down, rd, wr = self.engines
+        sig = (*phase, dev.down_buf.occupancy, dev.up_buf.occupancy, dev.smap_buf.occupancy,
+               up.request and up.request.total_bytes, min(up.addr.bytes_remaining, cap),
+               down.request and down.request.total_bytes, min(down.addr.bytes_remaining, cap),
+               rd.request and rd.request.total_bytes, min(rd.addr.bytes_remaining, cap),
+               wr.request and wr.request.total_bytes, min(wr.addr.bytes_remaining, cap),
+               dev.arbiter.last_granted, txn.master_id, txn.transferred_bytes, txn.total_bytes,
+               state is TxnState.DONE,
+               hk and hk[0] - now, max(host._last_edge - now, -self.user_period - 1),
+               ctl.mode is Mode.CONFIGURING, ctl.paused, ck and ck[0] - now,
+               job and min(job.total - job.done, cap), job and min(job.done, bits.HEADER_BYTES),
+               ctl.paused and ctl._pause_start - now, ck and hk and ck[1] < hk[1],
+               bus._wake_pending, dev.irq.pending)
+        snap = table.get(sig)
+        if snap is not None and self._jump(snap, now):
+            table.clear()
+            return
+        trace = dev.trace
+        table[sig] = (now, bus.busy_ticks, bus.total_data_cycles,
+                      up.addr.next_address, down.addr.next_address,
+                      rd.addr.next_address, wr.addr.next_address,
+                      job.done if job else 0, ctl.pauses, len(ctl.pause_windows),
+                      len(trace.records) if trace else 0)
+
+    def _jump(self, snap, now: int) -> bool:
+        """Move as many whole periods since ``snap`` as the bounds allow;
+        False if none."""
+        t0, busy, cycles, *addrs, done, pauses, windows, records = snap
+        dev, sim, bus = self.device, self.sim, self.bus
+        ctl, host = dev.controller, dev.kernel_host
+        kernel = dev.registry.active
+        if not (kernel is None or hasattr(kernel, "map_words")):
+            return False
+        keys = sorted(p.key for p in (ctl, host) if p.key is not None)
+        if sorted(entry[:2] for entry in sim._heap) != keys:
+            return False
+        period = now - t0
+        moved = [e.addr.next_address - a for e, a in zip(self.engines, addrs)]
+        job = ctl._job
+        nctl = job.done - done if job else 0
+        # n + 1 periods from now: each engine's job stays cap bytes from its
+        # end, no stall window meets [t0, now + (n + 1) * period], the
+        # horizon holds.
+        fits = [(e.addr.bytes_remaining - (e.txn.transferred_bytes if e.txn else 0) - self.cap) // d
+                for e, d in zip(self.engines, moved) if d]
+        for limit in (bus.next_stalled(t0) - 1, sim.horizon):
+            if limit != FOREVER:
+                fits.append((limit - now) // period)
+        n = min(fits, default=0) - 1
+        if n < 1:
+            return False
+        host.jump(n, period, moved[1], moved[0])
+        ctl.jump(n, period, nctl, ctl.pauses - pauses, ctl.pause_windows[windows:])
+        bus.repeat(n, period, bus.busy_ticks - busy, bus.total_data_cycles - cycles)
+        trace = dev.trace
+        if trace:
+            recs = trace.records[records:]
+            trace.records += [TraceRecord(r.time + j * period, r.component, r.event, r.detail)
+                              for j in range(1, n + 1) for r in recs]
+        sim.shift(n * period)
+        return True
 
 
 class Device:
@@ -310,6 +477,7 @@ class Device:
         self.smap_buf.on_enqueue(lambda: self.evaluate(TargetId.SELECTMAP_READ))
 
         world.bus.set_master(self._next_transaction)
+        world.bus.on_burst_end = SteadyState(self).at_burst_end
 
         self.booted = False
         self.boot_report: BootReport | None = None
@@ -345,6 +513,7 @@ class Device:
 
     def host_reg_write(self, index: int, value: int) -> None:
         self._require_booted()
+        self.world.bus.periods.clear()
         if index == REG_IRQ_CAUSE:
             self.irq.acknowledge(IrqCause(value & 0x1F))
         elif index == REG_IRQ_MASK:

@@ -9,7 +9,9 @@ A stream buffer holds its words as bytes, four little-endian bytes per
 word in one ``bytearray``, the format in which they come from and go to
 host memory and the configuration image.  ``push`` and ``pop`` move one
 word as an int and notify the listeners; ``exchange`` moves runs of words
-as ``bytes`` slices and notifies nobody.
+as ``bytes`` slices and notifies nobody.  A jump over whole periods of a
+steady state moves its words through a buffer in slices of whole periods,
+``period_chunks``, so that no slice grows with the job.
 """
 
 from __future__ import annotations
@@ -36,6 +38,19 @@ ARBITRATION_ORDER = (TargetId.UPSTREAM, TargetId.DOWNSTREAM,
 HOST_BOUND = frozenset({TargetId.UPSTREAM, TargetId.SELECTMAP_READ})
 
 _WORD = struct.Struct("<I")
+
+
+# The bytes one slice of a jump moves through a buffer, at most (or one period).
+SLICE_BYTES = 1 << 16
+
+
+def period_chunks(n: int, nbytes: int):
+    """Split ``n`` periods that each move ``nbytes`` into runs of whole
+    periods of at most ``SLICE_BYTES`` (at least one period each); yields
+    their period counts."""
+    k = max(1, SLICE_BYTES // max(nbytes, 1))
+    for i in range(0, n, k):
+        yield min(k, n - i)
 
 
 class BufferOverflow(Exception):

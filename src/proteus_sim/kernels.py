@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import struct
 
-from .fixed_part import KERNEL_REGS, RegisterFile, StreamBuffer
+from .fixed_part import KERNEL_REGS, RegisterFile, StreamBuffer, period_chunks
 from .sim import FOREVER, RunAhead
 
 
@@ -307,6 +307,21 @@ class KernelHost(RunAhead):
         self.key = nxt if io.consumed or io.produced else None
         return not self._raised
 
+    def jump(self, n: int, period: int, nin: int, nout: int) -> None:
+        """Run ``n`` more periods of a steady state in closed form (see
+        ``board.SteadyState``): each takes ``nin`` bytes from the downstream
+        engine and gives ``nout`` to the upstream one, through the buffers and
+        the map kernel, as slices of whole periods.  The next edge and the
+        last one stepped move ``n * period`` on."""
+        if nin or nout:
+            kernel = self.registry.active
+            for k in period_chunks(n, max(nin, nout)):
+                taken = self.down.exchange(self.feed.into.take(k * nin), k * nin >> 2)
+                out = kernel.map_words(self._io, taken)
+                self.feed.out_of.give(self.up.exchange(out, k * nout >> 2))
+        self.shift(n * period)
+        self._last_edge += n * period
+
     def _stretch(self, t: int, kernel) -> bool:
         """Run the map kernel's edges from ``t`` and the burst's words that
         fall between them in closed form; False (nothing run) if that would
@@ -330,6 +345,8 @@ class KernelHost(RunAhead):
         word goes first (``edge(s)`` includes s), except in the upstream-full
         pattern with q longer than the bus period: there the word before has
         already woken the kernel for that edge, so this one wakes it again.
+        The key and last edge a stretch leaves are the only absolute times it
+        keeps; a jump over whole periods (``jump``) shifts both.
         """
         sim = self.sim
         down, up = self.down, self.up

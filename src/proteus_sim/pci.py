@@ -29,6 +29,10 @@ counts its words; the transaction's ``transferred_bytes`` and the bus's
 
 Stall windows are kept sorted by start, with the running maximum of their
 ends, so that ``stall_clear_time`` finds the end of a chain by bisection.
+
+A burst's end is also where the master may find a steady state and jump
+whole periods of it (``on_burst_end``, ``periods``, ``repeat``; see
+``board.SteadyState``): then the bus's counters grow by whole periods.
 """
 
 from __future__ import annotations
@@ -159,9 +163,14 @@ class PciBus:
         self.total_data_cycles = 0
         self._stalls: list[tuple[int, int]] = []  # sorted (start, end)
         self._stall_reach: list[int] = []         # _stall_reach[i]: max end of _stalls[:i + 1]
+        self._next_stalled = (0, 0)               # (t, next_stalled(t)), see there
         self._master_fetch = None
         self._wake_pending = False
         self._burst_start = 0
+        # The master's: fn(txn, state) at the top of every burst end, and its
+        # table of what it saw there, cleared when a stall window is added.
+        self.on_burst_end = None
+        self.periods: dict = {}
 
     # -- stalls --------------------------------------------------------------
 
@@ -170,6 +179,8 @@ class PciBus:
         cut again against it."""
         if duration <= 0:
             raise ValueError("stall duration must be > 0")
+        self.periods.clear()
+        self._next_stalled = (0, 0)
         window = (start, start + duration)
         i = bisect.bisect_right(self._stalls, window)
         self._stalls.insert(i, window)
@@ -196,6 +207,21 @@ class PciBus:
             if not i or self._stall_reach[i - 1] <= end:
                 return end
             end = self._stall_reach[i - 1]
+
+    def next_stalled(self, t: int):
+        """The first time at or after ``t`` inside a stall window (FOREVER if
+        none).  The answer for ``t`` holds for every time from ``t`` up to
+        it until a window is added, so it is kept for them."""
+        lo, hi = self._next_stalled
+        if lo <= t < hi:
+            return hi
+        i = bisect.bisect_right(self._stalls, (t, ADDRESS_SPACE << 32))
+        if i and self._stall_reach[i - 1] > t:
+            hi = t
+        else:
+            hi = self._stalls[i][0] if i < len(self._stalls) else FOREVER
+        self._next_stalled = (t, hi)
+        return hi
 
     # -- master hookup ---------------------------------------------------------
 
@@ -268,7 +294,13 @@ class PciBus:
                     return min(k, count)
         return count
 
-    def _finish(self, txn, state, t):
+    def _finish(self, txn, state):
+        """End the burst of ``txn``.  First the master may jump whole periods
+        of a steady state (``on_burst_end``), which moves ``now`` on: here no
+        burst is in flight and no run-ahead process runs."""
+        if self.on_burst_end is not None:
+            self.on_burst_end(txn, state)
+        t = self.sim.now
         txn.state = state
         self.busy = False
         self.busy_ticks += t - self._burst_start
@@ -278,6 +310,13 @@ class PciBus:
         if txn.on_finish is not None:
             txn.on_finish(txn)
         self.poke()
+
+    def repeat(self, n: int, period: int, busy_ticks: int, data_cycles: int) -> None:
+        """Count ``n`` more periods of ``period`` ps, each busy ``busy_ticks``
+        and ``data_cycles`` words long, and move the ending burst's start on."""
+        self.busy_ticks += n * busy_ticks
+        self.total_data_cycles += n * data_cycles
+        self._burst_start += n * period
 
 
 class _Burst:
@@ -417,4 +456,4 @@ class _Burst:
             state = TxnState.DONE
         else:
             state = TxnState.PREEMPTED     # burst limit
-        sim.schedule_reserved(t, seq, lambda: bus._finish(txn, state, t))
+        sim.schedule_reserved(t, seq, lambda: bus._finish(txn, state))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import bitstream as bits
-from .fixed_part import StreamBuffer
+from .fixed_part import StreamBuffer, period_chunks
 from .sim import FOREVER, ClockDomain, RunAhead, Simulator
 
 
@@ -204,6 +204,9 @@ class SelectMapController(RunAhead):
         bus word on the last point goes first unless the stretch's first bus
         word falls on point 0: with q equal to the bus period every tie goes
         the way the first did, and with other periods the order cannot show.
+        A jump over whole periods (``jump``) shifts the key a stretch leaves
+        and a pause's start; the payload's first byte always moves before a
+        jump, whose signature tells whether it has.
         """
         q = 4 * self.clock.period
         m = (job.total - job.done - 1) // 4       # the job's last word stays a point
@@ -243,6 +246,27 @@ class SelectMapController(RunAhead):
             if moved:
                 burst.advance_many(moved, out)
         return m
+
+    def jump(self, n: int, period: int, nbytes: int, pauses: int, windows) -> None:
+        """Run ``n`` more periods of a steady state in closed form (see
+        ``board.SteadyState``): each moves ``nbytes`` of the job between its
+        engine and the image through the buffer, as slices of whole periods,
+        and adds ``pauses`` pauses and the pause ``windows`` of the period,
+        shifted.  The next point and a pause's start move ``n * period`` on."""
+        job = self._job
+        if nbytes:
+            for k in period_chunks(n, nbytes):
+                m, done = k * nbytes, job.done
+                if self.mode is Mode.CONFIGURING:
+                    job.image[done:done + m] = self.buffer.exchange(self.feed.into.take(m), m >> 2)
+                else:
+                    self.feed.out_of.give(self.buffer.exchange(job.image[done:done + m], m >> 2))
+                job.done = done + m
+        self.pauses += n * pauses
+        self.pause_windows += [(start + j * period, end + j * period)
+                               for j in range(1, n + 1) for start, end in windows]
+        self.shift(n * period)
+        self._pause_start += n * period
 
     def _complete_configure(self) -> None:
         job = self._job

@@ -37,6 +37,14 @@ one place, the board's feed: ``reach`` bounds it by the queue head and the
 loop's horizon.  A stretch runs through points that land on the picosecond
 of a bus word; which of the two goes first follows from when each was
 numbered, and only the order at the stretch's end can show.
+
+The third level skips repeats.  A long job settles into a steady state:
+the same bus grants, port words and kernel edges, period after period.  At
+each burst end (``PciBus._finish``), where no burst is in flight and no
+run-ahead process runs, the board takes a signature of its timing-visible
+state relative to ``now``; when one recurs, whole periods are moved at once
+(``board.SteadyState``) and ``shift`` moves the clock and every queued event
+past them, in the same order.
 """
 
 from __future__ import annotations
@@ -119,6 +127,12 @@ class Simulator:
             return False
         stream.advance(min(time_limit + 1, heap[0][0]) if heap else time_limit + 1)
         return True
+
+    def shift(self, dt: int) -> None:
+        """Move the clock and every queued event ``dt`` ps later, keeping their
+        same-time order: a jump over whole periods of a steady state."""
+        self.now += dt
+        self._heap[:] = [(t + dt, seq, action) for t, seq, action in self._heap]
 
     def reach(self):
         """The latest time a point numbered now may take and still run inside
@@ -203,6 +217,12 @@ class RunAhead:
         """Make ``t`` the next point, numbered now."""
         sim = self.sim
         self.key = (t, sim.alloc() if self._running else sim.schedule_at(t, self._run))
+
+    def shift(self, dt: int) -> None:
+        """Move the next point ``dt`` ps later, in the slot it holds (its queued
+        ``_run`` moves with ``Simulator.shift``)."""
+        if self.key is not None:
+            self.key = (self.key[0] + dt, self.key[1])
 
     def run_ahead(self) -> None:
         """Run points from ``key`` until control must go back to the loop."""

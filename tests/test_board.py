@@ -1,6 +1,9 @@
 """Register-driven integration tests for the composed board."""
 
+import random
+import struct
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from proteus_sim.board import (
     Deadlock,
     DmaEngine,
     JobActive,
+    SteadyState,
     World,
 )
 from proteus_sim.fixed_part import (
@@ -448,3 +452,102 @@ def test_streams_of_any_length_under_cut_bursts_end_each_address_at_the_job_end(
         assert engines[TargetId.UPSTREAM].addr == DmaAddressState(out_base + nbytes, 0)
         world.host.unmap(in_base)
         world.host.unmap(out_base)
+
+
+def _timed(world, job):
+    """Run ``job``; returns its result, its events and its (simulated ps,
+    bus busy ps, bus data cycles)."""
+    sim, bus = world.sim, world.bus
+    before = sim.executed, sim.now, bus.busy_ticks, bus.total_data_cycles
+    result = job()
+    after = sim.executed, sim.now, bus.busy_ticks, bus.total_data_cycles
+    return result, after[0] - before[0], tuple(b - a for a, b in zip(before[1:], after[1:]))
+
+
+def test_long_jobs_jump_whole_periods_to_the_per_word_figures():
+    """A 1 MiB reconfiguration and its readback, and a 1 MiB identity stream,
+    settle into a steady state whose periods are jumped in closed form: a
+    few hundred events each, where burst by burst they take over 5,400.
+    Simulated time, bus busy time and data cycles are those the per-word
+    engine recorded for the benchmark's workloads (``perfbench/reference.json``)."""
+    g = bits.DeviceGeometry(130, 128, 64, 128)
+    world = World(BoardConfig(geometry=g))
+    assert world.boot(bits.encode(g, bits.BitstreamKind.FULL, 0, 0, bytes(g.total_bytes))).ok
+    payload = random.Random(1).randbytes(128 * g.column_bytes)
+    image = bits.encode(g, bits.BitstreamKind.PARTIAL, 0x5A, 0, payload)
+    rb_image, events, figures = _timed(world, lambda: (world.reconfigure(image),
+                                                        world.readback(0, 128))[1])
+    assert bits.parse(rb_image).payload == payload
+    assert figures == (41_947_114_537, 16_550_225_874, 524_302)
+    assert events <= 200
+
+    world = booted_world()
+    world.device.registry.bind(0x21, "identity")
+    world.reconfigure(partial_image(kernel_id=0x21))
+    data = random.Random(2).randbytes(1 << 20)
+    out, events, figures = _timed(world, lambda: world.stream(data))
+    assert out == data
+    assert figures == (16_549_559_208, 16_549_559_208, 524_288)
+    assert events <= 600
+
+
+def _fir4_chunks(data: bytes, words: int = 1 << 16):
+    """The fir4 output of ``data`` (each word plus the three before it,
+    wrapping), ``words`` words at a time."""
+    tail = (0, 0, 0)
+    for pos in range(0, len(data), 4 * words):
+        chunk = data[pos:pos + 4 * words]
+        n = len(chunk) // 4
+        w = tail + struct.unpack(f"<{n}I", chunk)
+        sums = list(accumulate(w, initial=0))
+        yield struct.pack(f"<{n}I", *[(sums[i + 4] - sums[i]) & 0xFFFFFFFF for i in range(n)])
+        tail = w[-3:]
+
+
+def test_soak_a_16_mib_stream_and_200_driver_rounds_stay_bounded():
+    """A 16 MiB fir4 stream in one job jumps most of its periods, in slices
+    of whole periods, and its output is the fir4 of its input; then 200
+    driver rounds of reconfiguration, stream and readback leave memory flat
+    between their first and last quarter, and the recurrence table holds
+    only what it saw since the last register write."""
+    g = bits.DeviceGeometry(8, 4, 16, 6)
+    world = World(BoardConfig(geometry=g))
+    assert world.boot(bits.encode(g, bits.BitstreamKind.FULL, 0, 0, bytes(g.total_bytes))).ok
+    world.device.registry.bind(0x24, "fir4")
+    world.device.registry.bind(0x21, "identity")
+    world.reconfigure(bits.encode(g, bits.BitstreamKind.PARTIAL, 0x24, 0, bytes(g.column_bytes)))
+    data = random.Random(3).randbytes(16 << 20)
+    sim = world.sim
+    events = sim.executed
+    in_base, out_base = world.start_stream(data)
+    world.run_until_cause(IrqCause.UPSTREAM_DONE)
+    assert sim.executed - events < 1000
+    assert len(world.bus.periods) < SteadyState.TABLE_LIMIT
+    world.wait(IrqCause.DOWNSTREAM_DONE)
+    world.wait(IrqCause.UPSTREAM_DONE)
+    out = world.host.read(out_base, len(data))
+    for i, want in enumerate(_fir4_chunks(data)):
+        assert out[i * len(want):(i + 1) * len(want)] == want, f"chunk {i}"
+    world.host.unmap(in_base)
+    world.host.unmap(out_base)
+    del data, out
+
+    image = bits.encode(g, bits.BitstreamKind.PARTIAL, 0x21, 0, bytes(range(2 * g.column_bytes)))
+    stream = bytes(range(256)) * 4
+
+    def rounds(count):
+        for _ in range(count):
+            world.reconfigure(image)
+            assert world.stream(stream) == stream
+            world.readback(0, 2)
+            assert not world.bus.periods    # cleared by the last acknowledgement
+
+    tracemalloc.start()
+    try:
+        rounds(50)
+        first = tracemalloc.get_traced_memory()[0]
+        rounds(150)
+        growth = tracemalloc.get_traced_memory()[0] - first
+    finally:
+        tracemalloc.stop()
+    assert growth <= 16 * 1024

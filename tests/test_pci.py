@@ -17,7 +17,7 @@ from proteus_sim.pci import (
     UnmappedAddress,
 )
 from proteus_sim.fixed_part import StreamBuffer
-from proteus_sim.sim import RunAhead, Simulator
+from proteus_sim.sim import FOREVER, RunAhead, Simulator
 from proteus_sim.trace import TraceRecorder
 
 P = PCI_CLOCK_PERIOD
@@ -300,6 +300,17 @@ def test_stall_clear_time_matches_a_scan(windows, probes):
         bus.inject_stall(start, dur)
     for t in [*probes, *(s for s, _d in windows), *(s + d for s, d in windows)]:
         assert bus.stall_clear_time(t) == scan_clear_time([(s, s + d) for s, d in windows], t)
+
+
+@given(windows=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 30)), max_size=12),
+       probes=st.lists(st.integers(0, 100), min_size=1, max_size=10))
+def test_next_stalled_is_the_first_stalled_picosecond(windows, probes):
+    sim, host, bus = make_bus()
+    for start, dur in windows:
+        bus.inject_stall(start, dur)
+    for t in [*probes, *(s for s, _d in windows), *(s + d for s, d in windows)]:
+        stalled = [u for u in range(t, 100) if any(s <= u < s + d for s, d in windows)]
+        assert bus.next_stalled(t) == (stalled[0] if stalled else FOREVER)
 
 
 def test_stall_clear_time_follows_nested_and_chained_windows():

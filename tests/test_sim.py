@@ -211,6 +211,18 @@ def test_run_ahead_yields_to_earlier_keys_only_and_stops_at_the_horizon():
     assert log[-2:] == [("tick", 50), ("after", 50)]
 
 
+def test_shift_moves_the_clock_and_queued_events_keeping_their_order():
+    sim = Simulator()
+    log = []
+    for t, name in ((10, "a"), (5, "b"), (10, "c")):
+        sim.schedule_at(t, lambda name=name: log.append((name, sim.now)))
+    sim.run_until(3)
+    sim.shift(100)
+    assert sim.now == 103
+    sim.run_until_idle()
+    assert log == [("b", 105), ("a", 110), ("c", 110)]
+
+
 def test_reach_stops_before_the_first_queued_event_and_at_the_horizon():
     sim = Simulator()
     seen = []

@@ -30,7 +30,12 @@ streams with port words and kernel edges on the bus lattice (clocks of one,
 two, three, a half and a third of the bus period), so that both kinds of
 stretch run through same-picosecond bus words; a mid-run stop may also
 write a new add_const operand (a third ``midrun`` entry), so that the output
-shows which words the kernel had moved by then.
+shows which words the kernel had moved by then.  The stream and quiet worlds
+beyond the golden grid take that entry too.  The ``period-*`` worlds run
+jobs of 8 to 48 KiB through small buffers, long enough for the board to
+settle into a steady state and jump whole periods of it, with stall
+windows, mid-run stops and operand writes queued as events (a ``timed``
+entry) inside what would be a jump.
 
 ``run_register_world`` and ``run_scenario_world`` return everything the
 timing contract covers: the time of every done interrupt, the interrupt
@@ -56,14 +61,17 @@ gives the same entries); the ``stretch-*`` entries were written by the
 tree whose controller moved one word per point inside its run-ahead
 event; the ``stream-*`` entries by the tree whose kernel host still stepped
 the kernel on every edge and moved one bus word at a time (the
-controller already moved stretches).  ``test_timing_golden.py`` checks
-that the current engine reproduces every entry.
+controller already moved stretches); the ``period-*`` entries by the tree
+that still ran every burst, before steady states were jumped.
+``test_timing_golden.py`` checks that the current engine reproduces every
+entry.
 
     python3 tests/timing_worlds.py --diff <src of another tree>
 
 runs the register and poker worlds beyond the grid (indices up to
 ``DIFF_WORLDS``), the stream worlds beyond it (up to
-``DIFF_STREAM_WORLDS``), the quiet worlds and the tie worlds on this tree
+``DIFF_STREAM_WORLDS``), the quiet worlds, the tie worlds and the period
+worlds beyond the grid (up to ``DIFF_PERIOD_WORLDS``) on this tree
 and, in a subprocess, on the other one, and prints the names of the worlds
 whose results differ (exit status 1 if any).  The other tree may be the
 per-word engine of the first commit, a standing oracle::
@@ -128,7 +136,8 @@ STRETCH_WORLDS = 40
 STREAM_WORLDS = 48
 # ``--diff`` compares register and poker worlds from the grid's end up to
 # here, stream worlds up to ``DIFF_STREAM_WORLDS``, quiet worlds up to
-# ``DIFF_QUIET_WORLDS`` and tie worlds up to ``DIFF_TIE_WORLDS``.
+# ``DIFF_QUIET_WORLDS``, tie worlds up to ``DIFF_TIE_WORLDS`` and period
+# worlds up to ``DIFF_PERIOD_WORLDS``.
 DIFF_WORLDS = 1500
 DIFF_STREAM_WORLDS = 400
 
@@ -181,6 +190,18 @@ TIE_UPFULL_WORLDS = [
               {"kind": "stream", "words": 116, "seed": 211, "stalls": [],
                "midrun": [420000, [], 0x10002]}]},
 ]
+# Period worlds: clocks under which long jobs settle into periods of one
+# burst (a configuration port slower than the bus), one to three (kernel
+# edges on the bus lattice) or 9 to 66 (user clocks of 11/10 and 6/5 bus
+# periods), a configuration port faster than the bus, which pauses in every
+# period, and a kernel slower than the bus.
+PERIOD_CLOCKS = [(30303, 20000, 20000), (30000, 30000, 20000), (30000, 33000, 20000),
+                 (30000, 36000, 8000), (24000, 12000, 6000), (30000, 30000, 5000),
+                 (40000, 20000, 5000), (10000, 30000, 12500)]
+# fir4, add_const, the sink, identity, the counter, add_const.
+PERIOD_KERNELS = [0x24, 0x23, 0x26, 0x21, 0x27, 0x23]
+PERIOD_WORLDS = 24
+DIFF_PERIOD_WORLDS = 174
 BURSTS = [1, 2, 3, 4, 5, 7, 16, 64, 256, 4096]
 CAPACITIES = [2, 4, 5, 8, 16, 64, 256]
 KERNELS = {0x21: "identity", 0x22: "negate", 0x23: "add_const", 0x24: "fir4", 0x25: "poker"}
@@ -362,8 +383,12 @@ def _stream_spec(index: int) -> dict:
     windows and mid-run stops anywhere in a job, commensurate clocks and
     user clocks slower than the bus, and concurrent reconfigurations that
     swap in another map kernel or one stepped edge by edge (``poker``,
-    ``counter``).  Every fifth world streams downstream only, into the sink."""
+    ``counter``).  Every fifth world streams downstream only, into the sink.
+    Beyond the golden grid a stop also writes a new add_const operand, drawn
+    apart from the rest, so that the output shows which words the kernel
+    had moved by then."""
     rng = random.Random(f"stream-world-{index}")
+    operands = random.Random(f"stream-operand-{index}")
     pci, user, cfg = STREAM_PERIODS[index % len(STREAM_PERIODS)]
     cap = rng.choice([2, 3, 4, 8, 16, 64, 128, 256])
     low = rng.randint(1, cap)
@@ -389,6 +414,8 @@ def _stream_spec(index: int) -> dict:
             job["midrun"] = [rng.randint(0, span) * pci + rng.choice([0, 1, -1, pci // 2]),
                              [[rng.randint(0, 40) * pci + rng.choice([0, 1, -1]),
                                rng.randint(1, 100 * pci)] for _ in range(rng.randint(1, 3))]]
+            if index >= STREAM_WORLDS:
+                job["midrun"].append(operands.randrange(2**32))
         if "reconfig" in kind:
             job.update(kernel_id=rng.choice([0x21, 0x22, 0x23, 0x24, 0x25, 0x27]), first=0,
                        columns=rng.randint(1, 2), seed=rng.randint(0, 999))
@@ -403,8 +430,10 @@ def _quiet_spec(index: int) -> dict:
     readbacks, with a configuration port and a kernel faster than the bus
     and buffers of 2 to 16 words: the buffers keep running dry, so one
     process often sleeps inside its own event while the bus moves the other
-    process's words up to that one's queued point."""
+    process's words up to that one's queued point.  Half the jobs stop
+    part-way and write a new add_const operand, drawn apart from the rest."""
     rng = random.Random(f"quiet-world-{index}")
+    operands = random.Random(f"quiet-operand-{index}")
     pci, user, cfg = QUIET_PERIODS[index % len(QUIET_PERIODS)]
     cap = rng.choice([2, 3, 4, 8, 16])
     low = rng.randint(1, cap)
@@ -424,6 +453,9 @@ def _quiet_spec(index: int) -> dict:
                        first=rng.randint(0, 8 - columns), columns=columns)
         else:
             job.update(rb_first=rng.randint(0, 10 - columns), rb_count=columns)
+        if operands.random() < 0.5:
+            job["midrun"] = [operands.randint(0, 2 * job["words"]) * pci
+                             + operands.choice([0, 1, -1]), [], operands.randrange(2**32)]
         spec["jobs"].append(job)
     return spec
 
@@ -475,6 +507,55 @@ def _tie_spec(index: int) -> dict:
         if "stream" in kind:
             job.update(words=words, seed=rng.randint(0, 999))
         spec["jobs"].append(job)
+    return spec
+
+
+def _period_spec(index: int) -> dict:
+    """Long jobs (8 to 48 KiB) through buffers of 8 to 64 words, so that the
+    board settles into short periods that repeat many times: streams through
+    fir4, add_const, identity, the counter (stepped edge by edge) or, into
+    the sink, downstream only, beside reconfigurations and readbacks of many
+    columns.  Stall windows, mid-run stops that write a new add_const
+    operand, and operand writes queued as events fall inside the jobs, at
+    fractions of each job's span in a first run without them; that run's
+    timing is the same on every tree."""
+    rng = random.Random(f"period-world-{index}")
+    pci, user, cfg = PERIOD_CLOCKS[index % len(PERIOD_CLOCKS)]
+    kernel = PERIOD_KERNELS[index % len(PERIOD_KERNELS)]
+    cap = rng.choice([8, 16, 32, 64])
+    low = rng.randint(1, cap)
+    high = low if rng.random() < 0.2 else rng.randint(low, cap)
+    spec = {"periods": [pci, user, cfg], "grant": rng.randint(0, 8),
+            "burst": rng.choice([4, 8, 16, 64, 4096]), "capacity": cap, "fill_low": low,
+            "fill_high": high, "geometry": [40, 16, 64, 36], "boot_byte_period": 7,
+            "jobs": [{"kind": "reconfig", "stalls": [], "first": 0, "columns": 1, "seed": index,
+                      "kernel_id": kernel}]}
+    for _ in range(rng.randint(2, 3)):
+        kind = "stream" if kernel == 0x26 else rng.choice(
+            ["stream", "reconfig", "readback", "stream+reconfig", "stream+readback"])
+        job = {"kind": kind, "stalls": [], "down_only": kernel == 0x26}
+        columns = rng.randint(8, 36)
+        if "reconfig" in kind:
+            job.update(kernel_id=kernel, first=rng.randint(0, 36 - columns), columns=columns,
+                       seed=rng.randint(0, 999))
+        if "readback" in kind:
+            job.update(rb_first=rng.randint(0, 40 - columns), rb_count=columns)
+        if "stream" in kind:
+            job.update(words=rng.randint(2048, 12288), seed=rng.randint(0, 999))
+        spec["jobs"].append(job)
+    probe = run_register_world(spec)
+    for job, rec in zip(spec["jobs"][1:], probe["jobs"][1:]):
+        span = rec["idle_at"] - rec["start"]
+
+        def inside():
+            return int(span * rng.uniform(0.2, 0.8)) + rng.choice([0, 0, 1, -1])
+        if rng.random() < 0.5:
+            job["stalls"] = [[inside(), rng.choice([1, pci, rng.randint(2, 100 * pci)])]
+                             for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.6:
+            job["midrun"] = [inside(), [], rng.randrange(2**32)]
+        if rng.random() < 0.3:
+            job["timed"] = [inside(), rng.randrange(2**32)]
     return spec
 
 
@@ -562,6 +643,10 @@ def run_register_world(spec: dict) -> dict:
             reads.append(("readback", base, total))
         rec["start"] = sim.now
         dev.host_reg_write(REG_CONTROL, control)
+        if "timed" in job:
+            # A new add_const operand written by a queued event, not at a stop.
+            delay, operand = job["timed"]
+            sim.schedule_at(sim.now + delay, lambda value=operand: dev.host_reg_write(8, value))
         waits[:0] = [IrqCause.KERNEL_REQUEST] * job.get("irq_waits", 0)
         if "midrun" in job:
             delay, stalls, *operand = job["midrun"]
@@ -674,16 +759,18 @@ def all_worlds():
                for i in range(STRETCH_WORLDS)]
     worlds += [(f"stream-{i}", lambda i=i: run_register_world(_stream_spec(i)))
                for i in range(STREAM_WORLDS)]
+    worlds += [(f"period-{i}", lambda i=i: run_register_world(_period_spec(i)))
+               for i in range(PERIOD_WORLDS)]
     return worlds
 
 
 def extra_worlds():
     """(name, thunk) for the register and poker worlds from the end of the
     grid up to ``DIFF_WORLDS``, the stream worlds up to
-    ``DIFF_STREAM_WORLDS``, the quiet worlds up to ``DIFF_QUIET_WORLDS`` and
-    the tie worlds up to ``DIFF_TIE_WORLDS``, with ``TIE_UPFULL_WORLDS``:
-    not pinned by golden data, compared between two source trees by
-    ``--diff``."""
+    ``DIFF_STREAM_WORLDS``, the quiet worlds up to ``DIFF_QUIET_WORLDS``,
+    the tie worlds up to ``DIFF_TIE_WORLDS``, with ``TIE_UPFULL_WORLDS``,
+    and the period worlds up to ``DIFF_PERIOD_WORLDS``: not pinned by golden
+    data, compared between two source trees by ``--diff``."""
     worlds = [(f"registers-{i}", lambda i=i: run_register_world(_spec(i)))
               for i in range(REGISTER_WORLDS, DIFF_WORLDS)]
     worlds += [(f"poker-{i}", lambda i=i: run_register_world(_poker_spec(i)))
@@ -696,6 +783,8 @@ def extra_worlds():
                for i in range(DIFF_TIE_WORLDS)]
     worlds += [(f"tie-upfull-{i}", lambda spec=spec: run_register_world(spec))
                for i, spec in enumerate(TIE_UPFULL_WORLDS)]
+    worlds += [(f"period-{i}", lambda i=i: run_register_world(_period_spec(i)))
+               for i in range(PERIOD_WORLDS, DIFF_PERIOD_WORLDS)]
     return worlds
 
 
