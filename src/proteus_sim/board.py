@@ -330,26 +330,22 @@ class SteadyState:
         self.cfg_period = cfg.cfg_clock_period
         self.user_period = cfg.user_clock_period
         self.engines = tuple(device.engines.values())
-        self.last_end = 0
 
     def at_burst_end(self, txn: BusTransaction, state: TxnState) -> None:
         """Record this burst end's signature, or jump from its recurrence.
 
         A jump needs two more periods before the next stall window, and a
-        period is at least the gap since the last burst end and, the clock
-        phases being part of the signature, since the last burst end with
-        the same phases (which the table keeps too); no signature is taken
-        where that leaves no room.  So with stall windows ahead a signature
-        is taken only once its phases recur, one period later than without."""
+        period lasts at least since the last burst end with the same clock
+        phases, which are part of the signature (the table keeps that burst
+        end too); no signature is taken where that leaves no room.  So with
+        stall windows ahead a signature is taken only once its phases recur,
+        one period later than without."""
         bus, now = self.bus, self.sim.now
-        gap, self.last_end = now - self.last_end, now
-        room = bus.next_stalled(now) - now
-        if room <= 2 * gap:
-            return
         table = bus.periods
         if len(table) >= self.TABLE_LIMIT:
             table.clear()
         phase = (now % self.cfg_period, now % self.user_period)
+        room = bus.next_stalled(now) - now
         if room != FOREVER:
             seen, table[phase] = table.get(phase), now
             if seen is None or 2 * (now - seen) >= room:
