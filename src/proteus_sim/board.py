@@ -165,11 +165,7 @@ class DmaEngine:
         return 0, self.buffer.capacity
 
     def start(self, base: int, total: int, on_job_done=None) -> None:
-        if self.busy:
-            raise JobActive(f"{self.target.value} job already active")
-        if total <= 0:
-            raise ValueError("job length must be > 0")
-        self.device.world.bus.periods.clear()
+        """Start a job the device has checked (``Device._control``)."""
         self.addr.load(base, total)
         self.on_job_done = on_job_done
         self.started_at = self.device.sim.now
@@ -298,11 +294,13 @@ class SteadyState:
     last edge while it can still matter, the controller's mode, pause,
     remaining bytes and whether its payload has begun (the time of its first
     byte is taken once), the pending stall wake and the pending interrupts.
-    The bus's table (``PciBus.periods``) maps each signature to a snapshot
-    of what a period adds up: time, bus counters, the engines' addresses,
-    the controller's bytes and pauses, and trace records; and, while stall
-    windows lie ahead, each pair of clock phases to the last burst end
-    that had it.
+    Its ``table`` maps each signature to a snapshot of the time, the bus's
+    busy time, the engines' addresses, the controller's pause windows and
+    the trace records; and, while stall windows lie ahead, each pair of
+    clock phases to the last burst end that had it.  The rest of a period
+    follows from these: the controller moves what its engine moves, as the
+    buffer's occupancy is in the signature, and the bus moves the words of
+    all four engines, as a recurring period holds only full words.
 
     When a signature recurs, the period between the two repeats exactly for
     as long as nothing from outside meets it.  So ``_jump`` moves the
@@ -315,8 +313,12 @@ class SteadyState:
     bound).  No period raises an interrupt: a job's end changes its
     engine's remaining bytes or the controller's mode, and only kernels
     without the map form request one.  The table is cleared on every
-    register write and job start, whenever a stall window is added, and
-    after a jump, so that no one-time action falls inside a period.
+    register write (``Device.host_reg_write``, through which every job
+    starts) and after a jump, so that no one-time action falls inside a
+    period.  A stall window added later needs no clear: every jump stops
+    short of the first stalled time from its period's start on, measured
+    when it jumps, and the phase entries only choose where signatures are
+    taken.
     """
 
     TABLE_LIMIT = 4096      # entries kept before the table starts afresh
@@ -330,6 +332,7 @@ class SteadyState:
         self.cfg_period = cfg.cfg_clock_period
         self.user_period = cfg.user_clock_period
         self.engines = tuple(device.engines.values())
+        self.table: dict = {}
 
     def at_burst_end(self, txn: BusTransaction, state: TxnState) -> None:
         """Record this burst end's signature, or jump from its recurrence.
@@ -340,8 +343,7 @@ class SteadyState:
         end too); no signature is taken where that leaves no room.  So with
         stall windows ahead a signature is taken only once its phases recur,
         one period later than without."""
-        bus, now = self.bus, self.sim.now
-        table = bus.periods
+        bus, now, table = self.bus, self.sim.now, self.table
         if len(table) >= self.TABLE_LIMIT:
             table.clear()
         phase = (now % self.cfg_period, now % self.user_period)
@@ -372,16 +374,14 @@ class SteadyState:
             table.clear()
             return
         trace = dev.trace
-        table[sig] = (now, bus.busy_ticks, bus.total_data_cycles,
-                      up.addr.next_address, down.addr.next_address,
-                      rd.addr.next_address, wr.addr.next_address,
-                      job.done if job else 0, ctl.pauses, len(ctl.pause_windows),
+        table[sig] = (now, bus.busy_ticks, up.addr.next_address, down.addr.next_address,
+                      rd.addr.next_address, wr.addr.next_address, len(ctl.pause_windows),
                       len(trace.records) if trace else 0)
 
     def _jump(self, snap, now: int) -> bool:
         """Move as many whole periods since ``snap`` as the bounds allow;
         False if none."""
-        t0, busy, cycles, *addrs, done, pauses, windows, records = snap
+        t0, busy, *addrs, windows, records = snap
         dev, sim, bus = self.device, self.sim, self.bus
         ctl, host = dev.controller, dev.kernel_host
         kernel = dev.registry.active
@@ -392,8 +392,6 @@ class SteadyState:
             return False
         period = now - t0
         moved = [e.addr.next_address - a for e, a in zip(self.engines, addrs)]
-        job = ctl._job
-        nctl = job.done - done if job else 0
         # n + 1 periods from now: each engine's job stays cap bytes from its
         # end, no stall window meets [t0, now + (n + 1) * period], the
         # horizon holds.
@@ -406,8 +404,9 @@ class SteadyState:
         if n < 1:
             return False
         host.jump(n, period, moved[1], moved[0])
-        ctl.jump(n, period, nctl, ctl.pauses - pauses, ctl.pause_windows[windows:])
-        bus.repeat(n, period, bus.busy_ticks - busy, bus.total_data_cycles - cycles)
+        ctl.jump(n, period, moved[3] if ctl.mode is Mode.CONFIGURING else moved[2],
+                 ctl.pause_windows[windows:])
+        bus.repeat(n, period, bus.busy_ticks - busy, sum(moved) // 4)
         trace = dev.trace
         if trace:
             recs = trace.records[records:]
@@ -473,7 +472,8 @@ class Device:
         self.smap_buf.on_enqueue(lambda: self.evaluate(TargetId.SELECTMAP_READ))
 
         world.bus.set_master(self._next_transaction)
-        world.bus.on_burst_end = SteadyState(self).at_burst_end
+        self.steady = SteadyState(self)
+        world.bus.on_burst_end = self.steady.at_burst_end
 
         self.booted = False
         self.boot_report: BootReport | None = None
@@ -509,7 +509,7 @@ class Device:
 
     def host_reg_write(self, index: int, value: int) -> None:
         self._require_booted()
-        self.world.bus.periods.clear()
+        self.steady.table.clear()
         if index == REG_IRQ_CAUSE:
             self.irq.acknowledge(IrqCause(value & 0x1F))
         elif index == REG_IRQ_MASK:

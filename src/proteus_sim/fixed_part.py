@@ -73,14 +73,12 @@ class ArbiterState:
 def arbitrate(state: ArbiterState, pending) -> TargetId:
     """Pick the next bus user among pending targets.
 
-    A target never wins twice in a row while other requests are pending;
-    ties go to the fixed cyclic order starting just after the last grant.
+    Ties go to the fixed cyclic order starting just after the last grant,
+    so the last-granted target comes last: it never wins twice in a row
+    while other requests are pending.
     """
-    pending = set(pending)
     if not pending:
         raise ValueError("arbitrate requires at least one pending target")
-    if len(pending) > 1:
-        pending.discard(state.last_granted)
     start = 0 if state.last_granted is None else ARBITRATION_ORDER.index(state.last_granted) + 1
     for i in range(len(ARBITRATION_ORDER)):
         candidate = ARBITRATION_ORDER[(start + i) % len(ARBITRATION_ORDER)]

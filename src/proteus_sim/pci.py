@@ -31,7 +31,7 @@ Stall windows are kept sorted by start, with the running maximum of their
 ends, so that ``stall_clear_time`` finds the end of a chain by bisection.
 
 A burst's end is also where the master may find a steady state and jump
-whole periods of it (``on_burst_end``, ``periods``, ``repeat``; see
+whole periods of it (``on_burst_end``, ``repeat``; see
 ``board.SteadyState``): then the bus's counters grow by whole periods.
 """
 
@@ -167,10 +167,8 @@ class PciBus:
         self._master_fetch = None
         self._wake_pending = False
         self._burst_start = 0
-        # The master's: fn(txn, state) at the top of every burst end, and its
-        # table of what it saw there, cleared when a stall window is added.
+        # The master's: fn(txn, state) at the top of every burst end.
         self.on_burst_end = None
-        self.periods: dict = {}
 
     # -- stalls --------------------------------------------------------------
 
@@ -179,7 +177,6 @@ class PciBus:
         cut again against it."""
         if duration <= 0:
             raise ValueError("stall duration must be > 0")
-        self.periods.clear()
         self._next_stalled = (0, 0)
         window = (start, start + duration)
         i = bisect.bisect_right(self._stalls, window)

@@ -117,11 +117,16 @@ class SelectMapController(RunAhead):
         self.pause_windows: list[tuple[int, int]] = []
         self.mode = Mode.IDLE
         self.paused = False
-        self.pauses = 0
         self._pause_start = 0
         self._job: _Job | None = None
         buffer.on_enqueue(self._feed_arrived)
         buffer.on_dequeue(self._space_freed)
+
+    @property
+    def pauses(self) -> int:
+        """The pauses of the current or last job: those that ended (one pause
+        window each) and the one under way, if any."""
+        return len(self.pause_windows) + self.paused
 
     # -- configuration writes ------------------------------------------------
 
@@ -133,7 +138,6 @@ class SelectMapController(RunAhead):
             raise NotIdle(f"controller is {self.mode.value}")
         if total_bytes <= bits.WRAPPER_BYTES:
             raise ValueError("image shorter than header and checksum")
-        self.pauses = 0
         self.pause_windows.clear()
         self._job = _Job(total_bytes, bytearray(total_bytes), on_done)
         self.mode = Mode.CONFIGURING
@@ -247,11 +251,11 @@ class SelectMapController(RunAhead):
                 burst.advance_many(moved, out)
         return m
 
-    def jump(self, n: int, period: int, nbytes: int, pauses: int, windows) -> None:
+    def jump(self, n: int, period: int, nbytes: int, windows) -> None:
         """Run ``n`` more periods of a steady state in closed form (see
         ``board.SteadyState``): each moves ``nbytes`` of the job between its
         engine and the image through the buffer, as slices of whole periods,
-        and adds ``pauses`` pauses and the pause ``windows`` of the period,
+        and repeats the period's pause ``windows`` (and so its ``pauses``),
         shifted.  The next point and a pause's start move ``n * period`` on."""
         job = self._job
         if nbytes:
@@ -262,7 +266,6 @@ class SelectMapController(RunAhead):
                 else:
                     self.feed.out_of.give(self.buffer.exchange(job.image[done:done + m], m >> 2))
                 job.done = done + m
-        self.pauses += n * pauses
         self.pause_windows += [(start + j * period, end + j * period)
                                for j in range(1, n + 1) for start, end in windows]
         self.shift(n * period)
@@ -295,7 +298,6 @@ class SelectMapController(RunAhead):
         if self.mode is not Mode.IDLE:
             raise NotIdle(f"controller is {self.mode.value}")
         image = self.config_mem.readback(first_column, column_count)
-        self.pauses = 0
         self.pause_windows.clear()
         self._job = _Job(len(image), image, on_done)
         self.mode = Mode.READBACK
@@ -320,7 +322,6 @@ class SelectMapController(RunAhead):
 
     def _pause(self, t: int) -> None:
         self.paused = True
-        self.pauses += 1
         self._pause_start = t
         self.key = None
         if self.trace:

@@ -522,7 +522,7 @@ def test_soak_a_16_mib_stream_and_200_driver_rounds_stay_bounded():
     in_base, out_base = world.start_stream(data)
     world.run_until_cause(IrqCause.UPSTREAM_DONE)
     assert sim.executed - events < 1000
-    assert len(world.bus.periods) < SteadyState.TABLE_LIMIT
+    assert len(world.device.steady.table) < SteadyState.TABLE_LIMIT
     world.wait(IrqCause.DOWNSTREAM_DONE)
     world.wait(IrqCause.UPSTREAM_DONE)
     out = world.host.read(out_base, len(data))
@@ -540,7 +540,7 @@ def test_soak_a_16_mib_stream_and_200_driver_rounds_stay_bounded():
             world.reconfigure(image)
             assert world.stream(stream) == stream
             world.readback(0, 2)
-            assert not world.bus.periods    # cleared by the last acknowledgement
+            assert not world.device.steady.table    # cleared by the last acknowledgement
 
     tracemalloc.start()
     try:
