@@ -286,7 +286,8 @@ class SteadyState:
     At the top of every burst end (``PciBus._finish``) no burst is in flight
     and no run-ahead process runs.  There ``at_burst_end`` takes the
     signature of everything that decides the board's timing, relative to
-    ``now``: the clocks' phases, the buffers' occupancies, each engine's
+    ``now``: the phases of the clocks of the processes that are not
+    quiescent (see below), the buffers' occupancies, each engine's
     waiting request and remaining bytes (at most ``cap``, above which the
     fill status, flushes, short words and job ends cannot show), the
     arbiter, the ending transaction (only its engine has one granted), each
@@ -295,10 +296,11 @@ class SteadyState:
     remaining bytes and whether its payload has begun (the time of its first
     byte is taken once), the pending stall wake and the pending interrupts.
     Its ``table`` maps each signature to a snapshot of the time, the bus's
-    busy time, the engines' addresses, the controller's pause windows and
-    the trace records; and, while stall windows lie ahead, each pair of
-    clock phases to the last burst end that had it.  The rest of a period
-    follows from these: the controller moves what its engine moves, as the
+    busy time, the engines' addresses, the controller's pause windows, the
+    trace records and the kernel's exact phase and last edge; and, while
+    stall windows lie ahead, each pair of phases as the signature takes them
+    to the last burst end that had it.  The rest of a period follows from
+    these: the controller moves what its engine moves, as the
     buffer's occupancy is in the signature, and the bus moves the words of
     all four engines, as a recurring period holds only full words.
 
@@ -319,6 +321,41 @@ class SteadyState:
     short of the first stalled time from its period's start on, measured
     when it jumps, and the phase entries only choose where signatures are
     taken.
+
+    A process is *quiescent* at a burst end if its clock cannot show there:
+    the controller when it is idle (it then has no next point), the kernel
+    host when its kernel is inert or asleep since before ``now``.  Its phase
+    (and the kernel host's last edge) then leaves the signature, so that a
+    stream,
+    whose critical circuit is the bus while the kernel has slack, recurs
+    with the bus's own period instead of the clocks' common multiple, as a
+    max-plus system repeats with the period of its critical circuit
+    (Baccelli, Cohen, Olsder and Quadrat, *Synchronization and Linearity*,
+    1992).  An idle controller stays idle until a register write starts a
+    job, which clears the table, so its phase never shows.  The kernel's
+    phase does not show within a period at every burst end of which the
+    kernel was quiescent (``stirred`` is the last burst end at which it was
+    not):
+
+    - within the period the bus lattice, grants and burst sizes do not
+      depend on the kernel's phase;
+    - the kernel moves one word per edge: word j at
+      c_j = max(c_{j-1} + q, edge(a_j)), a_j the time of the bus word that
+      makes it movable; by induction c_j lies in [c*_j, c*_j + q) under
+      every phase, c*_j = max(c*_{j-1} + q, a_j) being the same for all;
+    - asleep at a burst end T, its last move was at T - q or before, which
+      under any phase comes before T, and its next waits for a bus word
+      after T;
+    - so the occupancies at every burst end, the requests pending there and
+      their sizes (each set at a threshold crossing) are the same under
+      every phase, and the bus never idles inside the period, as an asleep
+      kernel with no burst in flight raises nothing.
+
+    A kernel that went to sleep on ``now``'s own picosecond is not
+    quiescent: a burst whose first word lands on ``now`` (grant latency 0)
+    wakes it one edge later than under a phase without that edge.  A match
+    whose kernel phase or last edge differs from the snapshot's jumps only
+    if ``stirred`` comes before the snapshot; otherwise it must be exact.
     """
 
     TABLE_LIMIT = 4096      # entries kept before the table starts afresh
@@ -333,6 +370,7 @@ class SteadyState:
         self.user_period = cfg.user_clock_period
         self.engines = tuple(device.engines.values())
         self.table: dict = {}
+        self.stirred = -1     # the last burst end at which the kernel was awake
 
     def at_burst_end(self, txn: BusTransaction, state: TxnState) -> None:
         """Record this burst end's signature, or jump from its recurrence.
@@ -342,20 +380,29 @@ class SteadyState:
         phases, which are part of the signature (the table keeps that burst
         end too); no signature is taken where that leaves no room.  So with
         stall windows ahead a signature is taken only once its phases recur,
-        one period later than without."""
+        one period later than without.  Both leave out the phase of a
+        quiescent process (see the class), so that a stream beside an idle
+        controller and a sleeping kernel recurs with the period of its
+        bursts."""
         bus, now, table = self.bus, self.sim.now, self.table
         if len(table) >= self.TABLE_LIMIT:
             table.clear()
-        phase = (now % self.cfg_period, now % self.user_period)
+        dev, cap = self.device, self.cap
+        ctl, host = dev.controller, dev.kernel_host
+        ck, hk = ctl.key, host.key
+        # The kernel's exact phase and last edge.
+        terms = (now % self.user_period, max(host._last_edge - now, -self.user_period - 1))
+        asleep = hk is None and terms[1] < 0
+        if not asleep:
+            self.stirred = now
+        phase = (None if ctl.mode is Mode.IDLE else now % self.cfg_period,
+                 None if asleep else terms[0])
         room = bus.next_stalled(now) - now
         if room != FOREVER:
             seen, table[phase] = table.get(phase), now
             if seen is None or 2 * (now - seen) >= room:
                 return
-        dev, cap = self.device, self.cap
-        ctl, host = dev.controller, dev.kernel_host
         job = ctl._job
-        ck, hk = ctl.key, host.key
         up, down, rd, wr = self.engines
         sig = (*phase, dev.down_buf.occupancy, dev.up_buf.occupancy, dev.smap_buf.occupancy,
                up.request and up.request.total_bytes, min(up.addr.bytes_remaining, cap),
@@ -364,24 +411,26 @@ class SteadyState:
                wr.request and wr.request.total_bytes, min(wr.addr.bytes_remaining, cap),
                dev.arbiter.last_granted, txn.master_id, txn.transferred_bytes, txn.total_bytes,
                state is TxnState.DONE,
-               hk and hk[0] - now, max(host._last_edge - now, -self.user_period - 1),
+               hk and hk[0] - now, None if asleep else terms[1],
                ctl.mode is Mode.CONFIGURING, ctl.paused, ck and ck[0] - now,
                job and min(job.total - job.done, cap), job and min(job.done, bits.HEADER_BYTES),
                ctl.paused and ctl._pause_start - now, ck and hk and ck[1] < hk[1],
                bus._wake_pending, dev.irq.pending)
         snap = table.get(sig)
-        if snap is not None and self._jump(snap, now):
+        # The kernel's phase may differ only if it slept at every burst end since.
+        if (snap is not None and (snap[-1] == terms or self.stirred < snap[0])
+                and self._jump(snap, now)):
             table.clear()
             return
         trace = dev.trace
         table[sig] = (now, bus.busy_ticks, up.addr.next_address, down.addr.next_address,
                       rd.addr.next_address, wr.addr.next_address, len(ctl.pause_windows),
-                      len(trace.records) if trace else 0)
+                      len(trace.records) if trace else 0, terms)
 
     def _jump(self, snap, now: int) -> bool:
         """Move as many whole periods since ``snap`` as the bounds allow;
         False if none."""
-        t0, busy, *addrs, windows, records = snap
+        t0, busy, *addrs, windows, records, _terms = snap
         dev, sim, bus = self.device, self.sim, self.bus
         ctl, host = dev.controller, dev.kernel_host
         kernel = dev.registry.active

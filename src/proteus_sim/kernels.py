@@ -14,7 +14,8 @@ private state only, no register write and no interrupt, and returns f of
 each word in order.  Words go in and come out as ``bytes``, four
 little-endian bytes per word, the format of the stream buffers: identity
 returns its input, negate is one big-int XOR, and add_const and fir4
-unpack and pack once per call.  A *consume-only* kernel
+add big ints with a 64-bit lane per word (the constant's lanes, or the
+window's three words shifted down), which no 32-bit sum carries out of.  A *consume-only* kernel
 (``consume_only = True``, as ``SinkKernel``) drops the ``out_space`` test
 and returns no words.  A one-word firing is the map applied to one word,
 so the built-ins and ``SinkKernel`` define ``map_words`` only and inherit
@@ -97,12 +98,18 @@ class PortIO:
 _WORD = struct.Struct("<I")
 
 
-def _words(data: bytes) -> tuple[int, ...]:
-    return struct.unpack(f"<{len(data) >> 2}I", data)
+def _lanes(data: bytes) -> int:
+    """The words of ``data`` as one int with a 64-bit lane per word, the
+    first lowest: a sum of a few such ints keeps every lane's carries in it."""
+    wide = bytearray(2 * len(data))
+    memoryview(wide).cast("I")[::2] = memoryview(data).cast("I")
+    return int.from_bytes(wide, "little")
 
 
-def _pack(words: list[int]) -> bytes:
-    return struct.pack(f"<{len(words)}I", *words)
+def _low_words(x: int, lanes: int) -> bytes:
+    """The low 32 bits of the first ``lanes`` 64-bit lanes of ``x`` (which
+    has no more), as words."""
+    return memoryview(x.to_bytes(8 * lanes, "little")).cast("I")[::2].tobytes()
 
 
 class MapKernel:
@@ -139,7 +146,8 @@ class AddConstKernel(MapKernel):
 
     def map_words(self, io: PortIO, data: bytes) -> bytes:
         k = io.reg_read(8)   # only the host writes it, and never inside a stretch
-        return _pack([(w + k) & 0xFFFFFFFF for w in _words(data)])
+        n = len(data) >> 2
+        return _low_words(_lanes(data) + int.from_bytes(k.to_bytes(8, "little") * n, "little"), n)
 
 
 class Fir4Kernel(MapKernel):
@@ -148,16 +156,15 @@ class Fir4Kernel(MapKernel):
     name = "fir4"
 
     def __init__(self) -> None:
-        self._taps = [0, 0, 0]
+        self._taps = bytes(12)      # the last three input words, oldest first
 
     def map_words(self, io: PortIO, data: bytes) -> bytes:
-        a, b, c = self._taps
-        out = []
-        for w in _words(data):
-            out.append((w + a + b + c) & 0xFFFFFFFF)
-            a, b, c = w, a, b
-        self._taps = [a, b, c]
-        return _pack(out)
+        # Lane i of the taps and words, plus the three lanes above it, is
+        # output word i.
+        src = self._taps + data
+        self._taps = src[-12:]
+        x = _lanes(src)
+        return _low_words(x + (x >> 64) + (x >> 128) + (x >> 192), len(src) >> 2)[:len(data)]
 
 
 BUILTIN_KERNELS = {

@@ -44,7 +44,10 @@ each burst end (``PciBus._finish``), where no burst is in flight and no
 run-ahead process runs, the board takes a signature of its timing-visible
 state relative to ``now``; when one recurs, whole periods are moved at once
 (``board.SteadyState``) and ``shift`` moves the clock and every queued event
-past them, in the same order.
+past them, in the same order.  The phase of a clock whose process is
+quiescent (an idle controller, a kernel asleep at every burst end) is left
+out, so a stream recurs with the period of its bursts, not with the
+clocks' common multiple.
 """
 
 from __future__ import annotations

@@ -465,11 +465,11 @@ def _timed(world, job):
 
 
 def test_long_jobs_jump_whole_periods_to_the_per_word_figures():
-    """A 1 MiB reconfiguration and its readback, and a 1 MiB identity stream,
-    settle into a steady state whose periods are jumped in closed form: a
-    few hundred events each, where burst by burst they take over 5,400.
-    Simulated time, bus busy time and data cycles are those the per-word
-    engine recorded for the benchmark's workloads (``perfbench/reference.json``)."""
+    """A 1 MiB reconfiguration and its readback settle into a steady state
+    whose periods are jumped in closed form: a few hundred events, where
+    burst by burst they take over 5,400.  Simulated time, bus busy time and
+    data cycles are those the per-word engine recorded for the benchmark's
+    workload (``perfbench/reference.json``)."""
     g = bits.DeviceGeometry(130, 128, 64, 128)
     world = World(BoardConfig(geometry=g))
     assert world.boot(bits.encode(g, bits.BitstreamKind.FULL, 0, 0, bytes(g.total_bytes))).ok
@@ -481,6 +481,14 @@ def test_long_jobs_jump_whole_periods_to_the_per_word_figures():
     assert figures == (41_947_114_537, 16_550_225_874, 524_302)
     assert events <= 200
 
+
+def test_a_stream_paced_by_the_bus_jumps_with_the_period_of_its_bursts():
+    """At the default clocks (bus 30,303 ps, kernel 20,000 ps) a 1 MiB
+    identity stream repeats every two bursts while the kernel sleeps at each
+    burst end, though the two clocks line up again only every 20,000 bus
+    words: it jumps after its first periods and ends in a few dozen events,
+    where burst by burst it takes 5,461.  Its output and figures are the
+    per-word engine's (``perfbench/reference.json``)."""
     world = booted_world()
     world.device.registry.bind(0x21, "identity")
     world.reconfigure(partial_image(kernel_id=0x21))
@@ -488,7 +496,7 @@ def test_long_jobs_jump_whole_periods_to_the_per_word_figures():
     out, events, figures = _timed(world, lambda: world.stream(data))
     assert out == data
     assert figures == (16_549_559_208, 16_549_559_208, 524_288)
-    assert events <= 600
+    assert events < 50
 
 
 def _fir4_chunks(data: bytes, words: int = 1 << 16):
@@ -521,7 +529,7 @@ def test_soak_a_16_mib_stream_and_200_driver_rounds_stay_bounded():
     events = sim.executed
     in_base, out_base = world.start_stream(data)
     world.run_until_cause(IrqCause.UPSTREAM_DONE)
-    assert sim.executed - events < 1000
+    assert sim.executed - events < 100
     assert len(world.device.steady.table) < SteadyState.TABLE_LIMIT
     world.wait(IrqCause.DOWNSTREAM_DONE)
     world.wait(IrqCause.UPSTREAM_DONE)

@@ -35,7 +35,12 @@ beyond the golden grid take that entry too.  The ``period-*`` worlds run
 jobs of 8 to 48 KiB through small buffers, long enough for the board to
 settle into a steady state and jump whole periods of it, with stall
 windows, mid-run stops and operand writes queued as events (a ``timed``
-entry) inside what would be a jump.
+entry) inside what would be a jump.  The ``phase-*`` worlds, compared by
+``--diff`` only, run long streams under user and configuration clocks that
+share no factor with the bus period, so that a stream recurs with the
+period of its bursts only while the phase of a sleeping kernel is left out
+of the steady state's signature; their stall windows, stops and timed
+writes are placed from a closed-form estimate of each job's span.
 
 ``run_register_world`` and ``run_scenario_world`` return everything the
 timing contract covers: the time of every done interrupt, the interrupt
@@ -70,8 +75,9 @@ entry.
 
 runs the register and poker worlds beyond the grid (indices up to
 ``DIFF_WORLDS``), the stream worlds beyond it (up to
-``DIFF_STREAM_WORLDS``), the quiet worlds, the tie worlds and the period
-worlds beyond the grid (up to ``DIFF_PERIOD_WORLDS``) on this tree
+``DIFF_STREAM_WORLDS``), the quiet worlds, the tie worlds, the period
+worlds beyond the grid (up to ``DIFF_PERIOD_WORLDS``) and the phase worlds
+on this tree
 and, in a subprocess, on the other one, and prints the names of the worlds
 whose results differ (exit status 1 if any).  The other tree may be the
 per-word engine of the first commit, a standing oracle::
@@ -89,6 +95,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -136,8 +143,9 @@ STRETCH_WORLDS = 40
 STREAM_WORLDS = 48
 # ``--diff`` compares register and poker worlds from the grid's end up to
 # here, stream worlds up to ``DIFF_STREAM_WORLDS``, quiet worlds up to
-# ``DIFF_QUIET_WORLDS``, tie worlds up to ``DIFF_TIE_WORLDS`` and period
-# worlds up to ``DIFF_PERIOD_WORLDS``.
+# ``DIFF_QUIET_WORLDS``, tie worlds up to ``DIFF_TIE_WORLDS``, period
+# worlds up to ``DIFF_PERIOD_WORLDS`` and phase worlds up to
+# ``DIFF_PHASE_WORLDS``.
 DIFF_WORLDS = 1500
 DIFF_STREAM_WORLDS = 400
 
@@ -202,6 +210,7 @@ PERIOD_CLOCKS = [(30303, 20000, 20000), (30000, 30000, 20000), (30000, 33000, 20
 PERIOD_KERNELS = [0x24, 0x23, 0x26, 0x21, 0x27, 0x23]
 PERIOD_WORLDS = 24
 DIFF_PERIOD_WORLDS = 174
+DIFF_PHASE_WORLDS = 150
 BURSTS = [1, 2, 3, 4, 5, 7, 16, 64, 256, 4096]
 CAPACITIES = [2, 4, 5, 8, 16, 64, 256]
 KERNELS = {0x21: "identity", 0x22: "negate", 0x23: "add_const", 0x24: "fir4", 0x25: "poker"}
@@ -559,6 +568,83 @@ def _period_spec(index: int) -> dict:
     return spec
 
 
+def _coprime(period: int, ratio: float) -> int:
+    """The first period from ``period * ratio`` up that shares no factor
+    with ``period``."""
+    t = round(period * ratio)
+    while math.gcd(t, period) != 1:
+        t += 1
+    return t
+
+
+def _span(spec: dict, job: dict) -> int:
+    """A closed-form estimate of a job's span in ps: its bus words, each
+    burst of at most a burst limit or a buffer of them paying the grant
+    latency and one more cycle; or the kernel's edges, or the port's cycles,
+    if those take longer."""
+    pci, user, cfg = spec["periods"]
+    column = spec["geometry"][1] * spec["geometry"][2]
+    words = edges = cycles = 0
+    if "stream" in job["kind"]:
+        edges = job["words"]
+        words = edges if job.get("down_only") else 2 * edges
+    if "reconfig" in job["kind"]:
+        cycles = job["columns"] * column
+    if "readback" in job["kind"]:
+        cycles = job["rb_count"] * column
+    words += cycles // 4
+    chunk = min(spec["burst"], spec["capacity"])
+    return max(words * pci * (chunk + spec["grant"] + 1) // chunk, edges * user, cycles * cfg)
+
+
+def _phase_spec(index: int) -> dict:
+    """Long streams through every map kernel and the sink under user and
+    configuration clocks that share no factor with the bus period, faster
+    and slower than it, so that the board's state recurs with the bus's own
+    period while the kernel sleeps at every burst end, and with the clocks'
+    common multiple (far beyond a job) otherwise.  Some streams run beside
+    reconfigurations or readbacks, so that only the user clock's phase is
+    left out.  Sparse stall windows, mid-run stops that write a new
+    add_const operand and operand writes queued as events fall inside the
+    jobs, placed from ``_span``'s estimate, not from a run."""
+    rng = random.Random(f"phase-world-{index}")
+    pci = rng.choice([30303, 30000, 24000, 40000])
+    user = _coprime(pci, rng.choice([0.3, 0.5, 0.66, 0.8, 0.95, 1.05, 1.3, 2.2]))
+    cfg = _coprime(pci, rng.choice([0.15, 0.3, 0.6, 1.1, 1.7]))
+    kernel = rng.choice([0x21, 0x22, 0x23, 0x24, 0x26])
+    cap = rng.choice(CAPACITIES)
+    low = rng.randint(1, cap)
+    high = low if rng.random() < 0.2 else rng.randint(low, cap)
+    spec = {"periods": [pci, user, cfg], "grant": rng.randint(0, 8),
+            "burst": rng.choice(BURSTS), "capacity": cap, "fill_low": low,
+            "fill_high": high, "geometry": [20, 8, 32, 16], "boot_byte_period": 7,
+            "jobs": [{"kind": "reconfig", "stalls": [], "first": 0, "columns": 1, "seed": index,
+                      "kernel_id": kernel}]}
+    for _ in range(rng.randint(1, 3)):
+        kind = "stream" if kernel == 0x26 or rng.random() < 0.6 else rng.choice(
+            ["stream+reconfig", "stream+readback"])
+        job = {"kind": kind, "words": min(cap, 64) * rng.randint(20, 60) + rng.randint(0, 99),
+               "seed": rng.randint(0, 999), "stalls": [], "down_only": kernel == 0x26}
+        if "reconfig" in kind:
+            job.update(kernel_id=kernel, first=0, columns=rng.randint(1, 12),
+                       seed=rng.randint(0, 999))
+        if "readback" in kind:
+            job.update(rb_first=rng.randint(0, 4), rb_count=rng.randint(1, 12))
+        span = _span(spec, job)
+
+        def inside():
+            return int(span * rng.uniform(0.2, 0.8)) + rng.choice([0, 0, 1, -1])
+        if rng.random() < 0.4:
+            job["stalls"] = [[inside(), rng.choice([1, pci, rng.randint(2, 50 * pci)])]
+                             for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.4:
+            job["midrun"] = [inside(), [], rng.randrange(2**32)]
+        if rng.random() < 0.3:
+            job["timed"] = [inside(), rng.randrange(2**32)]
+        spec["jobs"].append(job)
+    return spec
+
+
 def _stalls(rng: random.Random, pci: int, grant: int) -> list[list[int]]:
     """Stall windows as (offset from job start, duration) pairs."""
     out = []
@@ -769,8 +855,9 @@ def extra_worlds():
     grid up to ``DIFF_WORLDS``, the stream worlds up to
     ``DIFF_STREAM_WORLDS``, the quiet worlds up to ``DIFF_QUIET_WORLDS``,
     the tie worlds up to ``DIFF_TIE_WORLDS``, with ``TIE_UPFULL_WORLDS``,
-    and the period worlds up to ``DIFF_PERIOD_WORLDS``: not pinned by golden
-    data, compared between two source trees by ``--diff``."""
+    the period worlds up to ``DIFF_PERIOD_WORLDS`` and the phase worlds up
+    to ``DIFF_PHASE_WORLDS``: not pinned by golden data, compared between
+    two source trees by ``--diff``."""
     worlds = [(f"registers-{i}", lambda i=i: run_register_world(_spec(i)))
               for i in range(REGISTER_WORLDS, DIFF_WORLDS)]
     worlds += [(f"poker-{i}", lambda i=i: run_register_world(_poker_spec(i)))
@@ -785,6 +872,8 @@ def extra_worlds():
                for i, spec in enumerate(TIE_UPFULL_WORLDS)]
     worlds += [(f"period-{i}", lambda i=i: run_register_world(_period_spec(i)))
                for i in range(PERIOD_WORLDS, DIFF_PERIOD_WORLDS)]
+    worlds += [(f"phase-{i}", lambda i=i: run_register_world(_phase_spec(i)))
+               for i in range(DIFF_PHASE_WORLDS)]
     return worlds
 
 
