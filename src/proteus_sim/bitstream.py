@@ -21,6 +21,7 @@ from enum import IntEnum
 
 MAGIC = b"PBIT"
 _HEADER = struct.Struct("<4sB3xIHHHHI")
+_CRC = struct.Struct("<I")
 HEADER_BYTES = _HEADER.size  # 24
 WRAPPER_BYTES = HEADER_BYTES + 4  # header + trailing CRC
 
@@ -141,12 +142,14 @@ def encode(geometry: DeviceGeometry, kind: BitstreamKind, kernel_id: int,
         raise ValueError("kernel_id must fit in 32 bits")
     header = _HEADER.pack(MAGIC, int(kind), kernel_id, first_column, column_count,
                           geometry.frames_per_column, geometry.bytes_per_frame, len(payload))
-    body = header + payload
-    return body + struct.pack("<I", crc32(body))
+    return b"".join((header, payload, _CRC.pack(zlib.crc32(payload, zlib.crc32(header)))))
 
 
-def parse(data: bytes) -> Bitstream:
-    """Validate and decode a byte image; never returns a partial result."""
+def parse(data) -> Bitstream:
+    """Validate and decode a byte image (any bytes-like object); never
+    returns a partial result.  The payload is copied once, out of the
+    image."""
+    data = memoryview(data)
     if len(data) < WRAPPER_BYTES:
         raise TruncatedPayload(f"image of {len(data)} bytes is shorter than the fixed wrapper")
     magic, kind_raw, kernel_id, first_column, column_count, fpc, bpf, payload_len = \
@@ -156,7 +159,7 @@ def parse(data: bytes) -> Bitstream:
     if len(data) != WRAPPER_BYTES + payload_len:
         raise TruncatedPayload(
             f"image is {len(data)} bytes, header says {WRAPPER_BYTES + payload_len}")
-    stored = struct.unpack_from("<I", data, HEADER_BYTES + payload_len)[0]
+    stored = _CRC.unpack_from(data, HEADER_BYTES + payload_len)[0]
     if crc32(data[:HEADER_BYTES + payload_len]) != stored:
         raise BadChecksum("checksum mismatch")
     try:
@@ -187,7 +190,7 @@ class ConfigurationMemory:
 
     def column(self, index: int) -> bytes:
         cb = self.geometry.column_bytes
-        return bytes(self._data[index * cb:(index + 1) * cb])
+        return bytes(memoryview(self._data)[index * cb:(index + 1) * cb])
 
     def _check_fit(self, bs: Bitstream) -> None:
         g = self.geometry
@@ -216,7 +219,7 @@ class ConfigurationMemory:
                     f"partial bitstream touches fixed columns {sorted(overlap)}")
         cb = self.geometry.column_bytes
         start = bs.first_column * cb
-        self._data[start:start + len(bs.payload)] = bs.payload
+        memoryview(self._data)[start:start + len(bs.payload)] = bs.payload
 
     def readback(self, first_column: int, column_count: int, kernel_id: int = 0) -> bytes:
         """Snapshot a column range as a partial bitstream image."""
@@ -225,5 +228,5 @@ class ConfigurationMemory:
                 f"columns {first_column}..{first_column + column_count - 1} "
                 f"outside 0..{self.geometry.columns - 1}")
         cb = self.geometry.column_bytes
-        payload = bytes(self._data[first_column * cb:(first_column + column_count) * cb])
+        payload = memoryview(self._data)[first_column * cb:(first_column + column_count) * cb]
         return encode(self.geometry, BitstreamKind.PARTIAL, kernel_id, first_column, payload)

@@ -202,10 +202,11 @@ class DmaEngine:
         n = min(buffer.occupancy, count)
         return buffer.exchange(b"", n) if n > 0 else b""
 
-    def take(self, nbytes: int) -> bytes:
-        """The job's next ``nbytes`` of host memory, moved past: a device-bound
-        job's share of a jump over whole periods."""
-        return self.device.world.host.read(self._advance(nbytes), nbytes) if nbytes else b""
+    def take(self, nbytes: int):
+        """The job's next ``nbytes`` of host memory, moved past, as a view
+        that the caller copies at once: a device-bound job's share of a jump
+        over whole periods."""
+        return self.device.world.host.view(self._advance(nbytes), nbytes) if nbytes else b""
 
     def give(self, data) -> None:
         """Write ``data`` as the job's next bytes and move past them: a

@@ -9,9 +9,10 @@ A stream buffer holds its words as bytes, four little-endian bytes per
 word in one ``bytearray``, the format in which they come from and go to
 host memory and the configuration image.  ``push`` and ``pop`` move one
 word as an int and notify the listeners; ``exchange`` moves runs of words
-as ``bytes`` slices and notifies nobody.  A jump over whole periods of a
-steady state moves its words through a buffer in slices of whole periods,
-``period_chunks``, so that no slice grows with the job.
+as ``bytes`` slices and notifies nobody, copying each byte of a run once.
+A jump over whole periods of a steady state moves its words through a
+buffer in slices of whole periods, ``period_chunks``, so that no slice
+grows with the job.
 """
 
 from __future__ import annotations
@@ -144,16 +145,26 @@ class StreamBuffer:
         """Enqueue the words of ``data`` (bytes-like, 4 bytes per word) and
         dequeue ``count`` words, returned as bytes, as interleaved pushes
         and pops that never find the buffer empty or full would; no listener
-        is notified."""
+        is notified.
+
+        The words of ``data`` that leave again go straight to the result,
+        one copy, and only the rest is stored; ``data`` is sliced, so a
+        long run comes as a memoryview."""
         buf = self._data
         n = 4 * count
-        if n > len(buf) + len(data):
+        k = n - len(buf)        # the bytes of ``data`` that leave again
+        if k > len(data):
             raise BufferUnderflow(f"{self.name or 'buffer'} empty")
-        if len(buf) + len(data) - n > 4 * self.capacity:
+        if len(data) - k > 4 * self.capacity:
             raise BufferOverflow(f"{self.name or 'buffer'} full at {self.capacity} words")
-        buf += data
-        out = bytes(buf[:n])
-        del buf[:n]
+        if k <= 0:
+            out = bytes(buf[:n])
+            del buf[:n]
+            buf += data
+        else:
+            out = b"".join((buf, data[:k]))
+            del buf[:]
+            buf += data[k:]
         return out
 
 

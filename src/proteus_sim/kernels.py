@@ -324,7 +324,7 @@ class KernelHost(RunAhead):
             kernel = self.registry.active
             for k in period_chunks(n, max(nin, nout)):
                 taken = self.down.exchange(self.feed.into.take(k * nin), k * nin >> 2)
-                out = kernel.map_words(self._io, taken)
+                out = memoryview(kernel.map_words(self._io, taken))
                 self.feed.out_of.give(self.up.exchange(out, k * nout >> 2))
         self.shift(n * period)
         self._last_edge += n * period

@@ -9,12 +9,12 @@ A ``BusTransaction`` is the one record of a transfer: the master's request
 is a WAITING transaction, and a granted one is a burst.  ``begin_burst``
 computes its word lattice ``first + k * clock_period`` in closed form and
 cuts it at the first word that falls in a stall window, or at the burst
-limit; the words of a device-bound burst are read from host memory then,
-as one ``bytes`` snapshot.  The board's fill-status logic never requests
-more than the limit (``max_burst_cycles`` words), but a master that asks
-for a whole transfer at once, as the restart test of acceptance criterion
-5 does, relies on the bus to cut it there and resumes from the next
-address.
+limit; the words of a device-bound burst are copied from host memory
+then, once, into a snapshot that only the burst holds.  The board's
+fill-status logic never requests more than the limit (``max_burst_cycles``
+words), but a master that asks for a whole transfer at once, as the restart
+test of acceptance criterion 5 does, relies on the bus to cut it there and
+resumes from the next address.
 
 The words then reach the master one per bus cycle as items of a lazy
 stream (see ``sim``): each runs at its cycle's picosecond and in the
@@ -107,12 +107,16 @@ class HostMemory:
         raise UnmappedAddress(f"{nbytes} bytes at {address:#x} not inside any region")
 
     def write(self, address: int, data: bytes) -> None:
-        buf, off = self.locate(address, len(data))
-        buf[off:off + len(data)] = data
+        self.view(address, len(data))[:] = data
+
+    def view(self, address: int, nbytes: int) -> memoryview:
+        """The span as a view of its region, for a caller that copies or
+        reads it before it returns; regions are never resized."""
+        buf, off = self.locate(address, nbytes)
+        return memoryview(buf)[off:off + nbytes]
 
     def read(self, address: int, nbytes: int) -> bytes:
-        buf, off = self.locate(address, nbytes)
-        return bytes(buf[off:off + nbytes])
+        return bytes(self.view(address, nbytes))
 
 
 @dataclass
@@ -358,8 +362,9 @@ class _Burst:
             # The transaction's last word may be short: its missing bytes read as 0.
             lo = self.off + 4 * self.index
             hi = min(self.off + 4 * self.end, self.off + self.txn.total_bytes)
-            self.data = memoryview(bytes(self.buf[lo:hi]).ljust(4 * (self.end - self.index),
-                                                                   b"\0"))
+            data = self.buf[lo:hi]
+            data += bytes(4 * (self.end - self.index) - len(data))
+            self.data = memoryview(data)
             self.base = self.index
 
     def lattice(self) -> tuple[int, int, int]:
@@ -380,7 +385,7 @@ class _Burst:
         else:
             assert len(data) == 4 * count
             pos += self.off
-            self.buf[pos:pos + 4 * count] = data
+            memoryview(self.buf)[pos:pos + 4 * count] = data
         self.index += count
         self.key = (self.key[0] + count * self.period, self.sim.alloc())
         return data
@@ -430,7 +435,7 @@ class _Burst:
             data = txn.run_source(count)
             n = len(data) >> 2
             pos = self.off + 4 * self.index
-            self.buf[pos:pos + 4 * n] = data
+            memoryview(self.buf)[pos:pos + 4 * n] = data
         if not n:
             return False
         t = self.key[0]

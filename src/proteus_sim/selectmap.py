@@ -244,9 +244,9 @@ class SelectMapController(RunAhead):
         done = job.done
         if configuring:
             data = burst.advance_many(moved) if moved else b""
-            job.image[done:done + 4 * m] = self.buffer.exchange(data, m)
+            memoryview(job.image)[done:done + 4 * m] = self.buffer.exchange(data, m)
         else:
-            out = self.buffer.exchange(job.image[done:done + 4 * m], moved)
+            out = self.buffer.exchange(memoryview(job.image)[done:done + 4 * m], moved)
             if moved:
                 burst.advance_many(moved, out)
         return m
@@ -259,12 +259,13 @@ class SelectMapController(RunAhead):
         shifted.  The next point and a pause's start move ``n * period`` on."""
         job = self._job
         if nbytes:
+            image = memoryview(job.image)
             for k in period_chunks(n, nbytes):
                 m, done = k * nbytes, job.done
                 if self.mode is Mode.CONFIGURING:
-                    job.image[done:done + m] = self.buffer.exchange(self.feed.into.take(m), m >> 2)
+                    image[done:done + m] = self.buffer.exchange(self.feed.into.take(m), m >> 2)
                 else:
-                    self.feed.out_of.give(self.buffer.exchange(job.image[done:done + m], m >> 2))
+                    self.feed.out_of.give(self.buffer.exchange(image[done:done + m], m >> 2))
                 job.done = done + m
         self.pause_windows += [(start + j * period, end + j * period)
                                for j in range(1, n + 1) for start, end in windows]
@@ -276,7 +277,7 @@ class SelectMapController(RunAhead):
         self.mode = Mode.IDLE
         self._job = None
         try:
-            bs = bits.parse(bytes(job.image))
+            bs = bits.parse(job.image)
         except bits.BadChecksum as exc:
             raise ChecksumMismatch(str(exc)) from exc
         if bs.kind is not bits.BitstreamKind.PARTIAL:

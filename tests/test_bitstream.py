@@ -99,15 +99,24 @@ def geometry_and_region(draw):
     return g, first, count
 
 
-@given(geometry_and_region(), st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
-def test_parse_encode_roundtrip(region, kernel_id, rng):
+# Bytes-like images: a mutable one is inverted after parse.
+BYTES_LIKE = {"bytes": bytes, "bytearray": bytearray,
+              "memoryview": lambda data: memoryview(bytearray(data))}
+
+
+@given(geometry_and_region(), st.integers(0, 2**32 - 1), st.randoms(use_true_random=False),
+       st.sampled_from(sorted(BYTES_LIKE)))
+def test_parse_encode_roundtrip(region, kernel_id, rng, image_type):
     g, first, count = region
     kind = BitstreamKind.FULL if (first, count) == (0, g.columns) else BitstreamKind.PARTIAL
     payload = bytes(rng.getrandbits(8) for _ in range(count * g.column_bytes))
-    bs = parse(encode(g, kind, kernel_id, first, payload))
+    image = BYTES_LIKE[image_type](encode(g, kind, kernel_id, first, payload))
+    bs = parse(image)
+    if not isinstance(image, bytes):
+        image[:] = bytes(b ^ 0xFF for b in image)
     assert (bs.kind, bs.kernel_id, bs.first_column, bs.column_count) == (kind, kernel_id, first, count)
     assert (bs.frames_per_column, bs.bytes_per_frame) == (g.frames_per_column, g.bytes_per_frame)
-    assert bs.payload == payload
+    assert type(bs.payload) is bytes and bs.payload == payload
 
 
 def test_parse_detects_flipped_payload_byte():

@@ -22,17 +22,25 @@ from proteus_sim.board import (
     World,
 )
 from proteus_sim.fixed_part import (
+    CTRL_START_DOWN,
     CTRL_START_READBACK,
     CTRL_START_RECONFIG,
+    CTRL_START_UP,
     REG_CFG_BASE,
     REG_CFG_LEN,
     REG_CONTROL,
+    REG_DOWN_BASE,
+    REG_DOWN_LEN,
     REG_IRQ_MASK,
     REG_STATUS,
+    REG_UP_BASE,
+    REG_UP_LEN,
+    SLICE_BYTES,
     DmaAddressState,
     IrqCause,
     TargetId,
 )
+from proteus_sim.kernels import MapKernel
 from proteus_sim.pci import PCI_CLOCK_PERIOD, PciConfig, UnmappedAddress
 from proteus_sim.selectmap import Mode
 
@@ -132,6 +140,54 @@ def test_stream_identity_roundtrip():
     world.reconfigure(partial_image(kernel_id=0x21))
     payload = bytes((i * 29) % 256 for i in range(2048 * 4))
     assert world.stream(payload) == payload
+
+
+def test_results_own_their_bytes():
+    """Host reads, readback images and stream outputs are ``bytes`` that no
+    later host write or reconfiguration of the same columns changes."""
+    world = booted_world()
+    world.device.registry.bind(0x21, "identity")
+    world.reconfigure(partial_image(kernel_id=0x21, seed=1))
+    data = bytes((i * 29) % 256 for i in range(8192))
+    base = world.stage(data)
+    read = world.host.read(base, len(data))
+    image = world.readback(0, 4)
+    out = world.stream(data)
+    world.host.write(base, bytes(len(data)))
+    world.reconfigure(partial_image(kernel_id=0x21, seed=2))
+    assert [type(x) for x in (read, image, out)] == [bytes] * 3
+    assert read == out == data
+    assert bits.parse(image).payload == bits.parse(partial_image(seed=1)).payload
+    assert world.readback(0, 4) != image
+
+
+class RecordingKernel(MapKernel):
+    """Identity that keeps every ``data`` it is given, with a copy."""
+
+    def __init__(self) -> None:
+        self.seen = []
+
+    def map_words(self, io, data):
+        self.seen.append((data, bytearray(data)))
+        return data
+
+
+def test_map_kernels_receive_bytes_they_may_keep():
+    """Word by word, in stretches and in jumps, a map kernel is given
+    ``bytes``, which nothing changes after the call."""
+    world = booted_world()
+    world.device.registry.bind(0x30, RecordingKernel)
+    world.reconfigure(partial_image(kernel_id=0x30))
+    kernel = world.device.registry.active
+    data = random.Random(6).randbytes(1 << 18)
+    assert world.stream(data) == data
+    first = len(kernel.seen)
+    world.stream(bytes(len(data)))
+    assert {type(d) for d, _copy in kernel.seen} == {bytes}
+    assert all(d == copy for d, copy in kernel.seen)
+    assert b"".join(d for d, _copy in kernel.seen[:first]) == data
+    sizes = {len(d) for d, _copy in kernel.seen}
+    assert 4 in sizes and max(sizes) > 4 * PciConfig().max_burst_cycles   # a jump's slice
 
 
 def test_stream_into_inert_region_deadlocks():
@@ -499,6 +555,74 @@ def test_a_stream_paced_by_the_bus_jumps_with_the_period_of_its_bursts():
     assert events < 50
 
 
+MiB = 1 << 20
+
+
+def _peak_above_start(job):
+    """Run ``job`` under tracemalloc; returns its result, the peak of traced
+    memory above the start, and what it left allocated."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = job()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start, now - start
+
+
+def _identity_round_trip(world, in_base, out_base, nbytes):
+    """Stream ``nbytes`` from one mapped region to another and wait for both
+    jobs."""
+    world._program(((REG_DOWN_BASE, in_base), (REG_DOWN_LEN, nbytes), (REG_UP_BASE, out_base),
+                    (REG_UP_LEN, nbytes), (REG_CONTROL, CTRL_START_DOWN | CTRL_START_UP)))
+    world.wait(IrqCause.DOWNSTREAM_DONE)
+    world.wait(IrqCause.UPSTREAM_DONE)
+
+
+def test_1_mib_jobs_allocate_their_output_and_one_image():
+    """Above the start of the job, with its host regions mapped and staged,
+    a 1 MiB identity round trip allocates no more than its output and a
+    jump's slice; a 1 MiB reconfiguration and readback on 130x128x64 no
+    more than the image it assembles, the payload parsed out of it, and a
+    slice.  Both keep only their output."""
+    world = booted_world()
+    world.device.registry.bind(0x21, "identity")
+    world.reconfigure(partial_image(kernel_id=0x21))
+    data = random.Random(2).randbytes(MiB)
+    in_base = world.stage(data)
+    _buf, out_base = world.host.map_shared_region(MiB)
+
+    def round_trip():
+        _identity_round_trip(world, in_base, out_base, MiB)
+        return world.host.read(out_base, MiB)
+
+    out, peak, kept = _peak_above_start(round_trip)
+    assert out == data
+    assert MiB <= kept <= peak < MiB + SLICE_BYTES
+
+    g = bits.DeviceGeometry(130, 128, 64, 128)
+    world = World(BoardConfig(geometry=g))
+    assert world.boot(bits.encode(g, bits.BitstreamKind.FULL, 0, 0, bytes(g.total_bytes))).ok
+    payload = random.Random(1).randbytes(128 * g.column_bytes)
+    image = bits.encode(g, bits.BitstreamKind.PARTIAL, 0x5A, 0, payload)
+    cfg_base = world.stage(image)
+    _buf, rb_base = world.host.map_shared_region(len(image))
+
+    def reconfigure_and_read_back():
+        world._program(((REG_CFG_BASE, cfg_base), (REG_CFG_LEN, len(image)),
+                        (REG_CONTROL, CTRL_START_RECONFIG)))
+        world.wait(IrqCause.RECONFIG_DONE)
+        world._program(((REG_CFG_BASE, rb_base), (REG_CFG_LEN, 128 << 16),
+                        (REG_CONTROL, CTRL_START_READBACK)))
+        world.wait(IrqCause.READBACK_DONE)
+        return world.host.read(rb_base, len(image))
+
+    rb_image, peak, kept = _peak_above_start(reconfigure_and_read_back)
+    assert bits.parse(rb_image).payload == payload
+    assert len(image) <= kept <= peak < 2 * len(image) + SLICE_BYTES
+
+
 def _fir4_chunks(data: bytes, words: int = 1 << 16):
     """The fir4 output of ``data`` (each word plus the three before it,
     wrapping), ``words`` words at a time."""
@@ -559,3 +683,31 @@ def test_soak_a_16_mib_stream_and_200_driver_rounds_stay_bounded():
     finally:
         tracemalloc.stop()
     assert growth <= 16 * 1024
+
+
+def test_soak_a_64_mib_identity_stream_allocates_less_than_1_mib():
+    """A 64 MiB identity stream in one job takes a few dozen events, and
+    above the start of the job, with its host regions staged, it allocates
+    less than 1 MiB before its output is read: its bytes move through views
+    and slices of whole periods.  The output is the input."""
+    g = bits.DeviceGeometry(8, 4, 16, 6)
+    world = World(BoardConfig(geometry=g))
+    assert world.boot(bits.encode(g, bits.BitstreamKind.FULL, 0, 0, bytes(g.total_bytes))).ok
+    world.device.registry.bind(0x21, "identity")
+    world.reconfigure(bits.encode(g, bits.BitstreamKind.PARTIAL, 0x21, 0, bytes(g.column_bytes)))
+    n = 64 * MiB
+    unit = random.Random(4).randbytes(4 * 65_537)   # repeats out of step with bursts and slices
+    _buf, in_base = world.host.map_shared_region(n)
+    _buf, out_base = world.host.map_shared_region(n)
+    for pos in range(0, n, len(unit)):
+        world.host.write(in_base + pos, unit[:n - pos])
+    events = world.sim.executed
+    _none, peak, _kept = _peak_above_start(
+        lambda: _identity_round_trip(world, in_base, out_base, n))
+    assert world.sim.executed - events < 100
+    assert peak < MiB
+    for pos in range(0, n, len(unit)):
+        want = unit[:n - pos]
+        assert world.host.read(out_base + pos, len(want)) == want, f"at byte {pos}"
+    world.host.unmap(in_base)
+    world.host.unmap(out_base)

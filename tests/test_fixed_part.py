@@ -172,23 +172,37 @@ def test_exchange_matches_interleaved_pushes_and_pops():
     assert buf.occupancy == 0
 
 
+# Bytes-like inputs: a mutable one is inverted after the call that took it.
+BYTES_LIKE = {"bytes": bytes, "bytearray": bytearray,
+              "memoryview": lambda data: memoryview(bytearray(data))}
+
+
+def invert(data) -> None:
+    if not isinstance(data, bytes):
+        data[:] = bytes(b ^ 0xFF for b in data)
+
+
 @given(st.lists(st.tuples(st.lists(st.integers(0, 0xFFFFFFFF), max_size=6), st.integers(0, 6)),
-                max_size=20))
-def test_exchange_runs_match_a_per_word_fifo(steps):
+                max_size=20), st.sampled_from(sorted(BYTES_LIKE)))
+def test_exchange_runs_match_a_per_word_fifo(steps, kind):
     # Each exchange, and each push and pop, against a list of words: a run
-    # the buffer refuses changes nothing.
+    # the buffer refuses changes nothing.  The run's words may come as any
+    # bytes-like object, and changing it after the call changes nothing.
     buf = StreamBuffer(capacity=8, fill_low=2, fill_high=6)
     model = []
     for words, count in steps:
+        data = BYTES_LIKE[kind](words_bytes(words))
         if count > len(model) + len(words):
             with pytest.raises(BufferUnderflow):
-                buf.exchange(words_bytes(words), count)
+                buf.exchange(data, count)
         elif len(model) + len(words) - count > 8:
             with pytest.raises(BufferOverflow):
-                buf.exchange(words_bytes(words), count)
+                buf.exchange(data, count)
         else:
             model += words
-            assert buf.exchange(words_bytes(words), count) == words_bytes(model[:count])
+            out = buf.exchange(data, count)
+            invert(data)
+            assert type(out) is bytes and out == words_bytes(model[:count])
             del model[:count]
         assert buf.occupancy == len(model)
         if model:
