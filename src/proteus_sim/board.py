@@ -45,6 +45,7 @@ engines, the stream buffers' occupancies and the kernel host's state.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from . import bitstream as bits
@@ -294,32 +295,54 @@ class SteadyState:
     last edge while it can still matter, the controller's mode, pause,
     remaining bytes and whether its payload has begun (the time of its first
     byte is taken once), the pending stall wake and the pending interrupts.
-    Its ``table`` maps each signature to a snapshot of the time, the bus's
-    busy time, the engines' addresses, the controller's pause windows, the
-    trace records and the kernel's exact phase and last edge; and, while
-    stall windows lie ahead, each pair of phases as the signature takes them
-    to the last burst end that had it.  The rest of a period follows from
-    these: the controller moves what its engine moves, as the
-    buffer's occupancy is in the signature, and the bus moves the words of
-    all four engines, as a recurring period holds only full words.
+    A snapshot holds the time, the bus's busy time, the engines' addresses,
+    the controller's pause windows, the trace records and the kernel's exact
+    phase and last edge.  ``table`` maps each signature to the last snapshot
+    that had it.  ``cross`` maps each signature and *stall term* (where the
+    stall window over ``now``, or the next one, opens relative to ``now``,
+    and its length) to the last snapshot that had both.  The rest of a
+    period follows from these: the controller moves what its engine moves,
+    as the buffer's occupancy is in the signature, and the bus moves the
+    words of all four engines, as a recurring period holds only full words.
 
-    When a signature recurs, the period between the two repeats exactly for
-    as long as nothing from outside meets it.  So ``_jump`` moves the
-    largest number ``n`` of whole periods for which one more period would
-    still keep every engine's job ``cap`` bytes from its end (the
-    controller's job moves with its engine), meet no stall window (from the
-    period's start on) and end by the loop's horizon.  It refuses if the
-    kernel is neither inert nor in map form, or if anything but the
-    processes' slots is queued (a pending stall wake never passes the stall
-    bound).  No period raises an interrupt: a job's end changes its
-    engine's remaining bytes or the controller's mode, and only kernels
-    without the map form request one.  The table is cleared on every
-    register write (``Device.host_reg_write``, through which every job
-    starts) and after a jump, so that no one-time action falls inside a
-    period.  A stall window added later needs no clear: every jump stops
-    short of the first stalled time from its period's start on, measured
-    when it jumps, and the phase entries only choose where signatures are
-    taken.
+    When a signature recurs at ``now`` from ``t0``, what follows ``now``
+    repeats what followed ``t0`` for as long as the stall windows do, as
+    nothing else from outside reaches the board between register writes.
+    So ``_jump`` moves the largest number ``n`` of whole periods after which
+    every engine's job is still ``cap`` bytes or more from its end (the
+    controller's job moves with its engine), that end by the loop's horizon
+    and that meet the stall windows the first period met:
+
+    - a match in ``table`` needs no window to meet [t0, now + n * period];
+    - a match in ``cross`` needs the windows over [t0, now + (n + 1) *
+      period) to be those of [t0, now) shifted by whole periods
+      (``PciBus.stalls_repeat``, one walk over the merged bounds), so that
+      every jumped period meets the windows of the first.
+
+    The jump lands flush on the burst end at ``now + n * period``: each
+    engine's remaining bytes are ``cap`` or more there, as at ``now``, so the
+    signature there is ``now``'s.  Its lattice point is stalled or not as
+    ``now``'s was, which decides how the burst ending there was cut: the
+    gap's bound includes it, and the cross check covers it with a whole
+    period to spare.  ``_jump`` refuses if the kernel is neither inert nor
+    in map form, or if anything but the processes' slots is queued (a stall
+    wake is never pending at a burst end: the bus schedules one only while
+    idle, for the picosecond its window ends).  No period raises an
+    interrupt: a job's end changes its engine's remaining bytes or the
+    controller's mode, and only kernels without the map form request one.
+
+    Both tables are cleared on every register write
+    (``Device.host_reg_write``, through which every job starts), so that no
+    one-time action falls inside a period.  ``table`` is also cleared after
+    a jump.  A window added later needs no clear of ``table``, as each jump
+    measures the windows from ``t0`` on when it jumps.  It does clear
+    ``cross`` (``PciBus.on_stall``): it may open before ``now``, in periods
+    already run, which then no longer match the windows their snapshots ran
+    under.  A jump leaves ``cross`` as it is, as a cross-window match needs
+    a snapshot taken a stall period or more earlier, before the jumps within
+    the gaps since: a jump reaches exactly the state the per-burst run
+    would, and ``stirred`` moves on with the period when it lies in the
+    jumped one, so every snapshot stays true.
 
     A process is *quiescent* at a burst end if its clock cannot show there:
     the controller when it is idle (it then has no next point), the kernel
@@ -331,7 +354,7 @@ class SteadyState:
     max-plus system repeats with the period of its critical circuit
     (Baccelli, Cohen, Olsder and Quadrat, *Synchronization and Linearity*,
     1992).  An idle controller stays idle until a register write starts a
-    job, which clears the table, so its phase never shows.  The kernel's
+    job, which clears the tables, so its phase never shows.  The kernel's
     phase does not show within a period at every burst end of which the
     kernel was quiescent (``stirred`` is the last burst end at which it was
     not):
@@ -357,7 +380,7 @@ class SteadyState:
     if ``stirred`` comes before the snapshot; otherwise it must be exact.
     """
 
-    TABLE_LIMIT = 4096      # entries kept before the table starts afresh
+    TABLE_LIMIT = 4096      # entries kept in each table before it starts afresh
 
     def __init__(self, device: "Device") -> None:
         self.device = device
@@ -369,23 +392,26 @@ class SteadyState:
         self.user_period = cfg.user_clock_period
         self.engines = tuple(device.engines.values())
         self.table: dict = {}
+        self.cross: dict = {}     # (signature, stall term) -> snapshot, kept across jumps
         self.stirred = -1     # the last burst end at which the kernel was awake
+
+    def clear(self) -> None:
+        """Forget every snapshot: a register write may start a one-time action."""
+        self.table.clear()
+        self.cross.clear()
 
     def at_burst_end(self, txn: BusTransaction, state: TxnState) -> None:
         """Record this burst end's signature, or jump from its recurrence.
 
-        A jump needs two more periods before the next stall window, and a
-        period lasts at least since the last burst end with the same clock
-        phases, which are part of the signature (the table keeps that burst
-        end too); no signature is taken where that leaves no room.  So with
-        stall windows ahead a signature is taken only once its phases recur,
-        one period later than without.  Both leave out the phase of a
-        quiescent process (see the class), so that a stream beside an idle
-        controller and a sleeping kernel recurs with the period of its
-        bursts."""
-        bus, now, table = self.bus, self.sim.now, self.table
-        if len(table) >= self.TABLE_LIMIT:
-            table.clear()
+        The snapshot goes into ``table`` under the signature and, with a stall
+        window over ``now`` or ahead of it, into ``cross`` under the signature
+        and the stall term as well.  A recurrence in ``table`` jumps within the
+        gap before the next window, one in ``cross`` across windows (see the
+        class)."""
+        bus, now, table, cross = self.bus, self.sim.now, self.table, self.cross
+        for books in (table, cross):
+            if len(books) >= self.TABLE_LIMIT:
+                books.clear()
         dev, cap = self.device, self.cap
         ctl, host = dev.controller, dev.kernel_host
         ck, hk = ctl.key, host.key
@@ -394,16 +420,11 @@ class SteadyState:
         asleep = hk is None and terms[1] < 0
         if not asleep:
             self.stirred = now
-        phase = (None if ctl.mode is Mode.IDLE else now % self.cfg_period,
-                 None if asleep else terms[0])
-        room = bus.next_stalled(now) - now
-        if room != FOREVER:
-            seen, table[phase] = table.get(phase), now
-            if seen is None or 2 * (now - seen) >= room:
-                return
         job = ctl._job
         up, down, rd, wr = self.engines
-        sig = (*phase, dev.down_buf.occupancy, dev.up_buf.occupancy, dev.smap_buf.occupancy,
+        sig = (None if ctl.mode is Mode.IDLE else now % self.cfg_period,
+               None if asleep else terms[0],
+               dev.down_buf.occupancy, dev.up_buf.occupancy, dev.smap_buf.occupancy,
                up.request and up.request.total_bytes, min(up.addr.bytes_remaining, cap),
                down.request and down.request.total_bytes, min(down.addr.bytes_remaining, cap),
                rd.request and rd.request.total_bytes, min(rd.addr.bytes_remaining, cap),
@@ -415,20 +436,27 @@ class SteadyState:
                job and min(job.total - job.done, cap), job and min(job.done, bits.HEADER_BYTES),
                ctl.paused and ctl._pause_start - now, ck and hk and ck[1] < hk[1],
                bus._wake_pending, dev.irq.pending)
-        snap = table.get(sig)
-        # The kernel's phase may differ only if it slept at every burst end since.
-        if (snap is not None and (snap[-1] == terms or self.stirred < snap[0])
-                and self._jump(snap, now)):
-            table.clear()
-            return
+        # The stall term: where the window over now or the next one opens, and its length.
+        bounds = bus._stalls
+        i = bisect.bisect_right(bounds, now) & ~1
+        key = (sig, bounds[i] - now, bounds[i + 1] - bounds[i]) if i < len(bounds) else None
+        for books, at in ((table, sig), (cross, key)):
+            snap = books.get(at)
+            # The kernel's phase may differ only if it slept at every burst end since.
+            if (snap is not None and (snap[-1] == terms or self.stirred < snap[0])
+                    and self._jump(snap, now, books is cross)):
+                table.clear()
+                return
         trace = dev.trace
-        table[sig] = (now, bus.busy_ticks, up.addr.next_address, down.addr.next_address,
-                      rd.addr.next_address, wr.addr.next_address, len(ctl.pause_windows),
-                      len(trace.records) if trace else 0, terms)
+        table[sig] = snap = (now, bus.busy_ticks, up.addr.next_address, down.addr.next_address,
+                             rd.addr.next_address, wr.addr.next_address, len(ctl.pause_windows),
+                             len(trace.records) if trace else 0, terms)
+        if key is not None:
+            cross[key] = snap
 
-    def _jump(self, snap, now: int) -> bool:
-        """Move as many whole periods since ``snap`` as the bounds allow;
-        False if none."""
+    def _jump(self, snap, now: int, across: bool) -> bool:
+        """Move as many whole periods since ``snap`` as the bounds allow,
+        ``across`` stall windows if set; False if none."""
         t0, busy, *addrs, windows, records, _terms = snap
         dev, sim, bus = self.device, self.sim, self.bus
         ctl, host = dev.controller, dev.kernel_host
@@ -440,15 +468,22 @@ class SteadyState:
             return False
         period = now - t0
         moved = [e.addr.next_address - a for e, a in zip(self.engines, addrs)]
-        # n + 1 periods from now: each engine's job stays cap bytes from its
-        # end, no stall window meets [t0, now + (n + 1) * period], the
-        # horizon holds.
+        # n periods from now: each engine's job stays cap bytes or more from
+        # its end, the horizon holds and ...
         fits = [(e.addr.bytes_remaining - (e.txn.transferred_bytes if e.txn else 0) - self.cap) // d
                 for e, d in zip(self.engines, moved) if d]
-        for limit in (bus.next_stalled(t0) - 1, sim.horizon):
-            if limit != FOREVER:
-                fits.append((limit - now) // period)
-        n = min(fits, default=0) - 1
+        if sim.horizon != FOREVER:
+            fits.append((sim.horizon - now) // period)
+        if across:
+            # ... the windows over [t0, now + (n + 1) * period) repeat those of [t0, now).
+            end = now + (min(fits) + 1) * period if fits else FOREVER
+            fits.append((bus.stalls_repeat(t0, now, end) - now) // period - 1)
+        else:
+            # ... no window meets [t0, now + n * period].
+            stalled = bus.next_stalled(t0)
+            if stalled != FOREVER:
+                fits.append((stalled - 1 - now) // period)
+        n = min(fits, default=0)
         if n < 1:
             return False
         host.jump(n, period, moved[1], moved[0])
@@ -460,6 +495,8 @@ class SteadyState:
             recs = trace.records[records:]
             trace.records += [TraceRecord(r.time + j * period, r.component, r.event, r.detail)
                               for j in range(1, n + 1) for r in recs]
+        if self.stirred >= t0:      # the kernel's last awake burst end moves with its period
+            self.stirred += n * period
         sim.shift(n * period)
         return True
 
@@ -522,6 +559,7 @@ class Device:
         world.bus.set_master(self._next_transaction)
         self.steady = SteadyState(self)
         world.bus.on_burst_end = self.steady.at_burst_end
+        world.bus.on_stall = self.steady.cross.clear
 
         self.booted = False
         self.boot_report: BootReport | None = None
@@ -557,7 +595,7 @@ class Device:
 
     def host_reg_write(self, index: int, value: int) -> None:
         self._require_booted()
-        self.steady.table.clear()
+        self.steady.clear()
         if index == REG_IRQ_CAUSE:
             self.irq.acknowledge(IrqCause(value & 0x1F))
         elif index == REG_IRQ_MASK:

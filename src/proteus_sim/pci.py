@@ -29,11 +29,14 @@ counts its words; the transaction's ``transferred_bytes`` and the bus's
 
 Stall windows compose as a union: a time is stalled if any window covers
 it.  The bus keeps the union as one sorted list of the bounds of disjoint
-windows, touching ones merged, so that every stall query is one bisection.
+windows, touching ones merged, so that every stall query is one bisection,
+except ``stalls_repeat``, one walk from a bisection.
 
 A burst's end is also where the master may find a steady state and jump
 whole periods of it (``on_burst_end``, ``repeat``; see
-``board.SteadyState``): then the bus's counters grow by whole periods.
+``board.SteadyState``): then the bus's counters grow by whole periods.  A
+jump may cross stall windows only where they repeat (``stalls_repeat``),
+and the master hears of every window added (``on_stall``).
 """
 
 from __future__ import annotations
@@ -170,8 +173,10 @@ class PciBus:
         self._master_fetch = None
         self._wake_pending = False
         self._burst_start = 0
-        # The master's: fn(txn, state) at the top of every burst end.
+        # The master's: fn(txn, state) at the top of every burst end, and fn()
+        # after every window added.
         self.on_burst_end = None
+        self.on_stall = None
 
     # -- stalls --------------------------------------------------------------
 
@@ -187,6 +192,8 @@ class PciBus:
         i = bisect.bisect_left(bounds, start)
         j = bisect.bisect_right(bounds, stop)
         bounds[i:j] = ([] if i & 1 else [start]) + ([] if j & 1 else [stop])
+        if self.on_stall is not None:
+            self.on_stall()
         if self.sim.stream is not None:     # the burst whose words are still moving
             self.sim.stream.cut()
 
@@ -206,6 +213,23 @@ class PciBus:
         if i & 1:
             return t
         return bounds[i] if i < len(bounds) else FOREVER
+
+    def stalls_repeat(self, t0: int, t: int, end):
+        """The first time from ``t`` on at which the stall windows stop
+        repeating those ``t - t0`` earlier, or ``end`` if that comes first:
+        one walk over the bounds from ``t`` on, each compared with the one
+        ``k`` places back, ``k`` the number of bounds in (t0, t]."""
+        bounds, period = self._stalls, t - t0
+        j = bisect.bisect_right(bounds, t)
+        k = j - bisect.bisect_right(bounds, t0)
+        if k & 1:       # stalled at one of t0 and t only
+            return t
+        while True:
+            ahead = bounds[j] if j < len(bounds) else FOREVER
+            shifted = bounds[j - k] + period if j - k < len(bounds) else FOREVER
+            if ahead != shifted or ahead >= end:
+                return min(ahead, shifted, end)
+            j += 1
 
     # -- master hookup ---------------------------------------------------------
 

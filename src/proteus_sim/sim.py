@@ -47,7 +47,10 @@ state relative to ``now``; when one recurs, whole periods are moved at once
 past them, in the same order.  The phase of a clock whose process is
 quiescent (an idle controller, a kernel asleep at every burst end) is left
 out, so a stream recurs with the period of its bursts, not with the
-clocks' common multiple.
+clocks' common multiple.  Under periodic stall windows a job recurs with a
+multiple of their period, and the jump crosses the windows when they repeat
+those of the first period; otherwise it stays within the gap before the
+next one.  Either way it lands on the last burst end its bounds allow.
 """
 
 from __future__ import annotations

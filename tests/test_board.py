@@ -601,6 +601,148 @@ def test_a_stream_paced_by_the_bus_jumps_with_the_period_of_its_bursts():
     assert events < 50
 
 
+US = 1_000_000      # ps
+
+
+def _periodic_stalls(world):
+    """A 10 us stall every 40 us from time 0 to 100 ms, as in the benchmark's
+    scenario mix."""
+    for start in range(0, 100_000, 40):
+        world.bus.inject_stall(start * US, 10 * US)
+
+
+def _with_and_without_jumps(monkeypatch, build, job):
+    """Run ``job`` on the world ``build`` returns, then on a fresh one whose
+    steady state never jumps (``_timed``).  Returns both runs' result,
+    events, figures and the kernel's last awake burst end
+    (``SteadyState.stirred``) after every burst end the run saw, by time."""
+    runs = []
+    for jumps in (True, False):
+        with monkeypatch.context() as mp:
+            if not jumps:
+                mp.setattr(SteadyState, "_jump", lambda self, *args: False)
+            world = build()
+            steady, stirred = world.device.steady, {}
+
+            def at_burst_end(txn, state, take=steady.at_burst_end):
+                take(txn, state)
+                stirred[world.sim.now] = steady.stirred
+            world.bus.on_burst_end = at_burst_end
+            runs.append((*_timed(world, lambda: job(world)), stirred))
+    return runs
+
+
+def test_a_stream_under_periodic_stalls_jumps_across_the_windows(monkeypatch):
+    """Under a 10 us stall every 40 us, a 1 MiB identity round trip recurs
+    every ten stall periods and jumps across the windows: fewer than 300
+    events, where burst by burst it takes 6,422.  Its output and figures
+    are those of a run without jumps, and so is the kernel's last awake burst
+    end at every burst end it sees: a jump moves it on with the period when
+    it lies in the jumped one."""
+    def build():
+        world = booted_world()
+        world.device.registry.bind(0x21, "identity")
+        world.reconfigure(partial_image(kernel_id=0x21))
+        _periodic_stalls(world)
+        return world
+
+    data = random.Random(2).randbytes(1 << 20)
+    jumped, walked = _with_and_without_jumps(monkeypatch, build, lambda world: world.stream(data))
+    assert jumped[0] == walked[0] == data
+    assert jumped[2] == walked[2] == (22_135_767_853, 16_639_013_664, 524_288)
+    assert jumped[1] < 300 and walked[1] == 6_422
+    assert {t: walked[3][t] for t in jumped[3]} == jumped[3]
+
+
+def test_a_reconfiguration_under_periodic_stalls_jumps_across_the_windows(monkeypatch):
+    """Under a 10 us stall every 40 us, a 1 MiB reconfiguration on 130x128x64
+    jumps across the windows: fewer than 100 events, where burst by burst it
+    takes 4,321.  Its result, the configuration memory and its figures are
+    those of a run without jumps."""
+    g = bits.DeviceGeometry(130, 128, 64, 128)
+    payload = random.Random(1).randbytes(128 * g.column_bytes)
+    image = bits.encode(g, bits.BitstreamKind.PARTIAL, 0x5A, 0, payload)
+
+    def build():
+        world = World(BoardConfig(geometry=g))
+        assert world.boot(bits.encode(g, bits.BitstreamKind.FULL, 0, 0, bytes(g.total_bytes))).ok
+        _periodic_stalls(world)
+        return world
+
+    jumped, walked = _with_and_without_jumps(
+        monkeypatch, build,
+        lambda world: (world.reconfigure(image), world.device.config_mem.snapshot()))
+    assert jumped[0] == walked[0]
+    assert jumped[2] == walked[2] == (21_599_780_000, 8_336_688_633, 262_151)
+    assert jumped[1] < 100 and walked[1] == 4_321
+
+
+def test_cross_window_snapshots_outlive_the_jumps_within_a_gap(monkeypatch):
+    """An 8 KiB reconfiguration and its readback over the benchmark's
+    scenario-mix bus (64-word bursts, grant latency 8) under a 10 us stall
+    every 40 us jump within each gap and across the windows: a cross-window
+    match needs the snapshot taken a stall period earlier, before the last
+    jump within the gap, so a jump clears only the table of the gap's own
+    matches.  Fewer than 70 events (98 if a jump cleared both tables); the
+    results and figures are those of a run without jumps."""
+    def build():
+        world = World(BoardConfig(pci=PciConfig(grant_latency_cycles=8, max_burst_cycles=64)))
+        assert world.boot(full_flash()).ok
+        _periodic_stalls(world)
+        return world
+
+    def job(world):
+        return world.reconfigure(partial_image(kernel_id=0x5A)), world.readback(0, 4)
+
+    jumped, walked = _with_and_without_jumps(monkeypatch, build, job)
+    assert jumped[0] == walked[0]
+    assert jumped[2] == walked[2]
+    assert jumped[1] < 70 < walked[1]
+
+
+def test_new_windows_and_register_writes_clear_the_cross_window_table():
+    """A window added at a stop may open before it, in periods already run,
+    and a register write may start a one-time action: each clears the
+    cross-window snapshots."""
+    world = booted_world()
+    world.device.registry.bind(0x21, "identity")
+    world.reconfigure(partial_image(kernel_id=0x21))
+    _periodic_stalls(world)
+    steady, sim = world.device.steady, world.sim
+    data = random.Random(3).randbytes(1 << 16)
+    _in_base, out_base = world.start_stream(data)
+    sim.run_until(sim.now + 100 * US)
+    assert steady.cross
+    world.bus.inject_stall(sim.now - 5 * US, US)
+    assert not steady.cross
+    sim.run_until(sim.now + 100 * US)
+    assert steady.cross
+    world.device.host_reg_write(REG_IRQ_MASK, world.device.host_reg_read(REG_IRQ_MASK))
+    assert not steady.cross and not steady.table
+    world.wait(IrqCause.DOWNSTREAM_DONE)
+    world.wait(IrqCause.UPSTREAM_DONE)
+    assert world.host.read(out_base, len(data)) == data
+
+
+def test_each_table_starts_afresh_at_its_limit(monkeypatch):
+    """Each table starts afresh once it holds ``TABLE_LIMIT`` snapshots, so
+    that memory stays bounded, and the stream still comes out whole."""
+    monkeypatch.setattr(SteadyState, "TABLE_LIMIT", 16)
+    world = booted_world()
+    world.device.registry.bind(0x21, "identity")
+    world.reconfigure(partial_image(kernel_id=0x21))
+    _periodic_stalls(world)
+    steady, sizes = world.device.steady, set()
+
+    def at_burst_end(txn, state, take=steady.at_burst_end):
+        take(txn, state)
+        sizes.add((len(steady.table), len(steady.cross)))
+    world.bus.on_burst_end = at_burst_end
+    data = random.Random(4).randbytes(1 << 18)
+    assert world.stream(data) == data
+    assert max(t for t, _c in sizes) <= 16 and max(c for _t, c in sizes) == 16
+
+
 MiB = 1 << 20
 
 

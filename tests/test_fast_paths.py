@@ -16,12 +16,12 @@ from proteus_sim.board import DmaEngine, SteadyState
 from proteus_sim.kernels import KernelHost
 from proteus_sim.selectmap import SelectMapController
 
-# A pair of runs takes about 0.01 s for register and poker worlds, at most
-# 0.35 s for stretch, stream, quiet and tie worlds, at most 1.2 s for a phase
-# world, and 0.1 to 4 s for a period world; so period worlds are drawn half as
-# often as each other family.
+# A pair of runs takes about 0.01 s for register, poker and nested worlds, at
+# most 0.35 s for stretch, stream, quiet and tie worlds, at most 0.5 s for a
+# stallper world, at most 1.2 s for a phase world, and 0.1 to 4 s for a period
+# world; so period worlds are drawn half as often as each other family.
 CHEAP = [tw._spec, tw._poker_spec, tw._stretch_spec, tw._stream_spec, tw._quiet_spec,
-         tw._tie_spec, tw._phase_spec]
+         tw._tie_spec, tw._phase_spec, tw._nested_spec, tw._stallper_spec]
 FAMILIES = CHEAP * 2 + [tw._period_spec]
 
 
@@ -44,6 +44,11 @@ def run_per_word(spec: dict) -> dict:
 # the kernel was awake, or if an awake kernel's phase leaves the signature.
 @example(family=tw._stream_spec, index=912475478)
 @example(family=tw._tie_spec, index=511224473)
+# Jumps across stall windows; differs without the check that the windows
+# repeat, with that check a period shorter (which leaves out the lattice point
+# of the burst end a jump lands on), or if a window added at a stop, opening
+# before it, leaves the cross-window snapshots in place.
+@example(family=tw._stallper_spec, index=10235)
 def test_fast_paths_match_the_per_word_paths(family, index):
     spec = family(index)
     assert tw.run_register_world(spec) == run_per_word(spec)

@@ -355,6 +355,42 @@ def test_first_stalled_matches_a_lattice_scan(windows, period, first, count):
         assert bus._first_stalled(t, count) == (stalled[0] if stalled else count)
 
 
+@given(data=st.data())
+def test_stalls_repeat_matches_a_scan(data):
+    """``stalls_repeat`` finds the first picosecond at which the windows stop
+    repeating those a whole number of periods earlier, as a scan does:
+    periodic windows, one of them a picosecond off, lengthened, left out or
+    with a window nested in it, and a window anywhere besides."""
+    period = data.draw(st.integers(5, 60), "period")
+    pattern = data.draw(st.lists(st.tuples(st.integers(0, period - 1), st.integers(1, period)),
+                                 min_size=1, max_size=3), "pattern")
+    windows = [(s + k * period, d) for k in range(data.draw(st.integers(1, 8), "repeats"))
+               for s, d in pattern]
+    i = data.draw(st.integers(0, len(windows) - 1), "changed")
+    s, d = windows[i]
+    change = data.draw(st.sampled_from(["", "early", "late", "longer", "out", "nested", "other"]))
+    if change in ("early", "late", "longer"):
+        windows[i] = (s + (change == "late") - (change == "early" and s > 0),
+                      d + (change == "longer"))
+    elif change == "out":
+        del windows[i]
+    elif change == "nested" and d > 2:
+        windows.append((s + 1, d - 2))
+    elif change == "other":
+        windows.append(data.draw(st.tuples(st.integers(0, 500), st.integers(1, 50)), "other"))
+    bus = PciBus(Simulator(), HostMemory())
+    for start, dur in windows:
+        bus.inject_stall(start, dur)
+    t0 = data.draw(st.integers(0, 200), "t0")
+    shift = period * data.draw(st.integers(1, 2), "periods")
+    end = data.draw(st.integers(t0 + shift, 700), "end")
+
+    def stalled(t):
+        return any(s <= t < s + d for s, d in windows)
+    want = next((t for t in range(t0 + shift, end) if stalled(t) != stalled(t - shift)), end)
+    assert bus.stalls_repeat(t0, t0 + shift, end) == want
+
+
 @pytest.mark.parametrize("order", [[(0, 100), (10, 10)], [(10, 10), (0, 100)]],
                          ids=["outer-first", "nested-first"])
 def test_a_nested_window_ends_no_stall(order):

@@ -44,7 +44,12 @@ writes are placed from a closed-form estimate of each job's span.  The
 ``nested-*`` worlds, compared by ``--diff`` only, stop each job inside a
 long stall window and add windows nested in it at the stop, so that a word
 the long window covers moves only if the bus lets a nested window end the
-stall early.
+stall early.  The ``stallper-*`` worlds, compared by ``--diff`` only, run
+long jobs under periodic stall windows, so that the steady state recurs
+across the windows and jumps over them; a window a picosecond off the
+pattern, windows nested in one, and a stop that adds the rest of the
+windows, the first opening before the stop, test where such a jump must
+stop or must not be taken.
 
 ``run_register_world`` and ``run_scenario_world`` return everything the
 timing contract covers: the time of every done interrupt, the interrupt
@@ -84,13 +89,13 @@ entry.
 runs the register and poker worlds beyond the grid (indices up to
 ``DIFF_WORLDS``), the stream worlds beyond it (up to
 ``DIFF_STREAM_WORLDS``), the quiet worlds, the tie worlds, the period
-worlds beyond the grid (up to ``DIFF_PERIOD_WORLDS``), the phase worlds
-and the nested worlds on this tree and, in a subprocess, on the other one,
-and prints the names of the worlds
-whose results differ (exit status 1 if any).  The other tree may be the
-per-word engine of the first commit, a standing oracle, patched with every
-deliberate timing change made since: ``tests/oracle`` holds one patch per
-change, each applied in name order::
+worlds beyond the grid (up to ``DIFF_PERIOD_WORLDS``), the phase worlds,
+the nested worlds and the stallper worlds on this tree and, in a
+subprocess, on the other one, and prints the names of the worlds whose
+results differ (exit status 1 if any) and how many differ in each family.
+The other tree may be the per-word engine of the first commit, a standing
+oracle, patched with every deliberate timing change made since:
+``tests/oracle`` holds one patch per change, each applied in name order::
 
     git archive a5bf018 src | tar -x -C <dir>
     for p in tests/oracle/*.patch; do patch -p1 -d <dir> < "$p"; done
@@ -117,6 +122,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -161,7 +167,8 @@ STREAM_WORLDS = 48
 # here, stream worlds up to ``DIFF_STREAM_WORLDS``, quiet worlds up to
 # ``DIFF_QUIET_WORLDS``, tie worlds up to ``DIFF_TIE_WORLDS``, period
 # worlds up to ``DIFF_PERIOD_WORLDS``, phase worlds up to
-# ``DIFF_PHASE_WORLDS`` and nested worlds up to ``DIFF_NESTED_WORLDS``.
+# ``DIFF_PHASE_WORLDS``, nested worlds up to ``DIFF_NESTED_WORLDS`` and
+# stallper worlds up to ``DIFF_STALLPER_WORLDS``.
 DIFF_WORLDS = 1500
 DIFF_STREAM_WORLDS = 400
 
@@ -228,6 +235,7 @@ PERIOD_WORLDS = 24
 DIFF_PERIOD_WORLDS = 174
 DIFF_PHASE_WORLDS = 150
 DIFF_NESTED_WORLDS = 300
+DIFF_STALLPER_WORLDS = 300
 BURSTS = [1, 2, 3, 4, 5, 7, 16, 64, 256, 4096]
 CAPACITIES = [2, 4, 5, 8, 16, 64, 256]
 KERNELS = {0x21: "identity", 0x22: "negate", 0x23: "add_const", 0x24: "fir4", 0x25: "poker"}
@@ -712,6 +720,70 @@ def _nested_spec(index: int) -> dict:
     return spec
 
 
+def _stallper_spec(index: int) -> dict:
+    """Long reconfigurations, readbacks and streams under periodic stall
+    windows, so that the board's state recurs once every window period or
+    every few of them and jumps across the windows.  The period is a whole
+    number of bus periods, or that and up to one more, so that the windows
+    are commensurate with the clocks or not; the first one opens on the bus
+    lattice or one picosecond off it.  Some worlds shift or lengthen one
+    window by a picosecond, so that the windows stop repeating there, and
+    some nest windows in a periodic one.  A mid-run stop may add the rest of
+    the windows: the first of them opens before the stop, so the bus sees it
+    only from the stop on.  Windows and stops are placed from ``_span``'s
+    estimate, not from a run."""
+    rng = random.Random(f"stallper-world-{index}")
+    p = rng.choice([30303, 30000, 24000])
+    user = rng.choice([p // 2, p, 2 * p, _coprime(p, rng.choice([0.7, 1.3]))])
+    cfg = rng.choice([p // 4, p // 2, 20000, _coprime(p, 0.3)])
+    kernel = rng.choice([0x21, 0x23, 0x24, 0x26])
+    cap = rng.choice([8, 16, 32, 64])
+    low = rng.randint(1, cap)
+    grant = rng.randint(0, 8)
+    spec = {"periods": [p, user, cfg], "grant": grant, "burst": rng.choice([4, 16, 64, 4096]),
+            "capacity": cap, "fill_low": low,
+            "fill_high": low if rng.random() < 0.2 else rng.randint(low, cap),
+            "geometry": [20, 8, 64, 16], "boot_byte_period": 7,
+            "jobs": [{"kind": "reconfig", "stalls": [], "first": 0, "columns": 1, "seed": index,
+                      "kernel_id": kernel}]}
+    for _ in range(rng.randint(1, 2)):
+        kind = "stream" if kernel == 0x26 else rng.choice(
+            ["stream", "reconfig", "readback", "stream+reconfig", "stream+readback"])
+        job = {"kind": kind, "seed": rng.randint(0, 999), "down_only": kernel == 0x26}
+        if "stream" in kind:
+            job["words"] = rng.randint(1024, 4096)
+        if "reconfig" in kind:
+            job.update(kernel_id=kernel, first=0, columns=rng.randint(4, 12))
+        if "readback" in kind:
+            job.update(rb_first=rng.randint(0, 4), rb_count=rng.randint(4, 12))
+        period = rng.choice([24, 40, 64, 100]) * p + rng.choice([0, 0, 1, rng.randint(2, p)])
+        length = max(rng.choice([1, p, 3 * p, period // 4, period // 2]) + rng.choice([0, 1, -1]),
+                     1)
+        first = (grant + rng.randint(0, 20)) * p + rng.choice([0, 0, 1, -1])
+        count = 3 * _span(spec, job) // period + 2
+        windows = [[first + k * period, length] for k in range(count)]
+        if rng.random() < 0.3:      # one window a picosecond off the pattern
+            k = rng.randrange(count)
+            windows[k] = ([windows[k][0] + rng.choice([1, -1]), length]
+                          if rng.random() < 0.5 else [windows[k][0], length + 1])
+        if rng.random() < 0.3 and length > 2:       # nested in one periodic window
+            start = rng.choice(windows)[0]
+            for _ in range(rng.randint(1, 3)):
+                lo = rng.randint(1, length - 2)
+                windows.append([start + lo, rng.randint(1, length - lo - 1)])
+        job["stalls"] = windows
+        if rng.random() < 0.6:
+            # Stop inside window m, left out at job start, and add it and the rest.
+            m = rng.randint(1, count // 2)
+            at = windows[m][0] + rng.randint(1, max(length - 1, 1))
+            job["stalls"] = windows[:m]
+            job["midrun"] = [at, [[s - at, d] for s, d in windows[m:]]]
+            if rng.random() < 0.3:
+                job["midrun"].append(rng.randrange(2**32))
+        spec["jobs"].append(job)
+    return spec
+
+
 def _stalls(rng: random.Random, pci: int, grant: int) -> list[list[int]]:
     """Stall windows as (offset from job start, duration) pairs."""
     out = []
@@ -924,9 +996,9 @@ def extra_worlds():
     ``DIFF_STREAM_WORLDS``, the quiet worlds up to ``DIFF_QUIET_WORLDS``,
     the tie worlds up to ``DIFF_TIE_WORLDS``, with ``TIE_UPFULL_WORLDS``,
     the period worlds up to ``DIFF_PERIOD_WORLDS``, the phase worlds up to
-    ``DIFF_PHASE_WORLDS`` and the nested worlds up to
-    ``DIFF_NESTED_WORLDS``: not pinned by golden data, compared between two
-    source trees by ``--diff``."""
+    ``DIFF_PHASE_WORLDS``, the nested worlds up to ``DIFF_NESTED_WORLDS``
+    and the stallper worlds up to ``DIFF_STALLPER_WORLDS``: not pinned by
+    golden data, compared between two source trees by ``--diff``."""
     worlds = [(f"registers-{i}", lambda i=i: run_register_world(_spec(i)))
               for i in range(REGISTER_WORLDS, DIFF_WORLDS)]
     worlds += [(f"poker-{i}", lambda i=i: run_register_world(_poker_spec(i)))
@@ -945,6 +1017,8 @@ def extra_worlds():
                for i in range(DIFF_PHASE_WORLDS)]
     worlds += [(f"nested-{i}", lambda i=i: run_register_world(_nested_spec(i)))
                for i in range(DIFF_NESTED_WORLDS)]
+    worlds += [(f"stallper-{i}", lambda i=i: run_register_world(_stallper_spec(i)))
+               for i in range(DIFF_STALLPER_WORLDS)]
     return worlds
 
 
@@ -963,7 +1037,8 @@ def world_hashes() -> dict:
 
 def diff(other_src: str) -> int:
     """Compare the extra worlds on this tree with those on ``other_src``;
-    print the names that differ, 1 if any does."""
+    print the names that differ and their count in each family, 1 if any
+    does."""
     env = dict(os.environ, PYTHONPATH=other_src)
     child = subprocess.Popen([sys.executable, __file__, "--hashes"], env=env,
                              stdout=subprocess.PIPE, text=True)
@@ -976,6 +1051,10 @@ def diff(other_src: str) -> int:
     differ = [name for name in mine if theirs.get(name) != mine[name]]
     for name in differ:
         print(name)
+    families = Counter(name.rsplit("-", 1)[0] for name in mine)
+    moved = Counter(name.rsplit("-", 1)[0] for name in differ)
+    print(", ".join(f"{family} {moved[family]} of {n}" for family, n in families.items()),
+          file=sys.stderr)
     print(f"{len(differ)} of {len(mine)} worlds differ from {other_src}", file=sys.stderr)
     return 1 if differ else 0
 
