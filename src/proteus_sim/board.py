@@ -155,7 +155,7 @@ class DmaEngine:
 
     @property
     def busy(self) -> bool:
-        return self.addr.active or self.request is not None or self.txn is not None
+        return self.addr.bytes_remaining > 0 or self.request is not None or self.txn is not None
 
     def band(self) -> tuple[int, int]:
         """The buffer occupancies (lo, hi), both included, at which a word
@@ -230,7 +230,7 @@ class DmaEngine:
         if txn.state is TxnState.PREEMPTED:
             self.request = busmaster_resume(self.addr, self.target, txn, self.buffer,
                                             self.device.max_burst_bytes)
-        elif self.addr.active:
+        elif self.addr.bytes_remaining > 0:
             self.device.evaluate(self.target)
         else:
             self.finished_at = self.device.sim.now
@@ -294,16 +294,19 @@ class SteadyState:
     process's next point and the order of their slots, the kernel host's
     last edge while it can still matter, the controller's mode, pause,
     remaining bytes and whether its payload has begun (the time of its first
-    byte is taken once), the pending stall wake and the pending interrupts.
-    A snapshot holds the time, the bus's busy time, the engines' addresses,
-    the controller's pause windows, the trace records and the kernel's exact
-    phase and last edge.  ``table`` maps each signature to the last snapshot
-    that had it.  ``cross`` maps each signature and *stall term* (where the
-    stall window over ``now``, or the next one, opens relative to ``now``,
-    and its length) to the last snapshot that had both.  The rest of a
-    period follows from these: the controller moves what its engine moves,
-    as the buffer's occupancy is in the signature, and the bus moves the
-    words of all four engines, as a recurring period holds only full words.
+    byte is taken once), and the pending interrupts.  A snapshot holds the
+    time, the bus's busy time, the engines' addresses, the controller's pause
+    windows, the trace records and the kernel's exact phase and last edge.
+    ``table`` maps each signature to the last snapshot that had it.
+    ``cross`` maps each signature and *stall term* (where the stall window
+    over ``now``, or the next one, opens relative to ``now``, and its length)
+    to the last snapshot that had both.  Both are keyed by the signature's
+    hash, taken once per burst end, and hold the signature with the
+    snapshot: another signature with the same hash only loses a match.  The
+    rest of a period follows from these: the controller moves what its
+    engine moves, as the buffer's occupancy is in the signature, and the bus
+    moves the words of all four engines, as a recurring period holds only
+    full words.
 
     When a signature recurs at ``now`` from ``t0``, what follows ``now``
     repeats what followed ``t0`` for as long as the stall windows do, as
@@ -325,11 +328,10 @@ class SteadyState:
     ``now``'s was, which decides how the burst ending there was cut: the
     gap's bound includes it, and the cross check covers it with a whole
     period to spare.  ``_jump`` refuses if the kernel is neither inert nor
-    in map form, or if anything but the processes' slots is queued (a stall
-    wake is never pending at a burst end: the bus schedules one only while
-    idle, for the picosecond its window ends).  No period raises an
-    interrupt: a job's end changes its engine's remaining bytes or the
-    controller's mode, and only kernels without the map form request one.
+    in map form, or if anything but the processes' slots is queued, a stall
+    wake included.  No period raises an interrupt: a job's end changes its
+    engine's remaining bytes or the controller's mode, and only kernels
+    without the map form request one.
 
     Both tables are cleared on every register write
     (``Device.host_reg_write``, through which every job starts), so that no
@@ -435,24 +437,29 @@ class SteadyState:
                ctl.mode is Mode.CONFIGURING, ctl.paused, ck and ck[0] - now,
                job and min(job.total - job.done, cap), job and min(job.done, bits.HEADER_BYTES),
                ctl.paused and ctl._pause_start - now, ck and hk and ck[1] < hk[1],
-               bus._wake_pending, dev.irq.pending)
+               dev.irq.pending)
+        h = hash(sig)
         # The stall term: where the window over now or the next one opens, and its length.
         bounds = bus._stalls
         i = bisect.bisect_right(bounds, now) & ~1
-        key = (sig, bounds[i] - now, bounds[i + 1] - bounds[i]) if i < len(bounds) else None
-        for books, at in ((table, sig), (cross, key)):
-            snap = books.get(at)
+        key = (h, bounds[i] - now, bounds[i + 1] - bounds[i]) if i < len(bounds) else None
+        for books, at in ((table, h), (cross, key)):
+            entry = books.get(at)
+            if entry is None or entry[0] != sig:
+                continue
+            snap = entry[1]
             # The kernel's phase may differ only if it slept at every burst end since.
-            if (snap is not None and (snap[-1] == terms or self.stirred < snap[0])
+            if ((snap[-1] == terms or self.stirred < snap[0])
                     and self._jump(snap, now, books is cross)):
                 table.clear()
                 return
         trace = dev.trace
-        table[sig] = snap = (now, bus.busy_ticks, up.addr.next_address, down.addr.next_address,
-                             rd.addr.next_address, wr.addr.next_address, len(ctl.pause_windows),
-                             len(trace.records) if trace else 0, terms)
+        table[h] = entry = (sig, (now, bus.busy_ticks, up.addr.next_address,
+                                  down.addr.next_address, rd.addr.next_address,
+                                  wr.addr.next_address, len(ctl.pause_windows),
+                                  len(trace.records) if trace else 0, terms))
         if key is not None:
-            cross[key] = snap
+            cross[key] = entry
 
     def _jump(self, snap, now: int, across: bool) -> bool:
         """Move as many whole periods since ``snap`` as the bounds allow,
@@ -493,8 +500,8 @@ class SteadyState:
         trace = dev.trace
         if trace:
             recs = trace.records[records:]
-            trace.records += [TraceRecord(r.time + j * period, r.component, r.event, r.detail)
-                              for j in range(1, n + 1) for r in recs]
+            trace.records += [TraceRecord(t + j * period, c, e, d)
+                              for j in range(1, n + 1) for t, c, e, d in recs]
         if self.stirred >= t0:      # the kernel's last awake burst end moves with its period
             self.stirred += n * period
         sim.shift(n * period)
@@ -511,6 +518,7 @@ class Device:
         trace = world.trace
         self.config = cfg
         self.trace = trace
+        self.max_burst_bytes = cfg.pci.max_burst_cycles * 4
 
         self.cfg_clk = ClockDomain("cfg", cfg.cfg_clock_period)
         self.user_clk = ClockDomain("user", cfg.user_clock_period)
@@ -687,14 +695,10 @@ class Device:
 
     # -- busmaster plumbing ------------------------------------------------------
 
-    @property
-    def max_burst_bytes(self) -> int:
-        return self.config.pci.max_burst_cycles * 4
-
     def evaluate(self, target: TargetId) -> None:
         """Re-run the fill-status trigger for one target's control section."""
         engine = self.engines[target]
-        if engine.txn is None and engine.request is None and engine.addr.active:
+        if engine.txn is None and engine.request is None and engine.addr.bytes_remaining > 0:
             req = on_fill_status(target, engine.buffer, engine.addr, self.max_burst_bytes)
             if req is not None:
                 engine.request = req

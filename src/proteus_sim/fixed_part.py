@@ -71,6 +71,13 @@ class ArbiterState:
     last_granted: TargetId | None = None
 
 
+# The order in which targets are tried, for each last grant: the fixed
+# cyclic order from just after it.
+_ROTATION = {None: ARBITRATION_ORDER}
+_ROTATION.update((t, ARBITRATION_ORDER[i + 1:] + ARBITRATION_ORDER[:i + 1])
+                 for i, t in enumerate(ARBITRATION_ORDER))
+
+
 def arbitrate(state: ArbiterState, pending) -> TargetId:
     """Pick the next bus user among pending targets.
 
@@ -78,15 +85,11 @@ def arbitrate(state: ArbiterState, pending) -> TargetId:
     so the last-granted target comes last: it never wins twice in a row
     while other requests are pending.
     """
-    if not pending:
-        raise ValueError("arbitrate requires at least one pending target")
-    start = 0 if state.last_granted is None else ARBITRATION_ORDER.index(state.last_granted) + 1
-    for i in range(len(ARBITRATION_ORDER)):
-        candidate = ARBITRATION_ORDER[(start + i) % len(ARBITRATION_ORDER)]
+    for candidate in _ROTATION[state.last_granted]:
         if candidate in pending:
             state.last_granted = candidate
             return candidate
-    raise AssertionError("unreachable")
+    raise ValueError("arbitrate requires at least one pending target")
 
 
 class StreamBuffer:
@@ -94,7 +97,8 @@ class StreamBuffer:
 
     Port discipline (one word per cycle per side) is owned by the callers;
     the buffer enforces capacity and FIFO order and notifies listeners on
-    every enqueue/dequeue so fill-status logic can react.
+    every enqueue/dequeue so fill-status logic can react.  ``occupancy``,
+    the words held, is kept up to date by every move.
     """
 
     def __init__(self, capacity: int = 256, fill_low: int = 64, fill_high: int = 192,
@@ -105,17 +109,14 @@ class StreamBuffer:
         self.fill_low = fill_low
         self.fill_high = fill_high
         self.name = name
+        self.occupancy = 0
         self._data = bytearray()    # 4 little-endian bytes per word, oldest first
         self._enqueue_listeners: list = []
         self._dequeue_listeners: list = []
 
     @property
-    def occupancy(self) -> int:
-        return len(self._data) >> 2
-
-    @property
     def free_words(self) -> int:
-        return self.capacity - (len(self._data) >> 2)
+        return self.capacity - self.occupancy
 
     def on_enqueue(self, fn) -> None:
         self._enqueue_listeners.append(fn)
@@ -124,10 +125,10 @@ class StreamBuffer:
         self._dequeue_listeners.append(fn)
 
     def push(self, word: int) -> None:
-        data = self._data
-        if len(data) >= 4 * self.capacity:
+        if self.occupancy >= self.capacity:
             raise BufferOverflow(f"{self.name or 'buffer'} full at {self.capacity} words")
-        data += _WORD.pack(word & 0xFFFFFFFF)
+        self._data += _WORD.pack(word & 0xFFFFFFFF)
+        self.occupancy += 1
         for fn in self._enqueue_listeners:
             fn()
 
@@ -137,6 +138,7 @@ class StreamBuffer:
             raise BufferUnderflow(f"{self.name or 'buffer'} empty")
         word = _WORD.unpack_from(data)[0]
         del data[:4]
+        self.occupancy -= 1
         for fn in self._dequeue_listeners:
             fn()
         return word
@@ -165,6 +167,7 @@ class StreamBuffer:
             out = b"".join((buf, data[:k]))
             del buf[:]
             buf += data[k:]
+        self.occupancy = len(buf) >> 2
         return out
 
 
@@ -185,10 +188,6 @@ class DmaAddressState:
         self.next_address += nbytes
         self.bytes_remaining -= nbytes
 
-    @property
-    def active(self) -> bool:
-        return self.bytes_remaining > 0
-
 
 def on_fill_status(target: TargetId, buffer: StreamBuffer, addr: DmaAddressState,
                    max_burst_bytes: int) -> BusTransaction | None:
@@ -199,7 +198,7 @@ def on_fill_status(target: TargetId, buffer: StreamBuffer, addr: DmaAddressState
     host-bound targets drain once it reaches the high mark, or flush the
     tail when the whole remainder of the job is already buffered.
     """
-    if not addr.active:
+    if addr.bytes_remaining <= 0:
         return None
     if target in HOST_BOUND:
         occ = buffer.occupancy
@@ -224,7 +223,7 @@ def quiet_band(target: TargetId, buffer: StreamBuffer, addr: DmaAddressState) ->
     for a device-bound target and upwards for a host-bound one, gives a
     request.
     """
-    if not addr.active:
+    if addr.bytes_remaining <= 0:
         return 0, buffer.capacity
     if target in HOST_BOUND:
         return 0, min(buffer.fill_high, -(-addr.bytes_remaining // 4)) - 1

@@ -142,7 +142,7 @@ class TxnState(Enum):
     DONE = "done"
 
 
-@dataclass
+@dataclass(slots=True)
 class BusTransaction:
     master_id: str
     direction: Direction

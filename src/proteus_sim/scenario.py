@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal
 from pathlib import Path
 
 
@@ -126,17 +125,23 @@ class Scenario:
 
 
 _TIME_SCALE = {"ns": 1_000, "us": 1_000_000, "ms": 1_000_000_000}
+_TIME = re.compile(r"(\d+)(?:\.(\d+))?(ns|us|ms)")
 
 
 def parse_time(text: str) -> int:
-    """'100us' -> picoseconds; exact conversion or ValueError."""
-    m = re.fullmatch(r"(\d+(?:\.\d+)?)(ns|us|ms)", text)
+    """'100us' -> picoseconds; exact conversion or ValueError.  A number
+    with d fraction digits is its digits times 10**-d, in integers, so the
+    conversion is exact at any length."""
+    m = _TIME.fullmatch(text)
     if not m:
         raise ValueError(f"expected <number><ns|us|ms>, got {text!r}")
-    ps = Decimal(m.group(1)) * _TIME_SCALE[m.group(2)]
-    if ps != int(ps):
+    whole, frac, unit = m.groups()
+    if frac is None:
+        return int(whole) * _TIME_SCALE[unit]
+    ps, rest = divmod(int(whole + frac) * _TIME_SCALE[unit], 10 ** len(frac))
+    if rest:
         raise ValueError(f"{text!r} does not land on an integer picosecond")
-    return int(ps)
+    return ps
 
 
 def _uint(text: str) -> int:

@@ -402,7 +402,7 @@ def test_selectmap_quiet_runs_never_meet_the_other_engine_busy(monkeypatch):
         def checked(self, arg, run=getattr(DmaEngine, name)):
             if self.target in other:
                 engine = self.device.engines[other[self.target]]
-                assert not engine.addr.active and engine.request is engine.txn is None
+                assert engine.addr.bytes_remaining <= 0 and engine.request is engine.txn is None
                 runs.append(self.target)
             return run(self, arg)
         monkeypatch.setattr(DmaEngine, name, checked)

@@ -80,6 +80,28 @@ def test_arbitration_properties(pending_seq):
                 assert run < 4, f"{target} starved"
 
 
+def _index_modulo_arbitrate(last, pending):
+    """The grant rule as an index into the fixed order plus a modulo."""
+    start = 0 if last is None else ARBITRATION_ORDER.index(last) + 1
+    for i in range(len(ARBITRATION_ORDER)):
+        candidate = ARBITRATION_ORDER[(start + i) % len(ARBITRATION_ORDER)]
+        if candidate in pending:
+            return candidate
+
+
+def test_arbitrate_matches_the_index_modulo_rule():
+    # Every last grant (none included) against every non-empty pending set.
+    sets = [{t for i, t in enumerate(ARBITRATION_ORDER) if mask >> i & 1}
+            for mask in range(1, 16)]
+    for last in (None, *ARBITRATION_ORDER):
+        for pending in sets:
+            state = ArbiterState(last_granted=last)
+            want = _index_modulo_arbitrate(last, pending)
+            assert arbitrate(state, pending) is want and state.last_granted is want
+        with pytest.raises(ValueError):
+            arbitrate(ArbiterState(last_granted=last), set())
+
+
 def make_addr(base, total):
     addr = DmaAddressState()
     addr.load(base, total)
@@ -152,7 +174,7 @@ def test_fill_status_is_quiet_exactly_inside_the_quiet_band(data):
     if 0 <= edge <= capacity:
         assert not quiet(edge)
     else:
-        assert not addr.active
+        assert addr.bytes_remaining <= 0
 
 
 def words_bytes(words) -> bytes:
@@ -241,26 +263,48 @@ def test_buffer_fifo_order_and_capacity():
         buf.pop()
 
 
-@given(st.lists(st.sampled_from(["push", "pop"]), max_size=100))
+BUFFER_OPS = st.one_of(
+    st.tuples(st.just("push"), st.integers(0, 0xFFFFFFFF)),
+    st.tuples(st.just("pop")),
+    st.tuples(st.just("exchange"), st.lists(st.integers(0, 0xFFFFFFFF), max_size=10),
+              st.integers(0, 10)))
+
+
+@given(st.lists(BUFFER_OPS, max_size=100))
 def test_buffer_occupancy_bounds(ops):
+    # ``occupancy`` is a count each move keeps: after every push, pop and
+    # exchange it is the number of words held, and a move the buffer refuses
+    # leaves it, and the words, as they were.
     buf = StreamBuffer(capacity=8, fill_low=2, fill_high=6)
     model = []
-    for op in ops:
-        if op == "push":
-            if len(model) < 8:
-                buf.push(len(model))
-                model.append(len(model))
-            else:
-                with pytest.raises(BufferOverflow):
-                    buf.push(0)
+    for op, *args in ops:
+        before = buf.occupancy
+        if op == "exchange":
+            words, count = args
+            held = len(model) + len(words)
+            refused = (BufferUnderflow if count > held else
+                       BufferOverflow if held - count > 8 else None)
+            args = (words_bytes(words), count)
         else:
-            if model:
-                assert buf.pop() == model.pop(0) or True
-            else:
-                with pytest.raises(BufferUnderflow):
-                    buf.pop()
-        assert 0 <= buf.occupancy <= 8
-        assert buf.occupancy == len(model)
+            refused = (BufferOverflow if op == "push" and len(model) == 8 else
+                       BufferUnderflow if op == "pop" and not model else None)
+        if refused:
+            with pytest.raises(refused):
+                getattr(buf, op)(*args)
+            assert buf.occupancy == before
+            continue
+        out = getattr(buf, op)(*args)
+        if op == "push":
+            model.append(args[0])
+        elif op == "pop":
+            assert out == model.pop(0)
+        else:
+            model += words
+            assert out == words_bytes(model[:count])
+            del model[:count]
+        assert buf.occupancy == len(model) and buf.free_words == 8 - len(model)
+    assert buf.exchange(b"", len(model)) == words_bytes(model)
+    assert buf.occupancy == 0
 
 
 def test_register_store_load_both_sides():

@@ -1,8 +1,15 @@
 """Supervisor (scenario execution), metrics/trace emission, and CLI tests."""
 
+import csv
+from unittest.mock import patch
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from records import irq_log
 
 from proteus_sim import bitstream as bits
+from proteus_sim import trace
 from proteus_sim.cli import main
 from proteus_sim.runner import emit_metrics, run_scenario
 from proteus_sim.scenario import parse_scenario
@@ -196,6 +203,37 @@ def test_trace_csv_contract(tmp_path):
     assert lines[2] == '5,pci,grant,"detail, with comma"'
     emit_trace([], path)
     assert path.read_text() == "time_ps,component,event,detail\n"
+
+
+# Text heavy in what CSV quotes or may trip on, and any other character.
+FIELD = st.text(st.sampled_from(list(',"\r\n \0aZé€\u2028🙂')) | st.characters(
+    blacklist_categories=("Cs",)), max_size=12)
+TIME = st.sampled_from([0, 2**63 - 1, 2**63, 2**64 + 1]) | st.integers(0, 2**70)
+
+
+@given(st.lists(st.tuples(TIME, FIELD, FIELD, FIELD), max_size=12), st.integers(1, 5))
+@example([(0, "pci", "grant", "")], 1)
+@example([(2**63, "pci", "x", "a,b"), (1, "a", "b", ' "q" '), (2, "c", "d", "x\ry\nz")], 2)
+@example([(1, "c", "e", 'say "hi"'), (2, "c", "e", "a\rb"), (3, "c", "e", "a\nb"),
+          (4, "c", "e", "a, b"), (5, "c,d", "e", ""), (6, "c", "e\n", ""), (7, "c", "e", "\0")], 1)
+def test_trace_csv_matches_a_plain_csv_writer(tmp_path_factory, rows, per_write):
+    # Whichever way a chunk of rows goes out, the file holds the bytes a
+    # plain csv.writer writes, or the same error is raised.
+    work = tmp_path_factory.mktemp("trace")
+    records = [TraceRecord(*row) for row in rows]
+    try:
+        with open(work / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["time_ps", "component", "event", "detail"])
+            for rec in records:
+                writer.writerow([rec.time, rec.component, rec.event, rec.detail])
+    except Exception as exc:      # what csv.writer or the file's encoding refuses
+        with pytest.raises(type(exc)), patch.object(trace, "ROWS_PER_WRITE", per_write):
+            emit_trace(records, work / "got.csv")
+        return
+    with patch.object(trace, "ROWS_PER_WRITE", per_write):
+        emit_trace(records, work / "got.csv")
+    assert (work / "got.csv").read_bytes() == (work / "want.csv").read_bytes()
 
 
 def test_trace_contains_pause_and_resume_rows(tmp_path):

@@ -1,5 +1,7 @@
 """Scenario grammar tests."""
 
+from decimal import Decimal, localcontext
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -127,6 +129,30 @@ def test_time_units_convert_exactly():
         parse_time("0.0001ns")  # sub-picosecond
     with pytest.raises(ValueError):
         parse_time("5s")
+
+
+UNITS_PS = {"ns": 1_000, "us": 1_000_000, "ms": 1_000_000_000}
+
+
+@given(st.text("0123456789", min_size=1, max_size=30), st.text("0123456789", max_size=12),
+       st.sampled_from(sorted(UNITS_PS)))
+@example("007", "", "us")
+@example("1", "5", "ns")
+@example("0", "0005", "ns")
+def test_time_integers_and_fractions_convert_as_decimals(whole, frac, unit):
+    # Whole numbers take the integer path and numbers with a fraction the
+    # other.  Each gives the exact Decimal product, at any length, or refuses
+    # what does not land on a picosecond; trailing zeros change nothing.
+    with localcontext() as ctx:
+        ctx.prec = 100
+        want = Decimal(f"{whole}.{frac or 0}") * UNITS_PS[unit]
+    text = f"{whole}.{frac}{unit}" if frac else f"{whole}{unit}"
+    if want != int(want):
+        with pytest.raises(ValueError, match="integer picosecond"):
+            parse_time(text)
+    else:
+        assert parse_time(text) == int(want) == parse_time(f"{whole}.{frac or 0}000{unit}")
+    assert parse_time(f"{whole}{unit}") == int(whole) * UNITS_PS[unit]
 
 
 def test_geometry_fixed_range_must_be_suffix():

@@ -272,3 +272,37 @@ def test_run_ahead_sleeps_through_stream_items_until_one_wakes_it():
     assert sim.executed == 1
     sim.run_until(30)
     assert log[-2:] == [("item", 21), ("item", 24)]
+
+
+def test_every_executed_event_was_queued_through_schedule_at(monkeypatch):
+    # ``schedule_at`` is the one way into the queue, so wrapping it sees every
+    # event the loop executes (as a per-owner event count does): a board run
+    # with a reconfiguration, a stream, a readback and stall wakes.
+    from proteus_sim import bitstream as bits
+    from proteus_sim.board import BoardConfig, World
+    from proteus_sim.pci import PciConfig
+
+    ran = []
+    schedule_at = Simulator.schedule_at
+
+    def counted_schedule_at(sim, time, action):
+        def counted():
+            ran.append(action.__qualname__)
+            action()
+        return schedule_at(sim, time, counted)
+
+    monkeypatch.setattr(Simulator, "schedule_at", counted_schedule_at)
+    g = bits.DESK_GEOMETRY
+    world = World(BoardConfig(pci=PciConfig(grant_latency_cycles=8, max_burst_cycles=64)))
+    assert world.boot(bits.encode(g, bits.BitstreamKind.FULL, 0, 0, bytes(g.total_bytes))).ok
+    world.device.registry.bind(0x21, "fir4")
+    for k in range(1, 40):      # 10 us every 40 us
+        world.bus.inject_stall(world.sim.now + k * 40_000_000, 10_000_000)
+    payload = bytes(range(256)) * (4 * g.column_bytes // 256)
+    world.reconfigure(bits.encode(g, bits.BitstreamKind.PARTIAL, 0x21, 0, payload))
+    world.stream(bytes(range(256)) * 64)
+    assert bits.parse(world.readback(0, 4)).payload == payload
+    assert len(ran) == world.sim.executed
+    assert {"PciBus._schedule_wake.<locals>.wake", "_Burst._queue_end.<locals>.<lambda>",
+            "KernelHost._run", "SelectMapController._run",
+            "SelectMapController.power_up_boot.<locals>.finish"} <= set(ran)
