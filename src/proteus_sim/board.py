@@ -38,6 +38,8 @@ recurs.  The whole periods that the bounds allow then move at once: the
 engines' addresses and the processes' keys shift, the counters scale, the
 period's trace records and pause windows repeat, and the periods' bytes go
 through the buffers, the map kernel and the configuration image as slices.
+A period so proven is kept and replayed wherever its signature comes back
+until the next register write.
 
 A simulation that can go no further raises ``Deadlock``, naming the busy
 engines, the stream buffers' occupancies and the kernel host's state.
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import bitstream as bits
 from .bitstream import (
@@ -58,6 +61,7 @@ from .bitstream import (
 )
 from .fixed_part import (
     ARBITRATION_ORDER,
+    HOST_BOUND,
     CTRL_START_DOWN,
     CTRL_START_READBACK,
     CTRL_START_RECONFIG,
@@ -278,6 +282,23 @@ class BufferFeed:
         return self.out_of.band()[1]
 
 
+class Period(NamedTuple):
+    """A steady-state period, relative to its start: its length in ps, the
+    bytes each engine moves (in ``SteadyState.engines`` order), the bus's
+    busy ps, the trace records (time, component, event, detail) and the
+    controller's pause windows (start, end), where the kernel was last awake
+    at a burst end (None if it slept at every one), and the kernel's exact
+    phase and last edge at its start."""
+
+    length: int
+    moved: tuple
+    busy: int
+    records: tuple
+    windows: tuple
+    woke: int | None
+    terms: tuple
+
+
 class SteadyState:
     """Finds a steady state at burst ends and jumps whole periods of it, as
     in the cyclicity of max-plus linear systems and the periodic phase of
@@ -288,31 +309,50 @@ class SteadyState:
     signature of everything that decides the board's timing, relative to
     ``now``: the phases of the clocks of the processes that are not
     quiescent (see below), the buffers' occupancies, each engine's
-    waiting request and remaining bytes (at most ``cap``, above which the
-    fill status, flushes, short words and job ends cannot show), the
+    waiting request and remaining bytes (up to its cap, see below), the
     arbiter, the ending transaction (only its engine has one granted), each
     process's next point and the order of their slots, the kernel host's
     last edge while it can still matter, the controller's mode, pause,
-    remaining bytes and whether its payload has begun (the time of its first
-    byte is taken once), and the pending interrupts.  A snapshot holds the
-    time, the bus's busy time, the engines' addresses, the controller's pause
-    windows, the trace records and the kernel's exact phase and last edge.
-    ``table`` maps each signature to the last snapshot that had it.
-    ``cross`` maps each signature and *stall term* (where the stall window
-    over ``now``, or the next one, opens relative to ``now``, and its length)
-    to the last snapshot that had both.  Both are keyed by the signature's
-    hash, taken once per burst end, and hold the signature with the
-    snapshot: another signature with the same hash only loses a match.  The
-    rest of a period follows from these: the controller moves what its
-    engine moves, as the buffer's occupancy is in the signature, and the bus
-    moves the words of all four engines, as a recurring period holds only
-    full words.
+    remaining bytes (up to ``CTL_CAP``) and whether its payload has begun
+    (the time of its first byte is taken once), and the pending interrupts.
+    A snapshot holds the time, the bus's busy time, the engines' addresses,
+    the controller's pause windows, the trace records and the kernel's exact
+    phase and last edge.  ``table`` maps each signature to the last snapshot
+    that had it.  ``cross`` maps each signature and *stall term* (where the
+    stall window over ``now``, or the next one, opens relative to ``now``,
+    and its length) to the last snapshot that had both.  Both are keyed by
+    the signature's hash, taken once per burst end, and hold the signature
+    with the snapshot: another signature with the same hash only loses a
+    match.  The rest of a period follows from these: the controller moves
+    what its engine moves, as the buffer's occupancy is in the signature,
+    and the bus moves the words of all four engines, as a recurring period
+    holds only full words.
+
+    An engine's remaining bytes R show only near its job's end, so each
+    engine has a cap (``caps``) at or above which they cannot show:
+
+    - a host-bound engine (upstream, SelectMap read) shows R in its flush
+      rule ``occupancy * 4 >= R`` and in its quiet band, for R up to
+      4 * capacity: its cap is 4 * capacity + 8;
+    - a device-bound engine (downstream, SelectMap write) shows R only in
+      the size of the burst it requests, min(free * 4, R, max_burst), for R
+      below min(4 * capacity, max_burst): its cap is that + 8, so a burst
+      requested at the cap leaves 8 bytes or more;
+    - the controller's remaining bytes are its engine's plus four per
+      buffered word while it configures, and its engine's less four per
+      buffered word in readback, 4 * capacity + 8 - 4 * capacity = 8 or
+      more at the engine's cap.  So while its engine stays at its cap or
+      more, the controller stays 8 bytes or more from its end, at every burst
+      end and, as they only fall, in between: short of its last word, where
+      a stretch stops, and of its payload's end.  Its own cap ``CTL_CAP`` is
+      8; below its engine's cap its remaining bytes follow from the
+      engine's and the buffer's occupancy.
 
     When a signature recurs at ``now`` from ``t0``, what follows ``now``
     repeats what followed ``t0`` for as long as the stall windows do, as
     nothing else from outside reaches the board between register writes.
     So ``_jump`` moves the largest number ``n`` of whole periods after which
-    every engine's job is still ``cap`` bytes or more from its end (the
+    every engine's job is still its cap or more from its end (the
     controller's job moves with its engine), that end by the loop's horizon
     and that meet the stall windows the first period met:
 
@@ -323,9 +363,9 @@ class SteadyState:
       every jumped period meets the windows of the first.
 
     The jump lands flush on the burst end at ``now + n * period``: each
-    engine's remaining bytes are ``cap`` or more there, as at ``now``, so the
-    signature there is ``now``'s.  Its lattice point is stalled or not as
-    ``now``'s was, which decides how the burst ending there was cut: the
+    engine's remaining bytes are its cap or more there, as at ``now``, so
+    the signature there is ``now``'s.  Its lattice point is stalled or not
+    as ``now``'s was, which decides how the burst ending there was cut: the
     gap's bound includes it, and the cross check covers it with a whole
     period to spare.  ``_jump`` refuses if the kernel is neither inert nor
     in map form, or if anything but the processes' slots is queued, a stall
@@ -333,27 +373,40 @@ class SteadyState:
     engine's remaining bytes or the controller's mode, and only kernels
     without the map form request one.
 
-    Both tables are cleared on every register write
+    A period, once proven, holds wherever its signature comes back, as a
+    max-plus system's periodic regime depends on its state alone; within
+    one job the same few steady states come back in gap after gap between
+    stall windows, at burst cuts that drift from gap to gap.  So every match
+    makes a ``Period`` of its snapshot (``_learn``), relative to the
+    period's start, and ``_jump`` replays that; a match in ``table`` that
+    jumps keeps its period in ``learned`` under the signature, a *learned
+    period*.  A later burst end with that signature replays it from ``now``
+    at once, under the same kernel rule and bounds, with no window over
+    [now, now + n * period]: the period ran with none.
+
+    All three tables are cleared on every register write
     (``Device.host_reg_write``, through which every job starts), so that no
-    one-time action falls inside a period.  ``table`` is also cleared after
-    a jump.  A window added later needs no clear of ``table``, as each jump
-    measures the windows from ``t0`` on when it jumps.  It does clear
-    ``cross`` (``PciBus.on_stall``): it may open before ``now``, in periods
-    already run, which then no longer match the windows their snapshots ran
-    under.  A jump leaves ``cross`` as it is, as a cross-window match needs
-    a snapshot taken a stall period or more earlier, before the jumps within
-    the gaps since: a jump reaches exactly the state the per-burst run
-    would, and ``stirred`` moves on with the period when it lies in the
-    jumped one, so every snapshot stays true.
+    one-time action falls inside a period; a learned period kept across one
+    would need state the signature lacks.  ``table`` is also cleared after a
+    jump.  A window added later needs no clear of ``table``, as each jump
+    measures the windows from ``t0`` on when it jumps, nor of ``learned``,
+    whose periods ran with none.  It does clear ``cross``
+    (``PciBus.on_stall``): it may open before ``now``, in periods already
+    run, which then no longer match the windows their snapshots ran under.
+    A jump leaves ``cross`` as it is, as a cross-window match needs a
+    snapshot taken a stall period or more earlier, before the jumps within
+    the gaps since: a jump reaches the state the per-burst run would, but
+    for the phase of a kernel that slept throughout, which does not show
+    (see below), and ``stirred`` moves on to the last burst end of the last
+    jumped period at which the kernel was awake, if any.
 
     A process is *quiescent* at a burst end if its clock cannot show there:
     the controller when it is idle (it then has no next point), the kernel
     host when its kernel is inert or asleep since before ``now``.  Its phase
     (and the kernel host's last edge) then leaves the signature, so that a
-    stream,
-    whose critical circuit is the bus while the kernel has slack, recurs
-    with the bus's own period instead of the clocks' common multiple, as a
-    max-plus system repeats with the period of its critical circuit
+    stream, whose critical circuit is the bus while the kernel has slack,
+    recurs with the bus's own period instead of the clocks' common multiple,
+    as a max-plus system repeats with the period of its critical circuit
     (Baccelli, Cohen, Olsder and Quadrat, *Synchronization and Linearity*,
     1992).  An idle controller stays idle until a register write starts a
     job, which clears the tables, so its phase never shows.  The kernel's
@@ -377,44 +430,55 @@ class SteadyState:
 
     A kernel that went to sleep on ``now``'s own picosecond is not
     quiescent: a burst whose first word lands on ``now`` (grant latency 0)
-    wakes it one edge later than under a phase without that edge.  A match
-    whose kernel phase or last edge differs from the snapshot's jumps only
-    if ``stirred`` comes before the snapshot; otherwise it must be exact.
+    wakes it one edge later than under a phase without that edge.  So a
+    period replays from ``now`` with kernel terms other than those at its
+    start only if the kernel slept at every burst end of the period
+    (``stirred`` came before the snapshot) and sleeps at ``now``; otherwise
+    they must be equal.
     """
 
     TABLE_LIMIT = 4096      # entries kept in each table before it starts afresh
+    CTL_CAP = 8             # the controller's remaining bytes in the signature, at most
 
     def __init__(self, device: "Device") -> None:
         self.device = device
         self.sim = device.sim
         self.bus = device.world.bus
         cfg = device.config
-        self.cap = 4 * cfg.buffer_capacity + 8
+        self.engines = tuple(device.engines.values())
+        # Each engine's remaining-bytes cap, in ``engines`` order (see the class).
+        full = 4 * cfg.buffer_capacity
+        self.caps = tuple(full + 8 if e.target in HOST_BOUND
+                          else min(full, device.max_burst_bytes) + 8 for e in self.engines)
         self.cfg_period = cfg.cfg_clock_period
         self.user_period = cfg.user_clock_period
-        self.engines = tuple(device.engines.values())
         self.table: dict = {}
         self.cross: dict = {}     # (signature, stall term) -> snapshot, kept across jumps
+        self.learned: dict = {}   # signature -> learned period, kept across jumps
         self.stirred = -1     # the last burst end at which the kernel was awake
 
     def clear(self) -> None:
-        """Forget every snapshot: a register write may start a one-time action."""
+        """Forget every snapshot and learned period: a register write may
+        start a one-time action."""
         self.table.clear()
         self.cross.clear()
+        self.learned.clear()
 
     def at_burst_end(self, txn: BusTransaction, state: TxnState) -> None:
         """Record this burst end's signature, or jump from its recurrence.
 
-        The snapshot goes into ``table`` under the signature and, with a stall
+        A learned period with this signature replays from ``now``.  Else the
+        snapshot goes into ``table`` under the signature and, with a stall
         window over ``now`` or ahead of it, into ``cross`` under the signature
         and the stall term as well.  A recurrence in ``table`` jumps within the
-        gap before the next window, one in ``cross`` across windows (see the
-        class)."""
-        bus, now, table, cross = self.bus, self.sim.now, self.table, self.cross
-        for books in (table, cross):
+        gap before the next window and is learned, one in ``cross`` jumps
+        across windows (see the class)."""
+        bus, now, table, cross, learned = (self.bus, self.sim.now, self.table, self.cross,
+                                           self.learned)
+        for books in (table, cross, learned):
             if len(books) >= self.TABLE_LIMIT:
                 books.clear()
-        dev, cap = self.device, self.cap
+        dev = self.device
         ctl, host = dev.controller, dev.kernel_host
         ck, hk = ctl.key, host.key
         # The kernel's exact phase and last edge.
@@ -424,18 +488,20 @@ class SteadyState:
             self.stirred = now
         job = ctl._job
         up, down, rd, wr = self.engines
+        cup, cdown, crd, cwr = self.caps
         sig = (None if ctl.mode is Mode.IDLE else now % self.cfg_period,
                None if asleep else terms[0],
                dev.down_buf.occupancy, dev.up_buf.occupancy, dev.smap_buf.occupancy,
-               up.request and up.request.total_bytes, min(up.addr.bytes_remaining, cap),
-               down.request and down.request.total_bytes, min(down.addr.bytes_remaining, cap),
-               rd.request and rd.request.total_bytes, min(rd.addr.bytes_remaining, cap),
-               wr.request and wr.request.total_bytes, min(wr.addr.bytes_remaining, cap),
+               up.request and up.request.total_bytes, min(up.addr.bytes_remaining, cup),
+               down.request and down.request.total_bytes, min(down.addr.bytes_remaining, cdown),
+               rd.request and rd.request.total_bytes, min(rd.addr.bytes_remaining, crd),
+               wr.request and wr.request.total_bytes, min(wr.addr.bytes_remaining, cwr),
                dev.arbiter.last_granted, txn.master_id, txn.transferred_bytes, txn.total_bytes,
                state is TxnState.DONE,
                hk and hk[0] - now, None if asleep else terms[1],
                ctl.mode is Mode.CONFIGURING, ctl.paused, ck and ck[0] - now,
-               job and min(job.total - job.done, cap), job and min(job.done, bits.HEADER_BYTES),
+               job and min(job.total - job.done, self.CTL_CAP),
+               job and min(job.done, bits.HEADER_BYTES),
                ctl.paused and ctl._pause_start - now, ck and hk and ck[1] < hk[1],
                dev.irq.pending)
         h = hash(sig)
@@ -443,14 +509,19 @@ class SteadyState:
         bounds = bus._stalls
         i = bisect.bisect_right(bounds, now) & ~1
         key = (h, bounds[i] - now, bounds[i + 1] - bounds[i]) if i < len(bounds) else None
-        for books, at in ((table, h), (cross, key)):
+        for books, at in ((learned, h), (table, h), (cross, key)):
             entry = books.get(at)
             if entry is None or entry[0] != sig:
                 continue
-            snap = entry[1]
-            # The kernel's phase may differ only if it slept at every burst end since.
-            if ((snap[-1] == terms or self.stirred < snap[0])
-                    and self._jump(snap, now, books is cross)):
+            if books is learned:
+                period, start = entry[1], now
+            else:
+                period, start = self._learn(entry[1], now), entry[1][0]
+            # The kernel's terms may differ only if it slept throughout the period.
+            if ((period.terms == terms or period.woke is None and asleep)
+                    and self._jump(period, now, start, books is cross)):
+                if books is table:
+                    learned[h] = (sig, period)
                 table.clear()
                 return
         trace = dev.trace
@@ -461,10 +532,23 @@ class SteadyState:
         if key is not None:
             cross[key] = entry
 
-    def _jump(self, snap, now: int, across: bool) -> bool:
-        """Move as many whole periods since ``snap`` as the bounds allow,
-        ``across`` stall windows if set; False if none."""
-        t0, busy, *addrs, windows, records, _terms = snap
+    def _learn(self, snap, now: int) -> Period:
+        """The period from ``snap`` to ``now``, relative to its start."""
+        t0, busy, *addrs, windows, records, terms = snap
+        trace, ctl = self.device.trace, self.device.controller
+        recs = trace.records[records:] if trace else ()
+        return Period(now - t0,
+                      tuple(e.addr.next_address - a for e, a in zip(self.engines, addrs)),
+                      self.bus.busy_ticks - busy,
+                      tuple((t - t0, c, e, d) for t, c, e, d in recs),
+                      tuple((s - t0, e - t0) for s, e in ctl.pause_windows[windows:]),
+                      self.stirred - t0 if self.stirred >= t0 else None,
+                      terms)
+
+    def _jump(self, period: Period, now: int, start: int, across: bool) -> bool:
+        """Move as many whole periods from ``now`` as the bounds allow, the
+        stall windows measured from ``start`` on, ``across`` them if set;
+        False if none."""
         dev, sim, bus = self.device, self.sim, self.bus
         ctl, host = dev.controller, dev.kernel_host
         kernel = dev.registry.active
@@ -473,38 +557,39 @@ class SteadyState:
         keys = sorted(p.key for p in (ctl, host) if p.key is not None)
         if sorted(entry[:2] for entry in sim._heap) != keys:
             return False
-        period = now - t0
-        moved = [e.addr.next_address - a for e, a in zip(self.engines, addrs)]
-        # n periods from now: each engine's job stays cap bytes or more from
+        length, moved = period.length, period.moved
+        # n periods from now: each engine's job stays its cap or more from
         # its end, the horizon holds and ...
-        fits = [(e.addr.bytes_remaining - (e.txn.transferred_bytes if e.txn else 0) - self.cap) // d
-                for e, d in zip(self.engines, moved) if d]
+        fits = [(e.addr.bytes_remaining - (e.txn.transferred_bytes if e.txn else 0) - cap) // d
+                for e, d, cap in zip(self.engines, moved, self.caps) if d]
         if sim.horizon != FOREVER:
-            fits.append((sim.horizon - now) // period)
+            fits.append((sim.horizon - now) // length)
         if across:
-            # ... the windows over [t0, now + (n + 1) * period) repeat those of [t0, now).
-            end = now + (min(fits) + 1) * period if fits else FOREVER
-            fits.append((bus.stalls_repeat(t0, now, end) - now) // period - 1)
+            # ... the windows over [start, now + (n + 1) * length) repeat those of [start, now).
+            end = now + (min(fits) + 1) * length if fits else FOREVER
+            fits.append((bus.stalls_repeat(start, now, end) - now) // length - 1)
         else:
-            # ... no window meets [t0, now + n * period].
-            stalled = bus.next_stalled(t0)
+            # ... no window meets [start, now + n * length].
+            stalled = bus.next_stalled(start)
             if stalled != FOREVER:
-                fits.append((stalled - 1 - now) // period)
+                fits.append((stalled - 1 - now) // length)
         n = min(fits, default=0)
         if n < 1:
             return False
-        host.jump(n, period, moved[1], moved[0])
-        ctl.jump(n, period, moved[3] if ctl.mode is Mode.CONFIGURING else moved[2],
-                 ctl.pause_windows[windows:])
-        bus.repeat(n, period, bus.busy_ticks - busy, sum(moved) // 4)
+        # The periods repeat one that ran over [now - length, now].
+        base = now - length
+        host.jump(n, length, moved[1], moved[0])
+        ctl.jump(n, length, moved[3] if ctl.mode is Mode.CONFIGURING else moved[2],
+                 [(base + s, base + e) for s, e in period.windows])
+        bus.repeat(n, length, period.busy, sum(moved) // 4)
         trace = dev.trace
         if trace:
-            recs = trace.records[records:]
-            trace.records += [TraceRecord(t + j * period, c, e, d)
-                              for j in range(1, n + 1) for t, c, e, d in recs]
-        if self.stirred >= t0:      # the kernel's last awake burst end moves with its period
-            self.stirred += n * period
-        sim.shift(n * period)
+            trace.records += [TraceRecord(b + t, c, e, d)
+                              for b in range(now, now + n * length, length)
+                              for t, c, e, d in period.records]
+        if period.woke is not None:     # the kernel's last awake burst end, in the last period
+            self.stirred = now + (n - 1) * length + period.woke
+        sim.shift(n * length)
         return True
 
 

@@ -38,6 +38,9 @@ ARBITRATION_ORDER = (TargetId.UPSTREAM, TargetId.DOWNSTREAM,
 
 HOST_BOUND = frozenset({TargetId.UPSTREAM, TargetId.SELECTMAP_READ})
 
+# Each target's bus master id, looked up once: ``Enum.value`` is a property.
+MASTER_ID = {t: t.value for t in TargetId}
+
 _WORD = struct.Struct("<I")
 
 
@@ -204,12 +207,13 @@ def on_fill_status(target: TargetId, buffer: StreamBuffer, addr: DmaAddressState
         occ = buffer.occupancy
         if occ >= buffer.fill_high or (occ > 0 and occ * 4 >= addr.bytes_remaining):
             n = min(occ * 4, addr.bytes_remaining, max_burst_bytes)
-            return BusTransaction(target.value, Direction.TO_HOST, addr.next_address, n)
+            return BusTransaction(MASTER_ID[target], Direction.TO_HOST, addr.next_address, n)
     else:
         if buffer.occupancy <= buffer.fill_low:
             n = min(buffer.free_words * 4, addr.bytes_remaining, max_burst_bytes)
             if n > 0:
-                return BusTransaction(target.value, Direction.TO_DEVICE, addr.next_address, n)
+                return BusTransaction(MASTER_ID[target], Direction.TO_DEVICE,
+                                      addr.next_address, n)
     return None
 
 
@@ -241,7 +245,7 @@ def busmaster_resume(addr: DmaAddressState, target: TargetId, txn: BusTransactio
         space = buffer.free_words * 4
     n = min(remainder, space, max_burst_bytes)
     assert n > 0, "resume with nothing left to move"
-    return BusTransaction(target.value, txn.direction, addr.next_address, n)
+    return BusTransaction(txn.master_id, txn.direction, addr.next_address, n)
 
 
 class RegisterFile:

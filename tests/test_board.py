@@ -613,9 +613,11 @@ def _periodic_stalls(world):
 
 def _with_and_without_jumps(monkeypatch, build, job):
     """Run ``job`` on the world ``build`` returns, then on a fresh one whose
-    steady state never jumps (``_timed``).  Returns both runs' result,
-    events, figures and the kernel's last awake burst end
-    (``SteadyState.stirred``) after every burst end the run saw, by time."""
+    steady state never jumps (``_timed``): every jump, fresh or a learned
+    period's replay, goes through ``SteadyState._jump``, so the second run
+    learns no period and replays none.  Returns both runs' result, events,
+    figures and the kernel's last awake burst end (``SteadyState.stirred``)
+    after every burst end the run saw, by time."""
     runs = []
     for jumps in (True, False):
         with monkeypatch.context() as mp:
@@ -627,6 +629,7 @@ def _with_and_without_jumps(monkeypatch, build, job):
             def at_burst_end(txn, state, take=steady.at_burst_end):
                 take(txn, state)
                 stirred[world.sim.now] = steady.stirred
+                assert jumps or not steady.learned
             world.bus.on_burst_end = at_burst_end
             runs.append((*_timed(world, lambda: job(world)), stirred))
     return runs
@@ -700,11 +703,82 @@ def test_cross_window_snapshots_outlive_the_jumps_within_a_gap(monkeypatch):
     assert jumped[1] < 70 < walked[1]
 
 
+def _mix_bus_world():
+    """A booted world on the benchmark's scenario-mix bus: grant latency 8,
+    64-word bursts."""
+    world = World(BoardConfig(pci=PciConfig(grant_latency_cycles=8, max_burst_cycles=64)))
+    assert world.boot(full_flash()).ok
+    return world
+
+
+@pytest.mark.parametrize("kernel", ["identity", "fir4"])
+def test_streams_replay_learned_periods_in_every_stall_gap(monkeypatch, kernel):
+    """A 16 KiB stream over the scenario-mix bus under a 10 us stall every
+    40 us: its burst cuts drift from gap to gap, so its gaps rarely recur
+    whole, but the steady states within them do.  A period proven in one
+    gap is learned and replayed in the later gaps as soon as its signature
+    comes back: fewer than 150 events (172 if each gap must prove its own),
+    where burst by burst it takes 269.  Output and figures are those of a
+    run without jumps.  The kernel's last awake burst end is not: a jump over
+    periods at every burst end of which the kernel slept shifts its phase,
+    and at 839,656,344 ps the run without jumps finds it awake for an edge
+    that moves nothing where the jumped run finds it asleep."""
+    def build():
+        world = _mix_bus_world()
+        world.device.registry.bind(0x21, kernel)
+        world.reconfigure(partial_image(kernel_id=0x21))
+        _periodic_stalls(world)
+        return world
+
+    data = random.Random(5).randbytes(1 << 14)
+    jumped, walked = _with_and_without_jumps(monkeypatch, build, lambda world: world.stream(data))
+    assert jumped[0] == walked[0]
+    assert jumped[2] == walked[2] == (371_131_494, 281_454_264, 8_192)
+    assert jumped[1] < 150 and walked[1] == 269
+
+
+def test_a_device_bound_job_jumps_to_within_one_burst_of_its_end(monkeypatch):
+    """A device-bound job's remaining bytes show only in the size of the
+    burst it requests, so its jumps may stop one burst and 8 bytes from its
+    end, not a buffer's worth: a 4,616-byte reconfiguration over 64-word
+    bursts lands its last jump with 264 bytes left (1,032 under one cap for
+    both directions).  Result, configuration memory and figures are those
+    of a run without jumps."""
+    g = bits.DeviceGeometry(16, 31, 37, 12)
+    image = bits.encode(g, bits.BitstreamKind.PARTIAL, 0x5A, 0,
+                        random.Random(6).randbytes(4 * g.column_bytes))
+    left, jump = [], SteadyState._jump
+
+    def recording(self, *args):
+        if not jump(self, *args):
+            return False
+        engine = self.device.engines[TargetId.SELECTMAP_WRITE]
+        left.append(engine.addr.bytes_remaining - engine.txn.transferred_bytes)
+        return True
+    monkeypatch.setattr(SteadyState, "_jump", recording)
+
+    def build():
+        world = World(BoardConfig(geometry=g, pci=PciConfig(grant_latency_cycles=8,
+                                                            max_burst_cycles=64)))
+        assert world.boot(bits.encode(g, bits.BitstreamKind.FULL, 0, 0,
+                                      bytes(g.total_bytes))).ok
+        return world
+
+    jumped, walked = _with_and_without_jumps(
+        monkeypatch, build,
+        lambda world: (world.reconfigure(image), world.device.config_mem.snapshot()))
+    assert len(image) == 4_616 and left == [4 * 64 + 8]
+    assert jumped[0] == walked[0]
+    assert jumped[2] == walked[2]
+    assert jumped[1] < walked[1]
+
+
 def test_new_windows_and_register_writes_clear_the_cross_window_table():
     """A window added at a stop may open before it, in periods already run,
     and a register write may start a one-time action: each clears the
-    cross-window snapshots."""
-    world = booted_world()
+    cross-window snapshots.  A register write also clears the learned
+    periods; a window does not, as they ran with none."""
+    world = _mix_bus_world()
     world.device.registry.bind(0x21, "identity")
     world.reconfigure(partial_image(kernel_id=0x21))
     _periodic_stalls(world)
@@ -712,13 +786,14 @@ def test_new_windows_and_register_writes_clear_the_cross_window_table():
     data = random.Random(3).randbytes(1 << 16)
     _in_base, out_base = world.start_stream(data)
     sim.run_until(sim.now + 100 * US)
-    assert steady.cross
+    assert steady.cross and steady.learned
+    learned = dict(steady.learned)
     world.bus.inject_stall(sim.now - 5 * US, US)
-    assert not steady.cross
+    assert not steady.cross and steady.learned == learned
     sim.run_until(sim.now + 100 * US)
-    assert steady.cross
+    assert steady.cross and steady.learned
     world.device.host_reg_write(REG_IRQ_MASK, world.device.host_reg_read(REG_IRQ_MASK))
-    assert not steady.cross and not steady.table
+    assert not steady.cross and not steady.table and not steady.learned
     world.wait(IrqCause.DOWNSTREAM_DONE)
     world.wait(IrqCause.UPSTREAM_DONE)
     assert world.host.read(out_base, len(data)) == data
