@@ -33,13 +33,14 @@ SelectMap buffer the other engine is idle all the while: a port job starts
 only with the controller idle and the buffer empty.
 
 At every burst end the board looks for a *steady state* (``SteadyState``):
-a signature of all its timing-visible state relative to ``now`` that
-recurs.  The whole periods that the bounds allow then move at once: the
-engines' addresses and the processes' keys shift, the counters scale, the
-period's trace records and pause windows repeat, and the periods' bytes go
-through the buffers, the map kernel and the configuration image as slices.
-A period so proven is kept and replayed wherever its signature comes back
-until the next register write.
+a signature of all its timing-visible state relative to ``now``, each
+component giving its own part, that recurs.  The whole periods that the
+bounds allow then move at once: the engines' addresses and the processes'
+keys shift, the counters scale, the period's trace records and pause
+windows repeat, and the periods' bytes go through the buffers, the map
+kernel and the configuration image as slices.  A period so proven is kept
+for the board's life and replayed wherever its signature comes back, in
+later jobs too, as the signature covers all that a register write changes.
 
 A simulation that can go no further raises ``Deadlock``, naming the busy
 engines, the stream buffers' occupancies and the kernel host's state.
@@ -142,13 +143,27 @@ class DmaEngine:
     """Per-target busmaster control section: one job, one transaction at a
     time.  ``request`` is the waiting transaction and ``txn`` the granted
     one; the address provider ``addr`` advances when a burst ends, by the
-    bytes it moved.  Nothing reads it while a transaction is granted."""
+    bytes it moved.  Nothing reads it while a transaction is granted.
+
+    The job's remaining bytes R show only near its end, so the engine has a
+    *cap* at or above which they cannot show (``signature``):
+
+    - a host-bound engine (upstream, SelectMap read) shows R in its flush
+      rule ``occupancy * 4 >= R`` and in its quiet band, for R up to
+      4 * capacity: its cap is 4 * capacity + 8;
+    - a device-bound engine (downstream, SelectMap write) shows R only in
+      the size of the burst it requests, min(free * 4, R, max_burst), for R
+      below min(4 * capacity, max_burst): its cap is that + 8, so a burst
+      requested at the cap leaves 8 bytes or more.
+    """
 
     def __init__(self, device: "Device", target: TargetId, buffer: StreamBuffer) -> None:
         self.device = device
         self.target = target
         self.buffer = buffer
         self.addr = DmaAddressState()
+        full = 4 * buffer.capacity
+        self.cap = full + 8 if target in HOST_BOUND else min(full, device.max_burst_bytes) + 8
         self.request = None
         self.txn = None
         self.started_at: int | None = None
@@ -160,6 +175,18 @@ class DmaEngine:
     @property
     def busy(self) -> bool:
         return self.addr.bytes_remaining > 0 or self.request is not None or self.txn is not None
+
+    def signature(self) -> tuple:
+        """The engine's part of a steady state's signature (``SteadyState``):
+        its waiting request's size, its remaining bytes up to ``cap``, and,
+        if the ending burst is its own, that burst's bytes moved and asked
+        for, which also say whether it is done.  The addresses stay out (they
+        say where the bytes go, not when), and so do the job's start and
+        finish times, set at register writes and job ends, outside every
+        period."""
+        request, txn = self.request, self.txn
+        return (request and request.total_bytes, min(self.addr.bytes_remaining, self.cap),
+                txn and txn.transferred_bytes, txn and txn.total_bytes)
 
     def band(self) -> tuple[int, int]:
         """The buffer occupancies (lo, hi), both included, at which a word
@@ -288,7 +315,7 @@ class Period(NamedTuple):
     busy ps, the trace records (time, component, event, detail) and the
     controller's pause windows (start, end), where the kernel was last awake
     at a burst end (None if it slept at every one), and the kernel's exact
-    phase and last edge at its start."""
+    terms at its start (``KernelHost.terms``)."""
 
     length: int
     moved: tuple
@@ -307,46 +334,36 @@ class SteadyState:
     At the top of every burst end (``PciBus._finish``) no burst is in flight
     and no run-ahead process runs.  There ``at_burst_end`` takes the
     signature of everything that decides the board's timing, relative to
-    ``now``: the phases of the clocks of the processes that are not
-    quiescent (see below), the buffers' occupancies, each engine's
-    waiting request and remaining bytes (up to its cap, see below), the
-    arbiter, the ending transaction (only its engine has one granted), each
-    process's next point and the order of their slots, the kernel host's
-    last edge while it can still matter, the controller's mode, pause,
-    remaining bytes (up to ``CTL_CAP``) and whether its payload has begun
-    (the time of its first byte is taken once), and the pending interrupts.
-    A snapshot holds the time, the bus's busy time, the engines' addresses,
+    ``now``.  Each component gives its own part, and says next to it which
+    of its fields stay out and why: the controller
+    (``SelectMapController.signature``), the kernel host
+    (``KernelHost.signature``), each engine (``DmaEngine.signature``, which
+    also covers the ending burst, as only its engine has one granted), the
+    three buffers, the arbiter and the interrupt line; the board adds the
+    order of the two processes' slots, which decides their ties.  A
+    snapshot holds the time, the bus's busy time, the engines' addresses,
     the controller's pause windows, the trace records and the kernel's exact
-    phase and last edge.  ``table`` maps each signature to the last snapshot
-    that had it.  ``cross`` maps each signature and *stall term* (where the
-    stall window over ``now``, or the next one, opens relative to ``now``,
-    and its length) to the last snapshot that had both.  Both are keyed by
-    the signature's hash, taken once per burst end, and hold the signature
-    with the snapshot: another signature with the same hash only loses a
-    match.  The rest of a period follows from these: the controller moves
-    what its engine moves, as the buffer's occupancy is in the signature,
-    and the bus moves the words of all four engines, as a recurring period
-    holds only full words.
+    terms (``KernelHost.terms``).  ``table`` maps each signature to the last
+    snapshot that had it.  ``cross`` maps each signature and *stall term*
+    (where the stall window over ``now``, or the next one, opens relative to
+    ``now``, and its length) to the last snapshot that had both.  Both are
+    keyed by the signature's hash, taken once per burst end, and hold the
+    signature with the snapshot: another signature with the same hash only
+    loses a match.  The rest of a period follows from these: the controller
+    moves what its engine moves, as the buffer's occupancy is in the
+    signature, and the bus moves the words of all four engines, as a
+    recurring period holds only full words.
 
-    An engine's remaining bytes R show only near its job's end, so each
-    engine has a cap (``caps``) at or above which they cannot show:
-
-    - a host-bound engine (upstream, SelectMap read) shows R in its flush
-      rule ``occupancy * 4 >= R`` and in its quiet band, for R up to
-      4 * capacity: its cap is 4 * capacity + 8;
-    - a device-bound engine (downstream, SelectMap write) shows R only in
-      the size of the burst it requests, min(free * 4, R, max_burst), for R
-      below min(4 * capacity, max_burst): its cap is that + 8, so a burst
-      requested at the cap leaves 8 bytes or more;
-    - the controller's remaining bytes are its engine's plus four per
-      buffered word while it configures, and its engine's less four per
-      buffered word in readback, 4 * capacity + 8 - 4 * capacity = 8 or
-      more at the engine's cap.  So while its engine stays at its cap or
-      more, the controller stays 8 bytes or more from its end, at every burst
-      end and, as they only fall, in between: short of its last word, where
-      a stretch stops, and of its payload's end.  Its own cap ``CTL_CAP`` is
-      8; below its engine's cap its remaining bytes follow from the
-      engine's and the buffer's occupancy.
+    An engine's remaining bytes show only within its cap of its job's end
+    (``DmaEngine``).  The controller's remaining bytes are its engine's plus
+    four per buffered word while it configures, and its engine's less four
+    per buffered word in readback, 4 * capacity + 8 - 4 * capacity = 8 or
+    more at the engine's cap.  So while its engine stays at its cap or more,
+    the controller stays ``SelectMapController.CAP`` = 8 bytes or more from
+    its end, at every burst end and, as they only fall, in between: short of
+    its last word, where a stretch stops, and of its payload's end.  Below
+    its engine's cap its remaining bytes follow from the engine's and the
+    buffer's occupancy.
 
     When a signature recurs at ``now`` from ``t0``, what follows ``now``
     repeats what followed ``t0`` for as long as the stall windows do, as
@@ -367,52 +384,76 @@ class SteadyState:
     the signature there is ``now``'s.  Its lattice point is stalled or not
     as ``now``'s was, which decides how the burst ending there was cut: the
     gap's bound includes it, and the cross check covers it with a whole
-    period to spare.  ``_jump`` refuses if the kernel is neither inert nor
-    in map form, or if anything but the processes' slots is queued, a stall
-    wake included.  No period raises an interrupt: a job's end changes its
-    engine's remaining bytes or the controller's mode, and only kernels
-    without the map form request one.
+    period to spare.  ``_jump`` refuses if the kernel is stepped edge by
+    edge, or if anything but the processes' slots is queued, a stall wake
+    included.  No period raises an interrupt: a job's end changes its
+    engine's remaining bytes or the controller's mode, and only stepped
+    kernels request one.
 
     A period, once proven, holds wherever its signature comes back, as a
-    max-plus system's periodic regime depends on its state alone; within
-    one job the same few steady states come back in gap after gap between
-    stall windows, at burst cuts that drift from gap to gap.  So every match
-    makes a ``Period`` of its snapshot (``_learn``), relative to the
+    max-plus system's periodic regime depends on its state alone; the same
+    few steady states come back in gap after gap between stall windows, at
+    burst cuts that drift from gap to gap, and in job after job.  So every
+    match makes a ``Period`` of its snapshot (``_learn``), relative to the
     period's start, and ``_jump`` replays that; a match in ``table`` that
     jumps keeps its period in ``learned`` under the signature, a *learned
-    period*.  A later burst end with that signature replays it from ``now``
-    at once, under the same kernel rule and bounds, with no window over
-    [now, now + n * period]: the period ran with none.
+    period*.  A later burst end with that signature, in any gap of any later
+    job, replays it from ``now`` at once, under the same kernel rule and
+    bounds, with no window over [now, now + n * period]: the period ran
+    with none.
 
-    All three tables are cleared on every register write
-    (``Device.host_reg_write``, through which every job starts), so that no
-    one-time action falls inside a period; a learned period kept across one
-    would need state the signature lacks.  ``table`` is also cleared after a
-    jump.  A window added later needs no clear of ``table``, as each jump
-    measures the windows from ``t0`` on when it jumps, nor of ``learned``,
-    whose periods ran with none.  It does clear ``cross``
+    That needs the signature to be the whole timing state, also across the
+    host's register writes.  Register by register:
+
+    - ``down_base``, ``up_base`` and ``cfg_base`` are addresses, read at a
+      start strobe: they say where bytes go, not when.
+    - ``down_len``, ``up_len`` and ``cfg_len``, read at a start strobe, set
+      a job's length (for a readback, its region and so its image's
+      length): its engine's remaining bytes and the controller's, each in
+      the signature up to its cap, and its bytes done.
+    - ``control`` starts jobs: an engine's remaining bytes and request, and
+      the controller's mode, job and next point, all in the signature.
+    - ``status`` only reads back what the host or the kernel host wrote.
+    - the kernel registers are operands: a map kernel reads them as data
+      (add_const, register 8), and the board never jumps while a stepped
+      kernel, which may let them steer it, is live.
+    - ``irq mask`` sets ``InterruptLine.masked``, which nothing in the event
+      loop reads (``InterruptLine.signature``).
+    - ``irq cause`` acknowledges causes: ``pending`` is in the signature.
+
+    Inside the loop the kernel changes when a reconfiguration completes:
+    its form is in the signature, its identity is data
+    (``KernelHost.signature``).  The trace records a period replays are the
+    bus's grant, complete and preempt records, which name the master and
+    the burst's bytes moved and asked for, and the controller's pause and
+    resume records, which name the mode's reason: all fixed by the
+    signature, none naming an address, a length or a kernel.  The records
+    that do (a job's start and completion, a kernel's activation, an
+    interrupt) fall at register writes and job ends, outside every period.
+    ``table`` and ``cross`` are still cleared at every register write
+    (``Device.host_reg_write``, through which every job starts): a snapshot
+    taken before one would make a period of the write.  ``table`` is also
+    cleared after a jump.  A window added later needs no clear of ``table``,
+    as each jump measures the windows from ``t0`` on when it jumps, nor of
+    ``learned``, whose periods ran with none.  It does clear ``cross``
     (``PciBus.on_stall``): it may open before ``now``, in periods already
     run, which then no longer match the windows their snapshots ran under.
     A jump leaves ``cross`` as it is, as a cross-window match needs a
     snapshot taken a stall period or more earlier, before the jumps within
-    the gaps since: a jump reaches the state the per-burst run would, but
-    for the phase of a kernel that slept throughout, which does not show
-    (see below), and ``stirred`` moves on to the last burst end of the last
-    jumped period at which the kernel was awake, if any.
+    the gaps since (see below for what they leave).
 
     A process is *quiescent* at a burst end if its clock cannot show there:
     the controller when it is idle (it then has no next point), the kernel
     host when its kernel is inert or asleep since before ``now``.  Its phase
-    (and the kernel host's last edge) then leaves the signature, so that a
-    stream, whose critical circuit is the bus while the kernel has slack,
-    recurs with the bus's own period instead of the clocks' common multiple,
-    as a max-plus system repeats with the period of its critical circuit
-    (Baccelli, Cohen, Olsder and Quadrat, *Synchronization and Linearity*,
-    1992).  An idle controller stays idle until a register write starts a
-    job, which clears the tables, so its phase never shows.  The kernel's
-    phase does not show within a period at every burst end of which the
-    kernel was quiescent (``stirred`` is the last burst end at which it was
-    not):
+    then leaves the signature, so that a stream, whose critical circuit is
+    the bus while the kernel has slack, recurs with the bus's own period
+    instead of the clocks' common multiple, as a max-plus system repeats
+    with the period of its critical circuit (Baccelli, Cohen, Olsder and
+    Quadrat, *Synchronization and Linearity*, 1992).  An idle controller
+    stays idle until a register write starts a job, which changes its part
+    of the signature, so its phase never shows.  The kernel's phase does not
+    show within a period at every burst end of which the kernel was
+    quiescent (``stirred`` is the last burst end at which it was not):
 
     - within the period the bus lattice, grants and burst sizes do not
       depend on the kernel's phase;
@@ -435,36 +476,76 @@ class SteadyState:
     start only if the kernel slept at every burst end of the period
     (``stirred`` came before the snapshot) and sleeps at ``now``; otherwise
     they must be equal.
+
+    Where a jump lands.  A jump from the kernel terms at the period's start
+    over whole user-clock periods (as every fresh match with equal terms
+    is) lands on the state the per-burst run reaches, kernel host and
+    ``stirred`` included, as the whole state repeats; so does a jump whose
+    kernel moves no word, which leaves the kernel asleep at its last edge
+    (``KernelHost.jump``).  Any other jump *drifts* (``drifts``): one with
+    other kernel terms, or a learned period proven under other terms that
+    is no whole number of user-clock periods.  It lands on the per-burst
+    run's bus side, but its kernel keeps the phase of the run that proved
+    the period.  By the bounds above, the per-burst run's kernel may have
+    slept at another edge, less than q from the landing's, or be awake for
+    one edge in (L, L + q) that moves nothing, L the landing; and it may
+    have been awake at burst ends of the last period where the landing's
+    was not, so that its ``stirred`` is later.  No later step shows this.
+    The kernel's next word waits for a bus word, which comes one grant
+    latency after L or later, and ``_jump`` takes a drifting period only if
+    that latency is a user period or more, or the kernel last slept more
+    than a user period before ``now`` (so that under every phase it sleeps
+    at L, at an edge before L).  So both runs' kernels take that word on the
+    same edge, neither on the edge at which it last slept (the one tie
+    ``KernelHost._maybe_wake`` settles by the last edge), and are one from
+    there on.  Nor does a later match read the difference wrongly: it reads
+    the landing run's own history, in which every kernel word moved in
+    [c*_j, c*_j + q) as under any phase, so the argument above holds over
+    spans that hold jumps, and its jumps repeat that history, whose timing
+    is the per-burst run's.
     """
 
     TABLE_LIMIT = 4096      # entries kept in each table before it starts afresh
-    CTL_CAP = 8             # the controller's remaining bytes in the signature, at most
 
     def __init__(self, device: "Device") -> None:
         self.device = device
         self.sim = device.sim
         self.bus = device.world.bus
-        cfg = device.config
         self.engines = tuple(device.engines.values())
-        # Each engine's remaining-bytes cap, in ``engines`` order (see the class).
-        full = 4 * cfg.buffer_capacity
-        self.caps = tuple(full + 8 if e.target in HOST_BOUND
-                          else min(full, device.max_burst_bytes) + 8 for e in self.engines)
-        self.cfg_period = cfg.cfg_clock_period
+        cfg = device.config
         self.user_period = cfg.user_clock_period
+        # Whether no bus word can reach the kernel within a user period of a
+        # burst end: the kernel then shows no phase there (see the class).
+        self.grant_clears = (cfg.pci.grant_latency_cycles * cfg.pci.clock_period
+                             >= cfg.user_clock_period)
         self.table: dict = {}
         self.cross: dict = {}     # (signature, stall term) -> snapshot, kept across jumps
-        self.learned: dict = {}   # signature -> learned period, kept across jumps
+        self.learned: dict = {}   # signature -> learned period, kept for the board's life
         self.stirred = -1     # the last burst end at which the kernel was awake
 
     def clear(self) -> None:
-        """Forget every snapshot and learned period: a register write may
-        start a one-time action."""
+        """Forget every snapshot: a register write may start a one-time
+        action between a snapshot and a later burst end.  Learned periods
+        stay, as the signature covers all that a register write changes."""
         self.table.clear()
         self.cross.clear()
-        self.learned.clear()
 
-    def at_burst_end(self, txn: BusTransaction, state: TxnState) -> None:
+    def signature(self) -> tuple:
+        """The signature at ``now`` (see the class) and the kernel's exact
+        terms; the kernel host's part, second, ends in None if it is
+        quiescent."""
+        now, dev = self.sim.now, self.device
+        ctl, host = dev.controller, dev.kernel_host
+        up, down, rd, wr = self.engines
+        terms = host.terms(now)
+        ck, hk = ctl.key, host.key
+        return (ctl.signature(now), host.signature(now, terms),
+                up.signature(), down.signature(), rd.signature(), wr.signature(),
+                dev.down_buf.signature(), dev.up_buf.signature(), dev.smap_buf.signature(),
+                dev.arbiter.signature(), dev.irq.signature(),
+                ck and hk and ck[1] < hk[1]), terms
+
+    def at_burst_end(self) -> None:
         """Record this burst end's signature, or jump from its recurrence.
 
         A learned period with this signature replays from ``now``.  Else the
@@ -478,32 +559,10 @@ class SteadyState:
         for books in (table, cross, learned):
             if len(books) >= self.TABLE_LIMIT:
                 books.clear()
-        dev = self.device
-        ctl, host = dev.controller, dev.kernel_host
-        ck, hk = ctl.key, host.key
-        # The kernel's exact phase and last edge.
-        terms = (now % self.user_period, max(host._last_edge - now, -self.user_period - 1))
-        asleep = hk is None and terms[1] < 0
+        sig, terms = self.signature()
+        asleep = sig[1][2] is None
         if not asleep:
             self.stirred = now
-        job = ctl._job
-        up, down, rd, wr = self.engines
-        cup, cdown, crd, cwr = self.caps
-        sig = (None if ctl.mode is Mode.IDLE else now % self.cfg_period,
-               None if asleep else terms[0],
-               dev.down_buf.occupancy, dev.up_buf.occupancy, dev.smap_buf.occupancy,
-               up.request and up.request.total_bytes, min(up.addr.bytes_remaining, cup),
-               down.request and down.request.total_bytes, min(down.addr.bytes_remaining, cdown),
-               rd.request and rd.request.total_bytes, min(rd.addr.bytes_remaining, crd),
-               wr.request and wr.request.total_bytes, min(wr.addr.bytes_remaining, cwr),
-               dev.arbiter.last_granted, txn.master_id, txn.transferred_bytes, txn.total_bytes,
-               state is TxnState.DONE,
-               hk and hk[0] - now, None if asleep else terms[1],
-               ctl.mode is Mode.CONFIGURING, ctl.paused, ck and ck[0] - now,
-               job and min(job.total - job.done, self.CTL_CAP),
-               job and min(job.done, bits.HEADER_BYTES),
-               ctl.paused and ctl._pause_start - now, ck and hk and ck[1] < hk[1],
-               dev.irq.pending)
         h = hash(sig)
         # The stall term: where the window over now or the next one opens, and its length.
         bounds = bus._stalls
@@ -519,15 +578,17 @@ class SteadyState:
                 period, start = self._learn(entry[1], now), entry[1][0]
             # The kernel's terms may differ only if it slept throughout the period.
             if ((period.terms == terms or period.woke is None and asleep)
-                    and self._jump(period, now, start, books is cross)):
+                    and self._jump(period, now, start, books is cross, terms)):
                 if books is table:
                     learned[h] = (sig, period)
                 table.clear()
                 return
+        dev = self.device
         trace = dev.trace
+        up, down, rd, wr = self.engines
         table[h] = entry = (sig, (now, bus.busy_ticks, up.addr.next_address,
                                   down.addr.next_address, rd.addr.next_address,
-                                  wr.addr.next_address, len(ctl.pause_windows),
+                                  wr.addr.next_address, len(dev.controller.pause_windows),
                                   len(trace.records) if trace else 0, terms))
         if key is not None:
             cross[key] = entry
@@ -545,23 +606,34 @@ class SteadyState:
                       self.stirred - t0 if self.stirred >= t0 else None,
                       terms)
 
-    def _jump(self, period: Period, now: int, start: int, across: bool) -> bool:
+    def drifts(self, period: Period, terms) -> bool:
+        """True if a jump over ``period`` from the kernel ``terms`` may leave
+        the kernel host in another phase than the per-burst run's: the kernel
+        moves words, and the period is not a whole number of user-clock
+        periods starting from these very terms (see the class)."""
+        return bool(period.moved[0] or period.moved[1]) and not (
+            period.terms == terms and period.length % self.user_period == 0)
+
+    def _jump(self, period: Period, now: int, start: int, across: bool, terms) -> bool:
         """Move as many whole periods from ``now`` as the bounds allow, the
         stall windows measured from ``start`` on, ``across`` them if set;
-        False if none."""
+        False if none.  ``terms`` are the kernel's at ``now``."""
         dev, sim, bus = self.device, self.sim, self.bus
         ctl, host = dev.controller, dev.kernel_host
-        kernel = dev.registry.active
-        if not (kernel is None or hasattr(kernel, "map_words")):
+        if host.form == "step":
             return False
+        # A drifting jump must land where no step can show the kernel's phase.
+        if self.drifts(period, terms) and not (self.grant_clears
+                                               or terms[1] < -self.user_period):
+            return False
+        length, moved = period.length, period.moved
         keys = sorted(p.key for p in (ctl, host) if p.key is not None)
         if sorted(entry[:2] for entry in sim._heap) != keys:
             return False
-        length, moved = period.length, period.moved
         # n periods from now: each engine's job stays its cap or more from
         # its end, the horizon holds and ...
-        fits = [(e.addr.bytes_remaining - (e.txn.transferred_bytes if e.txn else 0) - cap) // d
-                for e, d, cap in zip(self.engines, moved, self.caps) if d]
+        fits = [(e.addr.bytes_remaining - (e.txn.transferred_bytes if e.txn else 0) - e.cap) // d
+                for e, d in zip(self.engines, moved) if d]
         if sim.horizon != FOREVER:
             fits.append((sim.horizon - now) // length)
         if across:

@@ -246,6 +246,9 @@ class KernelHost(RunAhead):
         self._io = PortIO(down, up, regs, self._request_irq)
         self._raised = False
         self._last_edge = -1
+        # How the live kernel's timing goes (``signature``): None if inert,
+        # "map" in map form, "sink" in map form and consume-only, "step" else.
+        self.form = None
         down.on_enqueue(self._maybe_wake)
         up.on_dequeue(self._maybe_wake)
 
@@ -255,6 +258,9 @@ class KernelHost(RunAhead):
         from .fixed_part import REG_STATUS
 
         name = self.registry.activate(bs.kernel_id)
+        kernel = self.registry.active
+        self.form = (None if kernel is None else "step" if not hasattr(kernel, "map_words")
+                     else "sink" if getattr(kernel, "consume_only", False) else "map")
         self.regs.write(REG_STATUS, 0 if name is None else bs.kernel_id)
         if self.trace:
             self.trace.record("kernel", "activate",
@@ -272,6 +278,32 @@ class KernelHost(RunAhead):
         if not self.up.free_words:
             return "asleep: upstream full"
         return "asleep"
+
+    def terms(self, now: int) -> tuple:
+        """The kernel's exact phase at ``now`` and, while the host sleeps, its
+        last edge relative to ``now``, no earlier than one period and a
+        picosecond back (an older one never shows); None while it is awake,
+        as the next step sets it before anything reads it."""
+        q = self.domain.period
+        if self.key is not None:
+            return now % q, None
+        return now % q, max(self._last_edge - now, -q - 1)
+
+    def signature(self, now: int, terms) -> tuple:
+        """The host's part of a steady state's signature (``board.SteadyState``):
+        the kernel's ``form`` and, unless the host is *quiescent* (asleep
+        since before ``now``, so that its clock cannot show), its next edge
+        relative to ``now`` (None if asleep) and its phase; a quiescent host
+        has None in both places.  Asleep but not quiescent, the host slept on
+        ``now``'s own picosecond.  The kernel's identity stays out: a map
+        kernel moves one word in and one out per edge whatever its map, and a
+        sink one in, so which one runs is data (as are its private state and
+        the operand it reads).  So does a stepped kernel's, as the board
+        never jumps while one is live."""
+        key = self.key
+        if key is None and terms[1] < 0:
+            return self.form, None, None
+        return self.form, key and key[0] - now, terms[0]
 
     def _request_irq(self) -> None:
         self._raised = True
@@ -318,16 +350,17 @@ class KernelHost(RunAhead):
         """Run ``n`` more periods of a steady state in closed form (see
         ``board.SteadyState``): each takes ``nin`` bytes from the downstream
         engine and gives ``nout`` to the upstream one, through the buffers and
-        the map kernel, as slices of whole periods.  The next edge and the
-        last one stepped move ``n * period`` on."""
+        the map kernel, as slices of whole periods.  The next edge moves
+        ``n * period`` on, and so does the last one stepped if the kernel
+        moves words; if not, it sleeps throughout, at its last edge."""
         if nin or nout:
             kernel = self.registry.active
             for k in period_chunks(n, max(nin, nout)):
                 taken = self.down.exchange(self.feed.into.take(k * nin), k * nin >> 2)
                 out = memoryview(kernel.map_words(self._io, taken))
                 self.feed.out_of.give(self.up.exchange(out, k * nout >> 2))
+            self._last_edge += n * period
         self.shift(n * period)
-        self._last_edge += n * period
 
     def _stretch(self, t: int, kernel) -> bool:
         """Run the map kernel's edges from ``t`` and the burst's words that

@@ -173,7 +173,7 @@ class PciBus:
         self._master_fetch = None
         self._wake_pending = False
         self._burst_start = 0
-        # The master's: fn(txn, state) at the top of every burst end, and fn()
+        # The master's: fn() at the top of every burst end, and fn()
         # after every window added.
         self.on_burst_end = None
         self.on_stall = None
@@ -295,7 +295,7 @@ class PciBus:
         of a steady state (``on_burst_end``), which moves ``now`` on: here no
         burst is in flight and no run-ahead process runs."""
         if self.on_burst_end is not None:
-            self.on_burst_end(txn, state)
+            self.on_burst_end()
         t = self.sim.now
         txn.state = state
         self.busy = False

@@ -106,6 +106,8 @@ class SelectMapController(RunAhead):
     pause makes the next configuration-clock edge the next point.
     """
 
+    CAP = 8     # the job's remaining bytes in the signature, at most (``board.SteadyState``)
+
     def __init__(self, sim: Simulator, clock: ClockDomain, buffer: StreamBuffer,
                  config_mem: bits.ConfigurationMemory, trace=None, feed=None) -> None:
         self.sim = sim
@@ -121,6 +123,24 @@ class SelectMapController(RunAhead):
         self._job: _Job | None = None
         buffer.on_enqueue(self._feed_arrived)
         buffer.on_dequeue(self._space_freed)
+
+    def signature(self, now: int):
+        """The controller's part of a steady state's signature
+        (``board.SteadyState``), relative to ``now``: None while idle, when
+        it has no job and its clock cannot show; else its clock's phase, its
+        mode, its next point, its job's remaining bytes up to ``CAP``, its
+        bytes done up to one past the header, and the start of its pause.
+        The bytes done show whether the payload's first byte has moved, as
+        its time is taken once (``_Job.first_payload_time``).  Left out: the
+        image, which is data; the pause windows, a log that a jump repeats;
+        and the payload's last time, taken within ``CAP`` of the job's end."""
+        job = self._job
+        if job is None:
+            return None
+        key = self.key
+        return (now % self.clock.period, self.mode is Mode.CONFIGURING, key and key[0] - now,
+                min(job.total - job.done, self.CAP), min(job.done, bits.HEADER_BYTES + 1),
+                self._pause_start - now if self.paused else None)
 
     @property
     def pauses(self) -> int:
@@ -209,8 +229,8 @@ class SelectMapController(RunAhead):
         word falls on point 0: with q equal to the bus period every tie goes
         the way the first did, and with other periods the order cannot show.
         A jump over whole periods (``jump``) shifts the key a stretch leaves
-        and a pause's start; the payload's first byte always moves before a
-        jump, whose signature tells whether it has.
+        and a pause's start; a jump never moves the payload's first byte, as
+        the signature tells whether it has moved.
         """
         q = 4 * self.clock.period
         m = (job.total - job.done - 1) // 4       # the job's last word stays a point

@@ -51,7 +51,7 @@ clocks' common multiple.  Under periodic stall windows a job recurs with a
 multiple of their period, and the jump crosses the windows when they repeat
 those of the first period; otherwise it stays within the gap before the
 next one.  A period proven within a gap is kept, and a later burst end with
-its signature, in any gap of the same jobs, replays it at once.  Either way
+its signature, in any gap of any later job, replays it at once.  Either way
 the jump lands on the last burst end its bounds allow: as near as one burst
 and 8 bytes to a device-bound job's end, and as near as a buffer's worth
 and 8 bytes to a host-bound job's.

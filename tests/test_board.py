@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import timing_worlds
+from test_fast_paths import assert_same_states, recording_states
 
 from proteus_sim import bitstream as bits
 from proteus_sim.board import (
@@ -611,37 +612,33 @@ def _periodic_stalls(world):
         world.bus.inject_stall(start * US, 10 * US)
 
 
-def _with_and_without_jumps(monkeypatch, build, job):
+def _with_and_without_jumps(build, job):
     """Run ``job`` on the world ``build`` returns, then on a fresh one whose
-    steady state never jumps (``_timed``): every jump, fresh or a learned
+    steady state never jumps (``_timed``), recording the state after every
+    burst end (``recording_states``): every jump, fresh or a learned
     period's replay, goes through ``SteadyState._jump``, so the second run
-    learns no period and replays none.  Returns both runs' result, events,
-    figures and the kernel's last awake burst end (``SteadyState.stirred``)
-    after every burst end the run saw, by time."""
+    learns no period and replays none.  Checks that every burst end of the
+    first run is one of the second's, in the same state but for the kernel
+    host's phase after some landings (``assert_same_states``); returns both
+    runs' result, events and figures."""
     runs = []
     for jumps in (True, False):
-        with monkeypatch.context() as mp:
-            if not jumps:
-                mp.setattr(SteadyState, "_jump", lambda self, *args: False)
+        with recording_states(jumps) as recorded:
             world = build()
-            steady, stirred = world.device.steady, {}
-
-            def at_burst_end(txn, state, take=steady.at_burst_end):
-                take(txn, state)
-                stirred[world.sim.now] = steady.stirred
-                assert jumps or not steady.learned
-            world.bus.on_burst_end = at_burst_end
-            runs.append((*_timed(world, lambda: job(world)), stirred))
-    return runs
+            runs.append((*_timed(world, lambda: job(world)), *recorded))
+        assert jumps or not world.device.steady.learned
+    (*jumped, states, drifts), (*walked, want, _none) = runs
+    assert_same_states(states, drifts, want)
+    return jumped, walked
 
 
-def test_a_stream_under_periodic_stalls_jumps_across_the_windows(monkeypatch):
+def test_a_stream_under_periodic_stalls_jumps_across_the_windows():
     """Under a 10 us stall every 40 us, a 1 MiB identity round trip recurs
     every ten stall periods and jumps across the windows: fewer than 300
     events, where burst by burst it takes 6,422.  Its output and figures
-    are those of a run without jumps, and so is the kernel's last awake burst
-    end at every burst end it sees: a jump moves it on with the period when
-    it lies in the jumped one."""
+    are those of a run without jumps, and so is the state at every burst end
+    it sees, the kernel's last awake burst end included: a jump moves it on
+    with the period when it lies in the jumped one."""
     def build():
         world = booted_world()
         world.device.registry.bind(0x21, "identity")
@@ -650,14 +647,13 @@ def test_a_stream_under_periodic_stalls_jumps_across_the_windows(monkeypatch):
         return world
 
     data = random.Random(2).randbytes(1 << 20)
-    jumped, walked = _with_and_without_jumps(monkeypatch, build, lambda world: world.stream(data))
+    jumped, walked = _with_and_without_jumps(build, lambda world: world.stream(data))
     assert jumped[0] == walked[0] == data
     assert jumped[2] == walked[2] == (22_135_767_853, 16_639_013_664, 524_288)
     assert jumped[1] < 300 and walked[1] == 6_422
-    assert {t: walked[3][t] for t in jumped[3]} == jumped[3]
 
 
-def test_a_reconfiguration_under_periodic_stalls_jumps_across_the_windows(monkeypatch):
+def test_a_reconfiguration_under_periodic_stalls_jumps_across_the_windows():
     """Under a 10 us stall every 40 us, a 1 MiB reconfiguration on 130x128x64
     jumps across the windows: fewer than 100 events, where burst by burst it
     takes 4,321.  Its result, the configuration memory and its figures are
@@ -673,14 +669,14 @@ def test_a_reconfiguration_under_periodic_stalls_jumps_across_the_windows(monkey
         return world
 
     jumped, walked = _with_and_without_jumps(
-        monkeypatch, build,
+        build,
         lambda world: (world.reconfigure(image), world.device.config_mem.snapshot()))
     assert jumped[0] == walked[0]
     assert jumped[2] == walked[2] == (21_599_780_000, 8_336_688_633, 262_151)
     assert jumped[1] < 100 and walked[1] == 4_321
 
 
-def test_cross_window_snapshots_outlive_the_jumps_within_a_gap(monkeypatch):
+def test_cross_window_snapshots_outlive_the_jumps_within_a_gap():
     """An 8 KiB reconfiguration and its readback over the benchmark's
     scenario-mix bus (64-word bursts, grant latency 8) under a 10 us stall
     every 40 us jump within each gap and across the windows: a cross-window
@@ -697,7 +693,7 @@ def test_cross_window_snapshots_outlive_the_jumps_within_a_gap(monkeypatch):
     def job(world):
         return world.reconfigure(partial_image(kernel_id=0x5A)), world.readback(0, 4)
 
-    jumped, walked = _with_and_without_jumps(monkeypatch, build, job)
+    jumped, walked = _with_and_without_jumps(build, job)
     assert jumped[0] == walked[0]
     assert jumped[2] == walked[2]
     assert jumped[1] < 70 < walked[1]
@@ -712,17 +708,19 @@ def _mix_bus_world():
 
 
 @pytest.mark.parametrize("kernel", ["identity", "fir4"])
-def test_streams_replay_learned_periods_in_every_stall_gap(monkeypatch, kernel):
+def test_streams_replay_learned_periods_in_every_stall_gap(kernel):
     """A 16 KiB stream over the scenario-mix bus under a 10 us stall every
     40 us: its burst cuts drift from gap to gap, so its gaps rarely recur
     whole, but the steady states within them do.  A period proven in one
     gap is learned and replayed in the later gaps as soon as its signature
     comes back: fewer than 150 events (172 if each gap must prove its own),
-    where burst by burst it takes 269.  Output and figures are those of a
-    run without jumps.  The kernel's last awake burst end is not: a jump over
-    periods at every burst end of which the kernel slept shifts its phase,
-    and at 839,656,344 ps the run without jumps finds it awake for an edge
-    that moves nothing where the jumped run finds it asleep."""
+    where burst by burst it takes 269.  Output, figures and the state at
+    every burst end are those of a run without jumps, the kernel's last
+    awake burst end included, but for the kernel's phase after a jump over
+    periods in which it slept at every burst end: at 839,656,344 ps the run
+    without jumps finds it awake for an edge that moves nothing where the
+    jumped run finds it asleep, and the two agree again at the next burst end
+    at which either kernel shows (``assert_same_states``)."""
     def build():
         world = _mix_bus_world()
         world.device.registry.bind(0x21, kernel)
@@ -731,7 +729,7 @@ def test_streams_replay_learned_periods_in_every_stall_gap(monkeypatch, kernel):
         return world
 
     data = random.Random(5).randbytes(1 << 14)
-    jumped, walked = _with_and_without_jumps(monkeypatch, build, lambda world: world.stream(data))
+    jumped, walked = _with_and_without_jumps(build, lambda world: world.stream(data))
     assert jumped[0] == walked[0]
     assert jumped[2] == walked[2] == (371_131_494, 281_454_264, 8_192)
     assert jumped[1] < 150 and walked[1] == 269
@@ -765,7 +763,7 @@ def test_a_device_bound_job_jumps_to_within_one_burst_of_its_end(monkeypatch):
         return world
 
     jumped, walked = _with_and_without_jumps(
-        monkeypatch, build,
+        build,
         lambda world: (world.reconfigure(image), world.device.config_mem.snapshot()))
     assert len(image) == 4_616 and left == [4 * 64 + 8]
     assert jumped[0] == walked[0]
@@ -773,11 +771,52 @@ def test_a_device_bound_job_jumps_to_within_one_burst_of_its_end(monkeypatch):
     assert jumped[1] < walked[1]
 
 
+def test_a_jump_in_which_the_kernel_moves_no_word_leaves_its_last_edge():
+    """A kernel that moves no word in a period sleeps through it at its last
+    edge, so a jump over such periods leaves that edge where it was: a
+    16-byte stream through a kernel on a 5 us clock ends early in a
+    reconfiguration whose periods an earlier one taught (the stream's done
+    interrupts pending in both), which replays them a few microseconds
+    after the kernel's last edge.  The state at every burst end, the
+    kernel's exact terms included, is that of a run without jumps; with
+    the edge shifted by the periods it would read as a recent one."""
+    image = partial_image(kernel_id=0x21)
+    data = random.Random(7).randbytes(16)
+
+    def build():
+        world = World(BoardConfig(user_clock_period=5 * US,
+                                  pci=PciConfig(grant_latency_cycles=8, max_burst_cycles=64)))
+        assert world.boot(full_flash()).ok
+        world.device.registry.bind(0x21, "identity")
+        world.reconfigure(image)
+        return world
+
+    def job(world):
+        in_base, out_base = world.start_stream(data)
+        world.run_until_cause(IrqCause.DOWNSTREAM_DONE)
+        world.run_until_cause(IrqCause.UPSTREAM_DONE)
+        world.reconfigure(image)
+        world.acknowledge(IrqCause.DOWNSTREAM_DONE | IrqCause.UPSTREAM_DONE)
+        cfg_base = world.stage(image)
+        world._program(((REG_DOWN_BASE, in_base), (REG_DOWN_LEN, len(data)),
+                        (REG_UP_BASE, out_base), (REG_UP_LEN, len(data)),
+                        (REG_CFG_BASE, cfg_base), (REG_CFG_LEN, len(image)),
+                        (REG_CONTROL, CTRL_START_DOWN | CTRL_START_UP | CTRL_START_RECONFIG)))
+        world.wait(IrqCause.RECONFIG_DONE)
+        return world.host.read(out_base, len(data))
+
+    jumped, walked = _with_and_without_jumps(build, job)
+    assert jumped[0] == walked[0] == data
+    assert jumped[2] == walked[2]
+    assert jumped[1] < walked[1]
+
+
 def test_new_windows_and_register_writes_clear_the_cross_window_table():
     """A window added at a stop may open before it, in periods already run,
     and a register write may start a one-time action: each clears the
-    cross-window snapshots.  A register write also clears the learned
-    periods; a window does not, as they ran with none."""
+    cross-window snapshots, and a register write the in-gap ones too.
+    Neither clears the learned periods: they ran with no window, and the
+    signature covers all that a register write changes."""
     world = _mix_bus_world()
     world.device.registry.bind(0x21, "identity")
     world.reconfigure(partial_image(kernel_id=0x21))
@@ -792,8 +831,9 @@ def test_new_windows_and_register_writes_clear_the_cross_window_table():
     assert not steady.cross and steady.learned == learned
     sim.run_until(sim.now + 100 * US)
     assert steady.cross and steady.learned
+    learned = dict(steady.learned)
     world.device.host_reg_write(REG_IRQ_MASK, world.device.host_reg_read(REG_IRQ_MASK))
-    assert not steady.cross and not steady.table and not steady.learned
+    assert not steady.cross and not steady.table and steady.learned == learned
     world.wait(IrqCause.DOWNSTREAM_DONE)
     world.wait(IrqCause.UPSTREAM_DONE)
     assert world.host.read(out_base, len(data)) == data
@@ -809,13 +849,68 @@ def test_each_table_starts_afresh_at_its_limit(monkeypatch):
     _periodic_stalls(world)
     steady, sizes = world.device.steady, set()
 
-    def at_burst_end(txn, state, take=steady.at_burst_end):
-        take(txn, state)
+    def at_burst_end(take=steady.at_burst_end):
+        take()
         sizes.add((len(steady.table), len(steady.cross)))
     world.bus.on_burst_end = at_burst_end
     data = random.Random(4).randbytes(1 << 18)
     assert world.stream(data) == data
     assert max(t for t, _c in sizes) <= 16 and max(c for _t, c in sizes) == 16
+
+
+def test_soak_learned_periods_stay_within_the_table_limit(monkeypatch):
+    """Learned periods live as long as the board, so they are bounded as the
+    other tables are: over 120 driver rounds under a 10 us stall every
+    40 us, with streams of differing lengths through two kernels, bursts
+    of 16 and 64 words and reconfigurations and readbacks of differing
+    regions, the table of learned periods (here limited to 3, as the whole
+    soak visits only a few steady states) fills to ``TABLE_LIMIT`` and
+    starts afresh, never holding more, and memory stays bounded from the
+    first quarter of the rounds on."""
+    monkeypatch.setattr(SteadyState, "TABLE_LIMIT", 3)
+    seen = {"most": 0, "restarts": 0, "last": 0}     # learned periods held
+    at_burst_end = SteadyState.at_burst_end
+
+    def counting(self):
+        at_burst_end(self)
+        size = len(self.learned)
+        seen["most"] = max(seen["most"], size)
+        seen["restarts"] += size < seen["last"]
+        seen["last"] = size
+    monkeypatch.setattr(SteadyState, "at_burst_end", counting)
+    g = bits.DeviceGeometry(8, 8, 16, 6)
+
+    def rounds(world, first, count):
+        for i in range(first, first + count):
+            columns = 1 + i % 3
+            payload = random.Random(-i).randbytes(columns * g.column_bytes)
+            world.reconfigure(bits.encode(g, bits.BitstreamKind.PARTIAL, 0x21 + i % 2, 0, payload))
+            data = random.Random(i).randbytes(4096 + 36 * (i % 29))
+            assert world.stream(data) == (data if i % 2 == 0 else b"".join(_fir4_chunks(data)))
+            assert bits.parse(world.readback(0, columns)).payload == payload
+
+    worlds = []
+    for burst in (16, 64):
+        world = World(BoardConfig(geometry=g, pci=PciConfig(grant_latency_cycles=8,
+                                                            max_burst_cycles=burst)))
+        assert world.boot(bits.encode(g, bits.BitstreamKind.FULL, 0, 0, bytes(g.total_bytes))).ok
+        world.device.registry.bind(0x21, "identity")
+        world.device.registry.bind(0x22, "fir4")
+        _periodic_stalls(world)
+        worlds.append(world)
+    for world in worlds:
+        rounds(world, 0, 15)
+    tracemalloc.start()
+    try:
+        first = tracemalloc.get_traced_memory()[0]
+        for world in worlds:
+            rounds(world, 15, 45)
+        growth = tracemalloc.get_traced_memory()[0] - first
+    finally:
+        tracemalloc.stop()
+    # CPython keeps up to 2,000 freed tuples of each small size for reuse; the
+    # signatures' parts fill that slowly (about 150 KiB after 600 rounds).
+    assert seen["most"] == 3 and seen["restarts"] >= 2 and growth <= 64 * 1024
 
 
 MiB = 1 << 20
