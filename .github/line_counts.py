@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Line counts of the package source, for the CI report.
 
-    python3 .github/line_counts.py src/proteus_sim [BASE/src/proteus_sim]
+    python3 .github/line_counts.py [src/proteus_sim [BASE/src/proteus_sim]]
 
-Prints the lines and the code lines of the directory's ``*.py`` files.
+Prints the lines and the code lines of the directory's ``*.py`` files
+(``src/proteus_sim`` when none is given, run from the repository root).
 Code lines are the non-blank lines outside docstrings and comments.  Given
 the same directory of a base tree as well, it also prints the change
 against it.
@@ -33,7 +34,7 @@ def counts(directory) -> tuple[int, int]:
 
 
 def main(argv) -> None:
-    lines, code = counts(argv[0])
+    lines, code = counts(argv[0] if argv else "src/proteus_sim")
     print(f"src/: {lines} lines, {code} code lines")
     if len(argv) > 1:
         base_lines, base_code = counts(argv[1])

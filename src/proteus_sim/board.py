@@ -32,15 +32,17 @@ listeners would do nothing, so they move as one slice.  On the shared
 SelectMap buffer the other engine is idle all the while: a port job starts
 only with the controller idle and the buffer empty.
 
-At every burst end the board looks for a *steady state* (``SteadyState``):
-a signature of all its timing-visible state relative to ``now``, each
-component giving its own part, that recurs.  The whole periods that the
-bounds allow then move at once: the engines' addresses and the processes'
-keys shift, the counters scale, the period's trace records and pause
-windows repeat, and the periods' bytes go through the buffers, the map
-kernel and the configuration image as slices.  A period so proven is kept
-for the board's life and replayed wherever its signature comes back, in
-later jobs too, as the signature covers all that a register write changes.
+At every burst end the board takes a signature of all its timing-visible
+state relative to ``now`` (``SteadyState``), and keeps what it does up to
+the next burst end, a *segment*, under it: a segment is a function of its
+start's signature and the stall windows it meets.  A burst end whose
+signature comes back replays the segments that follow it, a *chain*, in
+one event, and a chain that comes back to a signature jumps the period it
+closed as many whole times as the bounds allow: the engines' addresses and
+the processes' keys move on, the counters grow, the trace records and
+pause windows repeat, and the bytes go through the buffers, the map kernel
+and the configuration image as slices.  The store lives as long as the
+board, as the signature covers all that a register write changes.
 
 A simulation that can go no further raises ``Deadlock``, naming the busy
 engines, the stream buffers' occupancies and the kernel host's state.
@@ -55,6 +57,7 @@ from typing import NamedTuple
 from . import bitstream as bits
 from .bitstream import (
     DESK_GEOMETRY,
+    HEADER_BYTES,
     WRAPPER_BYTES,
     ConfigurationMemory,
     DeviceGeometry,
@@ -63,6 +66,7 @@ from .bitstream import (
 from .fixed_part import (
     ARBITRATION_ORDER,
     HOST_BOUND,
+    MASTER_ID,
     CTRL_START_DOWN,
     CTRL_START_READBACK,
     CTRL_START_RECONFIG,
@@ -81,6 +85,7 @@ from .fixed_part import (
     InterruptLine,
     IrqCause,
     RegisterFile,
+    SLICE_BYTES,
     StreamBuffer,
     TargetId,
     arbitrate,
@@ -89,7 +94,7 @@ from .fixed_part import (
     quiet_band,
 )
 from .kernels import KernelHost
-from .pci import BusTransaction, HostMemory, PciBus, PciConfig, TxnState
+from .pci import BusTransaction, Direction, HostMemory, PciBus, PciConfig, TxnState
 from .selectmap import BootReport, ConfigResult, Mode, NotIdle, SelectMapController
 from .sim import FOREVER, ClockDomain, Simulator
 from .trace import TraceRecord, TraceRecorder
@@ -146,7 +151,7 @@ class DmaEngine:
     bytes it moved.  Nothing reads it while a transaction is granted.
 
     The job's remaining bytes R show only near its end, so the engine has a
-    *cap* at or above which they cannot show (``signature``):
+    *cap* at or above which they cannot show (``SteadyState.signature``):
 
     - a host-bound engine (upstream, SelectMap read) shows R in its flush
       rule ``occupancy * 4 >= R`` and in its quiet band, for R up to
@@ -164,6 +169,7 @@ class DmaEngine:
         self.addr = DmaAddressState()
         full = 4 * buffer.capacity
         self.cap = full + 8 if target in HOST_BOUND else min(full, device.max_burst_bytes) + 8
+        self.direction = Direction.TO_HOST if target in HOST_BOUND else Direction.TO_DEVICE
         self.request = None
         self.txn = None
         self.started_at: int | None = None
@@ -175,18 +181,6 @@ class DmaEngine:
     @property
     def busy(self) -> bool:
         return self.addr.bytes_remaining > 0 or self.request is not None or self.txn is not None
-
-    def signature(self) -> tuple:
-        """The engine's part of a steady state's signature (``SteadyState``):
-        its waiting request's size, its remaining bytes up to ``cap``, and,
-        if the ending burst is its own, that burst's bytes moved and asked
-        for, which also say whether it is done.  The addresses stay out (they
-        say where the bytes go, not when), and so do the job's start and
-        finish times, set at register writes and job ends, outside every
-        period."""
-        request, txn = self.request, self.txn
-        return (request and request.total_bytes, min(self.addr.bytes_remaining, self.cap),
-                txn and txn.transferred_bytes, txn and txn.total_bytes)
 
     def band(self) -> tuple[int, int]:
         """The buffer occupancies (lo, hi), both included, at which a word
@@ -255,6 +249,32 @@ class DmaEngine:
             self.request.start_address = self.addr.next_address
         return pos
 
+    def grant(self, txn: BusTransaction) -> BusTransaction:
+        """Make ``txn`` the granted transaction, wired to this engine."""
+        txn.word_sink, txn.word_source, txn.on_finish = self.sink, self.source, self.finished
+        txn.run_sink, txn.run_source = self.run_sink, self.run_source
+        self.txn = txn
+        return txn
+
+    def land(self, request, done, total) -> None:
+        """Take the state of a landing (``SteadyState``): a waiting request
+        of ``request`` bytes (None: none) and, if ``total`` is set, the burst
+        ending there, granted at the job's next address with ``done`` of its
+        ``total`` bytes moved.  The bytes moved by the burst ending at the
+        start now count in ``addr``, and those of the one ending at the
+        landing not yet, as when a burst ends."""
+        txn = self.txn
+        self.addr.advance((txn.transferred_bytes if txn else 0) - (done or 0))
+        self.request = self._transaction(request) if request else None
+        self.txn = None
+        if total:
+            txn = self.grant(self._transaction(total))
+            txn.transferred_bytes, txn.state = done, TxnState.BURSTING
+
+    def _transaction(self, nbytes: int) -> BusTransaction:
+        return BusTransaction(MASTER_ID[self.target], self.direction, self.addr.next_address,
+                              nbytes)
+
     def finished(self, txn: BusTransaction) -> None:
         self.txn = None
         self.addr.advance(txn.transferred_bytes)
@@ -309,73 +329,131 @@ class BufferFeed:
         return self.out_of.band()[1]
 
 
-class Period(NamedTuple):
-    """A steady-state period, relative to its start: its length in ps, the
-    bytes each engine moves (in ``SteadyState.engines`` order), the bus's
-    busy ps, the trace records (time, component, event, detail) and the
-    controller's pause windows (start, end), where the kernel was last awake
-    at a burst end (None if it slept at every one), and the kernel's exact
-    terms at its start (``KernelHost.terms``)."""
+# Fields of the flat signature (``SteadyState.signature``): the controller's
+# six, the kernel host's three, four for each engine in ``SteadyState.engines``
+# order, the buffers' occupancies, the arbiter's last grant, the pending
+# interrupts and the slot order.
+_CTL_KEY, _CTL_REM, _CTL_DONE, _CTL_PAUSE = 2, 3, 4, 5
+_FORM, _HOST_KEY, _HOST_PHASE = 6, 7, 8
+_ENGINE = 9
+_DOWN_OCC, _SMAP_OCC, _GRANT, _ORDER = 25, 27, 28, 30
+# The bytes after the payload: the payload's end has moved once the
+# controller has no more left, and its time is taken then.
+_CRC_BYTES = WRAPPER_BYTES - HEADER_BYTES
+
+
+class Segment(NamedTuple):
+    """What the board does from one burst end to the next, relative to its
+    start (or, for a *period*, over a cycle of such segments): its length in
+    ps, the bytes the bus moves for each engine (in ``SteadyState.engines``
+    order), the bus's busy ps and data cycles, the trace records (time,
+    component, event, detail) and the controller's pause windows (start,
+    end); the stall windows over [0, length], clipped to it; the kernel's
+    exact terms at its start, whether the kernel shows (is not quiescent) at
+    a burst end of it, and its last edge relative to the end if it had one
+    within; the ending burst's grant relative to the end; the bytes each
+    engine at its cap at the start must have to spare (None below its cap);
+    and the signature at the end, with its hash."""
 
     length: int
     moved: tuple
     busy: int
+    cycles: int
     records: tuple
     windows: tuple
-    woke: int | None
+    stalls: tuple
     terms: tuple
+    stirs: bool
+    edge: int | None
+    granted: int | None
+    need: tuple
+    sig: tuple
+    key: int
 
 
 class SteadyState:
-    """Finds a steady state at burst ends and jumps whole periods of it, as
-    in the cyclicity of max-plus linear systems and the periodic phase of
-    self-timed dataflow.
+    """Memoizes what the board does between burst ends and replays it, as
+    HashLife memoizes the macro-steps of a deterministic system by its state
+    (Gosper, *Physica D* 10, 1984); a replay that comes back to a state it
+    passed is a period, which it jumps whole, as in the cyclicity of
+    max-plus linear systems and the periodic phase of self-timed dataflow.
 
     At the top of every burst end (``PciBus._finish``) no burst is in flight
     and no run-ahead process runs.  There ``at_burst_end`` takes the
     signature of everything that decides the board's timing, relative to
-    ``now``.  Each component gives its own part, and says next to it which
-    of its fields stay out and why: the controller
-    (``SelectMapController.signature``), the kernel host
-    (``KernelHost.signature``), each engine (``DmaEngine.signature``, which
-    also covers the ending burst, as only its engine has one granted), the
-    three buffers, the arbiter and the interrupt line; the board adds the
-    order of the two processes' slots, which decides their ties.  A
-    snapshot holds the time, the bus's busy time, the engines' addresses,
-    the controller's pause windows, the trace records and the kernel's exact
-    terms (``KernelHost.terms``).  ``table`` maps each signature to the last
-    snapshot that had it.  ``cross`` maps each signature and *stall term*
-    (where the stall window over ``now``, or the next one, opens relative to
-    ``now``, and its length) to the last snapshot that had both.  Both are
-    keyed by the signature's hash, taken once per burst end, and hold the
-    signature with the snapshot: another signature with the same hash only
-    loses a match.  The rest of a period follows from these: the controller
-    moves what its engine moves, as the buffer's occupancy is in the
-    signature, and the bus moves the words of all four engines, as a
-    recurring period holds only full words.
+    ``now`` (``signature``), one flat tuple with each component's fields and
+    a word on those that stay out.  The board walks from a burst end to the
+    next event by event, and the next burst end closes the *segment* between
+    them: its length, what the bus moved for each engine, the trace records,
+    the pause and stall windows it met, the kernel's terms at its start and
+    the signature where it lands (``Segment``).  ``store`` keeps it under the
+    start's signature, or under the signature and the *stall term* (where the
+    stall window over the start, or the next one, opens relative to it, and
+    its length) if a window met it.  Keys are the signature's hash, taken
+    once per burst end, with the signature beside the segment: another
+    signature with the same hash only loses a replay.  The store lives as
+    long as the board, starting afresh at ``TABLE_LIMIT`` segments.
 
-    An engine's remaining bytes show only within its cap of its job's end
-    (``DmaEngine``).  The controller's remaining bytes are its engine's plus
-    four per buffered word while it configures, and its engine's less four
-    per buffered word in readback, 4 * capacity + 8 - 4 * capacity = 8 or
-    more at the engine's cap.  So while its engine stays at its cap or more,
-    the controller stays ``SelectMapController.CAP`` = 8 bytes or more from
-    its end, at every burst end and, as they only fall, in between: short of
-    its last word, where a stretch stops, and of its payload's end.  Below
-    its engine's cap its remaining bytes follow from the engine's and the
-    buffer's occupancy.
+    Why a segment's landing is a function of its start.  Between register
+    writes nothing from outside reaches the board but the stall windows,
+    and its timing is max-plus: every event's time is a maximum of sums of
+    earlier times and fixed delays (clock periods, the grant latency, a bus
+    word), and ties go by insertion order.  Translate a burst end's state
+    and the windows by D, with D a whole number of periods of every clock
+    that shows there, and every event that follows translates by D, in the
+    same order.  The signature holds the whole state up to such a
+    translation but for what cannot change what follows: data (addresses,
+    words, images, the kernel's identity), logs (trace records, pause
+    windows), remaining bytes at or above a cap (below, *caps*) and the
+    phase of a quiescent process (below).  So from a burst end with a
+    segment's start signature, under the segment's windows translated, the
+    same events follow, translated, up to the next burst end, whose state
+    is the landing's translated: its signature is the landing's.  Where
+    this does not hold, no segment is kept: one that holds a one-time
+    action (a job's end, an interrupt, a kernel's activation, a
+    configuration's or readback's completion, each through
+    ``Device.job_done`` or ``Device._raise``), a register write or a new
+    stall window (each forgets the open segment, ``clear``), the payload's
+    first byte, its end or the bytes after it (whose times are taken once,
+    and whose last word may be short), or a job's short last word; one
+    that starts or lands with anything but the processes' slots queued (a
+    stall wake included) or with a kernel stepped edge by edge; and one in
+    which an engine at its cap at the start comes within its cap of its
+    job's end.
 
-    When a signature recurs at ``now`` from ``t0``, what follows ``now``
-    repeats what followed ``t0`` for as long as the stall windows do, as
-    nothing else from outside reaches the board between register writes.
-    So ``_jump`` moves the largest number ``n`` of whole periods after which
-    every engine's job is still its cap or more from its end (the
-    controller's job moves with its engine), that end by the loop's horizon
-    and that meet the stall windows the first period met:
+    A landing takes its state from the landing signature's fields, each
+    component its own, relative to ``now`` (``_land``): each engine its
+    request, the burst ending there and, through the bytes moved, its
+    remaining bytes and address; the buffers their occupancies, through the
+    slices; the arbiter its last grant; the controller its next point and
+    pause, the kernel host its next edge, both in the order of their
+    slots; and the kernel its last edge, translated from the segment.  The
+    data left out is moved, and the logs are repeated, translated.
 
-    - a match in ``table`` needs no window to meet [t0, now + n * period];
-    - a match in ``cross`` needs the windows over [t0, now + (n + 1) *
-      period) to be those of [t0, now) shifted by whole periods
+    A burst end whose signature has a segment, under the stall windows
+    translated, replays it (``_chain``), and the landing's signature leads to
+    the next segment, all in the same event.  The chain stops at a signature
+    with no segment, at a bound, where the windows over [now, now + length]
+    are not the segment's own translated (``lookup``: none for a segment kept
+    without a stall term), or where the kernel rule (below) fails.  The
+    bounds: each engine's job stays its cap or more from its end (caps), the
+    landing comes by the loop's horizon, and nothing but the processes'
+    slots is queued (checked once, at the chain's start, as nothing is
+    queued inside it).  Its bytes go through the buffers, the map kernel and
+    the configuration image in one slice per engine, at the landing or each
+    ``SLICE_BYTES`` (``_land``).
+
+    A signature that recurs within a chain closes a cycle: the segments
+    between form a period, which repeats for as long as the windows do.  So
+    the chain lands there and ``_jump`` moves the largest number ``n`` of
+    whole periods after which every engine's job is still its cap or more
+    from its end, that end by the loop's horizon and that meet the stall
+    windows the first period met:
+
+    - a period that met no window needs no window to meet [start, now +
+      n * period];
+    - one that did needs the windows over [start, now + (n + 1) * period)
+      to be those of [start, now) shifted by whole periods
       (``PciBus.stalls_repeat``, one walk over the merged bounds), so that
       every jumped period meets the windows of the first.
 
@@ -383,27 +461,26 @@ class SteadyState:
     engine's remaining bytes are its cap or more there, as at ``now``, so
     the signature there is ``now``'s.  Its lattice point is stalled or not
     as ``now``'s was, which decides how the burst ending there was cut: the
-    gap's bound includes it, and the cross check covers it with a whole
-    period to spare.  ``_jump`` refuses if the kernel is stepped edge by
-    edge, or if anything but the processes' slots is queued, a stall wake
-    included.  No period raises an interrupt: a job's end changes its
-    engine's remaining bytes or the controller's mode, and only stepped
-    kernels request one.
+    gap's bound includes it, and the repeat check covers it with a whole
+    period to spare.  The chain then goes on from there.
 
-    A period, once proven, holds wherever its signature comes back, as a
-    max-plus system's periodic regime depends on its state alone; the same
-    few steady states come back in gap after gap between stall windows, at
-    burst cuts that drift from gap to gap, and in job after job.  So every
-    match makes a ``Period`` of its snapshot (``_learn``), relative to the
-    period's start, and ``_jump`` replays that; a match in ``table`` that
-    jumps keeps its period in ``learned`` under the signature, a *learned
-    period*.  A later burst end with that signature, in any gap of any later
-    job, replays it from ``now`` at once, under the same kernel rule and
-    bounds, with no window over [now, now + n * period]: the period ran
-    with none.
+    Caps.  An engine's remaining bytes show only within its cap of its job's
+    end (``DmaEngine``); its bytes to go are its remaining bytes less those
+    the burst ending now has moved.  At its cap or more at a segment's start
+    (the signature says whether), a segment is kept only if the engine ends
+    it with its bytes to go still its cap or more, and replayed only where
+    they stay so (``Segment.need``), so that in neither run do they show.
+    Below its cap they are in the signature exactly.  The controller's
+    remaining bytes are its engine's bytes to go plus four per buffered word
+    while it configures, and less four per buffered word in readback, 4 *
+    capacity + 8 - 4 * capacity = 8 or more at the engine's cap.  So while
+    its engine stays at its cap or more, the controller stays
+    ``SelectMapController.CAP`` = 8 bytes or more from its end, at every
+    burst end and, as they only fall, in between: short of its last word,
+    where a stretch stops, and of its payload's end.
 
-    That needs the signature to be the whole timing state, also across the
-    host's register writes.  Register by register:
+    The signature is the whole timing state, also across the host's
+    register writes, so that segments outlive them.  Register by register:
 
     - ``down_base``, ``up_base`` and ``cfg_base`` are addresses, read at a
       start strobe: they say where bytes go, not when.
@@ -415,32 +492,21 @@ class SteadyState:
       the controller's mode, job and next point, all in the signature.
     - ``status`` only reads back what the host or the kernel host wrote.
     - the kernel registers are operands: a map kernel reads them as data
-      (add_const, register 8), and the board never jumps while a stepped
-      kernel, which may let them steer it, is live.
+      (add_const, register 8), and the board keeps no segment while a
+      stepped kernel, which may let them steer it, is live.
     - ``irq mask`` sets ``InterruptLine.masked``, which nothing in the event
-      loop reads (``InterruptLine.signature``).
+      loop reads.
     - ``irq cause`` acknowledges causes: ``pending`` is in the signature.
 
     Inside the loop the kernel changes when a reconfiguration completes:
-    its form is in the signature, its identity is data
-    (``KernelHost.signature``).  The trace records a period replays are the
-    bus's grant, complete and preempt records, which name the master and
-    the burst's bytes moved and asked for, and the controller's pause and
-    resume records, which name the mode's reason: all fixed by the
-    signature, none naming an address, a length or a kernel.  The records
-    that do (a job's start and completion, a kernel's activation, an
-    interrupt) fall at register writes and job ends, outside every period.
-    ``table`` and ``cross`` are still cleared at every register write
-    (``Device.host_reg_write``, through which every job starts): a snapshot
-    taken before one would make a period of the write.  ``table`` is also
-    cleared after a jump.  A window added later needs no clear of ``table``,
-    as each jump measures the windows from ``t0`` on when it jumps, nor of
-    ``learned``, whose periods ran with none.  It does clear ``cross``
-    (``PciBus.on_stall``): it may open before ``now``, in periods already
-    run, which then no longer match the windows their snapshots ran under.
-    A jump leaves ``cross`` as it is, as a cross-window match needs a
-    snapshot taken a stall period or more earlier, before the jumps within
-    the gaps since (see below for what they leave).
+    its form is in the signature, its identity is data.  The trace records a
+    segment replays are the bus's grant, complete and preempt records, which
+    name the master and the burst's bytes moved and asked for, and the
+    controller's pause and resume records, which name the mode's reason:
+    all fixed by the signature, none naming an address, a length or a
+    kernel.  The records that do (a job's start and completion, a kernel's
+    activation, an interrupt) fall at register writes and one-time actions,
+    outside every segment.
 
     A process is *quiescent* at a burst end if its clock cannot show there:
     the controller when it is idle (it then has no next point), the kernel
@@ -452,11 +518,11 @@ class SteadyState:
     Quadrat, *Synchronization and Linearity*, 1992).  An idle controller
     stays idle until a register write starts a job, which changes its part
     of the signature, so its phase never shows.  The kernel's phase does not
-    show within a period at every burst end of which the kernel was
-    quiescent (``stirred`` is the last burst end at which it was not):
+    show within a segment (or period) at every burst end of which the kernel
+    was quiescent:
 
-    - within the period the bus lattice, grants and burst sizes do not
-      depend on the kernel's phase;
+    - within it the bus lattice, grants and burst sizes do not depend on
+      the kernel's phase;
     - the kernel moves one word per edge: word j at
       c_j = max(c_{j-1} + q, edge(a_j)), a_j the time of the bus word that
       makes it movable; by induction c_j lies in [c*_j, c*_j + q) under
@@ -466,203 +532,393 @@ class SteadyState:
       after T;
     - so the occupancies at every burst end, the requests pending there and
       their sizes (each set at a threshold crossing) are the same under
-      every phase, and the bus never idles inside the period, as an asleep
-      kernel with no burst in flight raises nothing.
+      every phase, and the bus never idles inside it, as an asleep kernel
+      with no burst in flight raises nothing.
 
     A kernel that went to sleep on ``now``'s own picosecond is not
     quiescent: a burst whose first word lands on ``now`` (grant latency 0)
-    wakes it one edge later than under a phase without that edge.  So a
-    period replays from ``now`` with kernel terms other than those at its
-    start only if the kernel slept at every burst end of the period
-    (``stirred`` came before the snapshot) and sleeps at ``now``; otherwise
-    they must be equal.
+    wakes it one edge later than under a phase without that edge.  So the
+    *kernel rule*: a segment replays from ``now`` with kernel terms other
+    than those at its start only if the kernel was quiescent at both its
+    burst ends (and so is at ``now``); otherwise they must be equal.  The
+    rule reads the two signatures only.
 
-    Where a jump lands.  A jump from the kernel terms at the period's start
-    over whole user-clock periods (as every fresh match with equal terms
-    is) lands on the state the per-burst run reaches, kernel host and
-    ``stirred`` included, as the whole state repeats; so does a jump whose
-    kernel moves no word, which leaves the kernel asleep at its last edge
-    (``KernelHost.jump``).  Any other jump *drifts* (``drifts``): one with
-    other kernel terms, or a learned period proven under other terms that
-    is no whole number of user-clock periods.  It lands on the per-burst
-    run's bus side, but its kernel keeps the phase of the run that proved
-    the period.  By the bounds above, the per-burst run's kernel may have
-    slept at another edge, less than q from the landing's, or be awake for
-    one edge in (L, L + q) that moves nothing, L the landing; and it may
-    have been awake at burst ends of the last period where the landing's
-    was not, so that its ``stirred`` is later.  No later step shows this.
-    The kernel's next word waits for a bus word, which comes one grant
-    latency after L or later, and ``_jump`` takes a drifting period only if
-    that latency is a user period or more, or the kernel last slept more
-    than a user period before ``now`` (so that under every phase it sleeps
-    at L, at an edge before L).  So both runs' kernels take that word on the
-    same edge, neither on the edge at which it last slept (the one tie
+    Where a replay lands.  From equal kernel terms the phases are equal, so
+    the replay is the segment translated by whole user-clock periods, and it
+    lands on the per-burst run's state, kernel host included; so does a
+    replay in which the kernel has no edge, which leaves it asleep at its
+    last edge.  Any other replay *drifts* (``drifts``): it lands on the
+    per-burst run's bus side, but its kernel keeps the phase of the run that
+    recorded the segment, its next edge and last edge translated.  By the
+    bounds above, the per-burst run's kernel may have slept at another edge,
+    less than q from the landing's, or be awake for one edge in (L, L + q)
+    that moves nothing, L the landing.  No later step shows this.  The
+    kernel's next word waits for a bus word, which comes one grant latency
+    after L or later, and a drifting replay is taken only if that latency is
+    a user period or more, or the kernel last slept more than a user period
+    before ``now`` (so that under every phase it sleeps at L, at an edge
+    before L).  So both runs' kernels take that word on the same edge,
+    neither on the edge at which it last slept (the one tie
     ``KernelHost._maybe_wake`` settles by the last edge), and are one from
-    there on.  Nor does a later match read the difference wrongly: it reads
-    the landing run's own history, in which every kernel word moved in
-    [c*_j, c*_j + q) as under any phase, so the argument above holds over
-    spans that hold jumps, and its jumps repeat that history, whose timing
-    is the per-burst run's.
+    there on.  Nor is a later replay misled: the kernel rule reads the
+    quiescence that each segment's own signatures record, which is the
+    same under every phase, and a replay from the drifted terms repeats the
+    recording run's history, whose timing is the per-burst run's.
     """
 
-    TABLE_LIMIT = 4096      # entries kept in each table before it starts afresh
+    TABLE_LIMIT = 4096      # segments kept before the store starts afresh
 
     def __init__(self, device: "Device") -> None:
         self.device = device
         self.sim = device.sim
         self.bus = device.world.bus
         self.engines = tuple(device.engines.values())
+        # Each bus master's place in ``engines``.
+        self.slot = {MASTER_ID[e.target]: i for i, e in enumerate(self.engines)}
         cfg = device.config
         self.user_period = cfg.user_clock_period
         # Whether no bus word can reach the kernel within a user period of a
         # burst end: the kernel then shows no phase there (see the class).
         self.grant_clears = (cfg.pci.grant_latency_cycles * cfg.pci.clock_period
                              >= cfg.user_clock_period)
-        self.table: dict = {}
-        self.cross: dict = {}     # (signature, stall term) -> snapshot, kept across jumps
-        self.learned: dict = {}   # signature -> learned period, kept for the board's life
-        self.stirred = -1     # the last burst end at which the kernel was awake
+        self.store: dict = {}     # key -> (signature, segment), kept for the board's life
+        self.snap = None          # the open segment's start: the last burst end walked
 
     def clear(self) -> None:
-        """Forget every snapshot: a register write may start a one-time
-        action between a snapshot and a later burst end.  Learned periods
-        stay, as the signature covers all that a register write changes."""
-        self.table.clear()
-        self.cross.clear()
+        """Forget the open segment: a register write, a one-time action or
+        a new stall window falls within it.  The store stays, as each
+        segment's signatures and windows cover all that these change."""
+        self.snap = None
 
     def signature(self) -> tuple:
-        """The signature at ``now`` (see the class) and the kernel's exact
-        terms; the kernel host's part, second, ends in None if it is
-        quiescent."""
+        """The signature at ``now`` (see the class), one flat tuple, and the
+        kernel's exact terms."""
         now, dev = self.sim.now, self.device
         ctl, host = dev.controller, dev.kernel_host
-        up, down, rd, wr = self.engines
-        terms = host.terms(now)
         ck, hk = ctl.key, host.key
-        return (ctl.signature(now), host.signature(now, terms),
-                up.signature(), down.signature(), rd.signature(), wr.signature(),
-                dev.down_buf.signature(), dev.up_buf.signature(), dev.smap_buf.signature(),
-                dev.arbiter.signature(), dev.irq.signature(),
-                ck and hk and ck[1] < hk[1]), terms
-
-    def at_burst_end(self) -> None:
-        """Record this burst end's signature, or jump from its recurrence.
-
-        A learned period with this signature replays from ``now``.  Else the
-        snapshot goes into ``table`` under the signature and, with a stall
-        window over ``now`` or ahead of it, into ``cross`` under the signature
-        and the stall term as well.  A recurrence in ``table`` jumps within the
-        gap before the next window and is learned, one in ``cross`` jumps
-        across windows (see the class)."""
-        bus, now, table, cross, learned = (self.bus, self.sim.now, self.table, self.cross,
-                                           self.learned)
-        for books in (table, cross, learned):
-            if len(books) >= self.TABLE_LIMIT:
-                books.clear()
-        sig, terms = self.signature()
-        asleep = sig[1][2] is None
-        if not asleep:
-            self.stirred = now
-        h = hash(sig)
-        # The stall term: where the window over now or the next one opens, and its length.
-        bounds = bus._stalls
-        i = bisect.bisect_right(bounds, now) & ~1
-        key = (h, bounds[i] - now, bounds[i + 1] - bounds[i]) if i < len(bounds) else None
-        for books, at in ((learned, h), (table, h), (cross, key)):
-            entry = books.get(at)
-            if entry is None or entry[0] != sig:
-                continue
-            if books is learned:
-                period, start = entry[1], now
-            else:
-                period, start = self._learn(entry[1], now), entry[1][0]
-            # The kernel's terms may differ only if it slept throughout the period.
-            if ((period.terms == terms or period.woke is None and asleep)
-                    and self._jump(period, now, start, books is cross, terms)):
-                if books is table:
-                    learned[h] = (sig, period)
-                table.clear()
-                return
-        dev = self.device
-        trace = dev.trace
-        up, down, rd, wr = self.engines
-        table[h] = entry = (sig, (now, bus.busy_ticks, up.addr.next_address,
-                                  down.addr.next_address, rd.addr.next_address,
-                                  wr.addr.next_address, len(dev.controller.pause_windows),
-                                  len(trace.records) if trace else 0, terms))
-        if key is not None:
-            cross[key] = entry
-
-    def _learn(self, snap, now: int) -> Period:
-        """The period from ``snap`` to ``now``, relative to its start."""
-        t0, busy, *addrs, windows, records, terms = snap
-        trace, ctl = self.device.trace, self.device.controller
-        recs = trace.records[records:] if trace else ()
-        return Period(now - t0,
-                      tuple(e.addr.next_address - a for e, a in zip(self.engines, addrs)),
-                      self.bus.busy_ticks - busy,
-                      tuple((t - t0, c, e, d) for t, c, e, d in recs),
-                      tuple((s - t0, e - t0) for s, e in ctl.pause_windows[windows:]),
-                      self.stirred - t0 if self.stirred >= t0 else None,
-                      terms)
-
-    def drifts(self, period: Period, terms) -> bool:
-        """True if a jump over ``period`` from the kernel ``terms`` may leave
-        the kernel host in another phase than the per-burst run's: the kernel
-        moves words, and the period is not a whole number of user-clock
-        periods starting from these very terms (see the class)."""
-        return bool(period.moved[0] or period.moved[1]) and not (
-            period.terms == terms and period.length % self.user_period == 0)
-
-    def _jump(self, period: Period, now: int, start: int, across: bool, terms) -> bool:
-        """Move as many whole periods from ``now`` as the bounds allow, the
-        stall windows measured from ``start`` on, ``across`` them if set;
-        False if none.  ``terms`` are the kernel's at ``now``."""
-        dev, sim, bus = self.device, self.sim, self.bus
-        ctl, host = dev.controller, dev.kernel_host
-        if host.form == "step":
-            return False
-        # A drifting jump must land where no step can show the kernel's phase.
-        if self.drifts(period, terms) and not (self.grant_clears
-                                               or terms[1] < -self.user_period):
-            return False
-        length, moved = period.length, period.moved
-        keys = sorted(p.key for p in (ctl, host) if p.key is not None)
-        if sorted(entry[:2] for entry in sim._heap) != keys:
-            return False
-        # n periods from now: each engine's job stays its cap or more from
-        # its end, the horizon holds and ...
-        fits = [(e.addr.bytes_remaining - (e.txn.transferred_bytes if e.txn else 0) - e.cap) // d
-                for e, d in zip(self.engines, moved) if d]
-        if sim.horizon != FOREVER:
-            fits.append((sim.horizon - now) // length)
-        if across:
-            # ... the windows over [start, now + (n + 1) * length) repeat those of [start, now).
-            end = now + (min(fits) + 1) * length if fits else FOREVER
-            fits.append((bus.stalls_repeat(start, now, end) - now) // length - 1)
+        job = ctl.job
+        # The controller: nothing while idle, when it has no job and its
+        # clock cannot show; else its clock's phase, its mode, its next
+        # point, its job's remaining bytes up to ``CAP``, its bytes done up
+        # to one past the header (whether the payload's first byte has moved,
+        # as its time is taken once) and the start of its pause.  Left out:
+        # the image, which is data; the pause windows, a log that a replay
+        # repeats; and the payload's last time, taken within ``CAP`` of the
+        # job's end.
+        if job is None:
+            sig = [None] * 6
         else:
-            # ... no window meets [start, now + n * length].
+            rem, done = job.total - job.done, job.done
+            sig = [now % ctl.clock.period, ctl.mode is Mode.CONFIGURING, ck and ck[0] - now,
+                   rem if rem < ctl.CAP else ctl.CAP,
+                   done if done <= HEADER_BYTES else HEADER_BYTES + 1,
+                   ctl.pause_start - now if ctl.paused else None]
+        # The kernel host: the kernel's form (``KernelHost.form``) and,
+        # unless the host is quiescent (asleep since before ``now``, so that
+        # its clock cannot show), its next edge relative to ``now`` (None if
+        # asleep: it slept on ``now``'s own picosecond) and its phase.  The
+        # kernel's identity stays out: a map kernel moves one word in and one
+        # out per edge whatever its map, and a sink one in, so which one runs
+        # is data (as are its private state and the operand it reads); so
+        # does a stepped kernel's, as no segment holds one.  The exact terms
+        # are its phase and, while the host sleeps, its last edge relative to
+        # ``now``, no earlier than one period and a picosecond back (an older
+        # one never shows); None while it is awake, as the next step sets it
+        # before anything reads it.
+        q = self.user_period
+        phase = now % q
+        if hk is not None:
+            terms = phase, None
+            sig += (host.form, hk[0] - now, phase)
+        else:
+            last = host.last_edge - now
+            terms = phase, (last if last > -q - 1 else -q - 1)
+            sig += (host.form, None, phase if last >= 0 else None)
+        # Each engine: its waiting request's size, its remaining bytes up to
+        # its ``cap``, and, if the ending burst is its own, that burst's
+        # bytes moved and asked for, which also say whether it is done.  The
+        # addresses stay out (they say where the bytes go, not when), and so
+        # do the job's start and finish times, set at register writes and job
+        # ends, outside every segment.
+        for e in self.engines:
+            request, txn, rem = e.request, e.txn, e.addr.bytes_remaining
+            sig += (request and request.total_bytes, rem if rem < e.cap else e.cap,
+                    txn and txn.transferred_bytes, txn and txn.total_bytes)
+        # The buffers' occupancies (their words are data, and their
+        # capacities, marks and listeners are fixed for the board's life);
+        # the arbiter's last grant, which decides the next one and is its
+        # whole state; the pending interrupts (``masked`` stays out: only
+        # ``asserted`` reads it, and nothing in the event loop reads that; a
+        # host wait tests ``pending``); and the order of the processes'
+        # slots, which decides their ties.
+        sig += (dev.down_buf.occupancy, dev.up_buf.occupancy, dev.smap_buf.occupancy,
+                dev.arbiter.last_granted, dev.irq.pending, ck and hk and ck[1] < hk[1])
+        return tuple(sig), terms
+
+    def at_burst_end(self, txn: BusTransaction) -> BusTransaction:
+        """Close the open segment at this burst end, replay what follows if
+        it is known, and open the next segment where that lands (see the
+        class); returns the transaction whose burst ends there."""
+        sim, dev = self.sim, self.device
+        sig, terms = self.signature()
+        h = hash(sig)
+        # At a burst end every process with a key has its slot queued.
+        if len(sim._heap) != (dev.controller.key is not None) + (dev.kernel_host.key is not None):
+            self.snap = None
+            return txn
+        left = self._left(txn)
+        if self.snap is not None:
+            self._record(sig, h, left)
+        seg = self.lookup(sig, h, sim.now)
+        if seg is not None:
+            txn, sig, h, terms = self._chain(txn, seg, sig, h, terms, left)
+            left = self._left(txn)
+        trace, bus = dev.trace, self.bus
+        self.snap = (sim.now, sig, h, terms, bus.busy_ticks, bus.total_data_cycles, left,
+                     len(trace.records) if trace else 0, len(dev.controller.pause_windows))
+        return txn
+
+    def _left(self, txn) -> list:
+        """The bytes each engine may still move before its job comes within
+        its cap of its end: its remaining bytes less its cap and, for the
+        burst ending now (``txn``), the bytes that burst has moved."""
+        left = [e.addr.bytes_remaining - e.cap for e in self.engines]
+        left[self.slot[txn.master_id]] -= txn.transferred_bytes
+        return left
+
+    def _record(self, sig, h, left) -> None:
+        """Keep the open segment, which ends here, unless it may not be
+        replayed (see the class); ``left`` is ``_left`` here."""
+        t0, sig0, h0, terms, busy, cycles, left0, nrec, nwin = self.snap
+        now, bus, dev = self.sim.now, self.bus, self.device
+        done = sig0[_CTL_DONE]
+        if sig0[_FORM] == "step" or done is not None and (
+                done <= HEADER_BYTES < sig[_CTL_DONE] or sig[_CTL_REM] <= _CRC_BYTES):
+            return
+        moved = [a - b for a, b in zip(left0, left)]
+        if (moved[0] | moved[1] | moved[2] | moved[3]) & 3:
+            return      # a job's short last word: the job ends where the segment does
+        # An engine at its cap at the start (its field reads the cap) must
+        # still be at it at the end, so that its remaining bytes never show.
+        need = [m if r == e.cap else None
+                for m, r, e in zip(moved, sig0[_ENGINE + 1:_ENGINE + 16:4], self.engines)]
+        if ((need[0] is not None and left[0] < 0) or (need[1] is not None and left[1] < 0)
+                or (need[2] is not None and left[2] < 0) or (need[3] is not None and left[3] < 0)):
+            return
+        # The stall windows over [t0, now], clipped to it.
+        bounds = bus._stalls
+        i = j = bisect.bisect_right(bounds, t0) & ~1
+        stalls = []
+        while j < len(bounds) and bounds[j] <= now:
+            stalls.append((max(bounds[j], t0) - t0, min(bounds[j + 1], now + 1) - t0))
+            j += 2
+        trace, ctl, host = dev.trace, dev.controller, dev.kernel_host
+        records = () if trace is None else tuple(
+            [(t - t0, c, e, d) for t, c, e, d in trace.records[nrec:]])
+        edge = host.last_edge
+        store = self.store
+        if len(store) >= self.TABLE_LIMIT:
+            store.clear()
+        store[(h0, bounds[i] - t0, bounds[i + 1] - bounds[i]) if stalls else h0] = sig0, Segment(
+            now - t0, tuple(moved), bus.busy_ticks - busy, bus.total_data_cycles - cycles,
+            records, tuple([(s - t0, e - t0) for s, e in ctl.pause_windows[nwin:]]),
+            tuple(stalls), terms, sig0[_HOST_PHASE] is not None or sig[_HOST_PHASE] is not None,
+            edge - now if edge >= t0 else None, bus._burst_start - now, tuple(need), sig, h)
+
+    def lookup(self, sig, h, t):
+        """The segment kept for a burst end at ``t`` with signature ``sig``
+        (hash ``h``) whose stall windows are those over [t, t + length],
+        translated; None if there is none."""
+        store, bus = self.store, self.bus
+        entry = store.get(h)
+        if entry is not None and entry[0] == sig and bus.next_stalled(t) > t + entry[1].length:
+            return entry[1]
+        bounds = bus._stalls
+        i = bisect.bisect_right(bounds, t) & ~1
+        if i == len(bounds):
+            return None
+        entry = store.get((h, bounds[i] - t, bounds[i + 1] - bounds[i]))
+        if entry is None or entry[0] != sig:
+            return None
+        seg = entry[1]
+        end = t + seg.length
+        for window in seg.stalls:
+            if i == len(bounds) or window != (max(bounds[i], t) - t,
+                                              min(bounds[i + 1], end + 1) - t):
+                return None
+            i += 2
+        return seg if i == len(bounds) or bounds[i] > end else None
+
+    def drifts(self, seg: Segment, terms) -> bool:
+        """True if replaying ``seg`` (a segment or a period) from the kernel
+        ``terms`` may leave the kernel host in another phase than the
+        per-burst run's: the kernel has an edge in it, and the terms are not
+        its own (see the class)."""
+        return seg.edge is not None and seg.terms != terms
+
+    def _rule(self, seg: Segment, terms) -> bool:
+        """Whether the kernel rule lets ``seg`` replay from the kernel
+        ``terms``, and a drifting replay only where no step shows the drift
+        (see the class)."""
+        return seg.terms == terms or not seg.stirs and not (
+            self.drifts(seg, terms) and not (self.grant_clears or terms[1] < -self.user_period))
+
+    def _chain(self, txn, seg: Segment, sig, h, terms, budget):
+        """Replay ``seg`` from ``now`` and the segments that follow it while
+        their bounds hold, jumping the periods they close (see the class);
+        ``budget`` is ``_left`` at ``now``, which the chain spends.  Returns
+        the landing's transaction, signature, hash and kernel terms."""
+        sim = self.sim
+        q, horizon = self.user_period, sim.horizon
+        t = sim.now
+        last_edge = self.device.kernel_host.last_edge
+        # The segments replayed since the last landing (start, kernel terms,
+        # segment), their bytes, and where in them each signature was passed.
+        path, nbytes, seen = [], 0, {}
+        while True:
+            seen[h] = sig, len(path)
+            need = seg.need
+            if (t + seg.length > horizon or (need[0] is not None and need[0] > budget[0])
+                    or (need[1] is not None and need[1] > budget[1])
+                    or (need[2] is not None and need[2] > budget[2])
+                    or (need[3] is not None and need[3] > budget[3])
+                    or seg.terms != terms and not self._rule(seg, terms)):
+                break
+            path.append((t, terms, seg))
+            m = seg.moved
+            budget[0] -= m[0]
+            budget[1] -= m[1]
+            budget[2] -= m[2]
+            budget[3] -= m[3]
+            nbytes += m[0] + m[1] + m[2] + m[3]
+            t += seg.length
+            sig, h = seg.sig, seg.key
+            if seg.edge is not None:
+                last_edge = t + seg.edge
+            phase = t % q
+            terms = (phase, None) if sig[_HOST_KEY] is not None else (
+                phase, max(last_edge - t, -q - 1))
+            prev = seen.get(h)
+            period = self._merge(path[prev[1]:], t) if prev and prev[0] == sig else None
+            n = period and self._periods(period, t, terms, budget)
+            if n or nbytes >= SLICE_BYTES:
+                txn = self._land(txn, self._merge(path, t), path[0][0])
+                path, nbytes, seen = [], 0, {}
+            if n:
+                self._jump(period, n)
+                t = sim.now
+                budget = [b - n * d for b, d in zip(budget, period.moved)]
+            seg = self.lookup(sig, h, t)
+            if seg is None:
+                break
+        if path:
+            txn = self._land(txn, self._merge(path, t), path[0][0])
+        return txn, sig, h, terms
+
+    def _merge(self, path, end: int) -> Segment:
+        """The segments of ``path`` (start, kernel terms, segment), one after
+        the other up to ``end``, as one segment from the first start."""
+        start, terms, seg = path[0]
+        up = down = rd = wr = busy = cycles = 0
+        records, windows, stalls, stirs, edge = [], [], [], False, None
+        for t, _terms, seg in path:
+            m = seg.moved
+            up, down, rd, wr = up + m[0], down + m[1], rd + m[2], wr + m[3]
+            busy += seg.busy
+            cycles += seg.cycles
+            t -= start
+            records += [(t + r, c, e, d) for r, c, e, d in seg.records]
+            if seg.windows:
+                windows += [(t + s, t + e) for s, e in seg.windows]
+            if seg.stalls:
+                stalls += [(t + s, t + e) for s, e in seg.stalls]
+            stirs = stirs or seg.stirs
+            if seg.edge is not None:
+                edge = t + seg.length + seg.edge - end + start
+        return Segment(end - start, (up, down, rd, wr), busy, cycles, records, windows, stalls,
+                       terms, stirs, edge, seg.granted, None, seg.sig, seg.key)
+
+    def _periods(self, period: Segment, t: int, terms, budget) -> int:
+        """How many more whole periods from ``t`` the bounds and the kernel
+        rule allow (see the class): each engine's job stays its cap or more
+        from its end (``budget``, the bytes it may still move), the horizon
+        holds, and the periods meet the windows the first one met."""
+        length, sim, bus = period.length, self.sim, self.bus
+        start = t - length
+        fits = [b // d for b, d in zip(budget, period.moved) if d]
+        if sim.horizon != FOREVER:
+            fits.append((sim.horizon - t) // length)
+        if period.stalls:
+            # The windows over [start, t + (n + 1) * length) repeat those of [start, t).
+            end = t + (min(fits) + 1) * length if fits else FOREVER
+            fits.append((bus.stalls_repeat(start, t, end) - t) // length - 1)
+        else:
+            # No window meets [start, t + n * length].
             stalled = bus.next_stalled(start)
             if stalled != FOREVER:
-                fits.append((stalled - 1 - now) // length)
+                fits.append((stalled - 1 - t) // length)
         n = min(fits, default=0)
-        if n < 1:
-            return False
-        # The periods repeat one that ran over [now - length, now].
-        base = now - length
+        return n if n >= 1 and self._rule(period, terms) else 0
+
+    def _land(self, txn, seg: Segment, start: int):
+        """Bring the board from ``now``, a burst end, to the one a chain
+        reached at ``start`` + ``seg.length``, ``seg`` being the chain's
+        segments merged (see the class); returns the transaction whose burst
+        ends there."""
+        dev, sim, bus = self.device, self.sim, self.bus
+        ctl, host, trace = dev.controller, dev.kernel_host, dev.trace
+        t, sig, moved = start + seg.length, seg.sig, seg.moved
+        if trace:
+            trace.records += [TraceRecord(start + r, c, e, d) for r, c, e, d in seg.records]
+        ctl.pause_windows += [(start + s, start + e) for s, e in seg.windows]
+        # The bytes, through the buffers to their landing occupancies.
+        host.move(moved[1], (moved[1] >> 2) - sig[_DOWN_OCC] + dev.down_buf.occupancy, moved[0])
+        grown = 4 * (sig[_SMAP_OCC] - dev.smap_buf.occupancy)
+        ctl.move(moved[2] + moved[3],
+                 moved[3] - grown if ctl.mode is Mode.CONFIGURING else moved[2] + grown)
+        for i, e in enumerate(self.engines):
+            j = _ENGINE + 4 * i
+            e.land(sig[j], sig[j + 2], sig[j + 3])
+            if sig[j + 3]:
+                txn = e.txn
+        dev.arbiter.last_granted = sig[_GRANT]
+        if seg.edge is not None:
+            host.last_edge = t + seg.edge
+        bus.busy_ticks += seg.busy
+        bus.total_data_cycles += seg.cycles
+        bus._burst_start = t + seg.granted
+        sim.now = t
+        # The processes' slots, numbered afresh in their order.
+        sim._heap.clear()
+        ctl.key = host.key = None
+        if ctl.job is not None:
+            ctl.paused = sig[_CTL_PAUSE] is not None
+            if ctl.paused:
+                ctl.pause_start = t + sig[_CTL_PAUSE]
+        slots = ((ctl, sig[_CTL_KEY]), (host, sig[_HOST_KEY]))
+        for p, at in (slots if sig[_ORDER] is not False else slots[::-1]):
+            if at is not None:
+                p.key = (t + at, sim.alloc())
+                sim.schedule_reserved(*p.key, p._run)
+        return txn
+
+    def _jump(self, period: Segment, n: int) -> None:
+        """Move ``n`` whole periods from ``now``, the last of which ran over
+        [now - length, now] (see the class)."""
+        dev, sim, bus = self.device, self.sim, self.bus
+        ctl, host = dev.controller, dev.kernel_host
+        length, moved = period.length, period.moved
+        base = sim.now - length
         host.jump(n, length, moved[1], moved[0])
         ctl.jump(n, length, moved[3] if ctl.mode is Mode.CONFIGURING else moved[2],
                  [(base + s, base + e) for s, e in period.windows])
-        bus.repeat(n, length, period.busy, sum(moved) // 4)
+        bus.repeat(n, length, period.busy, period.cycles)
         trace = dev.trace
         if trace:
             trace.records += [TraceRecord(b + t, c, e, d)
-                              for b in range(now, now + n * length, length)
+                              for b in range(sim.now, sim.now + n * length, length)
                               for t, c, e, d in period.records]
-        if period.woke is not None:     # the kernel's last awake burst end, in the last period
-            self.stirred = now + (n - 1) * length + period.woke
         sim.shift(n * length)
-        return True
 
 
 class Device:
@@ -724,7 +980,7 @@ class Device:
         world.bus.set_master(self._next_transaction)
         self.steady = SteadyState(self)
         world.bus.on_burst_end = self.steady.at_burst_end
-        world.bus.on_stall = self.steady.cross.clear
+        world.bus.on_stall = self.steady.clear
 
         self.booted = False
         self.boot_report: BootReport | None = None
@@ -831,10 +1087,12 @@ class Device:
         and the controller has no part of it left: the engine's job end and,
         for a port job, the controller's completion each call this, and the
         second of them raises."""
+        self.steady.clear()
         if not self.engines[target].busy and self.controller.mode is not PORT_MODE.get(target):
             self._raise(JOB_DONE_CAUSE[target])
 
     def _raise(self, cause: IrqCause) -> None:
+        self.steady.clear()
         self.irq.raise_(cause)
 
     def describe(self) -> str:
@@ -868,10 +1126,7 @@ class Device:
         target = arbitrate(self.arbiter, pending)
         engine = self.engines[target]
         txn, engine.request = engine.request, None
-        txn.word_sink, txn.word_source, txn.on_finish = engine.sink, engine.source, engine.finished
-        txn.run_sink, txn.run_source = engine.run_sink, engine.run_source
-        engine.txn = txn
-        return txn
+        return engine.grant(txn)
 
 
 class World:

@@ -12,7 +12,8 @@ word as an int and notify the listeners; ``exchange`` moves runs of words
 as ``bytes`` slices and notifies nobody, copying each byte of a run once.
 A jump over whole periods of a steady state moves its words through a
 buffer in slices of whole periods, ``period_chunks``, so that no slice
-grows with the job.
+grows with the job; a replay of burst-end segments, in one slice of at
+most about ``SLICE_BYTES``.
 """
 
 from __future__ import annotations
@@ -73,11 +74,6 @@ class BadIndex(Exception):
 class ArbiterState:
     last_granted: TargetId | None = None
 
-    def signature(self) -> TargetId | None:
-        """The arbiter's part of a steady state's signature (``board.SteadyState``):
-        the last grant, which decides the next one, is its whole state."""
-        return self.last_granted
-
 
 # The order in which targets are tried, for each last grant: the fixed
 # cyclic order from just after it.
@@ -125,12 +121,6 @@ class StreamBuffer:
     @property
     def free_words(self) -> int:
         return self.capacity - self.occupancy
-
-    def signature(self) -> int:
-        """The buffer's part of a steady state's signature (``board.SteadyState``):
-        its occupancy.  Its words are data, and its capacity, marks and
-        listeners are fixed for the board's life."""
-        return self.occupancy
 
     def on_enqueue(self, fn) -> None:
         self._enqueue_listeners.append(fn)
@@ -322,13 +312,6 @@ class InterruptLine:
     @property
     def asserted(self) -> bool:
         return bool(self.pending & ~int(self.masked))
-
-    def signature(self) -> int:
-        """The line's part of a steady state's signature (``board.SteadyState``):
-        the pending causes.  ``masked`` stays out: only ``asserted`` reads it,
-        and nothing on the board or in the event loop reads that (a host wait
-        tests ``pending``).  ``raised`` counts raises, and no period raises."""
-        return self.pending
 
     def raise_(self, cause: IrqCause) -> None:
         self.pending |= int(cause)

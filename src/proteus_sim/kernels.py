@@ -245,9 +245,10 @@ class KernelHost(RunAhead):
         self._raise_irq = raise_irq
         self._io = PortIO(down, up, regs, self._request_irq)
         self._raised = False
-        self._last_edge = -1
-        # How the live kernel's timing goes (``signature``): None if inert,
-        # "map" in map form, "sink" in map form and consume-only, "step" else.
+        self.last_edge = -1
+        # How the live kernel's timing goes (``board.SteadyState.signature``):
+        # None if inert, "map" in map form, "sink" in map form and
+        # consume-only, "step" else.
         self.form = None
         down.on_enqueue(self._maybe_wake)
         up.on_dequeue(self._maybe_wake)
@@ -279,32 +280,6 @@ class KernelHost(RunAhead):
             return "asleep: upstream full"
         return "asleep"
 
-    def terms(self, now: int) -> tuple:
-        """The kernel's exact phase at ``now`` and, while the host sleeps, its
-        last edge relative to ``now``, no earlier than one period and a
-        picosecond back (an older one never shows); None while it is awake,
-        as the next step sets it before anything reads it."""
-        q = self.domain.period
-        if self.key is not None:
-            return now % q, None
-        return now % q, max(self._last_edge - now, -q - 1)
-
-    def signature(self, now: int, terms) -> tuple:
-        """The host's part of a steady state's signature (``board.SteadyState``):
-        the kernel's ``form`` and, unless the host is *quiescent* (asleep
-        since before ``now``, so that its clock cannot show), its next edge
-        relative to ``now`` (None if asleep) and its phase; a quiescent host
-        has None in both places.  Asleep but not quiescent, the host slept on
-        ``now``'s own picosecond.  The kernel's identity stays out: a map
-        kernel moves one word in and one out per edge whatever its map, and a
-        sink one in, so which one runs is data (as are its private state and
-        the operand it reads).  So does a stepped kernel's, as the board
-        never jumps while one is live."""
-        key = self.key
-        if key is None and terms[1] < 0:
-            return self.form, None, None
-        return self.form, key and key[0] - now, terms[0]
-
     def _request_irq(self) -> None:
         self._raised = True
         self._raise_irq()
@@ -323,7 +298,7 @@ class KernelHost(RunAhead):
         if not self.wakes_on_room():
             return
         t = self.domain.next_edge_at(self.sim.now)
-        if t == self._last_edge:
+        if t == self.last_edge:
             t += self.domain.period
         self.wake(t)
 
@@ -335,7 +310,7 @@ class KernelHost(RunAhead):
         sim = self.sim
         io = self._io
         t = self.key[0]
-        sim.now = self._last_edge = t
+        sim.now = self.last_edge = t
         kernel = self.registry.active
         if hasattr(kernel, "map_words") and self._stretch(t, kernel):
             return True
@@ -346,6 +321,15 @@ class KernelHost(RunAhead):
         self.key = nxt if io.consumed or io.produced else None
         return not self._raised
 
+    def move(self, nin: int, taken: int, nout: int) -> None:
+        """Take ``nin`` bytes from the downstream engine into its buffer, pass
+        ``taken`` words from there through the map kernel into the upstream
+        buffer, and give ``nout`` bytes from there to the upstream engine,
+        each as one slice (see ``board.SteadyState``)."""
+        data = self.down.exchange(self.feed.into.take(nin), taken)
+        out = memoryview(self.registry.active.map_words(self._io, data)) if taken else b""
+        self.feed.out_of.give(self.up.exchange(out, nout >> 2))
+
     def jump(self, n: int, period: int, nin: int, nout: int) -> None:
         """Run ``n`` more periods of a steady state in closed form (see
         ``board.SteadyState``): each takes ``nin`` bytes from the downstream
@@ -354,12 +338,9 @@ class KernelHost(RunAhead):
         ``n * period`` on, and so does the last one stepped if the kernel
         moves words; if not, it sleeps throughout, at its last edge."""
         if nin or nout:
-            kernel = self.registry.active
             for k in period_chunks(n, max(nin, nout)):
-                taken = self.down.exchange(self.feed.into.take(k * nin), k * nin >> 2)
-                out = memoryview(kernel.map_words(self._io, taken))
-                self.feed.out_of.give(self.up.exchange(out, k * nout >> 2))
-            self._last_edge += n * period
+                self.move(k * nin, k * nin >> 2, k * nout)
+            self.last_edge += n * period
         self.shift(n * period)
 
     def _stretch(self, t: int, kernel) -> bool:
@@ -386,7 +367,8 @@ class KernelHost(RunAhead):
         pattern with q longer than the bus period: there the word before has
         already woken the kernel for that edge, so this one wakes it again.
         The key and last edge a stretch leaves are the only absolute times it
-        keeps; a jump over whole periods (``jump``) shifts both.
+        keeps; a jump over whole periods (``jump``) shifts both, and a
+        replay sets both from the segments it replays.
         """
         sim = self.sim
         down, up = self.down, self.up
@@ -481,5 +463,5 @@ class KernelHost(RunAhead):
         elif not early:
             self.key = (key, sim.alloc())
         sim.now = max(last, a_last)
-        self._last_edge = last      # read only while asleep
+        self.last_edge = last      # read only while asleep
         return True

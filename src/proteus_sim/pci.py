@@ -32,11 +32,13 @@ it.  The bus keeps the union as one sorted list of the bounds of disjoint
 windows, touching ones merged, so that every stall query is one bisection,
 except ``stalls_repeat``, one walk from a bisection.
 
-A burst's end is also where the master may find a steady state and jump
-whole periods of it (``on_burst_end``, ``repeat``; see
-``board.SteadyState``): then the bus's counters grow by whole periods.  A
-jump may cross stall windows only where they repeat (``stalls_repeat``),
-and the master hears of every window added (``on_stall``).
+A burst's end is also where the master may replay what it has seen its
+board do from there, up to a later burst end, and jump whole periods of it
+(``on_burst_end``, ``repeat``; see ``board.SteadyState``): then ``now``
+moves on, the bus's counters grow by what the replay moved, and another
+transaction's burst may end there.  A jump may cross stall windows only
+where they repeat (``stalls_repeat``), and the master hears of every
+window added (``on_stall``).
 """
 
 from __future__ import annotations
@@ -173,8 +175,8 @@ class PciBus:
         self._master_fetch = None
         self._wake_pending = False
         self._burst_start = 0
-        # The master's: fn() at the top of every burst end, and fn()
-        # after every window added.
+        # The master's: fn(txn) -> txn at the top of every burst end, and
+        # fn() after every window added.
         self.on_burst_end = None
         self.on_stall = None
 
@@ -290,13 +292,17 @@ class PciBus:
             i += 2
         return count
 
-    def _finish(self, txn, state):
-        """End the burst of ``txn``.  First the master may jump whole periods
-        of a steady state (``on_burst_end``), which moves ``now`` on: here no
-        burst is in flight and no run-ahead process runs."""
+    def _finish(self, txn):
+        """End the burst of ``txn``: DONE if it moved all its bytes, else
+        PREEMPTED (at the burst limit, or at a stalled lattice point).  First
+        the master may move ``now`` on over stretches of its timeline it has
+        seen before (``on_burst_end``, which returns the transaction whose
+        burst ends where it lands): here no burst is in flight and no
+        run-ahead process runs."""
         if self.on_burst_end is not None:
-            self.on_burst_end()
+            txn = self.on_burst_end(txn)
         t = self.sim.now
+        state = TxnState.DONE if txn.transferred_bytes >= txn.total_bytes else TxnState.PREEMPTED
         txn.state = state
         self.busy = False
         self.busy_ticks += t - self._burst_start
@@ -442,16 +448,11 @@ class _Burst:
 
     def _queue_end(self) -> None:
         """Count the moved words into the transaction and the bus, and queue
-        the burst's end in the slot of the next lattice point."""
+        the burst's end in the slot of the next lattice point: it ends before
+        the burst limit only at a stalled point, with bytes still to move."""
         bus, txn, sim = self.bus, self.txn, self.sim
         sim.stream = None
         txn.transferred_bytes = min(4 * self.index, txn.total_bytes)
         bus.total_data_cycles += self.index
         t, seq = self.key
-        if self.end < self.limit:
-            state = TxnState.PREEMPTED     # the lattice point t is stalled
-        elif txn.transferred_bytes >= txn.total_bytes:
-            state = TxnState.DONE
-        else:
-            state = TxnState.PREEMPTED     # burst limit
-        sim.schedule_reserved(t, seq, lambda: bus._finish(txn, state))
+        sim.schedule_reserved(t, seq, lambda: bus._finish(txn))

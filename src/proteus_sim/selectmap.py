@@ -119,28 +119,10 @@ class SelectMapController(RunAhead):
         self.pause_windows: list[tuple[int, int]] = []
         self.mode = Mode.IDLE
         self.paused = False
-        self._pause_start = 0
-        self._job: _Job | None = None
+        self.pause_start = 0
+        self.job: _Job | None = None
         buffer.on_enqueue(self._feed_arrived)
         buffer.on_dequeue(self._space_freed)
-
-    def signature(self, now: int):
-        """The controller's part of a steady state's signature
-        (``board.SteadyState``), relative to ``now``: None while idle, when
-        it has no job and its clock cannot show; else its clock's phase, its
-        mode, its next point, its job's remaining bytes up to ``CAP``, its
-        bytes done up to one past the header, and the start of its pause.
-        The bytes done show whether the payload's first byte has moved, as
-        its time is taken once (``_Job.first_payload_time``).  Left out: the
-        image, which is data; the pause windows, a log that a jump repeats;
-        and the payload's last time, taken within ``CAP`` of the job's end."""
-        job = self._job
-        if job is None:
-            return None
-        key = self.key
-        return (now % self.clock.period, self.mode is Mode.CONFIGURING, key and key[0] - now,
-                min(job.total - job.done, self.CAP), min(job.done, bits.HEADER_BYTES + 1),
-                self._pause_start - now if self.paused else None)
 
     @property
     def pauses(self) -> int:
@@ -159,7 +141,7 @@ class SelectMapController(RunAhead):
         if total_bytes <= bits.WRAPPER_BYTES:
             raise ValueError("image shorter than header and checksum")
         self.pause_windows.clear()
-        self._job = _Job(total_bytes, bytearray(total_bytes), on_done)
+        self.job = _Job(total_bytes, bytearray(total_bytes), on_done)
         self.mode = Mode.CONFIGURING
         if self.trace:
             self.trace.record("selectmap", "configure_start", f"{total_bytes}B")
@@ -173,7 +155,7 @@ class SelectMapController(RunAhead):
         t = self.key[0]
         sim = self.sim
         sim.now = t
-        job = self._job
+        job = self.job
         done = job.done
         n = job.total - done
         if n <= 0:
@@ -229,8 +211,8 @@ class SelectMapController(RunAhead):
         word falls on point 0: with q equal to the bus period every tie goes
         the way the first did, and with other periods the order cannot show.
         A jump over whole periods (``jump``) shifts the key a stretch leaves
-        and a pause's start; a jump never moves the payload's first byte, as
-        the signature tells whether it has moved.
+        and a pause's start; neither a jump nor a replay moves the payload's
+        first byte, as the signature tells whether it has moved.
         """
         q = 4 * self.clock.period
         m = (job.total - job.done - 1) // 4       # the job's last word stays a point
@@ -271,31 +253,42 @@ class SelectMapController(RunAhead):
                 burst.advance_many(moved, out)
         return m
 
+    def move(self, nbus: int, nport: int) -> None:
+        """Move ``nbus`` bytes between the buffer and its bus engine and
+        ``nport`` between the buffer and the image, each as one slice (see
+        ``board.SteadyState``): configuring, the bus bytes come from the
+        write engine and the port bytes go to the image; else the port bytes
+        come from the image (none without a job) and the bus bytes go to the
+        read engine."""
+        job = self.job
+        done = job.done if job else 0
+        if self.mode is Mode.CONFIGURING:
+            memoryview(job.image)[done:done + nport] = self.buffer.exchange(
+                self.feed.into.take(nbus), nport >> 2)
+        else:
+            port = memoryview(job.image)[done:done + nport] if nport else b""
+            self.feed.out_of.give(self.buffer.exchange(port, nbus >> 2))
+        if nport:
+            job.done = done + nport
+
     def jump(self, n: int, period: int, nbytes: int, windows) -> None:
         """Run ``n`` more periods of a steady state in closed form (see
         ``board.SteadyState``): each moves ``nbytes`` of the job between its
         engine and the image through the buffer, as slices of whole periods,
         and repeats the period's pause ``windows`` (and so its ``pauses``),
         shifted.  The next point and a pause's start move ``n * period`` on."""
-        job = self._job
         if nbytes:
-            image = memoryview(job.image)
             for k in period_chunks(n, nbytes):
-                m, done = k * nbytes, job.done
-                if self.mode is Mode.CONFIGURING:
-                    image[done:done + m] = self.buffer.exchange(self.feed.into.take(m), m >> 2)
-                else:
-                    self.feed.out_of.give(self.buffer.exchange(image[done:done + m], m >> 2))
-                job.done = done + m
+                self.move(k * nbytes, k * nbytes)
         self.pause_windows += [(start + j * period, end + j * period)
                                for j in range(1, n + 1) for start, end in windows]
         self.shift(n * period)
-        self._pause_start += n * period
+        self.pause_start += n * period
 
     def _complete_configure(self) -> None:
-        job = self._job
+        job = self.job
         self.mode = Mode.IDLE
-        self._job = None
+        self.job = None
         try:
             bs = bits.parse(job.image)
         except bits.BadChecksum as exc:
@@ -320,7 +313,7 @@ class SelectMapController(RunAhead):
             raise NotIdle(f"controller is {self.mode.value}")
         image = self.config_mem.readback(first_column, column_count)
         self.pause_windows.clear()
-        self._job = _Job(len(image), image, on_done)
+        self.job = _Job(len(image), image, on_done)
         self.mode = Mode.READBACK
         if self.trace:
             self.trace.record("selectmap", "readback_start",
@@ -329,9 +322,9 @@ class SelectMapController(RunAhead):
         return len(image)
 
     def _complete_readback(self) -> None:
-        job = self._job
+        job = self.job
         self.mode = Mode.IDLE
-        self._job = None
+        self.job = None
         result = ReadbackResult(job.last_payload_end - job.first_payload_time, job.payload_len)
         if self.trace:
             self.trace.record("selectmap", "readback_done",
@@ -343,7 +336,7 @@ class SelectMapController(RunAhead):
 
     def _pause(self, t: int) -> None:
         self.paused = True
-        self._pause_start = t
+        self.pause_start = t
         self.key = None
         if self.trace:
             reason = "buffer empty" if self.mode is Mode.CONFIGURING else "buffer full"
@@ -351,7 +344,7 @@ class SelectMapController(RunAhead):
 
     def _resume(self) -> None:
         now = self.sim.now
-        self.pause_windows.append((self._pause_start, now))
+        self.pause_windows.append((self.pause_start, now))
         self.paused = False
         if self.trace:
             self.trace.record("selectmap", "resume", "")

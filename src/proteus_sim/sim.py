@@ -38,23 +38,29 @@ loop's horizon.  A stretch runs through points that land on the picosecond
 of a bus word; which of the two goes first follows from when each was
 numbered, and only the order at the stretch's end can show.
 
-The third level skips repeats.  A long job settles into a steady state:
-the same bus grants, port words and kernel edges, period after period.  At
-each burst end (``PciBus._finish``), where no burst is in flight and no
-run-ahead process runs, the board takes a signature of its timing-visible
-state relative to ``now``; when one recurs, whole periods are moved at once
-(``board.SteadyState``) and ``shift`` moves the clock and every queued event
-past them, in the same order.  The phase of a clock whose process is
-quiescent (an idle controller, a kernel asleep at every burst end) is left
-out, so a stream recurs with the period of its bursts, not with the
-clocks' common multiple.  Under periodic stall windows a job recurs with a
-multiple of their period, and the jump crosses the windows when they repeat
-those of the first period; otherwise it stays within the gap before the
-next one.  A period proven within a gap is kept, and a later burst end with
-its signature, in any gap of any later job, replays it at once.  Either way
-the jump lands on the last burst end its bounds allow: as near as one burst
-and 8 bytes to a device-bound job's end, and as near as a buffer's worth
-and 8 bytes to a host-bound job's.
+The third level skips what it has seen.  The board is a deterministic
+system that visits few states: at each burst end (``PciBus._finish``),
+where no burst is in flight and no run-ahead process runs, it takes a
+signature of its timing-visible state relative to ``now``, and what follows
+up to the next burst end, a *segment*, is a function of that signature and
+of the stall windows, translated (``board.SteadyState``).  So each segment
+walked event by event is kept, and a burst end whose signature has one
+replays it and the segments that follow, a *chain*, inside the same event,
+as HashLife replays the macro-steps of a cellular automaton.  A chain that
+comes back to a signature it passed has closed a period, which it jumps as
+many whole times as its bounds allow; ``shift`` moves the clock and every
+queued event past them, in the same order.  The phase of a clock whose
+process is quiescent (an idle controller, a kernel asleep at every burst
+end) is left out of the signature, so a stream recurs with the period of
+its bursts, not with the clocks' common multiple, and under periodic stall
+windows a job's segments recur in gap after gap and job after job.  A chain
+stops at a signature it has not seen, before a job's end (a buffer's worth
+and 8 bytes for a host-bound job, a burst and 8 bytes for a device-bound
+one, unless that end has been seen too), at the loop's horizon and where
+the windows differ from the segment's own.  The benchmark's scenario mix
+(short bursts cut by a periodic stall) walks 612 burst ends where it walked
+3,053 when only whole periods were jumped, and runs 1,300 events instead of
+6,355.
 """
 
 from __future__ import annotations

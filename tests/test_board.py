@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import timing_worlds
-from test_fast_paths import assert_same_states, recording_states
+from test_fast_paths import HOST, assert_same_states, per_word, recording_states
 
 from proteus_sim import bitstream as bits
 from proteus_sim.board import (
@@ -614,19 +614,18 @@ def _periodic_stalls(world):
 
 def _with_and_without_jumps(build, job):
     """Run ``job`` on the world ``build`` returns, then on a fresh one whose
-    steady state never jumps (``_timed``), recording the state after every
-    burst end (``recording_states``): every jump, fresh or a learned
-    period's replay, goes through ``SteadyState._jump``, so the second run
-    learns no period and replays none.  Checks that every burst end of the
-    first run is one of the second's, in the same state but for the kernel
-    host's phase after some landings (``assert_same_states``); returns both
-    runs' result, events and figures."""
+    steady state finds no segment to replay (``_timed``), recording the
+    state after every burst end (``recording_states``): every replay, and
+    every period jumped, starts from ``SteadyState.lookup``, so the second
+    run walks every burst.  Checks that every burst end of the first run is
+    one of the second's, in the same state but for the kernel host's phase
+    after some landings (``assert_same_states``); returns both runs'
+    result, events and figures."""
     runs = []
     for jumps in (True, False):
         with recording_states(jumps) as recorded:
             world = build()
             runs.append((*_timed(world, lambda: job(world)), *recorded))
-        assert jumps or not world.device.steady.learned
     (*jumped, states, drifts), (*walked, want, _none) = runs
     assert_same_states(states, drifts, want)
     return jumped, walked
@@ -679,11 +678,10 @@ def test_a_reconfiguration_under_periodic_stalls_jumps_across_the_windows():
 def test_cross_window_snapshots_outlive_the_jumps_within_a_gap():
     """An 8 KiB reconfiguration and its readback over the benchmark's
     scenario-mix bus (64-word bursts, grant latency 8) under a 10 us stall
-    every 40 us jump within each gap and across the windows: a cross-window
-    match needs the snapshot taken a stall period earlier, before the last
-    jump within the gap, so a jump clears only the table of the gap's own
-    matches.  Fewer than 70 events (98 if a jump cleared both tables); the
-    results and figures are those of a run without jumps."""
+    every 40 us jump within each gap, and replay the segments that cross
+    the windows where a stall period earlier's came back: the segments
+    walked before a jump outlive it.  Fewer than 70 events; the results and
+    figures are those of a run without replays."""
     def build():
         world = World(BoardConfig(pci=PciConfig(grant_latency_cycles=8, max_burst_cycles=64)))
         assert world.boot(full_flash()).ok
@@ -711,16 +709,15 @@ def _mix_bus_world():
 def test_streams_replay_learned_periods_in_every_stall_gap(kernel):
     """A 16 KiB stream over the scenario-mix bus under a 10 us stall every
     40 us: its burst cuts drift from gap to gap, so its gaps rarely recur
-    whole, but the steady states within them do.  A period proven in one
-    gap is learned and replayed in the later gaps as soon as its signature
-    comes back: fewer than 150 events (172 if each gap must prove its own),
-    where burst by burst it takes 269.  Output, figures and the state at
-    every burst end are those of a run without jumps, the kernel's last
-    awake burst end included, but for the kernel's phase after a jump over
-    periods in which it slept at every burst end: at 839,656,344 ps the run
-    without jumps finds it awake for an edge that moves nothing where the
-    jumped run finds it asleep, and the two agree again at the next burst end
-    at which either kernel shows (``assert_same_states``)."""
+    whole, but the steady states within them do.  The segments walked in
+    one gap replay in the later gaps as soon as a signature comes back, and
+    the periods they close are jumped: fewer than 150 events, where burst by
+    burst it takes 269.  Output, figures and the state at every burst end
+    are those of a run without replays, but for the kernel's phase after a
+    drifting replay: at 839,656,344 ps the run without replays finds it
+    awake for an edge that moves nothing where the replayed run finds it
+    asleep, and the two agree again at the next burst end at which either
+    kernel shows (``assert_same_states``)."""
     def build():
         world = _mix_bus_world()
         world.device.registry.bind(0x21, kernel)
@@ -733,6 +730,56 @@ def test_streams_replay_learned_periods_in_every_stall_gap(kernel):
     assert jumped[0] == walked[0]
     assert jumped[2] == walked[2] == (371_131_494, 281_454_264, 8_192)
     assert jumped[1] < 150 and walked[1] == 269
+
+
+@pytest.mark.parametrize("kernel", ["identity", "fir4"])
+def test_replays_after_a_drifting_landing_match_the_per_word_run(kernel):
+    """The same traced stream, against the run with every fast path off.
+    The replay that lands at 839,656,344 ps drifts: the kernel slept at both
+    of its segment's burst ends but moved words under the phase of the run
+    that recorded it, so it lands asleep where the per-word run's kernel is
+    awake, and its last edge is off its clock.  Later replays and jumps from
+    other kernel terms, which the phase-free kernel rule allows, read only
+    the quiescence that their own segments' signatures record, not the
+    kernel host's history, so the drift cannot mislead them: there are
+    several, and the output, the figures and every trace record are the
+    per-word run's."""
+    def build():
+        world = World(BoardConfig(pci=PciConfig(grant_latency_cycles=8, max_burst_cycles=64)),
+                      tracing=True)
+        assert world.boot(full_flash()).ok
+        world.device.registry.bind(0x21, kernel)
+        world.reconfigure(partial_image(kernel_id=0x21))
+        _periodic_stalls(world)
+        return world
+
+    data = random.Random(5).randbytes(1 << 14)
+    weighed, drifts_fn = [], SteadyState.drifts
+
+    def weighing(self, seg, terms):
+        # Asked for each replay or jump from other kernel terms that the
+        # phase-free kernel rule would allow.
+        weighed.append(self.sim.now)
+        return drifts_fn(self, seg, terms)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SteadyState, "drifts", weighing)
+        with recording_states() as (states, drifts):
+            world = build()
+            fast = (*_timed(world, lambda: world.stream(data)), world.trace.records)
+    with per_word() as walked_states:
+        world = build()
+        slow = (*_timed(world, lambda: world.stream(data)), world.trace.records)
+    first = min(drifts)
+    assert first == 839_656_344
+    # Asleep since 839,647,264 ps, off its 20,000 ps clock, in the replayed
+    # run; awake with its next edge at 839,660,000 ps in the per-word run.
+    (sig, terms), (want, _want_terms) = states[first], walked_states[first]
+    assert sig[HOST + 1] is None and first + terms[1] == 839_647_264
+    assert first + want[HOST + 1] == 839_660_000
+    assert sum(t > first for t in weighed) >= 5
+    assert fast[0] == slow[0] and fast[2:] == slow[2:]
+    assert fast[1] < 150 and slow[1] == 269
 
 
 def test_a_device_bound_job_jumps_to_within_one_burst_of_its_end(monkeypatch):
@@ -748,11 +795,9 @@ def test_a_device_bound_job_jumps_to_within_one_burst_of_its_end(monkeypatch):
     left, jump = [], SteadyState._jump
 
     def recording(self, *args):
-        if not jump(self, *args):
-            return False
+        jump(self, *args)
         engine = self.device.engines[TargetId.SELECTMAP_WRITE]
         left.append(engine.addr.bytes_remaining - engine.txn.transferred_bytes)
-        return True
     monkeypatch.setattr(SteadyState, "_jump", recording)
 
     def build():
@@ -811,12 +856,12 @@ def test_a_jump_in_which_the_kernel_moves_no_word_leaves_its_last_edge():
     assert jumped[1] < walked[1]
 
 
-def test_new_windows_and_register_writes_clear_the_cross_window_table():
-    """A window added at a stop may open before it, in periods already run,
-    and a register write may start a one-time action: each clears the
-    cross-window snapshots, and a register write the in-gap ones too.
-    Neither clears the learned periods: they ran with no window, and the
-    signature covers all that a register write changes."""
+def test_new_windows_and_register_writes_forget_the_open_segment():
+    """A window added at a stop may open before it, within the segment still
+    open, and a register write may start a one-time action: each forgets the
+    open segment, so that it is never kept.  Neither touches the store: each
+    segment in it ran under the windows it keeps, and the signature covers
+    all that a register write changes."""
     world = _mix_bus_world()
     world.device.registry.bind(0x21, "identity")
     world.reconfigure(partial_image(kernel_id=0x21))
@@ -825,58 +870,39 @@ def test_new_windows_and_register_writes_clear_the_cross_window_table():
     data = random.Random(3).randbytes(1 << 16)
     _in_base, out_base = world.start_stream(data)
     sim.run_until(sim.now + 100 * US)
-    assert steady.cross and steady.learned
-    learned = dict(steady.learned)
+    assert steady.snap is not None and steady.store
+    store = dict(steady.store)
     world.bus.inject_stall(sim.now - 5 * US, US)
-    assert not steady.cross and steady.learned == learned
+    assert steady.snap is None and steady.store == store
     sim.run_until(sim.now + 100 * US)
-    assert steady.cross and steady.learned
-    learned = dict(steady.learned)
+    assert steady.snap is not None
+    store = dict(steady.store)
     world.device.host_reg_write(REG_IRQ_MASK, world.device.host_reg_read(REG_IRQ_MASK))
-    assert not steady.cross and not steady.table and steady.learned == learned
+    assert steady.snap is None and steady.store == store
     world.wait(IrqCause.DOWNSTREAM_DONE)
     world.wait(IrqCause.UPSTREAM_DONE)
     assert world.host.read(out_base, len(data)) == data
 
 
-def test_each_table_starts_afresh_at_its_limit(monkeypatch):
-    """Each table starts afresh once it holds ``TABLE_LIMIT`` snapshots, so
-    that memory stays bounded, and the stream still comes out whole."""
+def test_soak_the_segment_store_stays_within_the_table_limit(monkeypatch):
+    """Segments live as long as the board, so their one store is bounded:
+    over 210 driver rounds under a 10 us stall every 40 us, with streams of
+    differing lengths through two kernels, bursts of 16 and 64 words and
+    reconfigurations and readbacks of differing regions, the store (here
+    limited to 16 segments) fills to ``TABLE_LIMIT`` and starts afresh,
+    never holding more, every stream and readback comes out whole, and
+    memory grows by little up to the middle round and not at all after."""
     monkeypatch.setattr(SteadyState, "TABLE_LIMIT", 16)
-    world = booted_world()
-    world.device.registry.bind(0x21, "identity")
-    world.reconfigure(partial_image(kernel_id=0x21))
-    _periodic_stalls(world)
-    steady, sizes = world.device.steady, set()
-
-    def at_burst_end(take=steady.at_burst_end):
-        take()
-        sizes.add((len(steady.table), len(steady.cross)))
-    world.bus.on_burst_end = at_burst_end
-    data = random.Random(4).randbytes(1 << 18)
-    assert world.stream(data) == data
-    assert max(t for t, _c in sizes) <= 16 and max(c for _t, c in sizes) == 16
-
-
-def test_soak_learned_periods_stay_within_the_table_limit(monkeypatch):
-    """Learned periods live as long as the board, so they are bounded as the
-    other tables are: over 120 driver rounds under a 10 us stall every
-    40 us, with streams of differing lengths through two kernels, bursts
-    of 16 and 64 words and reconfigurations and readbacks of differing
-    regions, the table of learned periods (here limited to 3, as the whole
-    soak visits only a few steady states) fills to ``TABLE_LIMIT`` and
-    starts afresh, never holding more, and memory stays bounded from the
-    first quarter of the rounds on."""
-    monkeypatch.setattr(SteadyState, "TABLE_LIMIT", 3)
-    seen = {"most": 0, "restarts": 0, "last": 0}     # learned periods held
+    seen = {"most": 0, "restarts": 0, "last": 0}     # segments held
     at_burst_end = SteadyState.at_burst_end
 
-    def counting(self):
-        at_burst_end(self)
-        size = len(self.learned)
+    def counting(self, txn):
+        txn = at_burst_end(self, txn)
+        size = len(self.store)
         seen["most"] = max(seen["most"], size)
         seen["restarts"] += size < seen["last"]
         seen["last"] = size
+        return txn
     monkeypatch.setattr(SteadyState, "at_burst_end", counting)
     g = bits.DeviceGeometry(8, 8, 16, 6)
 
@@ -899,18 +925,18 @@ def test_soak_learned_periods_stay_within_the_table_limit(monkeypatch):
         _periodic_stalls(world)
         worlds.append(world)
     for world in worlds:
-        rounds(world, 0, 15)
+        rounds(world, 0, 27)
     tracemalloc.start()
     try:
-        first = tracemalloc.get_traced_memory()[0]
-        for world in worlds:
-            rounds(world, 15, 45)
-        growth = tracemalloc.get_traced_memory()[0] - first
+        sizes = [tracemalloc.get_traced_memory()[0]]
+        for first in (27, 66):
+            for world in worlds:
+                rounds(world, first, 39)
+            sizes.append(tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
-    # CPython keeps up to 2,000 freed tuples of each small size for reuse; the
-    # signatures' parts fill that slowly (about 150 KiB after 600 rounds).
-    assert seen["most"] == 3 and seen["restarts"] >= 2 and growth <= 64 * 1024
+    assert seen["most"] == 16 and seen["restarts"] >= 2
+    assert sizes[1] - sizes[0] <= 64 * 1024 and sizes[2] - sizes[1] <= 4 * 1024
 
 
 MiB = 1 << 20
@@ -998,8 +1024,8 @@ def test_soak_a_16_mib_stream_and_200_driver_rounds_stay_bounded():
     """A 16 MiB fir4 stream in one job jumps most of its periods, in slices
     of whole periods, and its output is the fir4 of its input; then 200
     driver rounds of reconfiguration, stream and readback leave memory flat
-    between their first and last quarter, and the recurrence table holds
-    only what it saw since the last register write."""
+    between their first and last quarter, the store of segments stays within
+    its limit, and the last register write forgets the open segment."""
     g = bits.DeviceGeometry(8, 4, 16, 6)
     world = World(BoardConfig(geometry=g))
     assert world.boot(bits.encode(g, bits.BitstreamKind.FULL, 0, 0, bytes(g.total_bytes))).ok
@@ -1012,7 +1038,7 @@ def test_soak_a_16_mib_stream_and_200_driver_rounds_stay_bounded():
     in_base, out_base = world.start_stream(data)
     world.run_until_cause(IrqCause.UPSTREAM_DONE)
     assert sim.executed - events < 100
-    assert len(world.device.steady.table) < SteadyState.TABLE_LIMIT
+    assert len(world.device.steady.store) < SteadyState.TABLE_LIMIT
     world.wait(IrqCause.DOWNSTREAM_DONE)
     world.wait(IrqCause.UPSTREAM_DONE)
     out = world.host.read(out_base, len(data))
@@ -1030,7 +1056,7 @@ def test_soak_a_16_mib_stream_and_200_driver_rounds_stay_bounded():
             world.reconfigure(image)
             assert world.stream(stream) == stream
             world.readback(0, 2)
-            assert not world.device.steady.table    # cleared by the last acknowledgement
+            assert world.device.steady.snap is None     # forgotten at the last acknowledgement
 
     tracemalloc.start()
     try:
