@@ -462,7 +462,9 @@ class SteadyState:
     the signature there is ``now``'s.  Its lattice point is stalled or not
     as ``now``'s was, which decides how the burst ending there was cut: the
     gap's bound includes it, and the repeat check covers it with a whole
-    period to spare.  The chain then goes on from there.
+    period to spare.  The chain then goes on from there, under the kernel
+    terms the jump leaves: a period the kernel rule took from other terms
+    need not be a whole number of user periods long.
 
     Caps.  An engine's remaining bytes show only within its cap of its job's
     end (``DmaEngine``); its bytes to go are its remaining bytes less those
@@ -756,12 +758,20 @@ class SteadyState:
         its own (see the class)."""
         return seg.edge is not None and seg.terms != terms
 
+    def drift_allowed(self, terms) -> bool:
+        """Whether a replay that drifts from the kernel ``terms`` may be
+        taken: no step shows the drift, as no bus word reaches the kernel
+        within a user period of a burst end, or the kernel last slept more
+        than a user period before ``now`` (see the class)."""
+        return self.grant_clears or terms[1] < -self.user_period
+
     def _rule(self, seg: Segment, terms) -> bool:
         """Whether the kernel rule lets ``seg`` replay from the kernel
         ``terms``, and a drifting replay only where no step shows the drift
-        (see the class)."""
-        return seg.terms == terms or not seg.stirs and not (
-            self.drifts(seg, terms) and not (self.grant_clears or terms[1] < -self.user_period))
+        (see the class).  ``drift_allowed`` is asked last, so a replay for
+        which it holds is taken."""
+        return seg.terms == terms or not seg.stirs and (
+            not self.drifts(seg, terms) or self.drift_allowed(terms))
 
     def _chain(self, txn, seg: Segment, sig, h, terms, budget):
         """Replay ``seg`` from ``now`` and the segments that follow it while
@@ -806,7 +816,12 @@ class SteadyState:
                 path, nbytes, seen = [], 0, {}
             if n:
                 self._jump(period, n)
+                # A period need not be whole user periods long, and the kernel's
+                # last edge moves on with it only if the kernel moved words:
+                # the kernel terms are the host's as the jump leaves it.
                 t = sim.now
+                last_edge = self.device.kernel_host.last_edge
+                terms = self.signature()[1]
                 budget = [b - n * d for b, d in zip(budget, period.moved)]
             seg = self.lookup(sig, h, t)
             if seg is None:

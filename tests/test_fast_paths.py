@@ -38,32 +38,35 @@ FAMILIES = CHEAP * 2 + [tw._period_spec]
 def recording_states(jumps=True):
     """Record the state after every burst end of the worlds run inside, by
     time: the steady state's signature and the kernel's exact terms; and
-    the landings of replays that drift (``SteadyState.drifts``).  Without
-    ``jumps`` the steady state finds no segment to replay
+    the landings of replays that drift (``SteadyState.drift_allowed``).
+    Without ``jumps`` the steady state finds no segment to replay
     (``SteadyState.lookup``), so it neither replays one nor jumps a
     period.  Yields (states, landings)."""
     states, drifts, drifted = {}, set(), []
-    at_burst_end, drifting = SteadyState.at_burst_end, SteadyState.drifts
+    at_burst_end, drift_allowed = SteadyState.at_burst_end, SteadyState.drift_allowed
 
     def recording(self, txn):
         txn = at_burst_end(self, txn)
-        states[self.sim.now] = self.signature()
+        states[self.sim.now] = state = self.signature()
+        # The open segment starts from the state the board is in, also where
+        # a chain of replays and jumps left it.
+        assert self.snap is None or self.snap[1:4:2] == state, f"at {self.sim.now} ps"
         if drifted:
             drifts.add(self.sim.now)
             drifted.clear()
         return txn
 
-    def noting(self, seg, terms):
-        # Asked last, so the replay is taken if it drifts and the guard holds.
-        if not drifting(self, seg, terms):
-            return False
-        if self.grant_clears or terms[1] < -self.user_period:
+    def noting(self, terms):
+        # Asked only for a replay that drifts, and last, so it is taken if
+        # this holds.
+        allowed = drift_allowed(self, terms)
+        if allowed:
             drifted.append(True)
-        return True
+        return allowed
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SteadyState, "at_burst_end", recording)
-        mp.setattr(SteadyState, "drifts", noting)
+        mp.setattr(SteadyState, "drift_allowed", noting)
         if not jumps:
             mp.setattr(SteadyState, "lookup", lambda self, sig, h, t: None)
         yield states, drifts
@@ -162,6 +165,15 @@ def run_per_word(spec: dict):
 # A landing sets the kernel's last edge and numbers the slots in their order:
 @example(family=tw._spec, index=10048)
 @example(family=tw._tie_spec, index=10121)
+# A chain that jumps takes the kernel terms from the host after the jump: the
+# period of 3,757,572 ps that lands at 91,889,000 ps is no whole number of the
+# 20,000 ps user clock's, and the next segment starts from the terms there
+# (``recording_states`` checks the open segment's start), not from those before.
+@example(family=tw._stream_spec, index=20000)
+# Lands a drifting replay at 18,405,000 ps with the kernel asleep where the run
+# without replays has it awake for an edge that moves nothing: the slot-order
+# field reads None against False until the kernel shows again.
+@example(family=tw._tie_spec, index=20053)
 def test_fast_paths_match_the_per_word_paths(family, index):
     spec = family(index)
     with recording_states() as (states, drifts):
