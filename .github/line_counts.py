@@ -7,7 +7,7 @@ Prints the lines and the code lines of the directory's ``*.py`` files
 (``src/proteus_sim`` when none is given, run from the repository root).
 Code lines are the non-blank lines outside docstrings and comments.  Given
 the same directory of a base tree as well, it also prints the change
-against it.
+against it, in total and, as a Markdown table, module by module.
 """
 
 import ast
@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 
-def counts(directory) -> tuple[int, int]:
-    """(lines, code lines) of the ``*.py`` files in ``directory``."""
-    lines = code = 0
+def counts(directory) -> dict[str, tuple[int, int]]:
+    """(lines, code lines) of each ``*.py`` file in ``directory``, by name."""
+    out = {}
     for path in sorted(Path(directory).glob("*.py")):
         text = path.read_text()
         prose = set()
@@ -27,19 +27,33 @@ def counts(directory) -> tuple[int, int]:
                 doc = node.body[0]
                 prose.update(range(doc.lineno, doc.end_lineno + 1))
         rows = text.splitlines()
-        lines += len(rows)
-        code += sum(1 for i, line in enumerate(rows, 1)
-                    if line.strip() and not line.lstrip().startswith("#") and i not in prose)
-    return lines, code
+        out[path.name] = len(rows), sum(
+            1 for i, line in enumerate(rows, 1)
+            if line.strip() and not line.lstrip().startswith("#") and i not in prose)
+    return out
+
+
+def total(modules: dict) -> tuple[int, int]:
+    """(lines, code lines) summed over ``modules``, as ``counts`` returns them."""
+    return sum(n for n, _ in modules.values()), sum(c for _, c in modules.values())
 
 
 def main(argv) -> None:
-    lines, code = counts(argv[0] if argv else "src/proteus_sim")
+    ours = counts(argv[0] if argv else "src/proteus_sim")
+    lines, code = total(ours)
     print(f"src/: {lines} lines, {code} code lines")
     if len(argv) > 1:
-        base_lines, base_code = counts(argv[1])
+        base = counts(argv[1])
+        base_lines, base_code = total(base)
         print(f"src/ against the base commit: {lines - base_lines:+d} lines, "
               f"{code - base_code:+d} code lines")
+        print()
+        print("| module | lines | change | code lines | change |")
+        print("|---|---:|---:|---:|---:|")
+        for name in sorted(ours.keys() | base.keys()):
+            n, c = ours.get(name, (0, 0))
+            base_n, base_c = base.get(name, (0, 0))
+            print(f"| {name} | {n} | {n - base_n:+d} | {c} | {c - base_c:+d} |")
 
 
 if __name__ == "__main__":

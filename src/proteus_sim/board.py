@@ -37,11 +37,12 @@ state relative to ``now`` (``SteadyState``), and keeps what it does up to
 the next burst end, a *segment*, under it: a segment is a function of its
 start's signature and the stall windows it meets.  A burst end whose
 signature comes back replays the segments that follow it, a *chain*, in
-one event, and a chain that comes back to a signature jumps the period it
-closed as many whole times as the bounds allow: the engines' addresses and
-the processes' keys move on, the counters grow, the trace records and
-pause windows repeat, and the bytes go through the buffers, the map kernel
-and the configuration image as slices.  The store lives as long as the
+one event, and a chain that comes back to a signature lands the period it
+closed as many whole times as the bounds allow.  A landing, the one way
+past replayed time, sets each component from the landing's signature: the
+engines' addresses and the processes' keys move on, the counters grow, the
+trace records and pause windows repeat, and the bytes go through the
+buffers, the map kernel and the configuration image as slices.  The store lives as long as the
 board, as the signature covers all that a register write changes.
 
 A simulation that can go no further raises ``Deadlock``, naming the busy
@@ -91,6 +92,7 @@ from .fixed_part import (
     arbitrate,
     busmaster_resume,
     on_fill_status,
+    period_chunks,
     quiet_band,
 )
 from .kernels import KernelHost
@@ -230,13 +232,13 @@ class DmaEngine:
 
     def take(self, nbytes: int):
         """The job's next ``nbytes`` of host memory, moved past, as a view
-        that the caller copies at once: a device-bound job's share of a jump
-        over whole periods."""
+        that the caller copies at once: a device-bound job's share of a
+        landing (``SteadyState._land``)."""
         return self.device.world.host.view(self._advance(nbytes), nbytes) if nbytes else b""
 
     def give(self, data) -> None:
         """Write ``data`` as the job's next bytes and move past them: a
-        host-bound job's share of a jump over whole periods."""
+        host-bound job's share of a landing (``SteadyState._land``)."""
         if data:
             self.device.world.host.write(self._advance(len(data)), data)
 
@@ -445,10 +447,10 @@ class SteadyState:
 
     A signature that recurs within a chain closes a cycle: the segments
     between form a period, which repeats for as long as the windows do.  So
-    the chain lands there and ``_jump`` moves the largest number ``n`` of
-    whole periods after which every engine's job is still its cap or more
-    from its end, that end by the loop's horizon and that meet the stall
-    windows the first period met:
+    the chain jumps the largest number ``n`` of further whole periods after
+    which every engine's job is still its cap or more from its end, that
+    end by the loop's horizon and that meet the stall windows the first
+    period met:
 
     - a period that met no window needs no window to meet [start, now +
       n * period];
@@ -457,14 +459,18 @@ class SteadyState:
       (``PciBus.stalls_repeat``, one walk over the merged bounds), so that
       every jumped period meets the windows of the first.
 
-    The jump lands flush on the burst end at ``now + n * period``: each
-    engine's remaining bytes are its cap or more there, as at ``now``, so
-    the signature there is ``now``'s.  Its lattice point is stalled or not
-    as ``now``'s was, which decides how the burst ending there was cut: the
-    gap's bound includes it, and the repeat check covers it with a whole
-    period to spare.  The chain then goes on from there, under the kernel
-    terms the jump leaves: a period the kernel rule took from other terms
-    need not be a whole number of user periods long.
+    A jump is a landing (``_land``): the chain lands the segments before
+    the period, if any, then the period ``n + 1`` times from its first
+    start, its trace records and pause windows repeated, its counters
+    scaled and its bytes moved in slices of whole periods.  It lands flush
+    on the burst end at ``now + n * period``: each engine's remaining bytes
+    are its cap or more there, as at ``now``, so the signature there is
+    ``now``'s, the period's landing signature.  Its lattice point is stalled
+    or not as ``now``'s was, which decides how the burst ending there was
+    cut: the gap's bound includes it, and the repeat check covers it with a
+    whole period to spare.  The chain then goes on from there, under the
+    kernel terms of the period's end: a period the kernel rule took from
+    other terms need not be a whole number of user periods long.
 
     Caps.  An engine's remaining bytes show only within its cap of its job's
     end (``DmaEngine``); its bytes to go are its remaining bytes less those
@@ -627,15 +633,11 @@ class SteadyState:
         # ``now``, no earlier than one period and a picosecond back (an older
         # one never shows); None while it is awake, as the next step sets it
         # before anything reads it.
-        q = self.user_period
-        phase = now % q
+        phase = now % self.user_period
         if hk is not None:
-            terms = phase, None
             sig += (host.form, hk[0] - now, phase)
         else:
-            last = host.last_edge - now
-            terms = phase, (last if last > -q - 1 else -q - 1)
-            sig += (host.form, None, phase if last >= 0 else None)
+            sig += (host.form, None, phase if host.last_edge >= now else None)
         # Each engine: its waiting request's size, its remaining bytes up to
         # its ``cap``, and, if the ending burst is its own, that burst's
         # bytes moved and asked for, which also say whether it is done.  The
@@ -655,7 +657,16 @@ class SteadyState:
         # slots, which decides their ties.
         sig += (dev.down_buf.occupancy, dev.up_buf.occupancy, dev.smap_buf.occupancy,
                 dev.arbiter.last_granted, dev.irq.pending, ck and hk and ck[1] < hk[1])
-        return tuple(sig), terms
+        sig = tuple(sig)
+        return sig, self._terms(now, sig, host.last_edge)
+
+    def _terms(self, t: int, sig, last_edge: int) -> tuple:
+        """The kernel's exact terms at a burst end at ``t`` with signature
+        ``sig``, its last edge at ``last_edge`` (see ``signature``)."""
+        q = self.user_period
+        if sig[_HOST_KEY] is not None:
+            return t % q, None
+        return t % q, max(last_edge - t, -q - 1)
 
     def at_burst_end(self, txn: BusTransaction) -> BusTransaction:
         """Close the open segment at this burst end, replay what follows if
@@ -775,12 +786,11 @@ class SteadyState:
 
     def _chain(self, txn, seg: Segment, sig, h, terms, budget):
         """Replay ``seg`` from ``now`` and the segments that follow it while
-        their bounds hold, jumping the periods they close (see the class);
-        ``budget`` is ``_left`` at ``now``, which the chain spends.  Returns
-        the landing's transaction, signature, hash and kernel terms."""
-        sim = self.sim
-        q, horizon = self.user_period, sim.horizon
-        t = sim.now
+        their bounds hold, landing each period they close whole times (see
+        the class); ``budget`` is ``_left`` at ``now``, which the chain
+        spends.  Returns the landing's transaction, signature, hash and
+        kernel terms."""
+        horizon, t = self.sim.horizon, self.sim.now
         last_edge = self.device.kernel_host.last_edge
         # The segments replayed since the last landing (start, kernel terms,
         # segment), their bytes, and where in them each signature was passed.
@@ -805,24 +815,26 @@ class SteadyState:
             sig, h = seg.sig, seg.key
             if seg.edge is not None:
                 last_edge = t + seg.edge
-            phase = t % q
-            terms = (phase, None) if sig[_HOST_KEY] is not None else (
-                phase, max(last_edge - t, -q - 1))
+            terms = self._terms(t, sig, last_edge)
             prev = seen.get(h)
             period = self._merge(path[prev[1]:], t) if prev and prev[0] == sig else None
             n = period and self._periods(period, t, terms, budget)
-            if n or nbytes >= SLICE_BYTES:
+            if n:
+                # Land the segments before the period, then the period n + 1
+                # times from its first start, and go on with its kernel terms.
+                start = path[prev[1]][0]
+                if prev[1]:
+                    txn = self._land(txn, self._merge(path[:prev[1]], start), path[0][0])
+                txn = self._land(txn, period, start, n + 1)
+                path, nbytes, seen = [], 0, {}
+                t += n * period.length
+                if period.edge is not None:
+                    last_edge = t + period.edge
+                terms = self._terms(t, sig, last_edge)
+                budget = [b - n * d for b, d in zip(budget, period.moved)]
+            elif nbytes >= SLICE_BYTES:
                 txn = self._land(txn, self._merge(path, t), path[0][0])
                 path, nbytes, seen = [], 0, {}
-            if n:
-                self._jump(period, n)
-                # A period need not be whole user periods long, and the kernel's
-                # last edge moves on with it only if the kernel moved words:
-                # the kernel terms are the host's as the jump leaves it.
-                t = sim.now
-                last_edge = self.device.kernel_host.last_edge
-                terms = self.signature()[1]
-                budget = [b - n * d for b, d in zip(budget, period.moved)]
             seg = self.lookup(sig, h, t)
             if seg is None:
                 break
@@ -875,22 +887,30 @@ class SteadyState:
         n = min(fits, default=0)
         return n if n >= 1 and self._rule(period, terms) else 0
 
-    def _land(self, txn, seg: Segment, start: int):
+    def _land(self, txn, seg: Segment, start: int, n: int = 1):
         """Bring the board from ``now``, a burst end, to the one a chain
-        reached at ``start`` + ``seg.length``, ``seg`` being the chain's
-        segments merged (see the class); returns the transaction whose burst
-        ends there."""
+        reached at ``start`` + ``n * seg.length``, ``seg`` being the chain's
+        segments merged, or a period run ``n`` times from ``start`` (see the
+        class); returns the transaction whose burst ends there."""
         dev, sim, bus = self.device, self.sim, self.bus
         ctl, host, trace = dev.controller, dev.kernel_host, dev.trace
-        t, sig, moved = start + seg.length, seg.sig, seg.moved
+        length, sig, moved = seg.length, seg.sig, seg.moved
+        t = start + n * length
         if trace:
-            trace.records += [TraceRecord(start + r, c, e, d) for r, c, e, d in seg.records]
-        ctl.pause_windows += [(start + s, start + e) for s, e in seg.windows]
-        # The bytes, through the buffers to their landing occupancies.
-        host.move(moved[1], (moved[1] >> 2) - sig[_DOWN_OCC] + dev.down_buf.occupancy, moved[0])
-        grown = 4 * (sig[_SMAP_OCC] - dev.smap_buf.occupancy)
-        ctl.move(moved[2] + moved[3],
-                 moved[3] - grown if ctl.mode is Mode.CONFIGURING else moved[2] + grown)
+            trace.records += [TraceRecord(b + r, c, e, d) for b in range(start, t, length)
+                              for r, c, e, d in seg.records]
+        ctl.pause_windows += [(b + s, b + e) for b in range(start, t, length)
+                              for s, e in seg.windows]
+        # The bytes, through the buffers to their landing occupancies, each
+        # side in slices of whole periods.
+        for k in period_chunks(n, max(moved[0], moved[1])):
+            host.move(k * moved[1], (k * moved[1] >> 2) - sig[_DOWN_OCC] + dev.down_buf.occupancy,
+                      k * moved[0])
+        configuring = ctl.mode is Mode.CONFIGURING
+        for k in period_chunks(n, max(moved[2], moved[3])):
+            grown = 4 * (sig[_SMAP_OCC] - dev.smap_buf.occupancy)
+            ctl.move(k * (moved[2] + moved[3]),
+                     k * moved[3] - grown if configuring else k * moved[2] + grown)
         for i, e in enumerate(self.engines):
             j = _ENGINE + 4 * i
             e.land(sig[j], sig[j + 2], sig[j + 3])
@@ -899,8 +919,8 @@ class SteadyState:
         dev.arbiter.last_granted = sig[_GRANT]
         if seg.edge is not None:
             host.last_edge = t + seg.edge
-        bus.busy_ticks += seg.busy
-        bus.total_data_cycles += seg.cycles
+        bus.busy_ticks += n * seg.busy
+        bus.total_data_cycles += n * seg.cycles
         bus._burst_start = t + seg.granted
         sim.now = t
         # The processes' slots, numbered afresh in their order.
@@ -916,24 +936,6 @@ class SteadyState:
                 p.key = (t + at, sim.alloc())
                 sim.schedule_reserved(*p.key, p._run)
         return txn
-
-    def _jump(self, period: Segment, n: int) -> None:
-        """Move ``n`` whole periods from ``now``, the last of which ran over
-        [now - length, now] (see the class)."""
-        dev, sim, bus = self.device, self.sim, self.bus
-        ctl, host = dev.controller, dev.kernel_host
-        length, moved = period.length, period.moved
-        base = sim.now - length
-        host.jump(n, length, moved[1], moved[0])
-        ctl.jump(n, length, moved[3] if ctl.mode is Mode.CONFIGURING else moved[2],
-                 [(base + s, base + e) for s, e in period.windows])
-        bus.repeat(n, length, period.busy, period.cycles)
-        trace = dev.trace
-        if trace:
-            trace.records += [TraceRecord(b + t, c, e, d)
-                              for b in range(sim.now, sim.now + n * length, length)
-                              for t, c, e, d in period.records]
-        sim.shift(n * length)
 
 
 class Device:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import struct
 
-from .fixed_part import KERNEL_REGS, RegisterFile, StreamBuffer, period_chunks
+from .fixed_part import KERNEL_REGS, RegisterFile, StreamBuffer
 from .sim import FOREVER, RunAhead
 
 
@@ -330,19 +330,6 @@ class KernelHost(RunAhead):
         out = memoryview(self.registry.active.map_words(self._io, data)) if taken else b""
         self.feed.out_of.give(self.up.exchange(out, nout >> 2))
 
-    def jump(self, n: int, period: int, nin: int, nout: int) -> None:
-        """Run ``n`` more periods of a steady state in closed form (see
-        ``board.SteadyState``): each takes ``nin`` bytes from the downstream
-        engine and gives ``nout`` to the upstream one, through the buffers and
-        the map kernel, as slices of whole periods.  The next edge moves
-        ``n * period`` on, and so does the last one stepped if the kernel
-        moves words; if not, it sleeps throughout, at its last edge."""
-        if nin or nout:
-            for k in period_chunks(n, max(nin, nout)):
-                self.move(k * nin, k * nin >> 2, k * nout)
-            self.last_edge += n * period
-        self.shift(n * period)
-
     def _stretch(self, t: int, kernel) -> bool:
         """Run the map kernel's edges from ``t`` and the burst's words that
         fall between them in closed form; False (nothing run) if that would
@@ -367,8 +354,8 @@ class KernelHost(RunAhead):
         pattern with q longer than the bus period: there the word before has
         already woken the kernel for that edge, so this one wakes it again.
         The key and last edge a stretch leaves are the only absolute times it
-        keeps; a jump over whole periods (``jump``) shifts both, and a
-        replay sets both from the segments it replays.
+        keeps; a replay, and a jump over whole periods, sets both from the
+        segments it lands.
         """
         sim = self.sim
         down, up = self.down, self.up

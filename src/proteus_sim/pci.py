@@ -34,8 +34,8 @@ except ``stalls_repeat``, one walk from a bisection.
 
 A burst's end is also where the master may replay what it has seen its
 board do from there, up to a later burst end, and jump whole periods of it
-(``on_burst_end``, ``repeat``; see ``board.SteadyState``): then ``now``
-moves on, the bus's counters grow by what the replay moved, and another
+(``on_burst_end``; see ``board.SteadyState``): then ``now`` moves on, the
+master adds what the replay moved to the bus's counters, and another
 transaction's burst may end there.  A jump may cross stall windows only
 where they repeat (``stalls_repeat``), and the master hears of every
 window added (``on_stall``).
@@ -312,13 +312,6 @@ class PciBus:
         if txn.on_finish is not None:
             txn.on_finish(txn)
         self.poke()
-
-    def repeat(self, n: int, period: int, busy_ticks: int, data_cycles: int) -> None:
-        """Count ``n`` more periods of ``period`` ps, each busy ``busy_ticks``
-        and ``data_cycles`` words long, and move the ending burst's start on."""
-        self.busy_ticks += n * busy_ticks
-        self.total_data_cycles += n * data_cycles
-        self._burst_start += n * period
 
 
 class _Burst:

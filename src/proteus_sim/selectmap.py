@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import bitstream as bits
-from .fixed_part import StreamBuffer, period_chunks
+from .fixed_part import StreamBuffer
 from .sim import FOREVER, ClockDomain, RunAhead, Simulator
 
 
@@ -210,9 +210,10 @@ class SelectMapController(RunAhead):
         bus word on the last point goes first unless the stretch's first bus
         word falls on point 0: with q equal to the bus period every tie goes
         the way the first did, and with other periods the order cannot show.
-        A jump over whole periods (``jump``) shifts the key a stretch leaves
-        and a pause's start; neither a jump nor a replay moves the payload's
-        first byte, as the signature tells whether it has moved.
+        A replay, and a jump over whole periods, sets the key a stretch
+        leaves and a pause's start from the segments it lands; neither moves
+        the payload's first byte, as the signature tells whether it has
+        moved.
         """
         q = 4 * self.clock.period
         m = (job.total - job.done - 1) // 4       # the job's last word stays a point
@@ -270,20 +271,6 @@ class SelectMapController(RunAhead):
             self.feed.out_of.give(self.buffer.exchange(port, nbus >> 2))
         if nport:
             job.done = done + nport
-
-    def jump(self, n: int, period: int, nbytes: int, windows) -> None:
-        """Run ``n`` more periods of a steady state in closed form (see
-        ``board.SteadyState``): each moves ``nbytes`` of the job between its
-        engine and the image through the buffer, as slices of whole periods,
-        and repeats the period's pause ``windows`` (and so its ``pauses``),
-        shifted.  The next point and a pause's start move ``n * period`` on."""
-        if nbytes:
-            for k in period_chunks(n, nbytes):
-                self.move(k * nbytes, k * nbytes)
-        self.pause_windows += [(start + j * period, end + j * period)
-                               for j in range(1, n + 1) for start, end in windows]
-        self.shift(n * period)
-        self.pause_start += n * period
 
     def _complete_configure(self) -> None:
         job = self.job

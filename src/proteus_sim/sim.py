@@ -47,9 +47,9 @@ of the stall windows, translated (``board.SteadyState``).  So each segment
 walked event by event is kept, and a burst end whose signature has one
 replays it and the segments that follow, a *chain*, inside the same event,
 as HashLife replays the macro-steps of a cellular automaton.  A chain that
-comes back to a signature it passed has closed a period, which it jumps as
-many whole times as its bounds allow; ``shift`` moves the clock and every
-queued event past them, in the same order.  The phase of a clock whose
+comes back to a signature it passed has closed a period, which it lands as
+many whole times as its bounds allow; a landing sets ``now`` and queues the
+processes' slots afresh, in their order.  The phase of a clock whose
 process is quiescent (an idle controller, a kernel asleep at every burst
 end) is left out of the signature, so a stream recurs with the period of
 its bursts, not with the clocks' common multiple, and under periodic stall
@@ -144,12 +144,6 @@ class Simulator:
         stream.advance(min(time_limit + 1, heap[0][0]) if heap else time_limit + 1)
         return True
 
-    def shift(self, dt: int) -> None:
-        """Move the clock and every queued event ``dt`` ps later, keeping their
-        same-time order: a jump over whole periods of a steady state."""
-        self.now += dt
-        self._heap[:] = [(t + dt, seq, action) for t, seq, action in self._heap]
-
     def reach(self):
         """The latest time a point numbered now may take and still run inside
         the running event: before the first queued event (which was numbered
@@ -233,12 +227,6 @@ class RunAhead:
         """Make ``t`` the next point, numbered now."""
         sim = self.sim
         self.key = (t, sim.alloc() if self._running else sim.schedule_at(t, self._run))
-
-    def shift(self, dt: int) -> None:
-        """Move the next point ``dt`` ps later, in the slot it holds (its queued
-        ``_run`` moves with ``Simulator.shift``)."""
-        if self.key is not None:
-            self.key = (self.key[0] + dt, self.key[1])
 
     def run_ahead(self) -> None:
         """Run points from ``key`` until control must go back to the loop."""

@@ -792,13 +792,15 @@ def test_a_device_bound_job_jumps_to_within_one_burst_of_its_end(monkeypatch):
     g = bits.DeviceGeometry(16, 31, 37, 12)
     image = bits.encode(g, bits.BitstreamKind.PARTIAL, 0x5A, 0,
                         random.Random(6).randbytes(4 * g.column_bytes))
-    left, jump = [], SteadyState._jump
+    left, land = [], SteadyState._land
 
-    def recording(self, *args):
-        jump(self, *args)
-        engine = self.device.engines[TargetId.SELECTMAP_WRITE]
-        left.append(engine.addr.bytes_remaining - engine.txn.transferred_bytes)
-    monkeypatch.setattr(SteadyState, "_jump", recording)
+    def recording(self, txn, seg, start, n=1):
+        txn = land(self, txn, seg, start, n)
+        if n > 1:       # a period landed whole times: a jump
+            engine = self.device.engines[TargetId.SELECTMAP_WRITE]
+            left.append(engine.addr.bytes_remaining - engine.txn.transferred_bytes)
+        return txn
+    monkeypatch.setattr(SteadyState, "_land", recording)
 
     def build():
         world = World(BoardConfig(geometry=g, pci=PciConfig(grant_latency_cycles=8,
