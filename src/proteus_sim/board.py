@@ -37,13 +37,15 @@ state relative to ``now`` (``SteadyState``), and keeps what it does up to
 the next burst end, a *segment*, under it: a segment is a function of its
 start's signature and the stall windows it meets.  A burst end whose
 signature comes back replays the segments that follow it, a *chain*, in
-one event, and a chain that comes back to a signature lands the period it
-closed as many whole times as the bounds allow.  A landing, the one way
-past replayed time, sets each component from the landing's signature: the
-engines' addresses and the processes' keys move on, the counters grow, the
-trace records and pause windows repeat, and the bytes go through the
-buffers, the map kernel and the configuration image as slices.  The store lives as long as the
-board, as the signature covers all that a register write changes.
+one event, and a chain that comes back to a signature runs the period it
+closed as many whole times as the bounds allow.  A replay repeats the
+segments' trace records and pause windows, grows the counters and moves
+the bytes through the buffers, the map kernel and the configuration image
+as slices, straight from the chain's path; where the chain stops, one
+landing sets each component's state from the signature there: the
+engines' requests and bursts, the arbiter, the kernel's last edge and the
+processes' keys.  The store lives as long as the board, as the signature
+covers all that a register write changes.
 
 A simulation that can go no further raises ``Deadlock``, naming the busy
 engines, the stream buffers' occupancies and the kernel host's state.
@@ -233,22 +235,22 @@ class DmaEngine:
     def take(self, nbytes: int):
         """The job's next ``nbytes`` of host memory, moved past, as a view
         that the caller copies at once: a device-bound job's share of a
-        landing (``SteadyState._land``)."""
+        replay (``SteadyState._replay``)."""
         return self.device.world.host.view(self._advance(nbytes), nbytes) if nbytes else b""
 
     def give(self, data) -> None:
         """Write ``data`` as the job's next bytes and move past them: a
-        host-bound job's share of a landing (``SteadyState._land``)."""
+        host-bound job's share of a replay (``SteadyState._replay``)."""
         if data:
             self.device.world.host.write(self._advance(len(data)), data)
 
     def _advance(self, nbytes: int) -> int:
         """Move the job ``nbytes`` on; returns the host address they start at
-        (``addr`` counts a granted transaction's bytes only when it ends)."""
+        (``addr`` counts a granted transaction's bytes only when it ends).  A
+        waiting request keeps its address: the chain's landing sets it
+        afresh (``land``)."""
         pos = self.addr.next_address + (self.txn.transferred_bytes if self.txn else 0)
         self.addr.advance(nbytes)
-        if self.request is not None:
-            self.request.start_address = self.addr.next_address
         return pos
 
     def grant(self, txn: BusTransaction) -> BusTransaction:
@@ -346,16 +348,15 @@ _CRC_BYTES = WRAPPER_BYTES - HEADER_BYTES
 
 class Segment(NamedTuple):
     """What the board does from one burst end to the next, relative to its
-    start (or, for a *period*, over a cycle of such segments): its length in
-    ps, the bytes the bus moves for each engine (in ``SteadyState.engines``
-    order), the bus's busy ps and data cycles, the trace records (time,
-    component, event, detail) and the controller's pause windows (start,
-    end); the stall windows over [0, length], clipped to it; the kernel's
-    exact terms at its start, whether the kernel shows (is not quiescent) at
-    a burst end of it, and its last edge relative to the end if it had one
-    within; the ending burst's grant relative to the end; the bytes each
-    engine at its cap at the start must have to spare (None below its cap);
-    and the signature at the end, with its hash."""
+    start: its length in ps, the bytes the bus moves for each engine (in
+    ``SteadyState.engines`` order), the bus's busy ps and data cycles, the
+    trace records (time, component, event, detail) and the controller's
+    pause windows (start, end); the stall windows over [0, length], clipped
+    to it; the kernel's exact terms at its start, whether the kernel shows
+    (is not quiescent) at a burst end of it, and its last edge relative to
+    the end if it had one within; the ending burst's grant relative to the
+    end; the bytes each engine at its cap at the start must have to spare
+    (None below its cap); and the signature at the end, with its hash."""
 
     length: int
     moved: tuple
@@ -423,27 +424,30 @@ class SteadyState:
     which an engine at its cap at the start comes within its cap of its
     job's end.
 
-    A landing takes its state from the landing signature's fields, each
-    component its own, relative to ``now`` (``_land``): each engine its
-    request, the burst ending there and, through the bytes moved, its
-    remaining bytes and address; the buffers their occupancies, through the
-    slices; the arbiter its last grant; the controller its next point and
-    pause, the kernel host its next edge, both in the order of their
-    slots; and the kernel its last edge, translated from the segment.  The
-    data left out is moved, and the logs are repeated, translated.
+    A replay applies what its segments leave outside the signature, read
+    straight from the chain's path (``_replay``): the logs repeated,
+    translated, the bus's counters grown, and the data moved, so that each
+    engine's remaining bytes and address move on and each buffer comes to
+    the occupancy of the replay's end.  Where the chain stops, it lands once
+    (``_land``): each component takes its state from the signature there,
+    relative to the new ``now``: each engine its request and the burst
+    ending there; the arbiter its last grant; the controller its next point
+    and pause, the kernel host its next edge, both in the order of their
+    slots; and the kernel its last edge, which the chain keeps from the
+    segments it replays.
 
     A burst end whose signature has a segment, under the stall windows
-    translated, replays it (``_chain``), and the landing's signature leads to
-    the next segment, all in the same event.  The chain stops at a signature
+    translated, replays it (``_chain``), and the signature at its end leads
+    to the next segment, all in the same event.  The chain stops at a signature
     with no segment, at a bound, where the windows over [now, now + length]
     are not the segment's own translated (``lookup``: none for a segment kept
     without a stall term), or where the kernel rule (below) fails.  The
     bounds: each engine's job stays its cap or more from its end (caps), the
-    landing comes by the loop's horizon, and nothing but the processes'
+    segment ends by the loop's horizon, and nothing but the processes'
     slots is queued (checked once, at the chain's start, as nothing is
     queued inside it).  Its bytes go through the buffers, the map kernel and
-    the configuration image in one slice per engine, at the landing or each
-    ``SLICE_BYTES`` (``_land``).
+    the configuration image in one slice per engine, replayed where it stops
+    or at each ``SLICE_BYTES``.
 
     A signature that recurs within a chain closes a cycle: the segments
     between form a period, which repeats for as long as the windows do.  So
@@ -459,17 +463,20 @@ class SteadyState:
       (``PciBus.stalls_repeat``, one walk over the merged bounds), so that
       every jumped period meets the windows of the first.
 
-    A jump is a landing (``_land``): the chain lands the segments before
-    the period, if any, then the period ``n + 1`` times from its first
-    start, its trace records and pause windows repeated, its counters
-    scaled and its bytes moved in slices of whole periods.  It lands flush
-    on the burst end at ``now + n * period``: each engine's remaining bytes
-    are its cap or more there, as at ``now``, so the signature there is
-    ``now``'s, the period's landing signature.  Its lattice point is stalled
+    The chain bounds a closed cycle from its path before it replays
+    anything (``_periods``): the cycle's length, the bytes it moved and
+    whether a window met any of its segments.  A jump is a replay: the
+    segments before the period, if any, then the period ``n + 1`` times from
+    its first start, its trace records and pause windows repeated, its
+    counters scaled and its bytes moved in slices of whole periods.  It ends
+    flush on the burst end at ``now + n * period``: each engine's remaining
+    bytes are its cap or more there, as at ``now``, so the signature there
+    is ``now``'s, the period's end signature.  Its lattice point is stalled
     or not as ``now``'s was, which decides how the burst ending there was
     cut: the gap's bound includes it, and the repeat check covers it with a
     whole period to spare.  The chain then goes on from there, under the
-    kernel terms of the period's end: a period the kernel rule took from
+    kernel terms of the period's end (its last edge moved by the jump if the
+    kernel had an edge in the period): a period the kernel rule took from
     other terms need not be a whole number of user periods long.
 
     Caps.  An engine's remaining bytes show only within its cap of its job's
@@ -546,16 +553,17 @@ class SteadyState:
     A kernel that went to sleep on ``now``'s own picosecond is not
     quiescent: a burst whose first word lands on ``now`` (grant latency 0)
     wakes it one edge later than under a phase without that edge.  So the
-    *kernel rule*: a segment replays from ``now`` with kernel terms other
-    than those at its start only if the kernel was quiescent at both its
-    burst ends (and so is at ``now``); otherwise they must be equal.  The
-    rule reads the two signatures only.
+    *kernel rule* (``_rule``), for a segment and a period alike: it
+    replays from ``now`` with kernel terms other than those at its start
+    only if the kernel was quiescent at every burst end of it (and so is at
+    ``now``); otherwise they must be equal.  The rule reads the signatures
+    only: the terms at the start and whether any segment stirs.
 
     Where a replay lands.  From equal kernel terms the phases are equal, so
     the replay is the segment translated by whole user-clock periods, and it
     lands on the per-burst run's state, kernel host included; so does a
     replay in which the kernel has no edge, which leaves it asleep at its
-    last edge.  Any other replay *drifts* (``drifts``): it lands on the
+    last edge.  Any other replay *drifts*: it lands on the
     per-burst run's bus side, but its kernel keeps the phase of the run that
     recorded the segment, its next edge and last edge translated.  By the
     bounds above, the per-burst run's kernel may have slept at another edge,
@@ -762,13 +770,6 @@ class SteadyState:
             i += 2
         return seg if i == len(bounds) or bounds[i] > end else None
 
-    def drifts(self, seg: Segment, terms) -> bool:
-        """True if replaying ``seg`` (a segment or a period) from the kernel
-        ``terms`` may leave the kernel host in another phase than the
-        per-burst run's: the kernel has an edge in it, and the terms are not
-        its own (see the class)."""
-        return seg.edge is not None and seg.terms != terms
-
     def drift_allowed(self, terms) -> bool:
         """Whether a replay that drifts from the kernel ``terms`` may be
         taken: no step shows the drift, as no bus word reaches the kernel
@@ -776,23 +777,25 @@ class SteadyState:
         than a user period before ``now`` (see the class)."""
         return self.grant_clears or terms[1] < -self.user_period
 
-    def _rule(self, seg: Segment, terms) -> bool:
-        """Whether the kernel rule lets ``seg`` replay from the kernel
-        ``terms``, and a drifting replay only where no step shows the drift
-        (see the class).  ``drift_allowed`` is asked last, so a replay for
-        which it holds is taken."""
-        return seg.terms == terms or not seg.stirs and (
-            not self.drifts(seg, terms) or self.drift_allowed(terms))
+    def _rule(self, start_terms, stirs: bool, edged: bool, terms) -> bool:
+        """The kernel rule, for a segment or a period alike (see the class):
+        whether the segments with kernel terms ``start_terms`` at their start,
+        in which the kernel shows at a burst end if ``stirs`` and has an edge
+        if ``edged``, replay from the kernel ``terms``; a replay that drifts
+        (other terms and an edge) only where no step shows the drift.
+        ``drift_allowed`` is asked last, so a replay for which it holds is
+        taken."""
+        return start_terms == terms or not stirs and (not edged or self.drift_allowed(terms))
 
     def _chain(self, txn, seg: Segment, sig, h, terms, budget):
         """Replay ``seg`` from ``now`` and the segments that follow it while
-        their bounds hold, landing each period they close whole times (see
-        the class); ``budget`` is ``_left`` at ``now``, which the chain
-        spends.  Returns the landing's transaction, signature, hash and
-        kernel terms."""
+        their bounds hold, each period they close run whole times, and land
+        once where the chain stops (see the class); ``budget`` is ``_left``
+        at ``now``, which the chain spends.  Returns the landing's
+        transaction, signature, hash and kernel terms."""
         horizon, t = self.sim.horizon, self.sim.now
         last_edge = self.device.kernel_host.last_edge
-        # The segments replayed since the last landing (start, kernel terms,
+        # The segments passed since the last replay (start, kernel terms,
         # segment), their bytes, and where in them each signature was passed.
         path, nbytes, seen = [], 0, {}
         while True:
@@ -802,7 +805,8 @@ class SteadyState:
                     or (need[1] is not None and need[1] > budget[1])
                     or (need[2] is not None and need[2] > budget[2])
                     or (need[3] is not None and need[3] > budget[3])
-                    or seg.terms != terms and not self._rule(seg, terms)):
+                    or seg.terms != terms
+                    and not self._rule(seg.terms, seg.stirs, seg.edge is not None, terms)):
                 break
             path.append((t, terms, seg))
             m = seg.moved
@@ -812,70 +816,62 @@ class SteadyState:
             budget[3] -= m[3]
             nbytes += m[0] + m[1] + m[2] + m[3]
             t += seg.length
-            sig, h = seg.sig, seg.key
+            sig, h, granted = seg.sig, seg.key, seg.granted
             if seg.edge is not None:
                 last_edge = t + seg.edge
             terms = self._terms(t, sig, last_edge)
             prev = seen.get(h)
-            period = self._merge(path[prev[1]:], t) if prev and prev[0] == sig else None
-            n = period and self._periods(period, t, terms, budget)
+            i = prev[1] if prev and prev[0] == sig else None
+            n, moved, edged = (0, 0, 0) if i is None else self._periods(path[i:], t, terms, budget)
             if n:
-                # Land the segments before the period, then the period n + 1
+                # Replay the segments before the period, then the period n + 1
                 # times from its first start, and go on with its kernel terms.
-                start = path[prev[1]][0]
-                if prev[1]:
-                    txn = self._land(txn, self._merge(path[:prev[1]], start), path[0][0])
-                txn = self._land(txn, period, start, n + 1)
+                start = path[i][0]
+                if i:
+                    self._replay(path[:i], start)
+                self._replay(path[i:], t, n + 1)
                 path, nbytes, seen = [], 0, {}
-                t += n * period.length
-                if period.edge is not None:
-                    last_edge = t + period.edge
+                jump = n * (t - start)
+                t += jump
+                if edged:
+                    last_edge += jump
                 terms = self._terms(t, sig, last_edge)
-                budget = [b - n * d for b, d in zip(budget, period.moved)]
+                budget = [b - n * d for b, d in zip(budget, moved)]
             elif nbytes >= SLICE_BYTES:
-                txn = self._land(txn, self._merge(path, t), path[0][0])
+                self._replay(path, t)
                 path, nbytes, seen = [], 0, {}
             seg = self.lookup(sig, h, t)
             if seg is None:
                 break
         if path:
-            txn = self._land(txn, self._merge(path, t), path[0][0])
+            self._replay(path, t)
+        if t > self.sim.now:
+            txn = self._land(txn, t, sig, last_edge, granted)
         return txn, sig, h, terms
 
-    def _merge(self, path, end: int) -> Segment:
-        """The segments of ``path`` (start, kernel terms, segment), one after
-        the other up to ``end``, as one segment from the first start."""
-        start, terms, seg = path[0]
-        up = down = rd = wr = busy = cycles = 0
-        records, windows, stalls, stirs, edge = [], [], [], False, None
-        for t, _terms, seg in path:
+    def _periods(self, cycle, t: int, terms, budget):
+        """How many more whole periods of ``cycle``, the chain's segments
+        (start, kernel terms, segment) since its signature last passed, up to
+        ``t``, the bounds and the kernel rule allow (see the class): each
+        engine's job stays its cap or more from its end (``budget``, the
+        bytes it may still move), the horizon holds, and the periods meet the
+        windows the first one met.  Returns that number, the bytes each
+        engine moves in a period and whether the kernel has an edge in it."""
+        start, start_terms, _seg = cycle[0]
+        length, sim, bus = t - start, self.sim, self.bus
+        up = down = rd = wr = 0
+        stalls = stirs = edged = False
+        for _t, _terms, seg in cycle:
             m = seg.moved
             up, down, rd, wr = up + m[0], down + m[1], rd + m[2], wr + m[3]
-            busy += seg.busy
-            cycles += seg.cycles
-            t -= start
-            records += [(t + r, c, e, d) for r, c, e, d in seg.records]
-            if seg.windows:
-                windows += [(t + s, t + e) for s, e in seg.windows]
-            if seg.stalls:
-                stalls += [(t + s, t + e) for s, e in seg.stalls]
+            stalls = stalls or seg.stalls
             stirs = stirs or seg.stirs
-            if seg.edge is not None:
-                edge = t + seg.length + seg.edge - end + start
-        return Segment(end - start, (up, down, rd, wr), busy, cycles, records, windows, stalls,
-                       terms, stirs, edge, seg.granted, None, seg.sig, seg.key)
-
-    def _periods(self, period: Segment, t: int, terms, budget) -> int:
-        """How many more whole periods from ``t`` the bounds and the kernel
-        rule allow (see the class): each engine's job stays its cap or more
-        from its end (``budget``, the bytes it may still move), the horizon
-        holds, and the periods meet the windows the first one met."""
-        length, sim, bus = period.length, self.sim, self.bus
-        start = t - length
-        fits = [b // d for b, d in zip(budget, period.moved) if d]
+            edged = edged or seg.edge is not None
+        moved = up, down, rd, wr
+        fits = [b // d for b, d in zip(budget, moved) if d]
         if sim.horizon != FOREVER:
             fits.append((sim.horizon - t) // length)
-        if period.stalls:
+        if stalls:
             # The windows over [start, t + (n + 1) * length) repeat those of [start, t).
             end = t + (min(fits) + 1) * length if fits else FOREVER
             fits.append((bus.stalls_repeat(start, t, end) - t) // length - 1)
@@ -885,43 +881,60 @@ class SteadyState:
             if stalled != FOREVER:
                 fits.append((stalled - 1 - t) // length)
         n = min(fits, default=0)
-        return n if n >= 1 and self._rule(period, terms) else 0
+        return (n if n >= 1 and self._rule(start_terms, stirs, edged, terms) else 0), moved, edged
 
-    def _land(self, txn, seg: Segment, start: int, n: int = 1):
-        """Bring the board from ``now``, a burst end, to the one a chain
-        reached at ``start`` + ``n * seg.length``, ``seg`` being the chain's
-        segments merged, or a period run ``n`` times from ``start`` (see the
-        class); returns the transaction whose burst ends there."""
-        dev, sim, bus = self.device, self.sim, self.bus
+    def _replay(self, path, end: int, n: int = 1) -> None:
+        """Apply all that the segments of ``path`` (start, kernel terms,
+        segment), one after the other up to ``end`` and run ``n`` times from
+        the first start, leave behind but the state the landing sets (see
+        the class): their trace records and pause windows, repeated; the
+        bus's busy ps and data cycles; and each side's bytes, moved through
+        the buffers to the occupancies of the path's end in slices of whole
+        runs."""
+        dev, bus = self.device, self.bus
         ctl, host, trace = dev.controller, dev.kernel_host, dev.trace
-        length, sig, moved = seg.length, seg.sig, seg.moved
-        t = start + n * length
+        start = path[0][0]
+        runs = range(0, n * (end - start), end - start)
+        up = down = rd = wr = busy = cycles = 0
+        windows = False
+        for _t, _terms, seg in path:
+            m = seg.moved
+            up, down, rd, wr = up + m[0], down + m[1], rd + m[2], wr + m[3]
+            busy += seg.busy
+            cycles += seg.cycles
+            windows = windows or seg.windows
         if trace:
-            trace.records += [TraceRecord(b + r, c, e, d) for b in range(start, t, length)
-                              for r, c, e, d in seg.records]
-        ctl.pause_windows += [(b + s, b + e) for b in range(start, t, length)
-                              for s, e in seg.windows]
-        # The bytes, through the buffers to their landing occupancies, each
-        # side in slices of whole periods.
-        for k in period_chunks(n, max(moved[0], moved[1])):
-            host.move(k * moved[1], (k * moved[1] >> 2) - sig[_DOWN_OCC] + dev.down_buf.occupancy,
-                      k * moved[0])
+            trace.records += [TraceRecord(b + t + r, c, e, d) for b in runs
+                              for t, _terms, seg in path for r, c, e, d in seg.records]
+        if windows:
+            ctl.pause_windows += [(b + t + s, b + t + e) for b in runs
+                                  for t, _terms, seg in path for s, e in seg.windows]
+        bus.busy_ticks += n * busy
+        bus.total_data_cycles += n * cycles
+        sig = path[-1][2].sig
+        for k in period_chunks(n, max(up, down)):
+            host.move(k * down, (k * down >> 2) - sig[_DOWN_OCC] + dev.down_buf.occupancy, k * up)
         configuring = ctl.mode is Mode.CONFIGURING
-        for k in period_chunks(n, max(moved[2], moved[3])):
+        for k in period_chunks(n, max(rd, wr)):
             grown = 4 * (sig[_SMAP_OCC] - dev.smap_buf.occupancy)
-            ctl.move(k * (moved[2] + moved[3]),
-                     k * moved[3] - grown if configuring else k * moved[2] + grown)
+            ctl.move(k * (rd + wr), k * wr - grown if configuring else k * rd + grown)
+
+    def _land(self, txn, t: int, sig, last_edge: int, granted: int):
+        """Bring the board's state from ``now``, a burst end, to the one at
+        ``t`` where a chain stops, from its signature ``sig``, the kernel's
+        last edge and the landing burst's grant relative to ``t``; the
+        chain's replays have moved the bytes and repeated the logs (see the
+        class).  Returns the transaction whose burst ends there."""
+        dev, sim = self.device, self.sim
+        ctl, host = dev.controller, dev.kernel_host
         for i, e in enumerate(self.engines):
             j = _ENGINE + 4 * i
             e.land(sig[j], sig[j + 2], sig[j + 3])
             if sig[j + 3]:
                 txn = e.txn
         dev.arbiter.last_granted = sig[_GRANT]
-        if seg.edge is not None:
-            host.last_edge = t + seg.edge
-        bus.busy_ticks += n * seg.busy
-        bus.total_data_cycles += n * seg.cycles
-        bus._burst_start = t + seg.granted
+        host.last_edge = last_edge
+        self.bus._burst_start = t + granted
         sim.now = t
         # The processes' slots, numbered afresh in their order.
         sim._heap.clear()

@@ -10,8 +10,8 @@ word in one ``bytearray``, the format in which they come from and go to
 host memory and the configuration image.  ``push`` and ``pop`` move one
 word as an int and notify the listeners; ``exchange`` moves runs of words
 as ``bytes`` slices and notifies nobody, copying each byte of a run once.
-A replay of burst-end segments moves its words through a buffer in one
-slice of at most about ``SLICE_BYTES``, and a jump over whole periods in
+A chain of replayed burst-end segments moves its words through a buffer
+in slices of at most about ``SLICE_BYTES``, and a period run whole times in
 slices of whole periods (``period_chunks``), so that no slice grows with
 the job.
 """
@@ -45,7 +45,7 @@ MASTER_ID = {t: t.value for t in TargetId}
 _WORD = struct.Struct("<I")
 
 
-# The bytes one slice of a landing moves through a buffer, at most (or one period).
+# The bytes one slice of a replay moves through a buffer, at most (or one period).
 SLICE_BYTES = 1 << 16
 
 

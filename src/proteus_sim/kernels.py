@@ -246,9 +246,10 @@ class KernelHost(RunAhead):
         self._io = PortIO(down, up, regs, self._request_irq)
         self._raised = False
         self.last_edge = -1
-        # How the live kernel's timing goes (``board.SteadyState.signature``):
-        # None if inert, "map" in map form, "sink" in map form and
-        # consume-only, "step" else.
+        # How the live kernel's timing goes, set with it and read by ``point``,
+        # ``_stretch`` and ``board.SteadyState.signature``: None if inert,
+        # "map" in map form, "sink" in map form with unbounded room
+        # (consume-only), "step" stepped edge by edge.
         self.form = None
         down.on_enqueue(self._maybe_wake)
         up.on_dequeue(self._maybe_wake)
@@ -312,7 +313,7 @@ class KernelHost(RunAhead):
         t = self.key[0]
         sim.now = self.last_edge = t
         kernel = self.registry.active
-        if hasattr(kernel, "map_words") and self._stretch(t, kernel):
+        if self.form != "step" and self._stretch(t, kernel):
             return True
         nxt = (t + self.domain.period, sim.alloc())   # a clock edge numbers the next before stepping
         self._raised = False
@@ -354,13 +355,13 @@ class KernelHost(RunAhead):
         pattern with q longer than the bus period: there the word before has
         already woken the kernel for that edge, so this one wakes it again.
         The key and last edge a stretch leaves are the only absolute times it
-        keeps; a replay, and a jump over whole periods, sets both from the
-        segments it lands.
+        keeps; a chain of replays, jumps over whole periods included, sets
+        both where it lands, from the signature and the segments it ran.
         """
         sim = self.sim
         down, up = self.down, self.up
         d0, u0 = down.occupancy, up.occupancy
-        room = FOREVER if getattr(kernel, "consume_only", False) else up.capacity - u0
+        room = FOREVER if self.form == "sink" else up.capacity - u0
         q = self.domain.period
         stream = sim.stream
         if stream is None:

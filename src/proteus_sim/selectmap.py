@@ -210,10 +210,10 @@ class SelectMapController(RunAhead):
         bus word on the last point goes first unless the stretch's first bus
         word falls on point 0: with q equal to the bus period every tie goes
         the way the first did, and with other periods the order cannot show.
-        A replay, and a jump over whole periods, sets the key a stretch
-        leaves and a pause's start from the segments it lands; neither moves
-        the payload's first byte, as the signature tells whether it has
-        moved.
+        A chain of replays, jumps over whole periods included, sets the key
+        a stretch leaves and a pause's start where it lands, from the
+        signature there; none moves the payload's first byte, as the
+        signature tells whether it has moved.
         """
         q = 4 * self.clock.period
         m = (job.total - job.done - 1) // 4       # the job's last word stays a point

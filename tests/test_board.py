@@ -732,6 +732,18 @@ def test_streams_replay_learned_periods_in_every_stall_gap(kernel):
     assert jumped[1] < 150 and walked[1] == 269
 
 
+def _traced_stalled_stream_world(kernel):
+    """A traced world on the scenario-mix bus with ``kernel`` live, under
+    ``_periodic_stalls``."""
+    world = World(BoardConfig(pci=PciConfig(grant_latency_cycles=8, max_burst_cycles=64)),
+                  tracing=True)
+    assert world.boot(full_flash()).ok
+    world.device.registry.bind(0x21, kernel)
+    world.reconfigure(partial_image(kernel_id=0x21))
+    _periodic_stalls(world)
+    return world
+
+
 @pytest.mark.parametrize("kernel", ["identity", "fir4"])
 def test_replays_after_a_drifting_landing_match_the_per_word_run(kernel):
     """The same traced stream, against the run with every fast path off.
@@ -744,31 +756,23 @@ def test_replays_after_a_drifting_landing_match_the_per_word_run(kernel):
     kernel host's history, so the drift cannot mislead them: there are
     several, and the output, the figures and every trace record are the
     per-word run's."""
-    def build():
-        world = World(BoardConfig(pci=PciConfig(grant_latency_cycles=8, max_burst_cycles=64)),
-                      tracing=True)
-        assert world.boot(full_flash()).ok
-        world.device.registry.bind(0x21, kernel)
-        world.reconfigure(partial_image(kernel_id=0x21))
-        _periodic_stalls(world)
-        return world
-
     data = random.Random(5).randbytes(1 << 14)
-    weighed, drifts_fn = [], SteadyState.drifts
+    weighed, rule = [], SteadyState._rule
 
-    def weighing(self, seg, terms):
-        # Asked for each replay or jump from other kernel terms that the
-        # phase-free kernel rule would allow.
-        weighed.append(self.sim.now)
-        return drifts_fn(self, seg, terms)
+    def weighing(self, start_terms, stirs, edged, terms):
+        # Each replay or jump from other kernel terms that the phase-free
+        # kernel rule would allow.
+        if start_terms != terms and not stirs:
+            weighed.append(self.sim.now)
+        return rule(self, start_terms, stirs, edged, terms)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SteadyState, "drifts", weighing)
+        mp.setattr(SteadyState, "_rule", weighing)
         with recording_states() as (states, drifts):
-            world = build()
+            world = _traced_stalled_stream_world(kernel)
             fast = (*_timed(world, lambda: world.stream(data)), world.trace.records)
     with per_word() as walked_states:
-        world = build()
+        world = _traced_stalled_stream_world(kernel)
         slow = (*_timed(world, lambda: world.stream(data)), world.trace.records)
     first = min(drifts)
     assert first == 839_656_344
@@ -782,6 +786,35 @@ def test_replays_after_a_drifting_landing_match_the_per_word_run(kernel):
     assert fast[1] < 150 and slow[1] == 269
 
 
+def test_a_chain_lands_once(monkeypatch):
+    """A chain replays the segments before a period, the period n + 1
+    times and each ``SLICE_BYTES`` of segments straight from its path, and
+    sets the board's state once, where it stops: over the traced 16 KiB
+    identity stream of the drifting-landing test, no chain lands twice, and
+    some chain runs a period whole times.  The output is the input."""
+    landings, runs = [], []
+    chain, land, replay = SteadyState._chain, SteadyState._land, SteadyState._replay
+
+    def chaining(self, *args):
+        landings.append(0)
+        return chain(self, *args)
+
+    def landing(self, *args):
+        landings[-1] += 1
+        return land(self, *args)
+
+    def replaying(self, path, end, n=1):
+        runs.append(n)
+        replay(self, path, end, n)
+    monkeypatch.setattr(SteadyState, "_chain", chaining)
+    monkeypatch.setattr(SteadyState, "_land", landing)
+    monkeypatch.setattr(SteadyState, "_replay", replaying)
+    world = _traced_stalled_stream_world("identity")
+    data = random.Random(5).randbytes(1 << 14)
+    assert world.stream(data) == data
+    assert landings and max(landings) == 1 and max(runs) > 1
+
+
 def test_a_device_bound_job_jumps_to_within_one_burst_of_its_end(monkeypatch):
     """A device-bound job's remaining bytes show only in the size of the
     burst it requests, so its jumps may stop one burst and 8 bytes from its
@@ -792,15 +825,15 @@ def test_a_device_bound_job_jumps_to_within_one_burst_of_its_end(monkeypatch):
     g = bits.DeviceGeometry(16, 31, 37, 12)
     image = bits.encode(g, bits.BitstreamKind.PARTIAL, 0x5A, 0,
                         random.Random(6).randbytes(4 * g.column_bytes))
-    left, land = [], SteadyState._land
+    left, replay = [], SteadyState._replay
 
-    def recording(self, txn, seg, start, n=1):
-        txn = land(self, txn, seg, start, n)
-        if n > 1:       # a period landed whole times: a jump
+    def recording(self, path, end, n=1):
+        replay(self, path, end, n)
+        if n > 1:       # a period run whole times: a jump
+            # The engine's burst is the chain's first until the chain lands.
             engine = self.device.engines[TargetId.SELECTMAP_WRITE]
             left.append(engine.addr.bytes_remaining - engine.txn.transferred_bytes)
-        return txn
-    monkeypatch.setattr(SteadyState, "_land", recording)
+    monkeypatch.setattr(SteadyState, "_replay", recording)
 
     def build():
         world = World(BoardConfig(geometry=g, pci=PciConfig(grant_latency_cycles=8,
