@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Line counts of the package source, for the CI report.
+"""Line counts of a directory's Python files, for the CI report.
 
-    python3 .github/line_counts.py [src/proteus_sim [BASE/src/proteus_sim]]
+    python3 .github/line_counts.py [DIR [BASE/DIR]]
 
 Prints the lines and the code lines of the directory's ``*.py`` files
-(``src/proteus_sim`` when none is given, run from the repository root).
-Code lines are the non-blank lines outside docstrings and comments.  Given
-the same directory of a base tree as well, it also prints the change
-against it, in total and, as a Markdown table, module by module.
+(``src/proteus_sim`` when none is given, run from the repository root),
+under the directory's name: ``src/proteus_sim`` for the package,
+``tests`` for the tests.  Code lines are the non-blank lines outside
+docstrings and comments.  Given the same directory of a base tree as well,
+it also prints the change against it, in total and, as a Markdown table,
+module by module.
 """
 
 import ast
@@ -39,13 +41,14 @@ def total(modules: dict) -> tuple[int, int]:
 
 
 def main(argv) -> None:
-    ours = counts(argv[0] if argv else "src/proteus_sim")
+    directory = argv[0] if argv else "src/proteus_sim"
+    ours = counts(directory)
     lines, code = total(ours)
-    print(f"src/: {lines} lines, {code} code lines")
+    print(f"{directory}: {lines} lines, {code} code lines")
     if len(argv) > 1:
         base = counts(argv[1])
         base_lines, base_code = total(base)
-        print(f"src/ against the base commit: {lines - base_lines:+d} lines, "
+        print(f"{directory} against the base commit: {lines - base_lines:+d} lines, "
               f"{code - base_code:+d} code lines")
         print()
         print("| module | lines | change | code lines | change |")

@@ -25,13 +25,6 @@ last word); ``lo`` and ``hi`` give the occupancies within which the idle
 engines' fill status stays quiet (``DmaEngine.band``), so that a stretch
 ends before a word that would make an engine request a burst.
 
-The other way round, an engine takes or gives the *quiet runs* of its
-burst (``DmaEngine.run_sink``/``run_source``): the words before the first
-one that would wake the process on the buffer's other side.  Their
-listeners would do nothing, so they move as one slice.  On the shared
-SelectMap buffer the other engine is idle all the while: a port job starts
-only with the controller idle and the buffer empty.
-
 At every burst end the board takes a signature of all its timing-visible
 state relative to ``now`` (``SteadyState``), and keeps what it does up to
 the next burst end, a *segment*, under it: a segment is a function of its
@@ -178,9 +171,6 @@ class DmaEngine:
         self.txn = None
         self.started_at: int | None = None
         self.finished_at: int | None = None
-        # Set by the device: fn() -> True if a word this engine moves now
-        # wakes the process on the buffer's other side.
-        self.wakes = None
 
     @property
     def busy(self) -> bool:
@@ -208,30 +198,6 @@ class DmaEngine:
     def source(self, _nbytes: int) -> int:
         return self.buffer.pop()
 
-    def run_sink(self, data) -> int:
-        """Push the leading words of ``data`` (4 bytes each) that no buffer
-        listener would act on, as one slice; returns how many.  It takes
-        none if the first would wake the process on the other side; else
-        they stop where the buffer fills."""
-        if self.wakes():
-            return 0
-        buffer = self.buffer
-        n = min(buffer.capacity - buffer.occupancy, len(data) >> 2)
-        if n <= 0:
-            return 0
-        buffer.exchange(data[:4 * n], 0)
-        return n
-
-    def run_source(self, count: int) -> bytes:
-        """Pop at most ``count`` words that no buffer listener would act on,
-        as one slice: none if the first would wake the process on the other
-        side; else up to the buffer's last word."""
-        if self.wakes():
-            return b""
-        buffer = self.buffer
-        n = min(buffer.occupancy, count)
-        return buffer.exchange(b"", n) if n > 0 else b""
-
     def take(self, nbytes: int):
         """The job's next ``nbytes`` of host memory, moved past, as a view
         that the caller copies at once: a device-bound job's share of a
@@ -256,7 +222,6 @@ class DmaEngine:
     def grant(self, txn: BusTransaction) -> BusTransaction:
         """Make ``txn`` the granted transaction, wired to this engine."""
         txn.word_sink, txn.word_source, txn.on_finish = self.sink, self.source, self.finished
-        txn.run_sink, txn.run_source = self.run_sink, self.run_source
         self.txn = txn
         return txn
 
@@ -995,12 +960,6 @@ class Device:
                                       BufferFeed(self, TargetId.DOWNSTREAM, TargetId.UPSTREAM),
                                       trace=trace)
         self.registry = self.kernel_host.registry
-        host, ctl = self.kernel_host, self.controller
-        for target, wakes in ((TargetId.DOWNSTREAM, host.wakes_on_input),
-                              (TargetId.UPSTREAM, host.wakes_on_room),
-                              (TargetId.SELECTMAP_WRITE, ctl.wakes_on_input),
-                              (TargetId.SELECTMAP_READ, ctl.wakes_on_room)):
-            self.engines[target].wakes = wakes
 
         self.down_buf.on_dequeue(lambda: self.evaluate(TargetId.DOWNSTREAM))
         self.up_buf.on_enqueue(lambda: self.evaluate(TargetId.UPSTREAM))

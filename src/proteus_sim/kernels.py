@@ -285,18 +285,8 @@ class KernelHost(RunAhead):
         self._raised = True
         self._raise_irq()
 
-    def wakes_on_input(self) -> bool:
-        """True if a downstream word enqueued now wakes the host: it is
-        asleep with a live kernel."""
-        return self.key is None and self.registry.active is not None
-
-    def wakes_on_room(self) -> bool:
-        """True if an upstream word dequeued now wakes the host: it is
-        asleep with a live kernel and downstream words."""
-        return self.key is None and self.registry.active is not None and self.down.occupancy > 0
-
     def _maybe_wake(self) -> None:
-        if not self.wakes_on_room():
+        if not (self.key is None and self.registry.active is not None and self.down.occupancy > 0):
             return
         t = self.domain.next_edge_at(self.sim.now)
         if t == self.last_edge:

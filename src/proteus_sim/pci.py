@@ -19,13 +19,11 @@ resumes from the next address.
 The words then reach the master one per bus cycle as items of a lazy
 stream (see ``sim``): each runs at its cycle's picosecond and in the
 same-time order that a queued per-word event would have had, but only the
-burst's end (DONE or PREEMPTED) is a queued event.  One word goes to the
-master's ``word_sink`` or comes from its ``word_source`` as an int.  A
-master that also sets ``run_sink``/``run_source`` takes or gives a *quiet
-run*, the next words that nothing on its side observes one at a time, as
-one slice of bytes: the loop moves such a run in one item.  The burst
-counts its words; the transaction's ``transferred_bytes`` and the bus's
-``total_data_cycles`` are set from that count when the end is queued.
+burst's end (DONE or PREEMPTED) is a queued event.  Each item is one word,
+which goes to the master's ``word_sink`` or comes from its ``word_source``
+as an int.  The burst counts its words; the transaction's
+``transferred_bytes`` and the bus's ``total_data_cycles`` are set from that
+count when the end is queued.
 
 Stall windows compose as a union: a time is stalled if any window covers
 it.  The bus keeps the union as one sorted list of the bounds of disjoint
@@ -152,8 +150,6 @@ class BusTransaction:
     total_bytes: int
     word_sink: object = None    # fn(word, nbytes), TO_DEVICE
     word_source: object = None  # fn(nbytes) -> word, TO_HOST
-    run_sink: object = None     # fn(data) -> words of it taken, TO_DEVICE, optional
-    run_source: object = None   # fn(count) -> bytes of at most count words, TO_HOST, optional
     on_finish: object = None    # fn(txn), called when DONE or PREEMPTED
     transferred_bytes: int = 0  # set when the burst's end is queued
     state: TxnState = TxnState.WAITING
@@ -318,16 +314,15 @@ class _Burst:
     """The word lattice of one granted transaction, as a lazy stream.
 
     ``key`` is the (time, insertion number) of the next word and ``index``
-    the number of words moved; ``advance`` moves that word, or the quiet
-    run that starts with it.  The first word's number is taken at the
-    grant, and each later one right after the word before it, where the
-    per-word event would have been scheduled.  After the last word the
-    burst queues its end in the next lattice point's slot: DONE, PREEMPTED
-    at the burst limit, or PREEMPTED because that point is stalled.  Stall
-    windows added later cut only words not moved yet; a stalled end that is
-    already queued stays stalled, as a window only adds to the union.  A
-    device-bound burst holds the words it has still to move, from word
-    ``base`` on, in ``data``.
+    the number of words moved; ``advance`` moves that word.  The first
+    word's number is taken at the grant, and each later one right after the
+    word before it, where the per-word event would have been scheduled.
+    After the last word the burst queues its end in the next lattice point's
+    slot: DONE, PREEMPTED at the burst limit, or PREEMPTED because that point
+    is stalled.  Stall windows added later cut only words not moved yet; a
+    stalled end that is already queued stays stalled, as a window only adds
+    to the union.  A device-bound burst holds the words it has still to
+    move, from word ``base`` on, in ``data``.
     """
 
     __slots__ = ("bus", "sim", "txn", "buf", "off", "key", "period", "data", "base", "index",
@@ -385,16 +380,9 @@ class _Burst:
         self.key = (self.key[0] + count * self.period, self.sim.alloc())
         return data
 
-    def advance(self, until) -> None:
-        """Move the next word, or the quiet run that starts with it: the
-        words, before the burst's last and keyed before ``until``, that the
-        master takes as one slice."""
+    def advance(self) -> None:
+        """Move the next word."""
         t = self.key[0]
-        count = self.end - self.index - 1
-        if count > 0 and until != FOREVER:
-            count = min(count, -(-(until - t) // self.period))
-        if count > 0 and self._quiet_run(count):
-            return
         txn = self.txn
         self.sim.now = t
         done = 4 * self.index
@@ -414,30 +402,6 @@ class _Burst:
         self.key = (t + self.period, self.sim.alloc())
         if self.index == self.end:
             self._queue_end()
-
-    def _quiet_run(self, count: int) -> bool:
-        """Move the next words, at most ``count``, that the master takes as
-        one quiet run; False if it takes none (or takes no runs)."""
-        txn = self.txn
-        if self.to_device:
-            if txn.run_sink is None:
-                return False
-            pos = 4 * (self.index - self.base)
-            n = txn.run_sink(self.data[pos:pos + 4 * count])
-        else:
-            if txn.run_source is None:
-                return False
-            data = txn.run_source(count)
-            n = len(data) >> 2
-            pos = self.off + 4 * self.index
-            memoryview(self.buf)[pos:pos + 4 * n] = data
-        if not n:
-            return False
-        t = self.key[0]
-        self.sim.now = t + (n - 1) * self.period
-        self.index += n
-        self.key = (t + n * self.period, self.sim.alloc())
-        return True
 
     def _queue_end(self) -> None:
         """Count the moved words into the transaction and the bus, and queue

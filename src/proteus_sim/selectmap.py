@@ -337,24 +337,15 @@ class SelectMapController(RunAhead):
             self.trace.record("selectmap", "resume", "")
         self.wake(self.clock.next_edge_at(now))
 
-    def wakes_on_input(self) -> bool:
-        """True if a word enqueued now ends a wait: the controller is
-        configuring and has no next point."""
-        return self.key is None and self.mode is Mode.CONFIGURING
-
-    def wakes_on_room(self) -> bool:
-        """True if a word dequeued now ends a pause in readback."""
-        return self.paused and self.mode is Mode.READBACK
-
     def _feed_arrived(self) -> None:
-        if self.wakes_on_input():
+        if self.key is None and self.mode is Mode.CONFIGURING:
             if self.paused:
                 self._resume()
             else:   # the first word; that wait is not a pause
                 self.wake(self.clock.next_edge_at(self.sim.now))
 
     def _space_freed(self) -> None:
-        if self.wakes_on_room():
+        if self.paused and self.mode is Mode.READBACK:
             self._resume()
 
     # -- flash boot ----------------------------------------------------------------

@@ -8,7 +8,6 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import timing_worlds
 from test_fast_paths import HOST, assert_same_states, per_word, recording_states
 
 from proteus_sim import bitstream as bits
@@ -18,7 +17,6 @@ from proteus_sim.board import (
     CommandConflict,
     Deadlock,
     Device,
-    DmaEngine,
     JobActive,
     SteadyState,
     World,
@@ -366,53 +364,6 @@ def test_a_done_interrupt_finds_its_job_idle(monkeypatch, config):
     assert world.stream(bytes(range(64))) == bytes(range(64))
     assert seen == [IrqCause.RECONFIG_DONE, IrqCause.READBACK_DONE] * 2 + [
         IrqCause.DOWNSTREAM_DONE, IrqCause.UPSTREAM_DONE]
-
-
-def test_quiet_runs_end_before_the_word_a_listener_acts_on():
-    """An engine moves the bus words no buffer listener would act on as one
-    slice: none while its word would wake the process on the other side."""
-    world = World(BoardConfig(buffer_capacity=8, fill_low=2, fill_high=6))
-    assert world.boot(full_flash()).ok
-    dev = world.device
-    engines = dev.engines
-    write = engines[TargetId.SELECTMAP_WRITE]
-    data = bytes(range(32))                         # 8 words
-
-    dev.controller.start_configure(100)             # waits for its first word
-    assert write.run_sink(data) == 0 and dev.smap_buf.occupancy == 0
-
-    dev.registry.bind(0x21, "identity")
-    dev.kernel_host.activate_from_config(bits.parse(partial_image()))   # asleep: nothing to do
-    down, up = engines[TargetId.DOWNSTREAM], engines[TargetId.UPSTREAM]
-    assert down.run_sink(data) == 0
-    dev.up_buf.exchange(data[:8], 0)
-    assert up.run_source(8) == data[:8]             # the downstream buffer is empty
-    dev.up_buf.exchange(data[:8], 0)
-    dev.down_buf.exchange(data[:4], 0)
-    assert up.run_source(8) == b""
-
-
-def test_selectmap_quiet_runs_never_meet_the_other_engine_busy(monkeypatch):
-    """A port strobe needs an idle controller and an empty SelectMap buffer,
-    so while one SelectMap engine moves a quiet run the other has no active
-    job, request or transaction, and its fill status cannot end the run."""
-    other = {TargetId.SELECTMAP_WRITE: TargetId.SELECTMAP_READ,
-             TargetId.SELECTMAP_READ: TargetId.SELECTMAP_WRITE}
-    runs = []
-    for name in ("run_sink", "run_source"):
-        def checked(self, arg, run=getattr(DmaEngine, name)):
-            if self.target in other:
-                engine = self.device.engines[other[self.target]]
-                assert engine.addr.bytes_remaining <= 0 and engine.request is engine.txn is None
-                runs.append(self.target)
-            return run(self, arg)
-        monkeypatch.setattr(DmaEngine, name, checked)
-    for i in range(0, timing_worlds.STRETCH_WORLDS, 4):
-        timing_worlds.run_register_world(timing_worlds._stretch_spec(i))
-    for i in range(0, timing_worlds.DIFF_QUIET_WORLDS, 30):
-        timing_worlds.run_register_world(timing_worlds._quiet_spec(i))
-    assert runs.count(TargetId.SELECTMAP_WRITE) > 100
-    assert runs.count(TargetId.SELECTMAP_READ) > 100
 
 
 def test_rejected_driver_jobs_unmap_their_regions():

@@ -4,9 +4,9 @@ Each example draws a world family of ``timing_worlds`` and an index beyond
 the golden grid and the ``--diff`` range, runs the world as it is and again
 with every fast path switched off: no replays of burst-end segments (and
 so no jumps over the periods they close), no stretches of the configuration
-controller or the kernel host, no quiet runs of the bus engines.  Both runs
-must give the same results, trace bytes included, and the same state at
-every burst end both see (``assert_same_states``).
+controller or the kernel host.  Both runs must give the same results, trace
+bytes included, and the same state at every burst end both see
+(``assert_same_states``).
 """
 
 from contextlib import contextmanager
@@ -16,7 +16,7 @@ import timing_worlds as tw
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proteus_sim.board import DmaEngine, SteadyState
+from proteus_sim.board import SteadyState
 from proteus_sim.kernels import KernelHost
 from proteus_sim.selectmap import SelectMapController
 
@@ -101,8 +101,6 @@ def per_word():
             pytest.MonkeyPatch.context() as mp:
         mp.setattr(SelectMapController, "_stretch", lambda self, t, job, configuring: 0)
         mp.setattr(KernelHost, "_stretch", lambda self, t, kernel: False)
-        mp.setattr(DmaEngine, "run_sink", lambda self, data: 0)
-        mp.setattr(DmaEngine, "run_source", lambda self, count: b"")
         yield states
 
 

@@ -16,8 +16,7 @@ from proteus_sim.pci import (
     TxnState,
     UnmappedAddress,
 )
-from proteus_sim.fixed_part import StreamBuffer
-from proteus_sim.sim import FOREVER, RunAhead, Simulator
+from proteus_sim.sim import FOREVER, Simulator
 from proteus_sim.trace import TraceRecorder
 
 P = PCI_CLOCK_PERIOD
@@ -408,114 +407,3 @@ def test_a_nested_window_ends_no_stall(order):
     sim.run_until_idle()
     assert bytes(master.delivered) == content
     assert min(t for t, _n, _m in cycle_log(bus)) >= 100
-
-
-class Watcher(RunAhead):
-    """Points every ``period`` ps that log the buffer's occupancy; every third
-    point puts it to sleep until a moved word takes the occupancy to
-    ``mark``, which wakes it one ps later."""
-
-    def __init__(self, sim, buf, log, period, mark):
-        self.sim, self.buf, self.log, self.period, self.mark = sim, buf, log, period, mark
-        self.points = 0
-
-    def _run(self):
-        self.run_ahead()
-
-    def point(self):
-        t = self.key[0]
-        self.sim.now = t
-        self.log.append(("point", t, self.buf.occupancy))
-        self.points += 1
-        self.key = (t + self.period, self.sim.alloc()) if self.points % 3 else None
-        return True
-
-    def moved(self):
-        if self.key is None and self.buf.occupancy == self.mark:
-            self.wake(self.sim.now + 1)
-
-
-@given(to_device=st.booleans(), data=st.binary(min_size=1, max_size=120),
-       extra=st.integers(0, 8), period=st.sampled_from([2, 3, 5]), grant=st.integers(0, 3),
-       burst=st.integers(1, 40), step=st.integers(1, 7), mark=st.integers(0, 40),
-       events=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 3)), max_size=8),
-       stalls=st.lists(st.tuples(st.integers(0, 300), st.integers(1, 40)), max_size=3),
-       horizons=st.lists(st.integers(0, 400), max_size=3))
-@settings(max_examples=300, deadline=None)
-def test_quiet_runs_match_word_by_word(to_device, data, extra, period, grant, burst, step,
-                                       mark, events, stalls, horizons):
-    # A master whose run_sink/run_source take the words before the one that
-    # wakes a sleeping watcher, against the same master moving every word
-    # alone: the same log of points, queued events and finishes, the same
-    # buffer and host memory, the same times.
-    words = -(-len(data) // 4)
-
-    def run(quiet):
-        sim = Simulator()
-        host = HostMemory()
-        bus = PciBus(sim, host, PciConfig(clock_period=period, grant_latency_cycles=grant,
-                                          max_burst_cycles=burst))
-        buf = StreamBuffer(capacity=words + extra + 8, fill_low=1, fill_high=1)
-        mem, base = host.map_shared_region(len(data))
-        if to_device:
-            mem[:] = data
-        else:
-            for i in range(words + extra):
-                buf.push(int.from_bytes(data[4 * i:4 * i + 4], "little") if i < words else i)
-        log = []
-        watcher = Watcher(sim, buf, log, step, mark)
-        (buf.on_enqueue if to_device else buf.on_dequeue)(watcher.moved)
-        watcher.wake(0)
-
-        def run_sink(chunk):
-            n = min(len(chunk) >> 2, buf.free_words)
-            if watcher.key is None and buf.occupancy < mark:
-                n = min(n, mark - buf.occupancy - 1)
-            if n > 0:
-                buf.exchange(chunk[:4 * n], 0)
-            return max(n, 0)
-
-        def run_source(count):
-            n = min(count, buf.occupancy)
-            if watcher.key is None and buf.occupancy > mark:
-                n = min(n, buf.occupancy - mark - 1)
-            return buf.exchange(b"", n) if n > 0 else b""
-
-        done = [0]
-
-        def finish(txn):
-            log.append(("finish", sim.now, txn.state, txn.transferred_bytes))
-            done[0] += txn.transferred_bytes
-
-        def fetch():
-            if done[0] >= len(data):
-                return None
-            return BusTransaction(
-                "dev", Direction.TO_DEVICE if to_device else Direction.TO_HOST,
-                base + done[0], len(data) - done[0],
-                word_sink=lambda w, n: buf.push(w), word_source=lambda n: buf.pop(),
-                run_sink=run_sink if quiet and to_device else None,
-                run_source=run_source if quiet and not to_device else None, on_finish=finish)
-
-        def event(kind):
-            log.append(("event", sim.now, buf.occupancy))
-            if kind == 1 and to_device and buf.occupancy:
-                log.append(("popped", buf.pop()))
-            elif kind == 1 and not to_device and buf.free_words:
-                buf.push(sim.now)
-            elif kind == 2:
-                bus.inject_stall(sim.now + 1, 7)
-
-        for start, dur in stalls:
-            bus.inject_stall(start, dur)
-        for t, kind in events:
-            sim.schedule_at(t, lambda kind=kind: event(kind))
-        bus.set_master(fetch)
-        bus.poke()
-        for h in sorted(horizons):
-            sim.run_until(h)
-            log.append(("horizon", sim.now))
-        sim.run_until_idle()
-        return log, sim.now, bytes(mem), buf.exchange(b"", buf.occupancy)
-
-    assert run(True) == run(False)

@@ -140,7 +140,7 @@ class Lattice:
         self.key = (first, sim.alloc())
         sim.stream = self
 
-    def advance(self, _until):     # one item at a time: no quiet runs
+    def advance(self):
         t = self.key[0]
         self.sim.now = t
         self.action()

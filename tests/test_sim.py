@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proteus_sim.sim import FOREVER, RunAhead, SchedulingInPast, Simulator
+from proteus_sim.sim import RunAhead, SchedulingInPast, Simulator
 
 
 def test_zero_delay_fires_before_later_events():
@@ -101,7 +101,7 @@ class LazyTicker:
         self.key = (0, sim.alloc())
         sim.stream = self
 
-    def advance(self, _until):     # one item at a time: no quiet runs
+    def advance(self):
         t = self.key[0]
         self.sim.now = t
         self.log.append(("tick", t))
@@ -110,35 +110,6 @@ class LazyTicker:
             self.key = (t + 3, self.sim.alloc())
         else:
             self.sim.stream = None
-
-
-def test_settle_bounds_later_items_by_time_alone():
-    # Items after the next would be numbered after the limit and every
-    # queued event, so ``until`` is a time: the first queued event's, or the
-    # limit's, one past it when the limit is numbered FOREVER.
-    sim = Simulator()
-    seen = []
-
-    class Item:
-        def __init__(self):
-            self.key = (0, 0)
-            sim.stream = self
-
-        def advance(self, until):
-            seen.append(until)
-            sim.stream = None
-
-    seq = sim.alloc()
-    for settle in (lambda: sim.settle(10, seq), lambda: sim.settle(10, FOREVER),
-                   lambda: sim.settle_next(10)):
-        Item()
-        settle()
-    sim.schedule_at(7, lambda: None)
-    for settle in (lambda: sim.settle(10, FOREVER), lambda: sim.settle_next(20),
-                   lambda: sim.settle_next(5)):
-        Item()
-        settle()
-    assert seen == [10, 11, 11, 7, 7, 6]
 
 
 def queued_ticker(sim, log, count):
@@ -240,7 +211,7 @@ def test_run_ahead_sleeps_through_stream_items_until_one_wakes_it():
             self.key = (3, sim.alloc())
             sim.stream = self
 
-        def advance(self, _until):
+        def advance(self):
             t = self.key[0]
             sim.now = t
             log.append(("item", t))

@@ -20,27 +20,27 @@ are long and every bound that ends one is reached.  The ``stream-*``
 worlds do the same for the kernel host's stretches: long streams through
 every map kernel and the sink, buffers of 2 to 256 words, and concurrent
 reconfigurations that swap in a kernel stepped edge by edge.  The
-``quiet-*`` worlds, compared by ``--diff`` only, run streams beside
-reconfigurations and readbacks with a kernel faster than the bus and a
-configuration port between one and two bus words per port word, so that
+``quiet-*`` worlds, compared by ``--diff`` only, run streams beside port
+jobs, reconfigurations and readbacks, with a kernel faster than the bus and
+a configuration port between one and two bus words per port word, so that
 one process often sleeps inside its own event while the bus moves words
-into the other's buffer as quiet runs, up to that process's queued point.
-The ``tie-*`` worlds, also compared by ``--diff`` only, run long images and
-streams with port words and kernel edges on the bus lattice (clocks of one,
-two, three, a half and a third of the bus period), so that both kinds of
-stretch run through same-picosecond bus words; a mid-run stop may also
-write a new add_const operand (a third ``midrun`` entry), so that the output
-shows which words the kernel had moved by then.  The stream and quiet worlds
-beyond the golden grid take that entry too.  The ``period-*`` worlds run
-jobs of 8 to 48 KiB through small buffers, long enough for the board to
-settle into a steady state and jump whole periods of it, with stall
-windows, mid-run stops and operand writes queued as events (a ``timed``
-entry) inside what would be a jump.  The ``phase-*`` worlds, compared by
-``--diff`` only, run long streams under user and configuration clocks that
-share no factor with the bus period, so that a stream recurs with the
-period of its bursts only while the phase of a sleeping kernel is left out
-of the steady state's signature; their stall windows, stops and timed
-writes are placed from a closed-form estimate of each job's span.  The
+into the other's buffer, word by word, up to that process's queued
+point.  The ``tie-*`` worlds, also compared by ``--diff`` only, run long
+images and streams with port words and kernel edges on the bus lattice
+(clocks of one, two, three, a half and a third of the bus period), so that
+both kinds of stretch run through same-picosecond bus words; a mid-run stop
+may also write a new add_const operand (a third ``midrun`` entry), so that
+the output shows which words the kernel had moved by then.  The stream and
+quiet worlds beyond the golden grid take that entry too.  The ``period-*``
+worlds run jobs of 8 to 48 KiB through small buffers, long enough for the
+board to settle into a steady state and jump whole periods of it, with
+stall windows, mid-run stops and operand writes queued as events (a
+``timed`` entry) inside what would be a jump.  The ``phase-*`` worlds,
+compared by ``--diff`` only, run long streams under user and configuration
+clocks that share no factor with the bus period, so that a stream recurs
+with the period of its bursts only while the phase of a sleeping kernel is
+left out of the steady state's signature; their stall windows, stops and
+timed writes are placed from a closed-form estimate of each job's span.  The
 ``nested-*`` worlds, compared by ``--diff`` only, stop each job inside a
 long stall window and add windows nested in it at the stop, so that a word
 the long window covers moves only if the bus lets a nested window end the
@@ -460,12 +460,13 @@ def _stream_spec(index: int) -> dict:
 
 
 def _quiet_spec(index: int) -> dict:
-    """Long streams through map kernels beside reconfigurations and
-    readbacks, with a configuration port and a kernel faster than the bus
-    and buffers of 2 to 16 words: the buffers keep running dry, so one
-    process often sleeps inside its own event while the bus moves the other
-    process's words up to that one's queued point.  Half the jobs stop
-    part-way and write a new add_const operand, drawn apart from the rest."""
+    """Streams beside port jobs: long streams through map kernels beside
+    reconfigurations and readbacks, with a configuration port and a kernel
+    faster than the bus and buffers of 2 to 16 words.  The buffers keep
+    running dry, so one process often sleeps inside its own event while the
+    bus moves the other process's words, one at a time, up to that one's
+    queued point.  Half the jobs stop part-way and write a new add_const
+    operand, drawn apart from the rest."""
     rng = random.Random(f"quiet-world-{index}")
     operands = random.Random(f"quiet-operand-{index}")
     pci, user, cfg = QUIET_PERIODS[index % len(QUIET_PERIODS)]
