@@ -147,6 +147,12 @@ class DmaEngine:
     one; the address provider ``addr`` advances when a burst ends, by the
     bytes it moved.  Nothing reads it while a transaction is granted.
 
+    Every transaction it makes, from ``on_fill_status`` or
+    ``busmaster_resume``, is at most its *burst*, min(4 * capacity,
+    max_burst) bytes: the one bounds what the buffer can take or give, the
+    other each request.  So the bus's burst limit never cuts one, and an
+    engine moves at most one burst from one burst end to the next.
+
     The job's remaining bytes R show only near its end, so the engine has a
     *cap* at or above which they cannot show (``SteadyState.signature``):
 
@@ -155,8 +161,8 @@ class DmaEngine:
       4 * capacity: its cap is 4 * capacity + 8;
     - a device-bound engine (downstream, SelectMap write) shows R only in
       the size of the burst it requests, min(free * 4, R, max_burst), for R
-      below min(4 * capacity, max_burst): its cap is that + 8, so a burst
-      requested at the cap leaves 8 bytes or more.
+      below its burst: its cap is that + 8, so a burst requested at the cap
+      leaves 8 bytes or more.
     """
 
     def __init__(self, device: "Device", target: TargetId, buffer: StreamBuffer) -> None:
@@ -165,7 +171,8 @@ class DmaEngine:
         self.buffer = buffer
         self.addr = DmaAddressState()
         full = 4 * buffer.capacity
-        self.cap = full + 8 if target in HOST_BOUND else min(full, device.max_burst_bytes) + 8
+        self.burst = min(full, device.max_burst_bytes)
+        self.cap = (full if target in HOST_BOUND else self.burst) + 8
         self.direction = Direction.TO_HOST if target in HOST_BOUND else Direction.TO_DEVICE
         self.request = None
         self.txn = None
@@ -309,6 +316,8 @@ _DOWN_OCC, _SMAP_OCC, _GRANT, _ORDER = 25, 27, 28, 30
 # The bytes after the payload: the payload's end has moved once the
 # controller has no more left, and its time is taken then.
 _CRC_BYTES = WRAPPER_BYTES - HEADER_BYTES
+# ``SteadyState._near`` where no engine is near its cap.
+_FAR = (None,) * 4
 
 
 class Segment(NamedTuple):
@@ -321,7 +330,9 @@ class Segment(NamedTuple):
     (is not quiescent) at a burst end of it, and its last edge relative to
     the end if it had one within; the ending burst's grant relative to the
     end; the bytes each engine at its cap at the start must have to spare
-    (None below its cap); and the signature at the end, with its hash."""
+    (None below its cap, and for an engine near it in a segment kept under
+    the bytes to go, ``SteadyState._near``); and the signature at the end,
+    with its hash."""
 
     length: int
     moved: tuple
@@ -385,9 +396,9 @@ class SteadyState:
     first byte, its end or the bytes after it (whose times are taken once,
     and whose last word may be short), or a job's short last word; one
     that starts or lands with anything but the processes' slots queued (a
-    stall wake included) or with a kernel stepped edge by edge; and one in
-    which an engine at its cap at the start comes within its cap of its
-    job's end.
+    stall wake included) or with a kernel stepped edge by edge.  One in
+    which an engine comes within its cap of its job's end is kept under its
+    exact bytes to go (below, caps).
 
     A replay applies what its segments leave outside the signature, read
     straight from the chain's path (``_replay``): the logs repeated,
@@ -407,10 +418,10 @@ class SteadyState:
     with no segment, at a bound, where the windows over [now, now + length]
     are not the segment's own translated (``lookup``: none for a segment kept
     without a stall term), or where the kernel rule (below) fails.  The
-    bounds: each engine's job stays its cap or more from its end (caps), the
-    segment ends by the loop's horizon, and nothing but the processes'
-    slots is queued (checked once, at the chain's start, as nothing is
-    queued inside it).  Its bytes go through the buffers, the map kernel and
+    bounds: each engine's job stays its cap or more from its end, unless the
+    segment was kept under its bytes to go (caps), the segment ends by the
+    loop's horizon, and nothing but the processes' slots is queued (checked
+    once, at the chain's start, as nothing is queued inside it).  Its bytes go through the buffers, the map kernel and
     the configuration image in one slice per engine, replayed where it stops
     or at each ``SLICE_BYTES``.
 
@@ -446,18 +457,45 @@ class SteadyState:
 
     Caps.  An engine's remaining bytes show only within its cap of its job's
     end (``DmaEngine``); its bytes to go are its remaining bytes less those
-    the burst ending now has moved.  At its cap or more at a segment's start
-    (the signature says whether), a segment is kept only if the engine ends
-    it with its bytes to go still its cap or more, and replayed only where
-    they stay so (``Segment.need``), so that in neither run do they show.
-    Below its cap they are in the signature exactly.  The controller's
-    remaining bytes are its engine's bytes to go plus four per buffered word
-    while it configures, and less four per buffered word in readback, 4 *
-    capacity + 8 - 4 * capacity = 8 or more at the engine's cap.  So while
-    its engine stays at its cap or more, the controller stays
+    the burst ending now has moved, and ``_left`` gives them less the cap.
+    At its cap or more at a segment's start (its field of the signature
+    reads the cap), a segment is kept under the signature only if the
+    engine ends it with its bytes to go still its cap or more, and replayed
+    only where they stay so (``Segment.need``), so that in neither run do
+    they show.  Below its cap they are in the signature exactly.  The
+    controller's remaining bytes are its engine's bytes to go plus four per
+    buffered word while it configures, and less four per buffered word in
+    readback, 4 * capacity + 8 - 4 * capacity = 8 or more at the engine's
+    cap.  So while its engine stays at its cap or more, the controller stays
     ``SelectMapController.CAP`` = 8 bytes or more from its end, at every
     burst end and, as they only fall, in between: short of its last word,
     where a stretch stops, and of its payload's end.
+
+    An engine moves at most one burst in a segment (``DmaEngine``), so one
+    whose bytes to go start a burst or more beyond its cap cannot cross it
+    there.  One that crosses was *near* its cap: its field reads the cap and
+    its ``_left`` is below one burst.  That may be below 0: where the burst
+    ending at the start took the engine past its cap, its field still reads
+    the cap, as its address counts that burst only once it ends.  The
+    segment in which an engine crosses is kept under the start's hash and
+    the ``_left`` of each engine near its cap (``_near``), and the stall
+    term if a window met it.  With the signature these give each near
+    engine's exact remaining bytes, and with its buffer's occupancy the
+    controller's, so that the start decides what follows and where it lands;
+    the near engines need nothing, the others at their caps keep their need.
+    ``lookup`` tries that key where the signature alone has no segment whose
+    need is met.  So a job whose length an earlier job had replays through
+    the crossing and its last bursts, while one of another length walks it.
+    A segment in which no engine crosses keeps the signature alone as its
+    key, even if an engine is near, so that it replays for jobs of any
+    length.
+
+    Folding the band into the signature instead, each cap raised by a burst
+    and the need dropped, is unsound: a segment that starts at the raised
+    cap and ends inside the band lands on a signature, exact there, that
+    its start does not determine.  Replayed for a job of another length, it
+    lands on the recording job's bytes to go; one such replay moved 64.5
+    KiB past an 8 KiB image and raised ``UnmappedAddress``.
 
     The signature is the whole timing state, also across the host's
     register writes, so that segments outlive them.  Register by register:
@@ -655,7 +693,7 @@ class SteadyState:
         left = self._left(txn)
         if self.snap is not None:
             self._record(sig, h, left)
-        seg = self.lookup(sig, h, sim.now)
+        seg = self.lookup(sig, h, sim.now, left)
         if seg is not None:
             txn, sig, h, terms = self._chain(txn, seg, sig, h, terms, left)
             left = self._left(txn)
@@ -685,12 +723,17 @@ class SteadyState:
         if (moved[0] | moved[1] | moved[2] | moved[3]) & 3:
             return      # a job's short last word: the job ends where the segment does
         # An engine at its cap at the start (its field reads the cap) must
-        # still be at it at the end, so that its remaining bytes never show.
+        # still be at it where the segment replays, so that its remaining
+        # bytes never show; one that crosses it here is near it, and the
+        # segment is kept under the bytes to go of the engines near.
         need = [m if r == e.cap else None
                 for m, r, e in zip(moved, sig0[_ENGINE + 1:_ENGINE + 16:4], self.engines)]
+        key = h0
         if ((need[0] is not None and left[0] < 0) or (need[1] is not None and left[1] < 0)
                 or (need[2] is not None and left[2] < 0) or (need[3] is not None and left[3] < 0)):
-            return
+            near = self._near(sig0, left0)
+            key = h0, near
+            need = [None if b is not None else m for m, b in zip(need, near)]
         # The stall windows over [t0, now], clipped to it.
         bounds = bus._stalls
         i = j = bisect.bisect_right(bounds, t0) & ~1
@@ -705,35 +748,64 @@ class SteadyState:
         store = self.store
         if len(store) >= self.TABLE_LIMIT:
             store.clear()
-        store[(h0, bounds[i] - t0, bounds[i + 1] - bounds[i]) if stalls else h0] = sig0, Segment(
+        store[(key, bounds[i] - t0, bounds[i + 1] - bounds[i]) if stalls else key] = sig0, Segment(
             now - t0, tuple(moved), bus.busy_ticks - busy, bus.total_data_cycles - cycles,
             records, tuple([(s - t0, e - t0) for s, e in ctl.pause_windows[nwin:]]),
             tuple(stalls), terms, sig0[_HOST_PHASE] is not None or sig[_HOST_PHASE] is not None,
             edge - now if edge >= t0 else None, bus._burst_start - now, tuple(need), sig, h)
 
-    def lookup(self, sig, h, t):
+    def lookup(self, sig, h, t, budget):
         """The segment kept for a burst end at ``t`` with signature ``sig``
-        (hash ``h``) whose stall windows are those over [t, t + length],
-        translated; None if there is none."""
+        (hash ``h``) and bytes to go ``budget`` (``_left`` there) whose stall
+        windows are those over [t, t + length], translated, and whose need
+        the budget meets; failing that, the one kept under the bytes to go of
+        the engines near their caps (``_near``, see the class); None if there
+        is none."""
+        seg = self._find(h, sig, t, budget)
+        if seg is None:
+            near = self._near(sig, budget)
+            if near is not None:
+                seg = self._find((h, near), sig, t, budget)
+        return seg
+
+    def _find(self, key, sig, t, budget):
+        """The segment kept under ``key`` for a burst end at ``t`` with
+        signature ``sig`` and bytes to go ``budget`` (see ``lookup``)."""
         store, bus = self.store, self.bus
-        entry = store.get(h)
-        if entry is not None and entry[0] == sig and bus.next_stalled(t) > t + entry[1].length:
-            return entry[1]
-        bounds = bus._stalls
-        i = bisect.bisect_right(bounds, t) & ~1
-        if i == len(bounds):
-            return None
-        entry = store.get((h, bounds[i] - t, bounds[i + 1] - bounds[i]))
-        if entry is None or entry[0] != sig:
-            return None
-        seg = entry[1]
-        end = t + seg.length
-        for window in seg.stalls:
-            if i == len(bounds) or window != (max(bounds[i], t) - t,
-                                              min(bounds[i + 1], end + 1) - t):
+        entry = store.get(key)
+        if entry is None or entry[0] != sig or bus.next_stalled(t) <= t + entry[1].length:
+            bounds = bus._stalls
+            i = bisect.bisect_right(bounds, t) & ~1
+            if i == len(bounds):
                 return None
-            i += 2
-        return seg if i == len(bounds) or bounds[i] > end else None
+            entry = store.get((key, bounds[i] - t, bounds[i + 1] - bounds[i]))
+            if entry is None or entry[0] != sig:
+                return None
+            end = t + entry[1].length
+            for window in entry[1].stalls:
+                if i == len(bounds) or window != (max(bounds[i], t) - t,
+                                                  min(bounds[i + 1], end + 1) - t):
+                    return None
+                i += 2
+            if i < len(bounds) and bounds[i] <= end:
+                return None
+        seg = entry[1]
+        need = seg.need
+        if ((need[0] is not None and need[0] > budget[0])
+                or (need[1] is not None and need[1] > budget[1])
+                or (need[2] is not None and need[2] > budget[2])
+                or (need[3] is not None and need[3] > budget[3])):
+            return None
+        return seg
+
+    def _near(self, sig, left):
+        """Each engine's bytes to go less its cap (``left``) if it is near its
+        cap at a burst end with signature ``sig`` (its field reads the cap,
+        and ``left`` is below one burst), else None; None if no engine is
+        near."""
+        near = tuple([b if b < e.burst and r == e.cap else None
+                      for b, r, e in zip(left, sig[_ENGINE + 1:_ENGINE + 16:4], self.engines)])
+        return None if near == _FAR else near
 
     def drift_allowed(self, terms) -> bool:
         """Whether a replay that drifts from the kernel ``terms`` may be
@@ -765,12 +837,7 @@ class SteadyState:
         path, nbytes, seen = [], 0, {}
         while True:
             seen[h] = sig, len(path)
-            need = seg.need
-            if (t + seg.length > horizon or (need[0] is not None and need[0] > budget[0])
-                    or (need[1] is not None and need[1] > budget[1])
-                    or (need[2] is not None and need[2] > budget[2])
-                    or (need[3] is not None and need[3] > budget[3])
-                    or seg.terms != terms
+            if (t + seg.length > horizon or seg.terms != terms
                     and not self._rule(seg.terms, seg.stirs, seg.edge is not None, terms)):
                 break
             path.append((t, terms, seg))
@@ -805,7 +872,7 @@ class SteadyState:
             elif nbytes >= SLICE_BYTES:
                 self._replay(path, t)
                 path, nbytes, seen = [], 0, {}
-            seg = self.lookup(sig, h, t)
+            seg = self.lookup(sig, h, t, budget)
             if seg is None:
                 break
         if path:

@@ -43,15 +43,17 @@ many whole times as its bounds allow.  The phase of a clock whose process
 is quiescent (an idle controller, a kernel asleep at every burst end) is
 left out of the signature, so a stream recurs with the period of its
 bursts, not with the clocks' common multiple, and under periodic stall
-windows a job's segments recur in gap after gap and job after job.  A chain
-stops at a signature it has not seen, before a job's end (a buffer's worth
+windows a job's segments recur in gap after gap and job after job.  The
+segment in which a job comes within its cap of its end (a buffer's worth
 and 8 bytes for a host-bound job, a burst and 8 bytes for a device-bound
-one, unless that end has been seen too), at the loop's horizon and where
-the windows differ from the segment's own; there it lands once, which sets
-``now`` and queues the processes' slots afresh, in their order.  The
-benchmark's scenario mix (short bursts cut by a periodic stall) walks 612
-burst ends where it walked 3,053 when only whole periods were jumped, and
-runs 1,300 events instead of 6,355.
+one) is kept under its exact bytes to go as well, so a job whose length
+an earlier job had replays to its end.  A chain stops at a signature it
+has not seen, at the loop's horizon and where the windows differ from the
+segment's own; there it lands once, which sets ``now`` and queues the
+processes' slots afresh, in their order.  The benchmark's scenario mix
+(short bursts cut by a periodic stall) walks 360 burst ends where it
+walked 3,053 when only whole periods were jumped, and runs 796 events
+instead of 6,355.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from test_fast_paths import HOST, assert_same_states, per_word, recording_states
 
 from proteus_sim import bitstream as bits
 from proteus_sim.board import (
+    _ENGINE,
     BoardConfig,
     BoardInert,
     CommandConflict,
@@ -800,6 +801,111 @@ def test_a_device_bound_job_jumps_to_within_one_burst_of_its_end(monkeypatch):
     assert jumped[0] == walked[0]
     assert jumped[2] == walked[2]
     assert jumped[1] < walked[1]
+
+
+def _at_a_double_crossing(steady, txn) -> bool:
+    """Whether, at this burst end, some engine's field of the signature reads
+    its cap while its bytes to go less the cap (``SteadyState._left``) are
+    negative: the burst ending here took it past the cap, and its address
+    counts that burst only once it ends."""
+    sig, _terms = steady.signature()
+    left = steady._left(txn)
+    return any(sig[_ENGINE + 1 + 4 * k] == e.cap and left[k] < 0
+               for k, e in enumerate(steady.engines))
+
+
+def _reconfigurations_of_one_length(monkeypatch):
+    """Eight reconfigurations with 8,220-byte images of differing payloads
+    over the scenario-mix bus under ``_periodic_stalls``, with and without
+    replays (``_with_and_without_jumps``).  Each run's result holds the
+    configuration results, the configuration memory and, for each
+    reconfiguration, the burst ends it walked and those at a double
+    crossing (``_at_a_double_crossing``) that it walked or at which a chain
+    stopped."""
+    tally, land = [], SteadyState._land
+
+    def landing(self, *args):
+        txn = land(self, *args)
+        tally[-1][1] += _at_a_double_crossing(self, txn)
+        return txn
+    monkeypatch.setattr(SteadyState, "_land", landing)
+
+    def build():
+        world = _mix_bus_world()
+        _periodic_stalls(world)
+        return world
+
+    def job(world):
+        tally.clear()
+        steady, at_burst_end = world.device.steady, world.bus.on_burst_end
+
+        def counting(txn):
+            tally[-1][0] += 1
+            tally[-1][1] += _at_a_double_crossing(steady, txn)
+            return at_burst_end(txn)
+        world.bus.on_burst_end = counting
+        results = []
+        for seed in range(8):
+            tally.append([0, 0])
+            image = partial_image(kernel_id=0x5A, seed=seed)
+            assert len(image) == 8_220
+            results.append(world.reconfigure(image))
+        return results, world.device.config_mem.snapshot(), [tuple(t) for t in tally]
+
+    jumped, walked = _with_and_without_jumps(build, job)
+    assert jumped[0][:2] == walked[0][:2]
+    assert jumped[2] == walked[2]
+    return jumped, walked
+
+
+def test_jobs_of_one_length_replay_through_the_cap_crossing(monkeypatch):
+    """The segment in which an engine crosses its cap is kept under its
+    exact bytes to go, so a job whose length an earlier job had replays
+    through the crossing and its last bursts.  Of eight reconfigurations of
+    one length under a 10 us stall every 40 us, the first walks 8 of its 33
+    burst ends and each of the last three only its first: one chain replays
+    the rest, where, with the crossing not kept, each walks three (the
+    crossing and the two after it).  Results, configuration memory, figures
+    and the state at every burst end are those of a run without replays."""
+    jumped, walked = _reconfigurations_of_one_length(monkeypatch)
+    counts = [w for w, _doubles in jumped[0][2]]
+    assert counts[0] == 8 and counts[-3:] == [1, 1, 1]
+    assert jumped[1] < walked[1]
+
+
+def test_a_chain_replays_through_the_double_crossing(monkeypatch):
+    """The burst that takes an engine past its cap ends before the engine's
+    address counts it, so at that burst end its field of the signature still
+    reads the cap while its bytes to go are below it: the segment from there
+    crosses too, and is kept under a negative value.  The reconfigurations
+    of one length pass such a burst end each.  In the last three, no chain
+    stops at it and none walks it, where, with the negative values left out
+    of the key, each of their chains stops there."""
+    jumped, walked = _reconfigurations_of_one_length(monkeypatch)
+    assert [doubles for _w, doubles in walked[0][2]] == [1] * 8
+    assert [doubles for _w, doubles in jumped[0][2]][-3:] == [0, 0, 0]
+
+
+def test_a_job_of_another_length_walks_the_cap_crossing():
+    """A stream 4 bytes longer or shorter than one seen before reaches the
+    burst end at which that one crossed its caps with the same signature,
+    but other bytes to go: it must walk its own crossing, not replay the
+    other's.  Outputs, figures and the state at every burst end are those of
+    a run without replays."""
+    def build():
+        world = _mix_bus_world()
+        world.device.registry.bind(0x21, "identity")
+        world.reconfigure(partial_image(kernel_id=0x21))
+        return world
+
+    data = random.Random(8).randbytes(4096 + 4)
+
+    def job(world):
+        return [world.stream(data[:n]) for n in (4096, 4096 + 4, 4096 - 4)]
+
+    jumped, walked = _with_and_without_jumps(build, job)
+    assert jumped[0] == walked[0] == [data[:n] for n in (4096, 4096 + 4, 4096 - 4)]
+    assert jumped[2] == walked[2]
 
 
 def test_a_jump_in_which_the_kernel_moves_no_word_leaves_its_last_edge():

@@ -68,7 +68,7 @@ def recording_states(jumps=True):
         mp.setattr(SteadyState, "at_burst_end", recording)
         mp.setattr(SteadyState, "drift_allowed", noting)
         if not jumps:
-            mp.setattr(SteadyState, "lookup", lambda self, sig, h, t: None)
+            mp.setattr(SteadyState, "lookup", lambda self, sig, h, t, budget: None)
         yield states, drifts
 
 

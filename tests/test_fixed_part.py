@@ -177,6 +177,36 @@ def test_fill_status_is_quiet_exactly_inside_the_quiet_band(data):
         assert addr.bytes_remaining <= 0
 
 
+@given(st.data())
+@settings(max_examples=300)
+def test_every_request_and_resume_is_at_most_one_burst(data):
+    """Every transaction the fill-status logic requests or resumes moves at
+    most min(4 * capacity, max_burst_bytes) bytes: the buffer bounds what it
+    can take or give, the limit each request.  So the bus's burst limit
+    never cuts one, and an engine moves at most one burst from one burst end
+    to the next, the bound the steady state's near key rests on
+    (``board.DmaEngine``)."""
+    capacity = data.draw(st.integers(1, 300))
+    low = data.draw(st.integers(1, capacity))
+    marks = (capacity, low, data.draw(st.integers(low, capacity)))
+    target = data.draw(st.sampled_from(ARBITRATION_ORDER))
+    max_burst = 4 * data.draw(st.integers(1, 2 * capacity + 8))
+    burst = min(4 * capacity, max_burst)
+    addr = make_addr(0x1000, data.draw(st.integers(0, 8 * capacity + 64)))
+    buf = filled(*marks, data.draw(st.integers(0, capacity)))
+    txn = on_fill_status(target, buf, addr, max_burst)
+    assert txn is None or 0 < txn.total_bytes <= burst
+    # A transaction of any size, cut after some of its bytes, resumes as at
+    # most one burst wherever the buffer has room for a word.
+    total = data.draw(st.integers(1, 16 * capacity))
+    moved = data.draw(st.integers(0, total - 1))
+    space = buf.occupancy if target in (U, SR) else buf.free_words
+    if space:
+        cut = BusTransaction(target.value, Direction.TO_DEVICE, 0x1000, total,
+                             transferred_bytes=moved)
+        assert 0 < busmaster_resume(addr, target, cut, buf, max_burst).total_bytes <= burst
+
+
 def words_bytes(words) -> bytes:
     return struct.pack(f"<{len(words)}I", *words)
 
