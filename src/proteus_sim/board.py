@@ -32,7 +32,7 @@ start's signature and the stall windows it meets.  A burst end whose
 signature comes back replays the segments that follow it, a *chain*, in
 one event, and a chain that comes back to a signature runs the period it
 closed as many whole times as the bounds allow.  A replay repeats the
-segments' trace records and pause windows, grows the counters and moves
+segments' trace records and pause windows, counts their bursts and moves
 the bytes through the buffers, the map kernel and the configuration image
 as slices, straight from the chain's path; where the chain stops, one
 landing sets each component's state from the signature there: the
@@ -46,7 +46,6 @@ engines, the stream buffers' occupancies and the kernel host's state.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -323,28 +322,28 @@ _FAR = (None,) * 4
 class Segment(NamedTuple):
     """What the board does from one burst end to the next, relative to its
     start: its length in ps, the bytes the bus moves for each engine (in
-    ``SteadyState.engines`` order), the bus's busy ps and data cycles, the
-    trace records (time, component, event, detail) and the controller's
-    pause windows (start, end); the stall windows over [0, length], clipped
-    to it; the kernel's exact terms at its start, whether the kernel shows
-    (is not quiescent) at a burst end of it, and its last edge relative to
-    the end if it had one within; the ending burst's grant relative to the
-    end; the bytes each engine at its cap at the start must have to spare
-    (None below its cap, and for an engine near it in a segment kept under
-    the bytes to go, ``SteadyState._near``); and the signature at the end,
-    with its hash."""
+    ``SteadyState.engines`` order), the trace records (time, component,
+    event, detail) and the controller's pause windows (start, end); the
+    stall windows over [0, length], clipped to it (``PciBus.windows``); the
+    kernel's exact terms at its start, whether the kernel shows (is not
+    quiescent) at a burst end of it, and its last edge relative to the end
+    if it had one within; the bytes each engine at its cap at the start
+    must have to spare (None below its cap, and for an engine near it in a
+    segment kept under the bytes to go, ``SteadyState._near``); and the
+    signature at the end, with its hash.
+
+    The one burst whose end is queued within a segment is the one that ends
+    it, and it moves ``sum(moved)`` bytes: a replay counts it on the bus from
+    those (``PciBus.count``)."""
 
     length: int
     moved: tuple
-    busy: int
-    cycles: int
     records: tuple
     windows: tuple
     stalls: tuple
     terms: tuple
     stirs: bool
     edge: int | None
-    granted: int | None
     need: tuple
     sig: tuple
     key: int
@@ -365,13 +364,14 @@ class SteadyState:
     next event by event, and the next burst end closes the *segment* between
     them: its length, what the bus moved for each engine, the trace records,
     the pause and stall windows it met, the kernel's terms at its start and
-    the signature where it lands (``Segment``).  ``store`` keeps it under the
-    start's signature, or under the signature and the *stall term* (where the
-    stall window over the start, or the next one, opens relative to it, and
-    its length) if a window met it.  Keys are the signature's hash, taken
-    once per burst end, with the signature beside the segment: another
-    signature with the same hash only loses a replay.  The store lives as
-    long as the board, starting afresh at ``TABLE_LIMIT`` segments.
+    the signature where it lands (``Segment``).  ``store`` keeps it under
+    the start's signature, or under the signature and the *stall term*
+    (where the stall window over the start, or the next one, opens relative
+    to it, and its length: ``PciBus.term``) if a window met it.  Keys are
+    the signature's hash, taken once per burst end, with the signature
+    beside the segment: another signature with the same hash only loses a
+    replay.  The store lives as long as the board, starting afresh at
+    ``TABLE_LIMIT`` segments.
 
     Why a segment's landing is a function of its start.  Between register
     writes nothing from outside reaches the board but the stall windows,
@@ -402,28 +402,29 @@ class SteadyState:
 
     A replay applies what its segments leave outside the signature, read
     straight from the chain's path (``_replay``): the logs repeated,
-    translated, the bus's counters grown, and the data moved, so that each
-    engine's remaining bytes and address move on and each buffer comes to
-    the occupancy of the replay's end.  Where the chain stops, it lands once
-    (``_land``): each component takes its state from the signature there,
-    relative to the new ``now``: each engine its request and the burst
-    ending there; the arbiter its last grant; the controller its next point
-    and pause, the kernel host its next edge, both in the order of their
-    slots; and the kernel its last edge, which the chain keeps from the
-    segments it replays.
+    translated, the bursts that end its segments counted by the bus
+    (``PciBus.count``), and the data moved, so that each engine's remaining
+    bytes and address move on and each buffer comes to the occupancy of the
+    replay's end.  Where the chain stops, it lands once (``_land``): each
+    component takes its state from the signature there, relative to the new
+    ``now``: each engine its request and the burst ending there; the arbiter
+    its last grant; the controller its next point and pause, the kernel host
+    its next edge, both in the order of their slots; and the kernel its last
+    edge, which the chain keeps from the segments it replays.
 
     A burst end whose signature has a segment, under the stall windows
     translated, replays it (``_chain``), and the signature at its end leads
-    to the next segment, all in the same event.  The chain stops at a signature
-    with no segment, at a bound, where the windows over [now, now + length]
-    are not the segment's own translated (``lookup``: none for a segment kept
-    without a stall term), or where the kernel rule (below) fails.  The
-    bounds: each engine's job stays its cap or more from its end, unless the
-    segment was kept under its bytes to go (caps), the segment ends by the
-    loop's horizon, and nothing but the processes' slots is queued (checked
-    once, at the chain's start, as nothing is queued inside it).  Its bytes go through the buffers, the map kernel and
-    the configuration image in one slice per engine, replayed where it stops
-    or at each ``SLICE_BYTES``.
+    to the next segment, all in the same event.  The chain stops at a
+    signature with no segment, at a bound, where the windows over [now, now
+    + length] (``PciBus.windows``) are not the segment's own translated
+    (``lookup``: none for a segment kept without a stall term), or where the
+    kernel rule (below) fails.  The bounds: each engine's job stays its cap
+    or more from its end, unless the segment was kept under its bytes to go
+    (caps), the segment ends by the loop's horizon, and nothing but the
+    processes' slots is queued (checked once, at the chain's start, as
+    nothing is queued inside it).  Its bytes go through the buffers, the map
+    kernel and the configuration image in one slice per engine, replayed
+    where it stops or at each ``SLICE_BYTES``.
 
     A signature that recurs within a chain closes a cycle: the segments
     between form a period, which repeats for as long as the windows do.  So
@@ -697,9 +698,9 @@ class SteadyState:
         if seg is not None:
             txn, sig, h, terms = self._chain(txn, seg, sig, h, terms, left)
             left = self._left(txn)
-        trace, bus = dev.trace, self.bus
-        self.snap = (sim.now, sig, h, terms, bus.busy_ticks, bus.total_data_cycles, left,
-                     len(trace.records) if trace else 0, len(dev.controller.pause_windows))
+        trace = dev.trace
+        self.snap = (sim.now, sig, h, terms, left, len(trace.records) if trace else 0,
+                     len(dev.controller.pause_windows))
         return txn
 
     def _left(self, txn) -> list:
@@ -713,7 +714,7 @@ class SteadyState:
     def _record(self, sig, h, left) -> None:
         """Keep the open segment, which ends here, unless it may not be
         replayed (see the class); ``left`` is ``_left`` here."""
-        t0, sig0, h0, terms, busy, cycles, left0, nrec, nwin = self.snap
+        t0, sig0, h0, terms, left0, nrec, nwin = self.snap
         now, bus, dev = self.sim.now, self.bus, self.device
         done = sig0[_CTL_DONE]
         if sig0[_FORM] == "step" or done is not None and (
@@ -734,13 +735,7 @@ class SteadyState:
             near = self._near(sig0, left0)
             key = h0, near
             need = [None if b is not None else m for m, b in zip(need, near)]
-        # The stall windows over [t0, now], clipped to it.
-        bounds = bus._stalls
-        i = j = bisect.bisect_right(bounds, t0) & ~1
-        stalls = []
-        while j < len(bounds) and bounds[j] <= now:
-            stalls.append((max(bounds[j], t0) - t0, min(bounds[j + 1], now + 1) - t0))
-            j += 2
+        stalls = bus.windows(t0, now)
         trace, ctl, host = dev.trace, dev.controller, dev.kernel_host
         records = () if trace is None else tuple(
             [(t - t0, c, e, d) for t, c, e, d in trace.records[nrec:]])
@@ -748,11 +743,11 @@ class SteadyState:
         store = self.store
         if len(store) >= self.TABLE_LIMIT:
             store.clear()
-        store[(key, bounds[i] - t0, bounds[i + 1] - bounds[i]) if stalls else key] = sig0, Segment(
-            now - t0, tuple(moved), bus.busy_ticks - busy, bus.total_data_cycles - cycles,
-            records, tuple([(s - t0, e - t0) for s, e in ctl.pause_windows[nwin:]]),
-            tuple(stalls), terms, sig0[_HOST_PHASE] is not None or sig[_HOST_PHASE] is not None,
-            edge - now if edge >= t0 else None, bus._burst_start - now, tuple(need), sig, h)
+        store[(key, bus.term(t0)) if stalls else key] = sig0, Segment(
+            now - t0, tuple(moved), records,
+            tuple([(s - t0, e - t0) for s, e in ctl.pause_windows[nwin:]]), stalls, terms,
+            sig0[_HOST_PHASE] is not None or sig[_HOST_PHASE] is not None,
+            edge - now if edge >= t0 else None, tuple(need), sig, h)
 
     def lookup(self, sig, h, t, budget):
         """The segment kept for a burst end at ``t`` with signature ``sig``
@@ -774,20 +769,10 @@ class SteadyState:
         store, bus = self.store, self.bus
         entry = store.get(key)
         if entry is None or entry[0] != sig or bus.next_stalled(t) <= t + entry[1].length:
-            bounds = bus._stalls
-            i = bisect.bisect_right(bounds, t) & ~1
-            if i == len(bounds):
-                return None
-            entry = store.get((key, bounds[i] - t, bounds[i + 1] - bounds[i]))
-            if entry is None or entry[0] != sig:
-                return None
-            end = t + entry[1].length
-            for window in entry[1].stalls:
-                if i == len(bounds) or window != (max(bounds[i], t) - t,
-                                                  min(bounds[i + 1], end + 1) - t):
-                    return None
-                i += 2
-            if i < len(bounds) and bounds[i] <= end:
+            term = bus.term(t)
+            entry = term and store.get((key, term))
+            if (entry is None or entry[0] != sig
+                    or bus.windows(t, t + entry[1].length) != entry[1].stalls):
                 return None
         seg = entry[1]
         need = seg.need
@@ -848,7 +833,7 @@ class SteadyState:
             budget[3] -= m[3]
             nbytes += m[0] + m[1] + m[2] + m[3]
             t += seg.length
-            sig, h, granted = seg.sig, seg.key, seg.granted
+            sig, h = seg.sig, seg.key
             if seg.edge is not None:
                 last_edge = t + seg.edge
             terms = self._terms(t, sig, last_edge)
@@ -878,7 +863,7 @@ class SteadyState:
         if path:
             self._replay(path, t)
         if t > self.sim.now:
-            txn = self._land(txn, t, sig, last_edge, granted)
+            txn = self._land(txn, t, sig, last_edge)
         return txn, sig, h, terms
 
     def _periods(self, cycle, t: int, terms, budget):
@@ -920,20 +905,18 @@ class SteadyState:
         segment), one after the other up to ``end`` and run ``n`` times from
         the first start, leave behind but the state the landing sets (see
         the class): their trace records and pause windows, repeated; the
-        bus's busy ps and data cycles; and each side's bytes, moved through
-        the buffers to the occupancies of the path's end in slices of whole
-        runs."""
+        bursts that end the segments, counted; and each side's bytes, moved
+        through the buffers to the occupancies of the path's end in slices of
+        whole runs."""
         dev, bus = self.device, self.bus
         ctl, host, trace = dev.controller, dev.kernel_host, dev.trace
         start = path[0][0]
         runs = range(0, n * (end - start), end - start)
-        up = down = rd = wr = busy = cycles = 0
+        up = down = rd = wr = 0
         windows = False
         for _t, _terms, seg in path:
             m = seg.moved
             up, down, rd, wr = up + m[0], down + m[1], rd + m[2], wr + m[3]
-            busy += seg.busy
-            cycles += seg.cycles
             windows = windows or seg.windows
         if trace:
             trace.records += [TraceRecord(b + t + r, c, e, d) for b in runs
@@ -941,8 +924,8 @@ class SteadyState:
         if windows:
             ctl.pause_windows += [(b + t + s, b + t + e) for b in runs
                                   for t, _terms, seg in path for s, e in seg.windows]
-        bus.busy_ticks += n * busy
-        bus.total_data_cycles += n * cycles
+        # Each segment ends on the one burst whose end was queued within it.
+        bus.count(n * len(path), n * (up + down + rd + wr) >> 2)
         sig = path[-1][2].sig
         for k in period_chunks(n, max(up, down)):
             host.move(k * down, (k * down >> 2) - sig[_DOWN_OCC] + dev.down_buf.occupancy, k * up)
@@ -951,12 +934,12 @@ class SteadyState:
             grown = 4 * (sig[_SMAP_OCC] - dev.smap_buf.occupancy)
             ctl.move(k * (rd + wr), k * wr - grown if configuring else k * rd + grown)
 
-    def _land(self, txn, t: int, sig, last_edge: int, granted: int):
+    def _land(self, txn, t: int, sig, last_edge: int):
         """Bring the board's state from ``now``, a burst end, to the one at
-        ``t`` where a chain stops, from its signature ``sig``, the kernel's
-        last edge and the landing burst's grant relative to ``t``; the
-        chain's replays have moved the bytes and repeated the logs (see the
-        class).  Returns the transaction whose burst ends there."""
+        ``t`` where a chain stops, from its signature ``sig`` and the kernel's
+        last edge; the chain's replays have moved the bytes, counted the
+        bursts and repeated the logs (see the class).  Returns the transaction
+        whose burst ends there."""
         dev, sim = self.device, self.sim
         ctl, host = dev.controller, dev.kernel_host
         for i, e in enumerate(self.engines):
@@ -966,7 +949,6 @@ class SteadyState:
                 txn = e.txn
         dev.arbiter.last_granted = sig[_GRANT]
         host.last_edge = last_edge
-        self.bus._burst_start = t + granted
         sim.now = t
         # The processes' slots, numbered afresh in their order.
         sim._heap.clear()

@@ -11,13 +11,12 @@ runtime faults.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from pathlib import Path
 
 from . import bitstream as bits
 from .kernels import BUILTIN_KERNELS
-from .runner import ScenarioRunner, emit_metrics
+from .runner import ScenarioRunner, emit_metrics, makebit
 from .scenario import MakebitCmd, ParseError, _col_range, parse_scenario
 from .trace import emit_trace
 
@@ -106,13 +105,7 @@ def _cmd_makebit(args) -> int:
         if fixed_hi != args.cols - 1:
             raise ValueError("--fixed must end at the right-most column")
         geometry = bits.DeviceGeometry(args.cols, args.frames, args.fbytes, fixed_lo)
-        nbytes = (cmd.last - cmd.first + 1) * geometry.column_bytes
-        if cmd.fill.byte is not None:
-            payload = bytes([cmd.fill.byte]) * nbytes
-        else:
-            payload = random.Random(cmd.fill.seed or 0).randbytes(nbytes)
-        kind = bits.BitstreamKind.FULL if cmd.kind == "full" else bits.BitstreamKind.PARTIAL
-        image = bits.encode(geometry, kind, cmd.kernel_id, cmd.first, payload)
+        image = makebit(cmd, geometry, 0)     # seed 0 for a random fill without one
         Path(cmd.out).write_bytes(image)
     except (ParseError, ValueError, bits.BitstreamError) as exc:
         print(f"error: {exc}", file=sys.stderr)

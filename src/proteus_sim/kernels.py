@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import struct
 
-from .fixed_part import KERNEL_REGS, RegisterFile, StreamBuffer
+from .fixed_part import KERNEL_REGS, REG_STATUS, RegisterFile, StreamBuffer
 from .sim import FOREVER, RunAhead
 
 
@@ -257,8 +257,6 @@ class KernelHost(RunAhead):
     def activate_from_config(self, bs) -> None:
         """Activate the image's kernel; ``REG_STATUS`` reads its id, or 0 if
         the region is inert."""
-        from .fixed_part import REG_STATUS
-
         name = self.registry.activate(bs.kernel_id)
         kernel = self.registry.active
         self.form = (None if kernel is None else "step" if not hasattr(kernel, "map_words")

@@ -21,22 +21,29 @@ stream (see ``sim``): each runs at its cycle's picosecond and in the
 same-time order that a queued per-word event would have had, but only the
 burst's end (DONE or PREEMPTED) is a queued event.  Each item is one word,
 which goes to the master's ``word_sink`` or comes from its ``word_source``
-as an int.  The burst counts its words; the transaction's
-``transferred_bytes`` and the bus's ``total_data_cycles`` are set from that
-count when the end is queued.
+as an int.  The burst counts its words; when its end is queued, the
+transaction's ``transferred_bytes`` are set from that count, and the bus
+counts the burst (``count``): one data cycle per word in
+``total_data_cycles``, and in ``busy_ticks`` the ps from its grant to its
+end, the grant latency plus one cycle per word.  So a burst counts from
+when its end is queued, before its end runs: between the two a reader sees
+the burst counted whole, and at idle both counters are exact.
 
 Stall windows compose as a union: a time is stalled if any window covers
 it.  The bus keeps the union as one sorted list of the bounds of disjoint
 windows, touching ones merged, so that every stall query is one bisection,
-except ``stalls_repeat``, one walk from a bisection.
+except ``windows`` and ``stalls_repeat``, each one walk from a bisection.
+The master keys and checks what it has seen by the same queries: the
+windows over a span, relative to its start (``windows``), and the term of
+the window over a time or the next (``term``).
 
 A burst's end is also where the master may replay what it has seen its
 board do from there, up to a later burst end, and jump whole periods of it
 (``on_burst_end``; see ``board.SteadyState``): then ``now`` moves on, the
-master adds what the replay moved to the bus's counters, and another
-transaction's burst may end there.  A jump may cross stall windows only
-where they repeat (``stalls_repeat``), and the master hears of every
-window added (``on_stall``).
+master counts the bursts the replay ended through the same ``count``, from
+the words they moved, and another transaction's burst may end there.  A
+jump may cross stall windows only where they repeat (``stalls_repeat``),
+and the master hears of every window added (``on_stall``).
 """
 
 from __future__ import annotations
@@ -165,12 +172,12 @@ class PciBus:
         self.config = config or PciConfig()
         self.trace = trace
         self.busy = False
+        # Written only by ``count``: a burst counts from when its end is queued.
         self.busy_ticks = 0
         self.total_data_cycles = 0
         self._stalls: list[int] = []  # [start0, end0, start1, end1, ...] of disjoint windows
         self._master_fetch = None
         self._wake_pending = False
-        self._burst_start = 0
         # The master's: fn(txn) -> txn at the top of every burst end, and
         # fn() after every window added.
         self.on_burst_end = None
@@ -212,6 +219,24 @@ class PciBus:
             return t
         return bounds[i] if i < len(bounds) else FOREVER
 
+    def windows(self, t: int, end: int) -> tuple:
+        """The windows over [t, end], each clipped to that span, as (start,
+        stop) relative to ``t``."""
+        bounds = self._stalls
+        i = bisect.bisect_right(bounds, t) & ~1     # the window over t, or the next
+        out = []
+        while i < len(bounds) and bounds[i] <= end:
+            out.append((max(bounds[i], t) - t, min(bounds[i + 1], end + 1) - t))
+            i += 2
+        return tuple(out)
+
+    def term(self, t: int):
+        """Where the window over ``t``, or the next one, opens relative to
+        ``t``, and its length; None if there is none."""
+        bounds = self._stalls
+        i = bisect.bisect_right(bounds, t) & ~1
+        return (bounds[i] - t, bounds[i + 1] - bounds[i]) if i < len(bounds) else None
+
     def stalls_repeat(self, t0: int, t: int, end):
         """The first time from ``t`` on at which the stall windows stop
         repeating those ``t - t0`` earlier, or ``end`` if that comes first:
@@ -228,6 +253,16 @@ class PciBus:
             if ahead != shifted or ahead >= end:
                 return min(ahead, shifted, end)
             j += 1
+
+    # -- counters --------------------------------------------------------------
+
+    def count(self, bursts: int, words: int) -> None:
+        """Count ``bursts`` bursts that move ``words`` words in all: each is
+        busy from its grant to its end, the grant latency and one cycle per
+        word, and each word is a data cycle."""
+        cfg = self.config
+        self.busy_ticks += (bursts * cfg.grant_latency_cycles + words) * cfg.clock_period
+        self.total_data_cycles += words
 
     # -- master hookup ---------------------------------------------------------
 
@@ -267,7 +302,6 @@ class PciBus:
         buf, off = self.host.locate(txn.start_address, txn.total_bytes)
         self.busy = True
         txn.state = TxnState.BURSTING
-        self._burst_start = self.sim.now
         if self.trace:
             self.trace.record("pci", "grant", txn.master_id)
         first = self.sim.now + self.config.grant_latency_cycles * self.config.clock_period
@@ -277,15 +311,11 @@ class PciBus:
     def _first_stalled(self, first: int, count: int) -> int:
         """Index of the first of ``count`` lattice words from ``first`` at which
         ``stalled_at`` holds, or ``count`` if none does."""
-        bounds = self._stalls
         period = self.config.clock_period
-        last = first + (count - 1) * period
-        i = bisect.bisect_right(bounds, first) & ~1    # the window over first, or the next
-        while i < len(bounds) and bounds[i] <= last:
-            k = max(-(-(bounds[i] - first) // period), 0)
-            if first + k * period < bounds[i + 1]:
+        for start, stop in self.windows(first, first + (count - 1) * period):
+            k = -(-start // period)
+            if k * period < stop:
                 return k
-            i += 2
         return count
 
     def _finish(self, txn):
@@ -297,11 +327,9 @@ class PciBus:
         run-ahead process runs."""
         if self.on_burst_end is not None:
             txn = self.on_burst_end(txn)
-        t = self.sim.now
         state = TxnState.DONE if txn.transferred_bytes >= txn.total_bytes else TxnState.PREEMPTED
         txn.state = state
         self.busy = False
-        self.busy_ticks += t - self._burst_start
         if self.trace:
             self.trace.record("pci", "complete" if state is TxnState.DONE else "preempt",
                               f"{txn.master_id} {txn.transferred_bytes}/{txn.total_bytes}B")
@@ -410,6 +438,6 @@ class _Burst:
         bus, txn, sim = self.bus, self.txn, self.sim
         sim.stream = None
         txn.transferred_bytes = min(4 * self.index, txn.total_bytes)
-        bus.total_data_cycles += self.index
+        bus.count(1, self.index)
         t, seq = self.key
         sim.schedule_reserved(t, seq, lambda: bus._finish(txn))

@@ -62,6 +62,20 @@ def emit_metrics(metrics: dict, path) -> None:
                 fh.write(f"{key}={value}\n")
 
 
+def makebit(cmd: MakebitCmd, geometry: bits.DeviceGeometry, seed: int) -> bytes:
+    """The image a ``makebit`` command describes on ``geometry``: its columns
+    filled with the constant byte, or with random bytes from the fill's own
+    seed, else from ``seed``."""
+    nbytes = (cmd.last - cmd.first + 1) * geometry.column_bytes
+    fill = cmd.fill
+    if fill.byte is not None:
+        payload = bytes([fill.byte]) * nbytes
+    else:
+        payload = random.Random(seed if fill.seed is None else fill.seed).randbytes(nbytes)
+    kind = bits.BitstreamKind.FULL if cmd.kind == "full" else bits.BitstreamKind.PARTIAL
+    return bits.encode(geometry, kind, cmd.kernel_id, cmd.first, payload)
+
+
 class ScenarioRunner:
     def __init__(self, scenario: Scenario, base_dir, seed: int = 0,
                  tracing: bool = False) -> None:
@@ -124,21 +138,12 @@ class ScenarioRunner:
                                     max_burst_cycles=cmd.burst)
 
     def _cmd_makebit(self, cmd: MakebitCmd) -> None:
-        geometry = self.config.geometry
-        count = cmd.last - cmd.first + 1
-        payload = self._fill_payload(cmd.fill, count * geometry.column_bytes)
-        kind = bits.BitstreamKind.FULL if cmd.kind == "full" else bits.BitstreamKind.PARTIAL
-        image = bits.encode(geometry, kind, cmd.kernel_id, cmd.first, payload)
-        (self.base / cmd.out).write_bytes(image)
-
-    def _fill_payload(self, fill, nbytes: int) -> bytes:
-        if fill.byte is not None:
-            return bytes([fill.byte]) * nbytes
-        seed = fill.seed
-        if seed is None:
-            seed = (self.seed + self._rand_fills) & 0xFFFFFFFFFFFFFFFF
+        # Each random fill without a seed of its own draws from the run's
+        # seed plus the number of such fills before it.
+        seed = (self.seed + self._rand_fills) & 0xFFFFFFFFFFFFFFFF
+        if cmd.fill.byte is None and cmd.fill.seed is None:
             self._rand_fills += 1
-        return random.Random(seed).randbytes(nbytes)
+        (self.base / cmd.out).write_bytes(makebit(cmd, self.config.geometry, seed))
 
     def _cmd_boot(self, cmd: BootCmd) -> None:
         if self.world is not None:

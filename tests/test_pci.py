@@ -1,7 +1,7 @@
 """PCI bus-master model tests (timing oracles are analytic cycle counts)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from records import bus_cycles, measure_throughput
 
@@ -267,9 +267,7 @@ def test_data_cycles_never_closer_than_one_period():
 )
 @settings(max_examples=40, deadline=None)
 def test_byte_stream_survives_any_preemption(nbytes, grant, burst, stalls):
-    sim = Simulator()
-    host = HostMemory()
-    bus = PciBus(sim, host, PciConfig(grant_latency_cycles=grant, max_burst_cycles=burst))
+    sim, host, bus = make_bus(grant, burst)
     base, content = fill_region(host, nbytes, seed=7)
     for start, dur in stalls:
         bus.inject_stall(start * P, dur * P)
@@ -278,6 +276,13 @@ def test_byte_stream_survives_any_preemption(nbytes, grant, burst, stalls):
     sim.run_until_idle()
     assert master.done_at is not None
     assert bytes(master.delivered) == content
+    # At idle every burst is counted: busy from its grant to its end, one
+    # data cycle per word moved.
+    grants = [r.time for r in bus.trace.records if r.event == "grant"]
+    ends = [r.time for r in bus.trace.records if r.event in ("complete", "preempt")]
+    assert len(grants) == len(ends)
+    assert bus.busy_ticks == sum(e - g for g, e in zip(grants, ends))
+    assert bus.total_data_cycles == -(-nbytes // 4)
 
 
 def scan_clear_time(stalls, t):
@@ -311,6 +316,41 @@ def test_next_stalled_is_the_first_stalled_picosecond(windows, probes):
         stalled = [u for u in range(t, 100) if any(s <= u < s + d for s, d in windows)]
         assert bus.next_stalled(t) == (stalled[0] if stalled else FOREVER)
         assert bus.stalled_at(t) == any(s <= t < s + d for s, d in windows)
+
+
+def scan_runs(windows, t, end):
+    """The runs of stalled picoseconds in [t, end] as (first, last + 1), by a
+    scan of every picosecond."""
+    runs = []
+    for u in range(t, end + 1):
+        if any(s <= u < s + d for s, d in windows):
+            if runs and runs[-1][1] == u:
+                runs[-1][1] = u + 1
+            else:
+                runs.append([u, u + 1])
+    return [tuple(run) for run in runs]
+
+
+@given(windows=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 30)), max_size=8),
+       probes=st.lists(st.tuples(st.integers(0, 100), st.integers(0, 40)), min_size=1,
+                       max_size=6))
+@example(windows=[(10, 10), (20, 5), (40, 20), (45, 5), (70, 1)],
+         probes=[(12, 28), (25, 14), (50, 20), (71, 0)])
+def test_windows_and_term_match_a_scan(windows, probes):
+    # Windows nested, touching, overlapping or apart; spans that start and
+    # end on every edge, inside a window and outside every window.
+    sim, host, bus = make_bus()
+    for start, dur in windows:
+        bus.inject_stall(start, dur)
+    edges = sorted({*(s for s, _d in windows), *(s + d for s, d in windows)})
+    spans = [(t, t + n) for t, n in probes] + [(t, e) for t in edges for e in edges if e >= t]
+    for t, end in spans:
+        assert bus.windows(t, end) == tuple((s - t, e - t) for s, e in scan_runs(windows, t, end))
+    runs = scan_runs(windows, 0, 100)
+    for t in [*(t for t, _n in probes), *edges]:
+        # The window over t, or the next one, whole.
+        over = next((run for run in runs if run[1] > t), None)
+        assert bus.term(t) == (over and (over[0] - t, over[1] - over[0]))
 
 
 def test_stall_clear_time_follows_nested_and_chained_windows():

@@ -311,3 +311,17 @@ def test_cli_makebit_roundtrip(tmp_path, capsys, monkeypatch):
     assert (bs.kernel_id, bs.first_column, bs.column_count) == (5, 2, 2)
     assert main(["makebit", "out=y.pbit", "kind=partial", "id=1",
                  "cols=90..99", "fill=00"]) == 2
+
+
+def test_unseeded_random_fills_draw_from_the_seed(tmp_path, monkeypatch):
+    # The CLI draws an unseeded random fill from seed 0; a run draws its
+    # k-th (from 0) from its seed plus k, and a seeded fill takes no turn.
+    monkeypatch.chdir(tmp_path)
+    args = ["makebit", "kind=partial", "id=1", "cols=0..1"]
+    assert main([*args, "out=cli.pbit", "fill=random"]) == 0
+    assert main([*args, "out=one.pbit", "fill=random:1"]) == 0
+    text = "".join(f"makebit out={name}.pbit kind=partial id=1 cols=0..1 fill={fill}\n"
+                   for name, fill in (("a", "random"), ("s", "random:5"), ("b", "random")))
+    assert run_text(tmp_path, text, seed=0).exit_status == 0
+    image = {name: (tmp_path / f"{name}.pbit").read_bytes() for name in ("cli", "one", "a", "b")}
+    assert image["a"] == image["cli"] and image["b"] == image["one"] != image["a"]
