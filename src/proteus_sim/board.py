@@ -321,16 +321,16 @@ _FAR = (None,) * 4
 
 class Segment(NamedTuple):
     """What the board does from one burst end to the next, relative to its
-    start: its length in ps, the bytes the bus moves for each engine (in
-    ``SteadyState.engines`` order), the trace records (time, component,
-    event, detail) and the controller's pause windows (start, end); the
-    stall windows over [0, length], clipped to it (``PciBus.windows``); the
-    kernel's exact terms at its start, whether the kernel shows (is not
-    quiescent) at a burst end of it, and its last edge relative to the end
-    if it had one within; the bytes each engine at its cap at the start
-    must have to spare (None below its cap, and for an engine near it in a
-    segment kept under the bytes to go, ``SteadyState._near``); and the
-    signature at the end, with its hash.
+    start, in nine fields: its length in ps; the bytes the bus moves for
+    each engine (in ``SteadyState.engines`` order); the trace records (time,
+    component, event, detail); the controller's pause windows (start, end);
+    the stall windows over [0, length], clipped to it (``PciBus.windows``);
+    the kernel's exact terms at its start; its last edge relative to the
+    end, if it had one within; and the signature at the end, with its hash.
+    The rest is read off the signatures: which engines start at their caps
+    (their fields read the cap, ``SteadyState.lookup``), and whether the
+    kernel shows (is not quiescent) at either burst end, for the kernel rule
+    (``SteadyState._rule``).
 
     The one burst whose end is queued within a segment is the one that ends
     it, and it moves ``sum(moved)`` bytes: a replay counts it on the bus from
@@ -342,9 +342,7 @@ class Segment(NamedTuple):
     windows: tuple
     stalls: tuple
     terms: tuple
-    stirs: bool
     edge: int | None
-    need: tuple
     sig: tuple
     key: int
 
@@ -460,10 +458,12 @@ class SteadyState:
     end (``DmaEngine``); its bytes to go are its remaining bytes less those
     the burst ending now has moved, and ``_left`` gives them less the cap.
     At its cap or more at a segment's start (its field of the signature
-    reads the cap), a segment is kept under the signature only if the
+    reads the cap), a segment is kept under the signature alone only if the
     engine ends it with its bytes to go still its cap or more, and replayed
-    only where they stay so (``Segment.need``), so that in neither run do
-    they show.  Below its cap they are in the signature exactly.  The
+    only where they stay so: where no engine whose field reads its cap moves
+    more in the segment than its bytes to go (``lookup``, from the
+    segment's ``moved`` and the signature), so that in neither run do they
+    show.  Below its cap they are in the signature exactly.  The
     controller's remaining bytes are its engine's bytes to go plus four per
     buffered word while it configures, and less four per buffered word in
     readback, 4 * capacity + 8 - 4 * capacity = 8 or more at the engine's
@@ -482,17 +482,20 @@ class SteadyState:
     the ``_left`` of each engine near its cap (``_near``), and the stall
     term if a window met it.  With the signature these give each near
     engine's exact remaining bytes, and with its buffer's occupancy the
-    controller's, so that the start decides what follows and where it lands;
-    the near engines need nothing, the others at their caps keep their need.
-    ``lookup`` tries that key where the signature alone has no segment whose
-    need is met.  So a job whose length an earlier job had replays through
+    controller's, so that the start decides what follows and where it lands.
+    A segment found there needs no check: the near engines' bytes to go are
+    the key's own, and an engine at its cap but not near has a burst or more
+    to go, more than it can move.  ``lookup`` tries that key only where the
+    signature alone gives no segment that may replay (a plain segment may
+    still replay at a near state, for a job of another length, where the
+    check holds).  So a job whose length an earlier job had replays through
     the crossing and its last bursts, while one of another length walks it.
     A segment in which no engine crosses keeps the signature alone as its
     key, even if an engine is near, so that it replays for jobs of any
     length.
 
     Folding the band into the signature instead, each cap raised by a burst
-    and the need dropped, is unsound: a segment that starts at the raised
+    and the check dropped, is unsound: a segment that starts at the raised
     cap and ends inside the band lands on a signature, exact there, that
     its start does not determine.  Replayed for a job of another length, it
     lands on the recording job's bytes to go; one such replay moved 64.5
@@ -561,7 +564,8 @@ class SteadyState:
     replays from ``now`` with kernel terms other than those at its start
     only if the kernel was quiescent at every burst end of it (and so is at
     ``now``); otherwise they must be equal.  The rule reads the signatures
-    only: the terms at the start and whether any segment stirs.
+    only: the terms at the start and whether the kernel shows at any burst
+    end of it, which is whether its phase field there is set.
 
     Where a replay lands.  From equal kernel terms the phases are equal, so
     the replay is the segment translated by whole user-clock periods, and it
@@ -593,8 +597,6 @@ class SteadyState:
         self.sim = device.sim
         self.bus = device.world.bus
         self.engines = tuple(device.engines.values())
-        # Each bus master's place in ``engines``.
-        self.slot = {MASTER_ID[e.target]: i for i, e in enumerate(self.engines)}
         cfg = device.config
         self.user_period = cfg.user_clock_period
         # Whether no bus word can reach the kernel within a user period of a
@@ -691,25 +693,25 @@ class SteadyState:
         if len(sim._heap) != (dev.controller.key is not None) + (dev.kernel_host.key is not None):
             self.snap = None
             return txn
-        left = self._left(txn)
+        left = self._left()
         if self.snap is not None:
             self._record(sig, h, left)
         seg = self.lookup(sig, h, sim.now, left)
         if seg is not None:
             txn, sig, h, terms = self._chain(txn, seg, sig, h, terms, left)
-            left = self._left(txn)
+            left = self._left()
         trace = dev.trace
         self.snap = (sim.now, sig, h, terms, left, len(trace.records) if trace else 0,
                      len(dev.controller.pause_windows))
         return txn
 
-    def _left(self, txn) -> list:
+    def _left(self) -> list:
         """The bytes each engine may still move before its job comes within
         its cap of its end: its remaining bytes less its cap and, for the
-        burst ending now (``txn``), the bytes that burst has moved."""
-        left = [e.addr.bytes_remaining - e.cap for e in self.engines]
-        left[self.slot[txn.master_id]] -= txn.transferred_bytes
-        return left
+        engine whose burst ends now (the one with a ``txn``), the bytes that
+        burst has moved."""
+        return [e.addr.bytes_remaining - e.cap - (e.txn.transferred_bytes if e.txn else 0)
+                for e in self.engines]
 
     def _record(self, sig, h, left) -> None:
         """Keep the open segment, which ends here, unless it may not be
@@ -723,18 +725,13 @@ class SteadyState:
         moved = [a - b for a, b in zip(left0, left)]
         if (moved[0] | moved[1] | moved[2] | moved[3]) & 3:
             return      # a job's short last word: the job ends where the segment does
-        # An engine at its cap at the start (its field reads the cap) must
-        # still be at it where the segment replays, so that its remaining
-        # bytes never show; one that crosses it here is near it, and the
-        # segment is kept under the bytes to go of the engines near.
-        need = [m if r == e.cap else None
-                for m, r, e in zip(moved, sig0[_ENGINE + 1:_ENGINE + 16:4], self.engines)]
+        # An engine at its cap at the start (its field reads the cap) that
+        # crosses it here was near it: the segment is kept under the bytes to
+        # go of the engines near (see the class).
         key = h0
-        if ((need[0] is not None and left[0] < 0) or (need[1] is not None and left[1] < 0)
-                or (need[2] is not None and left[2] < 0) or (need[3] is not None and left[3] < 0)):
-            near = self._near(sig0, left0)
-            key = h0, near
-            need = [None if b is not None else m for m, b in zip(need, near)]
+        if any(b < 0 and r == e.cap
+               for b, r, e in zip(left, sig0[_ENGINE + 1:_ENGINE + 16:4], self.engines)):
+            key = h0, self._near(sig0, left0)
         stalls = bus.windows(t0, now)
         trace, ctl, host = dev.trace, dev.controller, dev.kernel_host
         records = () if trace is None else tuple(
@@ -746,42 +743,40 @@ class SteadyState:
         store[(key, bus.term(t0)) if stalls else key] = sig0, Segment(
             now - t0, tuple(moved), records,
             tuple([(s - t0, e - t0) for s, e in ctl.pause_windows[nwin:]]), stalls, terms,
-            sig0[_HOST_PHASE] is not None or sig[_HOST_PHASE] is not None,
-            edge - now if edge >= t0 else None, tuple(need), sig, h)
+            edge - now if edge >= t0 else None, sig, h)
 
     def lookup(self, sig, h, t, budget):
         """The segment kept for a burst end at ``t`` with signature ``sig``
         (hash ``h``) and bytes to go ``budget`` (``_left`` there) whose stall
-        windows are those over [t, t + length], translated, and whose need
-        the budget meets; failing that, the one kept under the bytes to go of
-        the engines near their caps (``_near``, see the class); None if there
-        is none."""
-        seg = self._find(h, sig, t, budget)
-        if seg is None:
-            near = self._near(sig, budget)
-            if near is not None:
-                seg = self._find((h, near), sig, t, budget)
-        return seg
+        windows are those over [t, t + length], translated, and in which no
+        engine at its cap moves more than its bytes to go; failing that, the
+        one kept under the bytes to go of the engines near their caps
+        (``_near``, see the class); None if there is none."""
+        seg = self._find(h, sig, t)
+        if seg is not None:
+            m, e = seg.moved, self.engines
+            if not ((m[0] > budget[0] and sig[_ENGINE + 1] == e[0].cap)
+                    or (m[1] > budget[1] and sig[_ENGINE + 5] == e[1].cap)
+                    or (m[2] > budget[2] and sig[_ENGINE + 9] == e[2].cap)
+                    or (m[3] > budget[3] and sig[_ENGINE + 13] == e[3].cap)):
+                return seg
+        near = self._near(sig, budget)
+        return None if near is None else self._find((h, near), sig, t)
 
-    def _find(self, key, sig, t, budget):
+    def _find(self, key, sig, t):
         """The segment kept under ``key`` for a burst end at ``t`` with
-        signature ``sig`` and bytes to go ``budget`` (see ``lookup``)."""
+        signature ``sig`` whose stall windows are those over [t, t + length],
+        translated (see ``lookup``); None if there is none."""
         store, bus = self.store, self.bus
         entry = store.get(key)
-        if entry is None or entry[0] != sig or bus.next_stalled(t) <= t + entry[1].length:
-            term = bus.term(t)
+        term = bus.term(t)
+        # A segment kept without a stall term needs no window to meet [t, t + length].
+        if entry is None or entry[0] != sig or term is not None and term[0] <= entry[1].length:
             entry = term and store.get((key, term))
             if (entry is None or entry[0] != sig
                     or bus.windows(t, t + entry[1].length) != entry[1].stalls):
                 return None
-        seg = entry[1]
-        need = seg.need
-        if ((need[0] is not None and need[0] > budget[0])
-                or (need[1] is not None and need[1] > budget[1])
-                or (need[2] is not None and need[2] > budget[2])
-                or (need[3] is not None and need[3] > budget[3])):
-            return None
-        return seg
+        return entry[1]
 
     def _near(self, sig, left):
         """Each engine's bytes to go less its cap (``left``) if it is near its
@@ -805,6 +800,9 @@ class SteadyState:
         in which the kernel shows at a burst end if ``stirs`` and has an edge
         if ``edged``, replay from the kernel ``terms``; a replay that drifts
         (other terms and an edge) only where no step shows the drift.
+        ``stirs`` is read off the signatures: the kernel host's phase field
+        is set at a segment's start or end (``_chain``), or at a burst end of
+        a period, whose first start is its last end (``_periods``).
         ``drift_allowed`` is asked last, so a replay for which it holds is
         taken."""
         return start_terms == terms or not stirs and (not edged or self.drift_allowed(terms))
@@ -823,7 +821,9 @@ class SteadyState:
         while True:
             seen[h] = sig, len(path)
             if (t + seg.length > horizon or seg.terms != terms
-                    and not self._rule(seg.terms, seg.stirs, seg.edge is not None, terms)):
+                    and not self._rule(seg.terms, sig[_HOST_PHASE] is not None
+                                       or seg.sig[_HOST_PHASE] is not None,
+                                       seg.edge is not None, terms)):
                 break
             path.append((t, terms, seg))
             m = seg.moved
@@ -882,7 +882,7 @@ class SteadyState:
             m = seg.moved
             up, down, rd, wr = up + m[0], down + m[1], rd + m[2], wr + m[3]
             stalls = stalls or seg.stalls
-            stirs = stirs or seg.stirs
+            stirs = stirs or seg.sig[_HOST_PHASE] is not None
             edged = edged or seg.edge is not None
         moved = up, down, rd, wr
         fits = [b // d for b, d in zip(budget, moved) if d]
@@ -894,9 +894,9 @@ class SteadyState:
             fits.append((bus.stalls_repeat(start, t, end) - t) // length - 1)
         else:
             # No window meets [start, t + n * length].
-            stalled = bus.next_stalled(start)
-            if stalled != FOREVER:
-                fits.append((stalled - 1 - t) // length)
+            term = bus.term(start)
+            if term is not None:
+                fits.append((start + max(term[0], 0) - 1 - t) // length)
         n = min(fits, default=0)
         return (n if n >= 1 and self._rule(start_terms, stirs, edged, terms) else 0), moved, edged
 

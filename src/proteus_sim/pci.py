@@ -33,9 +33,18 @@ Stall windows compose as a union: a time is stalled if any window covers
 it.  The bus keeps the union as one sorted list of the bounds of disjoint
 windows, touching ones merged, so that every stall query is one bisection,
 except ``windows`` and ``stalls_repeat``, each one walk from a bisection.
-The master keys and checks what it has seen by the same queries: the
-windows over a span, relative to its start (``windows``), and the term of
-the window over a time or the next (``term``).
+The bus itself asks whether a time is stalled (``stalled_at``), when that
+stall clears (``stall_clear_time``) and where a burst's lattice first meets
+a window (``windows``).  The master keys and checks what it has seen by
+three of them:
+
+- ``term``, where the window over a time, or the next, opens relative to
+  that time, and its length: one bisection that says whether a span from
+  there is stall-free, keys a span that a window meets, and gives the first
+  stalled picosecond, ``t + max(term[0], 0)``;
+- ``windows``, the windows over a span relative to its start, which a
+  replay's span must match;
+- ``stalls_repeat``, how long the windows repeat with a period.
 
 A burst's end is also where the master may replay what it has seen its
 board do from there, up to a later burst end, and jump whole periods of it
@@ -209,15 +218,6 @@ class PciBus:
         """The least time >= t that no window covers."""
         i = bisect.bisect_right(self._stalls, t)
         return self._stalls[i] if i & 1 else t
-
-    def next_stalled(self, t: int):
-        """The first time at or after ``t`` inside a stall window (FOREVER if
-        none)."""
-        bounds = self._stalls
-        i = bisect.bisect_right(bounds, t)
-        if i & 1:
-            return t
-        return bounds[i] if i < len(bounds) else FOREVER
 
     def windows(self, t: int, end: int) -> tuple:
         """The windows over [t, end], each clipped to that span, as (start,

@@ -90,12 +90,7 @@ class ScenarioRunner:
         self.expect_failures: list[str] = []
         self._queued_bind_ids: set[int] = set()
         self._rand_fills = 0
-        self._counters = {
-            "boot_ok": 0, "boot_duration_ps": 0,
-            "reconfig_duration_ps": 0, "reconfig_pauses": 0,
-            "readback_duration_ps": 0,
-            "downstream_bytes": 0, "upstream_bytes": 0,
-        }
+        self._counters = {"downstream_bytes": 0, "upstream_bytes": 0}
         self._windows = {"down": 0, "up": 0}
 
     # -- public entry ---------------------------------------------------------
@@ -155,9 +150,7 @@ class ScenarioRunner:
         for bind in self.pending_binds:
             world.device.registry.bind(bind.kernel_id, bind.kernel)
         self.world = world
-        report = world.boot(flash)
-        self._counters["boot_ok"] = int(report.ok)
-        self._counters["boot_duration_ps"] = report.duration
+        world.boot(flash)
 
     def _cmd_bind(self, cmd: BindCmd) -> None:
         if cmd.kernel not in BUILTIN_KERNELS:
@@ -172,16 +165,12 @@ class ScenarioRunner:
             self.pending_binds.append(cmd)
 
     def _cmd_reconfig(self, cmd: ReconfigCmd) -> None:
-        world = self._require_world()
-        result = world.reconfigure((self.base / cmd.file).read_bytes())
-        self._counters["reconfig_duration_ps"] = result.duration
-        self._counters["reconfig_pauses"] = result.pauses
+        self._require_world().reconfigure((self.base / cmd.file).read_bytes())
 
     def _cmd_readback(self, cmd: ReadbackCmd) -> None:
         world = self._require_world()
         image = world.readback(cmd.first, cmd.last - cmd.first + 1)
         (self.base / cmd.out).write_bytes(image)
-        self._counters["readback_duration_ps"] = world.device.last_readback.duration
 
     def _cmd_stream(self, cmd: StreamCmd) -> None:
         world = self._require_world()
@@ -238,10 +227,21 @@ class ScenarioRunner:
     def _metrics_snapshot(self) -> dict:
         m = dict(self._counters)
         m["seed"] = self.seed
-        if self.world is not None:
+        # The device's own results of its last boot, configuration and
+        # readback; 0 before each first one.
+        dev = self.world and self.world.device
+        boot = dev and dev.boot_report
+        config = dev and dev.last_config
+        readback = dev and dev.last_readback
+        m["boot_ok"] = int(boot.ok) if boot else 0
+        m["boot_duration_ps"] = boot.duration if boot else 0
+        m["reconfig_duration_ps"] = config.duration if config else 0
+        m["reconfig_pauses"] = config.pauses if config else 0
+        m["readback_duration_ps"] = readback.duration if readback else 0
+        if dev:
             now = self.world.sim.now
             m["bus_utilization"] = self.world.bus.busy_ticks / now if now else 0.0
-            m["interrupts_raised"] = self.world.device.irq.raised
+            m["interrupts_raised"] = dev.irq.raised
         else:
             m["bus_utilization"] = 0.0
             m["interrupts_raised"] = 0

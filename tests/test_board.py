@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from test_fast_paths import HOST, assert_same_states, per_word, recording_states
 
 from proteus_sim import bitstream as bits
+from proteus_sim import board
 from proteus_sim.board import (
     _ENGINE,
     BoardConfig,
@@ -44,6 +45,7 @@ from proteus_sim.fixed_part import (
 from proteus_sim.kernels import MapKernel
 from proteus_sim.pci import PCI_CLOCK_PERIOD, PciConfig, UnmappedAddress
 from proteus_sim.selectmap import Mode
+from proteus_sim.trace import emit_trace
 
 G = bits.DESK_GEOMETRY
 
@@ -767,6 +769,40 @@ def test_a_chain_lands_once(monkeypatch):
     assert landings and max(landings) == 1 and max(runs) > 1
 
 
+def test_a_chain_flushes_its_path_at_each_slice(monkeypatch, tmp_path):
+    """A chain whose path reaches ``SLICE_BYTES`` replays it there and goes
+    on with an empty path.  With slices of 1 KiB, four 16 KiB fir4 streams,
+    then an 8 KB reconfiguration and its readback, on the traced stalled
+    stream world, flush many paths mid-chain, and their events, outputs,
+    trace bytes and pause windows are those at the default slice."""
+    def run(slice_bytes):
+        monkeypatch.setattr(board, "SLICE_BYTES", slice_bytes)
+        world = _traced_stalled_stream_world("fir4")
+        replays = []
+        replay = world.device.steady._replay
+
+        def replaying(path, end, n=1):
+            replays.append(n)
+            replay(path, end, n)
+        world.device.steady._replay = replaying
+
+        def job():
+            outputs = [world.stream(random.Random(i).randbytes(1 << 14)) for i in range(4)]
+            return (*outputs, world.reconfigure(partial_image(kernel_id=0x21)),
+                    world.readback(0, 4))
+        result = _timed(world, job)
+        path = tmp_path / f"trace-{slice_bytes}.csv"
+        emit_trace(world.trace.records, path)
+        return (result, world.sim.executed, path.read_bytes(),
+                world.device.controller.pause_windows, len(replays))
+
+    default = run(SLICE_BYTES)
+    sliced = run(1024)
+    assert sliced[:4] == default[:4]
+    assert default[1] == 327        # boot and the first reconfiguration included
+    assert sliced[4] > default[4]   # more replays: paths flushed at each 1 KiB
+
+
 def test_a_device_bound_job_jumps_to_within_one_burst_of_its_end(monkeypatch):
     """A device-bound job's remaining bytes show only in the size of the
     burst it requests, so its jumps may stop one burst and 8 bytes from its
@@ -803,13 +839,13 @@ def test_a_device_bound_job_jumps_to_within_one_burst_of_its_end(monkeypatch):
     assert jumped[1] < walked[1]
 
 
-def _at_a_double_crossing(steady, txn) -> bool:
+def _at_a_double_crossing(steady) -> bool:
     """Whether, at this burst end, some engine's field of the signature reads
     its cap while its bytes to go less the cap (``SteadyState._left``) are
     negative: the burst ending here took it past the cap, and its address
     counts that burst only once it ends."""
     sig, _terms = steady.signature()
-    left = steady._left(txn)
+    left = steady._left()
     return any(sig[_ENGINE + 1 + 4 * k] == e.cap and left[k] < 0
                for k, e in enumerate(steady.engines))
 
@@ -826,7 +862,7 @@ def _reconfigurations_of_one_length(monkeypatch):
 
     def landing(self, *args):
         txn = land(self, *args)
-        tally[-1][1] += _at_a_double_crossing(self, txn)
+        tally[-1][1] += _at_a_double_crossing(self)
         return txn
     monkeypatch.setattr(SteadyState, "_land", landing)
 
@@ -841,7 +877,7 @@ def _reconfigurations_of_one_length(monkeypatch):
 
         def counting(txn):
             tally[-1][0] += 1
-            tally[-1][1] += _at_a_double_crossing(steady, txn)
+            tally[-1][1] += _at_a_double_crossing(steady)
             return at_burst_end(txn)
         world.bus.on_burst_end = counting
         results = []

@@ -16,7 +16,7 @@ from proteus_sim.pci import (
     TxnState,
     UnmappedAddress,
 )
-from proteus_sim.sim import FOREVER, Simulator
+from proteus_sim.sim import Simulator
 from proteus_sim.trace import TraceRecorder
 
 P = PCI_CLOCK_PERIOD
@@ -309,12 +309,15 @@ def test_stall_clear_time_matches_a_scan(windows, probes):
 @given(windows=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 30)), max_size=12),
        probes=st.lists(st.integers(0, 100), min_size=1, max_size=10))
 def test_next_stalled_is_the_first_stalled_picosecond(windows, probes):
+    # The first stalled picosecond at or after t, as term gives it:
+    # t + max(term[0], 0), or none when no window is over t or after it.
     sim, host, bus = make_bus()
     for start, dur in windows:
         bus.inject_stall(start, dur)
     for t in [*probes, *(s for s, _d in windows), *(s + d for s, d in windows)]:
         stalled = [u for u in range(t, 100) if any(s <= u < s + d for s, d in windows)]
-        assert bus.next_stalled(t) == (stalled[0] if stalled else FOREVER)
+        term = bus.term(t)
+        assert (term and t + max(term[0], 0)) == (stalled[0] if stalled else None)
         assert bus.stalled_at(t) == any(s <= t < s + d for s, d in windows)
 
 
